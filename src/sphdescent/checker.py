@@ -22,7 +22,13 @@ from .cohomology import (
     ObstructionVerdict,
     obstruction_verdict,
 )
-from .cones import is_gamma_stable, is_valid_fan, is_wonderful, wonderful_fan
+from .cones import (
+    ColoredCone,
+    is_gamma_stable,
+    is_valid_fan,
+    is_wonderful,
+    wonderful_fan,
+)
 from .invariants import (
     HorosphericalDatum,
     SphericalInvariants,
@@ -239,6 +245,7 @@ class WonderfulReport:
     stable: bool
     violating_generator: str | None
     problems: tuple
+    violating_cone: ColoredCone | None
 
 
 def wonderful_stability_report(invariants: SphericalInvariants,
@@ -249,4 +256,5 @@ def wonderful_stability_report(invariants: SphericalInvariants,
     wonderful = is_wonderful(fan, invariants.valuation_cone)
     stability = is_gamma_stable(fan, action, invariants.weight_lattice)
     return WonderfulReport(validity.ok, wonderful, stability.stable,
-                           stability.violating_generator, validity.problems)
+                           stability.violating_generator, validity.problems,
+                           stability.violating_cone)

@@ -253,14 +253,22 @@ def _fan_report(label: str, problem: Problem):
         doc["wonderful"] = report.wonderful
         doc["stable"] = report.stable
         doc["violating_generator"] = report.violating_generator
+        doc["violating_cone_rays"] = _cone_rays(report.violating_cone)
         return report.fan_valid and report.stable, doc
     if problem.action is not None:
         sv = is_gamma_stable(problem.fan, problem.action,
                              problem.invariants.weight_lattice)
         doc["stable"] = sv.stable
         doc["violating_generator"] = sv.violating_generator
+        doc["violating_cone_rays"] = _cone_rays(sv.violating_cone)
         ok = ok and sv.stable
     return ok, doc
+
+
+def _cone_rays(cc):
+    # rays of the fan cone a generator moves off the fan, in canonical
+    # coordinates, as the fan problems report them
+    return None if cc is None else [list(r) for r in cc.cone.rays]
 
 
 def cmd_check_fan(args) -> int:
@@ -287,6 +295,7 @@ def cmd_check_fan(args) -> int:
                 if doc.get("violating_generator"):
                     bits.append(f"violated by generator "
                                 f"'{doc['violating_generator']}'")
+                    bits.append(f"moved cone rays: {doc['violating_cone_rays']}")
             print(f"{doc['file']}: " + ", ".join(bits))
     if args.json:
         print(json.dumps(docs[0] if len(docs) == 1 else {"results": docs},

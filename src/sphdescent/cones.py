@@ -6,14 +6,16 @@ facet inequalities (primitive, orthogonal to the equation space), and a
 Hermite basis of the equation lattice.  Structural equality of two cones is
 then the same as equality of the point sets they define.
 
-Conversion between descriptions enumerates candidate active sets, which is
-exact and entirely adequate for the small dimensions this package works in.
+Conversion between descriptions is the incremental double-description method
+(Motzkin et al. 1953; Fukuda & Prodon 1996) in integer arithmetic.  Faces and
+images under lattice automorphisms are read off the description a cone
+already has, with no further conversion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
@@ -21,7 +23,6 @@ from .intlinalg import (
     IntMatrix,
     Lattice,
     kernel_lattice,
-    solve_exact,
     vec_dot,
     vec_is_zero,
     vec_neg,
@@ -38,65 +39,148 @@ def _qvec(v) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in v)
 
 
+def _integral(v) -> tuple[int, ...]:
+    """A positive integer multiple of a rational vector; itself if integral."""
+    if all(type(x) is int for x in v):
+        return tuple(v)
+    fv = _qvec(v)
+    mult = lcm(*(x.denominator for x in fv))
+    return tuple(int(x * mult) for x in fv)
+
+
 def _primitive(v) -> tuple[int, ...] | None:
     """Scale a rational vector to a primitive integer vector, same direction."""
-    fv = _qvec(v)
-    if all(x == 0 for x in fv):
+    iv = _integral(v)
+    g = gcd(*iv)
+    if g == 0:
         return None
-    mult = lcm(*(x.denominator for x in fv))
-    ints = [int(x * mult) for x in fv]
-    g = reduce(gcd, ints)
-    return tuple(x // g for x in ints)
+    return iv if g == 1 else tuple(x // g for x in iv)
 
 
-def _project_off(v, lat: Lattice):
-    """Orthogonal projection of v off the span of the lattice rows."""
-    if lat.rank == 0:
-        return _qvec(v)
-    rows = lat.basis.entries
-    gram = [[vec_dot(a, b) for b in rows] for a in rows]
-    coeffs = solve_exact(gram, [vec_dot(a, v) for a in rows])
-    out = list(_qvec(v))
-    for lam, row in zip(coeffs, rows):
-        for j, x in enumerate(row):
-            out[j] -= lam * x
-    return tuple(out)
+def _combine(p: int, u, q: int, v) -> tuple[int, ...] | None:
+    """Primitive direction of p*u + q*v, or None when that is zero."""
+    return _primitive(tuple(p * x + q * y for x, y in zip(u, v)))
+
+
+def _project_off(vectors, basis) -> list:
+    """Primitive directions of the orthogonal projections of integer vectors
+    off the span of independent integer rows (None for a vector in the span).
+
+    With B the rows and G = B B^T, det(G) v - B^T adj(G) B v is det(G) > 0
+    times the projection.  adj(G) comes from one fraction-free Gauss-Jordan
+    elimination of [G | I], and only when some vector is not already
+    orthogonal to the rows; G is positive definite, so its leading minors,
+    which are the pivots, never vanish and no row swaps are needed.
+    """
+    k = len(basis)
+    out = []
+    adj = None
+    for v in vectors:
+        bv = [vec_dot(b, v) for b in basis]
+        if not any(bv):
+            out.append(_primitive(v))
+            continue
+        if adj is None:
+            aug = [[vec_dot(a, b) for b in basis] + [int(i == j) for j in range(k)]
+                   for i, a in enumerate(basis)]
+            det = 1
+            for p in range(k):
+                piv, prow = aug[p][p], aug[p]
+                for i in range(k):
+                    if i != p:
+                        f = aug[i][p]
+                        aug[i] = [(piv * x - f * y) // det
+                                  for x, y in zip(aug[i], prow)]
+                det = piv
+            adj = [row[k:] for row in aug]
+        w = [vec_dot(row, bv) for row in adj]
+        out.append(_primitive(tuple(
+            det * x - sum(wi * b[j] for wi, b in zip(w, basis))
+            for j, x in enumerate(v))))
+    return out
+
+
+def _adjacent(z: int, masks) -> bool:
+    # combinatorial test: no ray besides the two is tight wherever both are
+    holders = 0
+    for m in masks:
+        if m & z == z:
+            holders += 1
+            if holders > 2:
+                return False
+    return True
 
 
 def _hcone_extreme_rays(constraints, dim: int) -> tuple[tuple, Lattice]:
     """Extreme rays, modulo lineality, of {x : c.x >= 0 for all c}.
 
-    Returns (rays, lineality): primitive integer ray representatives chosen
+    Returns (rays, lineality): sorted primitive integer ray representatives
     orthogonal to the lineality space, and the saturated lineality lattice
-    (the kernel of the constraint matrix).  A candidate direction appears on
-    an active set of constraint rank dim - lineality - 1, so all such subsets
-    are enumerated.
+    (the kernel of the constraint matrix).
+
+    Incremental double description inside the orthogonal complement of the
+    lineality, which the constraint rows span.  The cone starts as that whole
+    space, held as a spanning set of the lineality it has left.  A constraint
+    that is not zero on that lineality turns one spanning vector into a new
+    ray and moves the other vectors, and the rays, onto its hyperplane.  Any
+    other constraint keeps the rays on its nonnegative side and adds, for
+    each adjacent pair of rays it separates, the positive combination on its
+    hyperplane.  Each ray carries the bit set of the constraints so far that
+    are tight on it, which gives the adjacency test.
     """
-    rows = [c for c in constraints if not vec_is_zero(c)]
+    rows = [c for c in map(_primitive, constraints) if c is not None]
     if not rows:
         return (), Lattice.full(dim)
-    cmat = IntMatrix.from_rows(rows, cols=dim)
-    lin = kernel_lattice(cmat)
-    t = dim - lin.rank - 1
-    if t < 0:
-        return (), lin
-    rays = set()
-    for subset in combinations(range(len(rows)), t):
-        sub = IntMatrix.from_rows([rows[i] for i in subset], cols=dim)
-        ker = kernel_lattice(sub)
-        if ker.rank != lin.rank + 1:
+    lin = kernel_lattice(IntMatrix.from_rows(rows, cols=dim))
+    span = list(dict.fromkeys(rows))
+    rays, masks = [], []
+    cuts = 0  # dimension of the cone modulo its lineality
+    for k, a in enumerate(rows):
+        bit = 1 << k
+        i = next((i for i, v in enumerate(span) if vec_dot(a, v)), None)
+        if i is not None:
+            piv = span.pop(i)
+            s = vec_dot(a, piv)
+            if s < 0:
+                piv, s = vec_neg(piv), -s
+            span = [w for w in (_combine(s, v, -vec_dot(a, v), piv) for v in span)
+                    if w is not None]
+            rays = [_combine(s, r, -vec_dot(a, r), piv) for r in rays]
+            masks = [m | bit for m in masks]
+            rays.append(piv)
+            masks.append(bit - 1)
+            cuts += 1
             continue
-        v = next((b for b in ker.basis.entries if lin.coordinates(b) is None), None)
-        if v is None:
+        vals = [vec_dot(a, r) for r in rays]
+        if all(t >= 0 for t in vals):
+            masks = [m | bit if t == 0 else m for m, t in zip(masks, vals)]
             continue
-        ray = _primitive(_project_off(v, lin))
-        if ray is None:
-            continue
-        for cand in (ray, vec_neg(ray)):
-            if all(vec_dot(c, cand) >= 0 for c in rows):
-                rays.add(cand)
-                break
+        # two adjacent rays are tight together on cuts - 2 independent rows
+        need = cuts - 2
+        new_rays, new_masks = [], []
+        for p, tp in enumerate(vals):
+            if tp <= 0:
+                continue
+            for n, tn in enumerate(vals):
+                if tn >= 0:
+                    continue
+                z = masks[p] & masks[n]
+                if z.bit_count() < need or not _adjacent(z, masks):
+                    continue
+                new_rays.append(_combine(tp, rays[n], -tn, rays[p]))
+                new_masks.append(z | bit)
+        for r, m, t in zip(rays, masks, vals):
+            if t >= 0:
+                new_rays.append(r)
+                new_masks.append(m | bit if t == 0 else m)
+        rays, masks = new_rays, new_masks
     return tuple(sorted(rays)), lin
+
+
+@lru_cache(maxsize=256)
+def _inverse_transpose(matrix: IntMatrix) -> IntMatrix:
+    # a stability check maps every cone of a fan by the same matrix
+    return matrix.inverse_unimodular().transpose()
 
 
 @dataclass(frozen=True)
@@ -125,75 +209,80 @@ class RationalCone:
         return self.rays + self.lineality + tuple(vec_neg(r) for r in self.lineality)
 
     def contains(self, v) -> bool:
-        fv = _qvec(v)
-        if len(fv) != self.ambient_dim:
+        if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        return (all(vec_dot(e, fv) == 0 for e in self.equations)
-                and all(vec_dot(c, fv) >= 0 for c in self.inequalities))
+        iv = _integral(v)
+        return (all(vec_dot(e, iv) == 0 for e in self.equations)
+                and all(vec_dot(c, iv) >= 0 for c in self.inequalities))
 
     def contains_cone(self, other: "RationalCone") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("dimension mismatch")
         return all(self.contains(g) for g in other.generators())
 
-    def relative_interior_point(self):
+    def relative_interior_point(self) -> tuple[int, ...]:
         """Sum of the extreme rays: a canonical relative interior point."""
-        out = [Fraction(0)] * self.ambient_dim
-        for r in self.rays:
-            for j, x in enumerate(r):
-                out[j] += x
-        return tuple(out)
+        if not self.rays:
+            return (0,) * self.ambient_dim
+        return tuple(map(sum, zip(*self.rays)))
 
     def image(self, matrix: IntMatrix) -> "RationalCone":
-        """Image cone under a linear map given by a matrix acting on columns."""
-        if matrix.cols != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        return cone_from_generators(matrix.rows,
-                                    [matrix.apply(g) for g in self.generators()])
+        """Image cone under a unimodular matrix acting on columns.
+
+        Rays and lineality map by the matrix, inequalities and equations by
+        its inverse transpose.  Nothing is converted: the image only needs
+        Hermite bases for its two lattices, and rays and inequalities
+        projected off the lattice spans and made primitive.
+        """
+        dim = self.ambient_dim
+        if matrix.rows != dim or matrix.cols != dim:
+            raise ValueError("the map must be a square matrix of the cone's "
+                             "dimension")
+        dual = _inverse_transpose(matrix)
+        lin = Lattice.from_rows(dim, [matrix.apply(b) for b in self.lineality])
+        eqs = Lattice.from_rows(dim, [dual.apply(e) for e in self.equations])
+        rays = _project_off([matrix.apply(r) for r in self.rays],
+                            lin.basis.entries)
+        ineqs = _project_off([dual.apply(c) for c in self.inequalities],
+                             eqs.basis.entries)
+        return RationalCone(dim, tuple(sorted(rays)), lin.basis.entries,
+                            tuple(sorted(ineqs)), eqs.basis.entries)
+
+
+def _check_rows(dim: int, rows) -> None:
+    if any(len(r) != dim for r in rows):
+        raise ValueError("dimension mismatch")
 
 
 def cone_from_generators(dim: int, generators) -> RationalCone:
     """Canonical cone spanned by rational generators (possibly redundant)."""
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
-    prim = []
-    for g in generators:
-        if len(g) != dim:
-            raise ValueError("dimension mismatch")
-        p = _primitive(g)
-        if p is not None:
-            prim.append(p)
+    generators = list(generators)
+    _check_rows(dim, generators)
     # facets of the cone are the extreme rays of its polar dual, whose
     # lineality is the orthogonal complement of the cone's span
-    ineqs, perp = _hcone_extreme_rays(prim, dim)
+    ineqs, perp = _hcone_extreme_rays(generators, dim)
     constraints = list(ineqs)
     for e in perp.basis.entries:
         constraints += [e, vec_neg(e)]
     rays, lin = _hcone_extreme_rays(constraints, dim)
-    return RationalCone(dim, rays, lin.basis.entries,
-                        tuple(sorted(ineqs)), perp.basis.entries)
+    return RationalCone(dim, rays, lin.basis.entries, ineqs, perp.basis.entries)
 
 
 def cone_from_inequalities(dim: int, inequalities, equations=()) -> RationalCone:
     """Canonical cone {x : c.x >= 0, e.x = 0}; redundant rows are fine."""
-    constraints = []
-    for c in inequalities:
-        if len(c) != dim:
-            raise ValueError("dimension mismatch")
-        p = _primitive(c)
-        if p is not None:
-            constraints.append(p)
+    constraints = list(inequalities)
+    equations = list(equations)
+    _check_rows(dim, constraints + equations)
     for e in equations:
-        if len(e) != dim:
-            raise ValueError("dimension mismatch")
-        p = _primitive(e)
-        if p is not None:
-            constraints += [p, vec_neg(p)]
+        constraints += [e, vec_neg(e)]
     rays, lin = _hcone_extreme_rays(constraints, dim)
     gens = list(rays)
     for b in lin.basis.entries:
         gens += [b, vec_neg(b)]
-    return cone_from_generators(dim, gens)
+    ineqs, perp = _hcone_extreme_rays(gens, dim)
+    return RationalCone(dim, rays, lin.basis.entries, ineqs, perp.basis.entries)
 
 
 def cones_equal(a: RationalCone, b: RationalCone) -> bool:
@@ -203,9 +292,34 @@ def cones_equal(a: RationalCone, b: RationalCone) -> bool:
 
 @lru_cache(maxsize=65536)
 def _cone_from_ray_tuple(dim: int, rays: tuple) -> RationalCone:
-    # face enumeration rebuilds the same ray subsets across nested faces;
-    # RationalCone is immutable, so sharing the canonical object is safe
+    # Process-wide memo of cones by ray tuple, from when every face went
+    # through a conversion.  Nothing in the package calls it any more: faces
+    # are built from their parent's description and shared per call (see
+    # faces), since a process-wide memo of every face ever built held about
+    # 1 kB a face, unreleased.  It stays because the benchmark's traced run
+    # reads its cache statistics.
     return cone_from_generators(dim, rays)
+
+
+def _face(parent: RationalCone, incidence, mask: int, rays: tuple) -> RationalCone:
+    """The face of a strictly convex cone spanned by the rays in `mask`.
+
+    `incidence` holds each parent facet's ray mask.  The equations are the
+    kernel of the rays; every facet of the face is its meet with a parent
+    facet, and the facets are the meets whose ray sets are maximal below the
+    face's own, each given by such a parent facet projected onto the face's
+    span.
+    """
+    dim = parent.ambient_dim
+    equations = kernel_lattice(IntMatrix.from_rows(rays, cols=dim)).basis.entries
+    cuts = {}
+    for c, m in zip(parent.inequalities, incidence):
+        if m & mask != mask:
+            cuts.setdefault(m & mask, c)
+    facets = [c for t, c in cuts.items()
+              if not any(u != t and u & t == t for u in cuts)]
+    ineqs = _project_off(facets, equations)
+    return RationalCone(dim, rays, (), tuple(sorted(ineqs)), equations)
 
 
 def meet_relative_interiors(strict, weak=()):
@@ -302,37 +416,37 @@ def colored_cone(dim: int, generators, colors) -> ColoredCone:
     return ColoredCone(cone_from_generators(dim, gens), recs)
 
 
-def faces(cc: ColoredCone) -> frozenset:
+def faces(cc: ColoredCone, known: dict | None = None) -> frozenset:
     """All faces of a colored cone, each with its induced color set.
 
-    A face is the cone cut by some subset of facet inequalities turned into
-    equations; its colors are those whose image lies on the face.  Since the
-    cone is strictly convex, each face is spanned by the extreme rays lying
-    on it, so the face lattice is enumerated as the ray subsets closed under
-    the ray-facet incidence relation (far cheaper than one double-description
-    conversion per inequality subset).
+    The cone is strictly convex, so each face is spanned by the extreme rays
+    on it, and its ray set is an intersection of facet ray sets.  The face
+    lattice is therefore the closure of the facet incidence masks under
+    intersection, and each face is built from the parent's description with
+    no conversion.  A face's colors are those whose image lies on it.
+
+    `known` maps ray tuples to faces already built; faces() looks faces up
+    there first and adds those it builds, so a caller walking the faces of
+    faces builds each one once.
     """
     base = cc.cone
-    nrays = len(base.rays)
-    incidence = [sum(1 << i for i, r in enumerate(base.rays)
-                     if vec_dot(c, r) == 0)
-                 for c in base.inequalities]
-    full = (1 << nrays) - 1
-    closed = set()
-    for pick in range(1 << nrays):
-        span = full
-        for mask in incidence:
-            if pick & ~mask == 0:
-                span &= mask
-        closed.add(span)
+    known = {} if known is None else known
+    incidence = tuple(sum(1 << i for i, r in enumerate(base.rays)
+                          if vec_dot(c, r) == 0)
+                      for c in base.inequalities)
+    full = (1 << len(base.rays)) - 1
+    closed = {full}
+    for mask in incidence:
+        closed |= {span & mask for span in closed}
     out = []
-    for span in sorted(closed):
+    for span in closed:
         if span == full:
             face = base
         else:
-            face = _cone_from_ray_tuple(
-                base.ambient_dim,
-                tuple(r for i, r in enumerate(base.rays) if span >> i & 1))
+            rays = tuple(r for i, r in enumerate(base.rays) if span >> i & 1)
+            face = known.get(rays)
+            if face is None:
+                face = known[rays] = _face(base, incidence, span, rays)
         cols = frozenset(r for r in cc.colors if face.contains(r.rho))
         out.append(ColoredCone(face, cols))
     return frozenset(out)
@@ -358,8 +472,12 @@ class ColoredFan:
     def ambient_dim(self) -> int:
         return self.cones[0].cone.ambient_dim
 
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.cones)
+
     def __contains__(self, cc: ColoredCone) -> bool:
-        return any(cc == other for other in self.cones)
+        return cc in self._members
 
 
 @dataclass(frozen=True)
@@ -378,6 +496,7 @@ class FanVerdict:
 
 def _relint_contains(cone: RationalCone, p) -> bool:
     # relative interior membership: equations hold, every facet is strict
+    p = _integral(p)
     return (all(vec_dot(e, p) == 0 for e in cone.equations)
             and all(vec_dot(c, p) > 0 for c in cone.inequalities))
 
@@ -405,6 +524,8 @@ def is_valid_fan(fan: ColoredFan, v_cone: RationalCone) -> FanVerdict:
     (i) each cone's relative interior meets the valuation cone; (ii) each
     face that meets the valuation cone (with its induced colors) belongs to
     the fan; (iii) no point of the valuation cone is interior to two cones.
+    Two distinct faces of one cone have disjoint relative interiors, so
+    (iii) is only tested for pairs that are not both faces of one fan cone.
     """
     if v_cone.ambient_dim != fan.ambient_dim:
         raise ValueError("fan and valuation cone dimensions differ")
@@ -415,17 +536,23 @@ def is_valid_fan(fan: ColoredFan, v_cone: RationalCone) -> FanVerdict:
             interior_ok = False
             problems.append(f"cone {k}: relative interior misses the valuation cone")
     closure_ok = True
+    known = {cc.cone.rays: cc.cone for cc in fan.cones}
+    holders = {}  # cone -> bit set of the fan cones it is a face of
     for k, cc in enumerate(fan.cones):
-        for face in sorted(faces(cc), key=ColoredCone.key):
-            if not _relint_meets(face.cone, v_cone):
-                continue
-            if face not in fan:
-                closure_ok = False
-                problems.append(f"cone {k}: face with rays {face.cone.rays} "
-                                "missing from the fan")
+        missing = []
+        for face in faces(cc, known):
+            holders[face.cone] = holders.get(face.cone, 0) | 1 << k
+            if face not in fan and _relint_meets(face.cone, v_cone):
+                missing.append(face)
+        for face in sorted(missing, key=ColoredCone.key):
+            closure_ok = False
+            problems.append(f"cone {k}: face with rays {face.cone.rays} "
+                            "missing from the fan")
     separation_ok = True
     for i, j in combinations(range(len(fan.cones)), 2):
         a, b = fan.cones[i].cone, fan.cones[j].cone
+        if a != b and holders[a] & holders[b]:
+            continue
         if _relints_overlap(a, b, v_cone):
             separation_ok = False
             problems.append(f"cones {i} and {j}: relative interiors overlap "
@@ -443,13 +570,22 @@ def wonderful_fan(v_cone: RationalCone) -> ColoredFan:
 
 
 def is_wonderful(fan: ColoredFan, v_cone: RationalCone) -> bool:
-    """One maximal cone, equal to the valuation cone, and no colors anywhere."""
+    """One maximal cone, equal to the valuation cone, and no colors anywhere.
+
+    Without colors the fan's cones are distinct, so this holds exactly when
+    one fan cone equals the valuation cone and every fan cone lies in it.
+    Fan cones are strictly convex, hence spanned by their rays: a cone whose
+    rays are among the valuation cone's rays lies in it, and any other cone
+    has its rays tested.
+    """
     if any(cc.colors for cc in fan.cones):
         return False
-    maximal = [cc for cc in fan.cones
-               if not any(other is not cc and other.cone.contains_cone(cc.cone)
-                          and other.cone != cc.cone for other in fan.cones)]
-    return len(maximal) == 1 and maximal[0].cone == v_cone
+    if sum(cc.cone == v_cone for cc in fan.cones) != 1:
+        return False
+    v_rays = frozenset(v_cone.rays)
+    return all(v_rays.issuperset(cc.cone.rays)
+               or all(v_cone.contains(r) for r in cc.cone.rays)
+               for cc in fan.cones)
 
 
 def transform_colored_cone(cc: ColoredCone, matrix: IntMatrix, s_perm) -> ColoredCone:

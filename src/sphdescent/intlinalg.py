@@ -195,24 +195,33 @@ class IntMatrix:
         return self.rows == self.cols and self.det() in (1, -1)
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse of a unimodular matrix (stays integral)."""
+        """Exact inverse of a unimodular matrix (stays integral).
+
+        Fraction-free Gauss-Jordan elimination of [M | I]: every stored entry
+        is the latest pivot times the true one, and the last pivot is
+        +-det(M), so for det(M) = +-1 the right block times that pivot is the
+        inverse.
+        """
         n = self.rows
-        d = self.det()
-        if self.rows != self.cols or d not in (1, -1):
+        if self.cols != n:
             raise ValueError("matrix is not unimodular")
-        aug = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+        aug = [list(r) + [int(i == j) for j in range(n)]
                for i, r in enumerate(self.entries)]
+        det = 1
         for c in range(n):
-            piv = next(i for i in range(c, n) if aug[i][c] != 0)
+            piv = next((i for i in range(c, n) if aug[i][c]), None)
+            if piv is None:
+                raise ValueError("matrix is not unimodular")
             aug[c], aug[piv] = aug[piv], aug[c]
-            pv = aug[c][c]
-            aug[c] = [x / pv for x in aug[c]]
+            p, prow = aug[c][c], aug[c]
             for i in range(n):
-                if i != c and aug[i][c] != 0:
+                if i != c:
                     f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-        ent = tuple(tuple(int(aug[i][n + j]) for j in range(n)) for i in range(n))
-        return IntMatrix(n, n, ent)
+                    aug[i] = [(p * x - f * y) // det for x, y in zip(aug[i], prow)]
+            det = p
+        if det not in (1, -1):
+            raise ValueError("matrix is not unimodular")
+        return IntMatrix(n, n, tuple(tuple(det * x for x in row[n:]) for row in aug))
 
 
 def _empty_like(cols: int) -> IntMatrix:
@@ -401,13 +410,13 @@ class Lattice:
         """
         if len(v) != self.ambient_rank:
             raise ValueError("vector length mismatch")
-        rem = [Fraction(x) for x in v]
+        rem = [x if type(x) is int else Fraction(x) for x in v]
         coeffs = []
         for row in self.basis.entries:
             p = next(j for j, x in enumerate(row) if x != 0)
             if rem[p] % row[p] != 0:
                 return None
-            q = int(rem[p] / row[p])
+            q = int(rem[p] // row[p])
             rem = [a - q * b for a, b in zip(rem, row)]
             coeffs.append(q)
         if any(rem):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from sphdescent.cli import corpus_names, main
+from sphdescent.cli import corpus_names, corpus_root, main
 
 ALL_CORPUS = [
     "d4_horo_bad_I.json",
@@ -174,6 +174,27 @@ def test_check_fan_json(capsys):
     assert code == 1
     assert doc["valid"] and doc["wonderful"] and not doc["stable"]
     assert doc["violating_generator"] == "r"
+
+
+def test_check_fan_names_the_moved_cone(capsys, tmp_path):
+    code, out, _ = run(capsys, "check-fan", "--corpus", "fan_stability_demo",
+                       "--json")
+    assert code == 1 and json.loads(out)["violating_cone_rays"] == [[1, 0]]
+    # without a stated fan the face fan of the valuation cone is checked
+    data = json.loads((corpus_root() / "fan_stability_demo.json")
+                      .read_text("utf-8"))
+    del data["fan"]
+    f = tmp_path / "face_fan.json"
+    f.write_text(json.dumps(data), encoding="utf-8")
+    code, out, _ = run(capsys, "check-fan", str(f), "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["violating_generator"] == "r"
+    assert doc["violating_cone_rays"] == [[1, 0]]
+    code, out, _ = run(capsys, "check-fan", str(f))
+    assert code == 1 and "moved cone rays: [[1, 0]]" in out
+    code, out, _ = run(capsys, "check-fan", "--corpus", "spin8_trialitary",
+                       "--json")
+    assert code == 0 and json.loads(out)["violating_cone_rays"] is None
 
 
 # -- cohomology ------------------------------------------------------------------------

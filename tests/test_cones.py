@@ -161,6 +161,28 @@ def test_double_description_consistency_random(seed):
         assert cone.contains(p) == in_hull(cone, p)
 
 
+def test_image_maps_rays_forward_and_facets_by_inverse_transpose():
+    c = cone_from_generators(3, [(1, 0, 0), (1, 1, 0)])
+    shear = IntMatrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    moved = c.image(IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [1, 1, 1]]))
+    assert moved == cone_from_generators(3, [(0, 1, 1), (1, 1, 2)])
+    half = cone_from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
+    assert half.image(shear) == cone_from_generators(
+        3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [0, 1, 0]],                 # not square
+    [[1, 0], [0, 1]],                       # wrong dimension
+    [[2, 0, 0], [0, 1, 0], [0, 0, 1]],      # determinant 2
+    [[1, 1, 0], [1, 1, 0], [0, 0, 1]],      # singular
+])
+def test_image_needs_a_unimodular_matrix(rows):
+    c = cone_from_generators(3, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(ValueError):
+        c.image(IntMatrix.from_rows(rows))
+
+
 def test_relative_interior_point_is_interior():
     c = cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)])
     p = c.relative_interior_point()
