@@ -33,7 +33,7 @@ from .cones import (
 )
 from .invariants import validate_horospherical
 from .problem import Problem, ProblemError, parse_file, parse_text
-from .rootdata import CapExceeded, build_root_datum
+from .rootdata import CapExceeded, build_root_datum, root_table_cap
 from .staraction import ClosureCapExceeded
 from .weyl import are_weyl_conjugate, root_subset, weyl_orbit
 
@@ -363,15 +363,18 @@ def cmd_cohomology(args) -> int:
 
 # -- weyl-orbit and conjugate -------------------------------------------------------------
 
+def _query_datum(args):
+    """The root datum of a weyl-orbit or conjugate query, and the step caps."""
+    cap = _cap_from(args)
+    brd = build_root_datum(args.type, args.rank, cap=root_table_cap(cap))
+    return brd, ({} if cap is None else {"cap": cap})
+
+
 def cmd_weyl_orbit(args) -> int:
-    brd = build_root_datum(args.type, args.rank)
+    brd, kwargs = _query_datum(args)
     v = _parse_vector(args.vector)
     if len(v) != brd.rank:
         raise ProblemError(f"vector must have length {brd.rank}")
-    kwargs = {}
-    cap = _cap_from(args)
-    if cap is not None:
-        kwargs["cap"] = cap
     orbit = sorted(weyl_orbit(brd, v, **kwargs))
     if args.json:
         print(json.dumps({"orbit_size": len(orbit),
@@ -385,13 +388,9 @@ def cmd_weyl_orbit(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
-    brd = build_root_datum(args.type, args.rank)
+    brd, kwargs = _query_datum(args)
     a = root_subset(brd, _parse_vector_set(args.set_a))
     b = root_subset(brd, _parse_vector_set(args.set_b))
-    kwargs = {}
-    cap = _cap_from(args)
-    if cap is not None:
-        kwargs["cap"] = cap
     w = are_weyl_conjugate(brd, a, b, **kwargs)
     if args.json:
         print(json.dumps({"conjugate": w is not None,

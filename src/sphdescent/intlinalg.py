@@ -32,20 +32,8 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vec_neg(a):
     return tuple(-x for x in a)
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
 
 
 def vec_dot(a, b):

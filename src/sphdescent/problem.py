@@ -20,6 +20,7 @@ Coordinate conventions for user input:
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import jsonschema
 
@@ -36,7 +37,7 @@ from .cones import (
 )
 from .intlinalg import FgAbelianGroup, IntMatrix, Lattice
 from .invariants import HorosphericalDatum, RationalLattice, SphericalInvariants
-from .rootdata import BasedRootDatum, build_root_datum
+from .rootdata import BasedRootDatum, build_root_datum, root_table_cap
 from .staraction import GaloisAction, build_action
 
 
@@ -234,10 +235,11 @@ class Problem:
         return self.invariants if self.invariants is not None else self.horospherical
 
 
-def _parse_root_datum(block) -> BasedRootDatum:
+def _parse_root_datum(block, cap=None) -> BasedRootDatum:
     isogeny = block.get("isogeny", "simply_connected")
     try:
-        return build_root_datum(block["type"], block["rank"], isogeny)
+        return build_root_datum(block["type"], block["rank"], isogeny,
+                                cap=root_table_cap(cap))
     except ValueError as e:
         raise ProblemError(f"root_datum: {e}") from None
 
@@ -433,17 +435,24 @@ def _parse_fan(block, inv: SphericalInvariants | None, t_inv, brd) -> ColoredFan
         raise ProblemError(f"fan: {e}") from None
 
 
+@cache
+def _schema_validator():
+    """SCHEMA's validator, checked against its metaschema once per process."""
+    cls = jsonschema.validators.validator_for(SCHEMA)
+    cls.check_schema(SCHEMA)
+    return cls(SCHEMA)
+
+
 def parse_dict(data, cap=None) -> Problem:
     """Validate a decoded JSON object and build the library objects."""
-    try:
-        jsonschema.validate(data, SCHEMA)
-    except jsonschema.ValidationError as e:
+    e = jsonschema.exceptions.best_match(_schema_validator().iter_errors(data))
+    if e is not None:
         where = "/".join(str(p) for p in e.absolute_path) or "(top level)"
-        raise ProblemError(f"schema violation at {where}: {e.message}") from None
+        raise ProblemError(f"schema violation at {where}: {e.message}")
     if "invariants" in data and "horospherical" in data:
         raise ProblemError("give either invariants or horospherical, not both")
 
-    brd = _parse_root_datum(data["root_datum"]) if "root_datum" in data else None
+    brd = _parse_root_datum(data["root_datum"], cap) if "root_datum" in data else None
     action = inv = horo = hyps = coh = fan = None
     coh_field = t_inv = None
     for key in ("action", "invariants", "horospherical", "fan"):

@@ -1,11 +1,21 @@
-"""Based root data with chosen character lattices, realized exactly.
+"""Based root data with chosen character lattices, built in integers.
 
-Each irreducible type is seeded with its classical coordinate realization
-(simple roots as exact rational vectors in an ambient Euclidean space); the
-full root system is generated by reflection closure from the simple roots.
-Character lattices X between the root and weight lattices are coordinatized by
-a fixed basis, so roots and coroots are plain integer vectors and the pairing
-between X and its dual is the dot product.
+An irreducible type is given by its simple roots in the classical epsilon
+coordinates, doubled so that every entry is an integer.  The build reads only
+the Cartan matrix A[i][j] = <alpha_j, alpha_i^vee> (Bourbaki numbering) off
+them.  One breadth-first search over simple reflections then enumerates every
+root beta together with its coroot: beta in simple-root coordinates m,
+beta^vee in simple-coroot coordinates n, and s_i moves them by (A m)_i alpha_i
+and (A^T n)_i alpha_i^vee.
+The character lattice X is coordinatized by a fixed basis, so roots and
+coroots are plain integer vectors and the pairing between X and its dual is
+the dot product: in the simply connected datum (basis the fundamental
+weights) a root is A m and its coroot n; in the adjoint datum (basis the
+simple roots) a root is m and its coroot A^T n.
+
+The epsilon coordinates of the basis of X, which carry the Weyl-invariant
+inner product, are derived from the simple roots only when `to_epsilon`,
+`from_epsilon` or `invariant_form` first asks for them.
 """
 from __future__ import annotations
 
@@ -13,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .intlinalg import IntMatrix, Lattice, Vec, solve_exact, vec_dot, vec_neg, vec_sub
+from .intlinalg import IntMatrix, Vec, solve_exact, vec_dot, vec_neg
 
 
 class CapExceeded(RuntimeError):
@@ -21,97 +31,93 @@ class CapExceeded(RuntimeError):
 
 
 WEYL_CAP = 10 ** 7
+# Default bound on |R| * rank, the size of a datum's root table.
+ROOT_TABLE_CAP = 10 ** 6
 
 
-def _frac_vec(v) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in v)
+def root_table_cap(cap: int | None) -> int:
+    """Root-table bound for a user cap (--cap).  The cap can raise it above
+    ROOT_TABLE_CAP but never lowers it: the small caps that bound an action
+    closure or a Weyl search must leave every shipped datum buildable."""
+    return max(cap or 0, ROOT_TABLE_CAP)
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+def _root_count(letter: str, rank: int) -> int:
+    """|R| for an irreducible type, in closed form; ValueError if there is none."""
+    n = rank
+    ok, need, count = {
+        "A": (n >= 1, ">= 1", n * (n + 1)), "B": (n >= 2, ">= 2", 2 * n * n),
+        "C": (n >= 2, ">= 2", 2 * n * n), "D": (n >= 3, ">= 3", 2 * n * (n - 1)),
+        "E": (n in (6, 7, 8), "6, 7 or 8", {6: 72, 7: 126, 8: 240}.get(n)),
+        "F": (n == 4, "4", 48), "G": (n == 2, "2", 12)}.get(letter, (None, None, None))
+    if ok is None:
+        raise ValueError(f"unknown type {letter!r}")
+    if not ok:
+        raise ValueError(f"type {letter} needs rank {need}")
+    return count
 
 
-# Simple roots in the classical epsilon coordinates, one table per type.
-def _epsilon_simple_roots(letter: str, rank: int) -> list[tuple[Fraction, ...]]:
-    F = Fraction
-    def e(i, m):
-        return tuple(F(int(j == i)) for j in range(m))
+def _root_search(cartan) -> dict:
+    """Every root with its coroot, by breadth-first search from the simple roots.
 
-    if letter == "A":
-        if rank < 1:
-            raise ValueError("type A needs rank >= 1")
-        m = rank + 1
-        return [vec_sub(e(i, m), e(i + 1, m)) for i in range(rank)]
-    if letter == "B":
-        if rank < 2:
-            raise ValueError("type B needs rank >= 2")
-        out = [vec_sub(e(i, rank), e(i + 1, rank)) for i in range(rank - 1)]
-        out.append(e(rank - 1, rank))
-        return out
-    if letter == "C":
-        if rank < 2:
-            raise ValueError("type C needs rank >= 2")
-        out = [vec_sub(e(i, rank), e(i + 1, rank)) for i in range(rank - 1)]
-        out.append(tuple(2 * x for x in e(rank - 1, rank)))
-        return out
-    if letter == "D":
-        if rank < 3:
-            raise ValueError("type D needs rank >= 3")
-        out = [vec_sub(e(i, rank), e(i + 1, rank)) for i in range(rank - 1)]
-        out.append(tuple(x + y for x, y in zip(e(rank - 2, rank), e(rank - 1, rank))))
-        return out
-    if letter == "E":
-        if rank not in (6, 7, 8):
-            raise ValueError("type E needs rank 6, 7 or 8")
-        half = F(1, 2)
-        a1 = (half, -half, -half, -half, -half, -half, -half, half)
-        roots8 = [a1,
-                  vec_add8(e(0, 8), e(1, 8)),
-                  vec_sub(e(1, 8), e(0, 8)),
-                  vec_sub(e(2, 8), e(1, 8)),
-                  vec_sub(e(3, 8), e(2, 8)),
-                  vec_sub(e(4, 8), e(3, 8)),
-                  vec_sub(e(5, 8), e(4, 8)),
-                  vec_sub(e(6, 8), e(5, 8))]
-        return roots8[:rank]
-    if letter == "F":
-        if rank != 4:
-            raise ValueError("type F needs rank 4")
-        half = F(1, 2)
-        return [vec_sub(e(1, 4), e(2, 4)),
-                vec_sub(e(2, 4), e(3, 4)),
-                e(3, 4),
-                (half, -half, -half, -half)]
-    if letter == "G":
-        if rank != 2:
-            raise ValueError("type G needs rank 2")
-        return [vec_sub(e(0, 3), e(1, 3)),
-                (F(-2), F(1), F(1))]
-    raise ValueError(f"unknown type {letter!r}")
-
-
-def vec_add8(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _reflection_eps(x, alpha):
-    c = 2 * _dot(x, alpha) / _dot(alpha, alpha)
-    return tuple(xi - c * ai for xi, ai in zip(x, alpha))
-
-
-def _generate_roots_eps(simple):
-    roots = set(simple)
-    frontier = list(simple)
+    Maps m (simple-root coordinates of beta) to (p, n, q) with p = A m, so
+    p_i = <beta, alpha_i^vee>; n the simple-coroot coordinates of beta^vee;
+    and q = A^T n, so q_i = <alpha_i, beta^vee>.  The reflection s_i sends
+    (beta, beta^vee) to (beta - p_i alpha_i, beta^vee - q_i alpha_i^vee), and
+    p_i = 0 exactly when it fixes both.
+    """
+    k = len(cartan)
+    cols = [tuple(row[i] for row in cartan) for i in range(k)]  # A e_i
+    rows = [tuple(row) for row in cartan]                         # A^T e_i
+    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    found = {unit[i]: (cols[i], unit[i], rows[i]) for i in range(k)}
+    frontier = list(unit)
     while frontier:
         nxt = []
-        for beta in frontier:
-            for alpha in simple:
-                img = _reflection_eps(beta, alpha)
-                if img not in roots:
-                    roots.add(img)
+        for m in frontier:
+            p, n, q = found[m]
+            for i in range(k):
+                c = p[i]
+                if c == 0:
+                    continue
+                img = m[:i] + (m[i] - c,) + m[i + 1:]
+                if img not in found:
+                    d = q[i]
+                    found[img] = (tuple(x - c * y for x, y in zip(p, cols[i])),
+                                  n[:i] + (n[i] - d,) + n[i + 1:],
+                                  tuple(x - d * y for x, y in zip(q, rows[i])))
                     nxt.append(img)
         frontier = nxt
-    return roots
+    return found
+
+
+def _epsilon_simple_roots(letter: str, rank: int) -> list[Vec]:
+    """Simple roots in the classical epsilon coordinates, doubled so that
+    every entry is an integer, in Bourbaki order."""
+    def e(*terms, m=rank):  # twice the sum of c * epsilon_i over (i, c)
+        v = [0] * m
+        for i, c in terms:
+            v[i] += 2 * c
+        return tuple(v)
+
+    if letter == "A":
+        return [e((i, 1), (i + 1, -1), m=rank + 1) for i in range(rank)]
+    if letter in "BCD":
+        last = {"B": e((rank - 1, 1)), "C": e((rank - 1, 2)),
+                "D": e((rank - 2, 1), (rank - 1, 1))}[letter]
+        return [e((i, 1), (i + 1, -1)) for i in range(rank - 1)] + [last]
+    if letter == "E":
+        return ([(1, -1, -1, -1, -1, -1, -1, 1), e((0, 1), (1, 1), m=8)]
+                + [e((i, 1), (i - 1, -1), m=8) for i in range(1, 7)])[:rank]
+    if letter == "F":
+        return [e((1, 1), (2, -1)), e((2, 1), (3, -1)), e((3, 1)), (1, -1, -1, -1)]
+    return [e((0, 1), (1, -1), m=3), (-4, 2, 2)]  # G2
+
+
+def _cartan_matrix(letter: str, rank: int) -> list[list[int]]:
+    """A[i][j] = <alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i)."""
+    eps = _epsilon_simple_roots(letter, rank)
+    return [[2 * vec_dot(a, b) // vec_dot(b, b) for a in eps] for b in eps]
 
 
 @dataclass(frozen=True)
@@ -119,19 +125,18 @@ class BasedRootDatum:
     """Root datum with a based root system and a fixed basis of X.
 
     Roots live in X-coordinates (integers), coroots in the dual coordinates,
-    and pairing(chi, y) is the dot product.  `realization` maps X-coordinates
-    to the classical ambient coordinates used to seed the construction, which
-    also carries the Weyl-invariant inner product.
+    and pairing(chi, y) is the dot product.  positive_roots lists, in root
+    order, the roots with nonnegative simple-root coordinates.
     """
 
     components: tuple[tuple[str, int], ...]
     isogeny: str
     rank: int
-    realization: tuple[tuple[Fraction, ...], ...]  # ambient_dim x rank
     roots: tuple[Vec, ...]
     coroots: tuple[Vec, ...]          # aligned with roots
     simple_roots: tuple[Vec, ...]
     simple_coroots: tuple[Vec, ...]
+    positive_roots: tuple[Vec, ...]
     torus_coords: tuple[int, ...] = ()
 
     @cached_property
@@ -150,31 +155,40 @@ class BasedRootDatum:
              for i in range(k)], k)
 
     @cached_property
-    def positive_roots(self) -> tuple[Vec, ...]:
-        if not self.simple_roots:
-            return ()
-        rows = [[Fraction(self.simple_roots[j][i]) for j in range(len(self.simple_roots))]
-                for i in range(self.rank)]
-        pos = []
-        for beta in self.roots:
-            coeffs = solve_exact(rows, _frac_vec(beta))
-            assert coeffs is not None
-            if all(c >= 0 for c in coeffs):
-                pos.append(beta)
-        return tuple(pos)
+    def realization(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Classical epsilon coordinates of the basis of X (ambient_dim x rank).
+
+        Block diagonal over the components: an irreducible block is E S^-1,
+        where S holds the block's simple roots in X-coordinates and E the
+        classical ones as columns; a torus block is the identity.
+        """
+        out, col, s = [], 0, 0
+        for letter, n in self.components:
+            if letter == "torus":
+                block = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+            else:
+                sim = [r[col:col + n] for r in self.simple_roots[s:s + n]]
+                eps = _epsilon_simple_roots(letter, n)
+                block = [solve_exact(sim, [Fraction(a[d], 2) for a in eps])
+                         for d in range(len(eps[0]))]
+                s += n
+            zero = Fraction(0)
+            out += [(zero,) * col + tuple(r) + (zero,) * (self.rank - col - n) for r in block]
+            col += n
+        return tuple(out)
 
     def pairing(self, chi, y):
         """Canonical pairing between X and its dual in the fixed bases."""
         if len(chi) != self.rank or len(y) != self.rank:
             raise ValueError("vector length mismatch")
-        return _dot(chi, y)
+        return vec_dot(chi, y)
 
     def to_epsilon(self, v) -> tuple[Fraction, ...]:
         return tuple(sum(Fraction(row[j]) * v[j] for j in range(self.rank))
                      for row in self.realization)
 
     def from_epsilon(self, vec) -> Vec:
-        sol = solve_exact(self.realization, _frac_vec(vec))
+        sol = solve_exact(self.realization, tuple(Fraction(x) for x in vec))
         if sol is None:
             raise ValueError("vector is not in the span of the character lattice")
         if any(x.denominator != 1 for x in sol):
@@ -182,8 +196,8 @@ class BasedRootDatum:
         return tuple(int(x) for x in sol)
 
     def invariant_form(self, v, w):
-        """Weyl-invariant inner product, computed in the seed coordinates."""
-        return _dot(self.to_epsilon(v), self.to_epsilon(w))
+        """Weyl-invariant inner product, computed in the epsilon coordinates."""
+        return vec_dot(self.to_epsilon(v), self.to_epsilon(w))
 
     def reflection(self, root: Vec) -> IntMatrix:
         if root not in self.coroot_of:
@@ -197,93 +211,67 @@ class BasedRootDatum:
         return self.reflection(self.simple_roots[i])
 
 
+# (root, coroot) X-coordinates of the root found as (m, p, n, q) by _root_search
+_COORDINATES = {"simply_connected": lambda m, p, n, q: (p, n),
+                "adjoint": lambda m, p, n, q: (m, q)}
+
+
+def _custom_coordinates(lattice_basis, rank: int):
+    """(root, coroot) coordinates in the basis whose rows are lattice_basis,
+    written in fundamental-weight coordinates."""
+    if lattice_basis is None:
+        raise ValueError("custom_lattice requires lattice_basis rows")
+    b = IntMatrix.from_rows(lattice_basis, rank)
+    if b.rows != rank or b.det() == 0:
+        raise ValueError("lattice_basis must be square and nonsingular")
+    # a weight with fundamental-weight coordinates p has coordinates (B^T)^-1 p
+    inv_t = list(zip(*(solve_exact(b.transpose().entries, unit)
+                       for unit in IntMatrix.identity(rank).entries)))
+
+    def coords(m, p, n, q):
+        x = tuple(vec_dot(row, p) for row in inv_t)
+        if any(c.denominator != 1 for c in x):
+            raise ValueError("chosen lattice does not contain the root lattice")
+        return tuple(int(c) for c in x), b.apply(n)
+    return coords
+
+
 def build_root_datum(letter: str, rank: int, isogeny: str = "simply_connected",
-                     lattice_basis=None) -> BasedRootDatum:
+                     lattice_basis=None, cap: int = ROOT_TABLE_CAP) -> BasedRootDatum:
     """Construct a based root datum of the given irreducible type.
 
     isogeny selects X: "simply_connected" (weight lattice), "adjoint" (root
     lattice), or "custom_lattice" with `lattice_basis` rows expressed in
     fundamental-weight coordinates (the lattice must contain all roots).
+    Raises CapExceeded, before any search, when the root table |R| * rank
+    would exceed cap.
     """
     if letter == "torus":
         return torus(rank)
-    simple_eps = _epsilon_simple_roots(letter, rank)
-    ambient = len(simple_eps[0])
-    cartan = [[2 * _dot(simple_eps[j], simple_eps[i]) // _dot(simple_eps[i], simple_eps[i])
-               if (2 * _dot(simple_eps[j], simple_eps[i])) % _dot(simple_eps[i], simple_eps[i]) == 0
-               else None
-               for j in range(rank)] for i in range(rank)]
-    for row in cartan:
-        if any(x is None for x in row):
-            raise AssertionError("seed realization is not crystallographic")
-
-    # columns of E are the basis of X in ambient coordinates
-    if isogeny == "adjoint":
-        basis_eps = [list(col) for col in zip(*simple_eps)]  # columns alpha_j
-    elif isogeny in ("simply_connected", "custom_lattice"):
-        # fundamental weights: omega_i = sum_k (C^-1)[k][i] alpha_k
-        cart_rows = [[Fraction(x) for x in row] for row in cartan]
-        fw_cols = []
-        for i in range(rank):
-            rhs = [Fraction(int(j == i)) for j in range(rank)]
-            coeffs = solve_exact(cart_rows, rhs)
-            fw = tuple(sum(coeffs[k] * simple_eps[k][d] for k in range(rank))
-                       for d in range(ambient))
-            fw_cols.append(fw)
-        basis_eps = [[fw_cols[j][d] for j in range(rank)] for d in range(ambient)]
-        if isogeny == "custom_lattice":
-            if lattice_basis is None:
-                raise ValueError("custom_lattice requires lattice_basis rows")
-            b = IntMatrix.from_rows(lattice_basis, rank)
-            if b.rows != rank or b.det() == 0:
-                raise ValueError("lattice_basis must be square and nonsingular")
-            # new basis vectors (rows of b, in fundamental-weight coordinates)
-            basis_eps = [[sum(Fraction(b.entries[i][k]) * fw_cols[k][d] for k in range(rank))
-                          for i in range(rank)] for d in range(ambient)]
+    size = _root_count(letter, rank) * rank
+    if size > cap:
+        raise CapExceeded(f"root datum {letter}{rank}: root table of {size} entries "
+                          f"exceeds cap {cap}")
+    if isogeny == "custom_lattice":
+        coords = _custom_coordinates(lattice_basis, rank)
+    elif isogeny in _COORDINATES:
+        coords = _COORDINATES[isogeny]
     else:
         raise ValueError(f"unknown isogeny {isogeny!r}")
 
-    realization = tuple(tuple(Fraction(x) for x in row) for row in basis_eps)
-    all_eps = sorted(_generate_roots_eps(tuple(tuple(v) for v in simple_eps)))
-
-    def x_coords(vec_eps) -> Vec:
-        sol = solve_exact(realization, vec_eps)
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise ValueError("chosen lattice does not contain the root lattice")
-        return tuple(int(c) for c in sol)
-
-    def covec_coords(vec_eps) -> Vec:
-        out = []
-        for j in range(rank):
-            col = tuple(realization[d][j] for d in range(len(realization)))
-            val = _dot(col, vec_eps)
-            if val.denominator != 1:
-                raise ValueError("coroot is not integral on the chosen lattice")
-            out.append(int(val))
-        return tuple(out)
-
-    roots = []
-    coroots = []
-    for beta in all_eps:
-        roots.append(x_coords(beta))
-        norm = _dot(beta, beta)
-        coroots.append(covec_coords(tuple(2 * x / norm for x in beta)))
-    simple_x = tuple(x_coords(tuple(v)) for v in simple_eps)
-    simple_cox = []
-    for v in simple_eps:
-        norm = _dot(v, v)
-        simple_cox.append(covec_coords(tuple(2 * x / norm for x in v)))
-
-    order = sorted(range(len(roots)), key=lambda i: roots[i])
+    found = _root_search(_cartan_matrix(letter, rank))
+    table = sorted((*coords(m, *rest), all(x >= 0 for x in m)) for m, rest in found.items())
+    simple = [coords(m, *found[m]) for m in
+              (tuple(int(i == j) for j in range(rank)) for i in range(rank))]
     brd = BasedRootDatum(
         components=((letter, rank),),
         isogeny=isogeny,
         rank=rank,
-        realization=realization,
-        roots=tuple(roots[i] for i in order),
-        coroots=tuple(coroots[i] for i in order),
-        simple_roots=simple_x,
-        simple_coroots=tuple(simple_cox),
+        roots=tuple(r for r, _, _ in table),
+        coroots=tuple(c for _, c, _ in table),
+        simple_roots=tuple(r for r, _ in simple),
+        simple_coroots=tuple(c for _, c in simple),
+        positive_roots=tuple(r for r, _, pos in table if pos),
     )
     _validate_datum(brd)
     return brd
@@ -293,18 +281,10 @@ def torus(rank: int) -> BasedRootDatum:
     """Root datum with empty root system (a torus of the given rank)."""
     if rank < 0:
         raise ValueError("rank must be nonnegative")
-    ident = tuple(tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank))
     return BasedRootDatum(
-        components=(("torus", rank),) if rank else (),
-        isogeny="torus",
-        rank=rank,
-        realization=ident,
-        roots=(),
-        coroots=(),
-        simple_roots=(),
-        simple_coroots=(),
-        torus_coords=tuple(range(rank)),
-    )
+        components=(("torus", rank),) if rank else (), isogeny="torus", rank=rank,
+        roots=(), coroots=(), simple_roots=(), simple_coroots=(), positive_roots=(),
+        torus_coords=tuple(range(rank)))
 
 
 def direct_sum(a: BasedRootDatum, b: BasedRootDatum) -> BasedRootDatum:
@@ -314,24 +294,18 @@ def direct_sum(a: BasedRootDatum, b: BasedRootDatum) -> BasedRootDatum:
         return tuple(v) + (0,) * m
     def padr(v):
         return (0,) * n + tuple(v)
-    amb_a = len(a.realization)
-    amb_b = len(b.realization)
-    zero_a = tuple(Fraction(0) for _ in range(m))
-    zero_b = tuple(Fraction(0) for _ in range(n))
-    realization = tuple(tuple(row) + zero_a for row in a.realization) + \
-        tuple(zero_b + tuple(row) for row in b.realization)
-    roots = tuple(padl(r) for r in a.roots) + tuple(padr(r) for r in b.roots)
-    coroots = tuple(padl(r) for r in a.coroots) + tuple(padr(r) for r in b.coroots)
-    order = sorted(range(len(roots)), key=lambda i: roots[i])
+    table = sorted([(padl(r), padl(c)) for r, c in zip(a.roots, a.coroots)]
+                   + [(padr(r), padr(c)) for r, c in zip(b.roots, b.coroots)])
+    positive = set(map(padl, a.positive_roots)) | set(map(padr, b.positive_roots))
     return BasedRootDatum(
         components=a.components + b.components,
         isogeny=f"{a.isogeny}+{b.isogeny}",
         rank=n + m,
-        realization=realization,
-        roots=tuple(roots[i] for i in order),
-        coroots=tuple(coroots[i] for i in order),
-        simple_roots=tuple(padl(r) for r in a.simple_roots) + tuple(padr(r) for r in b.simple_roots),
-        simple_coroots=tuple(padl(r) for r in a.simple_coroots) + tuple(padr(r) for r in b.simple_coroots),
+        roots=tuple(r for r, _ in table),
+        coroots=tuple(c for _, c in table),
+        simple_roots=tuple(map(padl, a.simple_roots)) + tuple(map(padr, b.simple_roots)),
+        simple_coroots=tuple(map(padl, a.simple_coroots)) + tuple(map(padr, b.simple_coroots)),
+        positive_roots=tuple(r for r, _ in table if r in positive),
         torus_coords=a.torus_coords + tuple(n + i for i in b.torus_coords),
     )
 
@@ -353,28 +327,37 @@ class WeylElement:
     word: tuple[int, ...]
 
 
-def weyl_group(brd: BasedRootDatum, cap: int = WEYL_CAP) -> tuple[WeylElement, ...]:
-    """Enumerate the Weyl group by breadth-first closure over simple
-    reflections; words are reduced and the ordering is deterministic."""
-    gens = [brd.simple_reflection(i) for i in range(len(brd.simple_roots))]
-    ident = IntMatrix.identity(brd.rank)
-    seen = {ident: ()}
-    out = [WeylElement(ident, ())]
+def weyl_elements(brd: BasedRootDatum, cap: int = WEYL_CAP):
+    """Lazily enumerate the Weyl group by breadth-first search over simple
+    reflections.  Words are reduced and the order is deterministic, so a
+    search that stops at its first hit returns the first element of that
+    order.  Raises CapExceeded instead of yielding element number cap + 1."""
+    gens = [(alpha, brd.coroot_of[alpha]) for alpha in brd.simple_roots]
+    ident = WeylElement(IntMatrix.identity(brd.rank), ())
+    seen = {ident.matrix.entries}
+    yield ident
     frontier = [ident]
     while frontier:
         nxt = []
-        for m in frontier:
-            base = seen[m]
-            for i, s in enumerate(gens):
-                prod = m @ s
-                if prod not in seen:
-                    seen[prod] = base + (i,)
-                    nxt.append(prod)
-                    out.append(WeylElement(prod, base + (i,)))
-                    if len(out) > cap:
-                        raise CapExceeded(f"Weyl group enumeration exceeded cap {cap}")
+        for w in frontier:
+            for i, (alpha, cor) in enumerate(gens):
+                # w s_i = w - (w alpha_i) (alpha_i^vee)^T
+                rows = tuple(tuple(x - c * y for x, y in zip(row, cor))
+                             for row, c in zip(w.matrix.entries, w.matrix.apply(alpha)))
+                if rows in seen:
+                    continue
+                seen.add(rows)
+                if len(seen) > cap:
+                    raise CapExceeded(f"Weyl group enumeration exceeded cap {cap}")
+                el = WeylElement(IntMatrix(brd.rank, brd.rank, rows), w.word + (i,))
+                nxt.append(el)
+                yield el
         frontier = nxt
-    return tuple(out)
+
+
+def weyl_group(brd: BasedRootDatum, cap: int = WEYL_CAP) -> tuple[WeylElement, ...]:
+    """The whole Weyl group, in the order of weyl_elements."""
+    return tuple(weyl_elements(brd, cap))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """Weyl group computations: orbits, orthogonal root quadruples, conjugacy.
 
-Orbits are closed by breadth-first search over simple reflections on exact
-rational vectors.  Conjugacy of root subsets is decided by scanning the fully
-enumerated Weyl group in its canonical order, so returned witnesses have
+Orbits are closed by breadth-first search over simple reflections, in
+integers when the start vector is integral and in exact rationals otherwise.
+Conjugacy of root subsets first compares two W-invariant integer statistics
+of the form B(x, y) = sum over coroots c of <x, c><y, c>, which answers "not
+conjugate" without a search whenever they differ.  Otherwise it walks the
+Weyl group lazily in its canonical breadth-first order and stops at the
+first element mapping one subset onto the other, so returned witnesses have
 minimal word length.
 """
 from __future__ import annotations
@@ -12,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .intlinalg import vec_dot, vec_neg
-from .rootdata import BasedRootDatum, CapExceeded, WeylElement, weyl_group
+from .rootdata import BasedRootDatum, CapExceeded, WeylElement, weyl_elements
 
 ORBIT_CAP = 10 ** 6
 
@@ -45,6 +49,8 @@ def weyl_orbit(brd: BasedRootDatum, v, cap: int = ORBIT_CAP) -> frozenset:
     start = tuple(Fraction(x) for x in v)
     if len(start) != brd.rank:
         raise ValueError("vector length mismatch")
+    if all(x.denominator == 1 for x in start):
+        start = tuple(int(x) for x in start)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -52,6 +58,8 @@ def weyl_orbit(brd: BasedRootDatum, v, cap: int = ORBIT_CAP) -> frozenset:
         for w in frontier:
             for alpha, cov in zip(brd.simple_roots, brd.simple_coroots):
                 c = vec_dot(w, cov)
+                if c == 0:
+                    continue
                 img = tuple(x - c * a for x, a in zip(w, alpha))
                 if img not in seen:
                     seen.add(img)
@@ -66,21 +74,27 @@ def orthogonal_quadruples(brd: BasedRootDatum) -> tuple[RootSubset, ...]:
     """Negation-closed sets {±β₁..±β₄} of pairwise orthogonal roots.
 
     Defined for type D₄ only (rank-4 orthogonality patterns of its positive
-    system); found by exhaustive search over positive-root quadruples using
-    the invariant inner product.
+    system); found by exhaustive search over positive-root quadruples.  Roots
+    x and y are orthogonal exactly when <x, y^vee> = 0.
     """
     if brd.components != (("D", 4),):
         raise ValueError("orthogonal quadruples are implemented for irreducible D4")
-    pos = brd.positive_roots
-    eps = {beta: brd.to_epsilon(beta) for beta in pos}
     found = set()
-    for quad in combinations(pos, 4):
-        ok = all(sum(a * b for a, b in zip(eps[x], eps[y])) == 0
-                 for x, y in combinations(quad, 2))
-        if ok:
-            closed = frozenset(quad) | frozenset(vec_neg(b) for b in quad)
-            found.add(closed)
+    for quad in combinations(brd.positive_roots, 4):
+        if all(vec_dot(x, brd.coroot_of[y]) == 0 for x, y in combinations(quad, 2)):
+            found.add(frozenset(quad) | frozenset(vec_neg(b) for b in quad))
     return tuple(RootSubset(brd, s) for s in sorted(found, key=lambda s: sorted(s)))
+
+
+def _form_statistics(brd: BasedRootDatum, roots):
+    """Sorted B(x, x) and sorted B(x, y) over distinct pairs of the subset.
+
+    B(x, y) is the sum over all coroots c of <x, c><y, c>.  W permutes the
+    coroots, so B is W-invariant and conjugate subsets have equal statistics.
+    """
+    pairings = [tuple(vec_dot(x, c) for c in brd.coroots) for x in roots]
+    return (sorted(vec_dot(p, p) for p in pairings),
+            sorted(vec_dot(p, q) for p, q in combinations(pairings, 2)))
 
 
 def are_weyl_conjugate(brd: BasedRootDatum, a: RootSubset, b: RootSubset,
@@ -93,9 +107,10 @@ def are_weyl_conjugate(brd: BasedRootDatum, a: RootSubset, b: RootSubset,
     if a.brd != brd or b.brd != brd:
         raise ValueError("subsets belong to a different root datum")
     target = b.roots
-    if len(a.roots) != len(target):
+    if (len(a.roots) != len(target)
+            or _form_statistics(brd, a.roots) != _form_statistics(brd, target)):
         return None
-    for w in weyl_group(brd, cap):
+    for w in weyl_elements(brd, cap):
         if frozenset(w.matrix.apply(r) for r in a.roots) == target:
             return w
     return None

@@ -256,3 +256,46 @@ def test_normal_form_restates_the_basis():
     assert "matrix_on_X" in gen and "s_permutation" not in gen
     assert "generators" in normal["invariants"]["valuation_cone"]
     assert "inequalities" not in normal["invariants"]["valuation_cone"]
+
+
+# -- schema messages ---------------------------------------------------------------------
+
+MALFORMED = [
+    {"schema": 2},
+    {"title": "no schema key"},
+    doc(extra=1),
+    doc(root_datum={"type": "H", "rank": 2}),
+    doc(root_datum={"type": "A", "rank": -1, "isogeny": "adjoint"}),
+    doc(root_datum={"type": "A"}, action={"generators": [{"name": ""}]}),
+    doc(action={"generators": [{"name": "t", "s_permutation": [0, 1]}]}),
+    doc(invariants={"weight_lattice": {"basis": [[1.5]]}, "valuation_cone": {}}),
+    doc(horospherical={"I": [1], "M": {"generators": [["1/0"]]}}),
+    doc(hypotheses={"base_field": "Q", "char_zero": "yes"}),
+    doc(fan={"cones": [{"rays": [[1]], "colors": [{"rho": [1]}]}]}),
+]
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
+def test_schema_messages_match_jsonschema_validate(bad):
+    import jsonschema
+
+    from sphdescent.problem import SCHEMA
+
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(bad, SCHEMA)
+    where = "/".join(str(p) for p in ref.value.absolute_path) or "(top level)"
+    with pytest.raises(ProblemError) as got:
+        parse_dict(bad)
+    assert str(got.value) == f"schema violation at {where}: {ref.value.message}"
+
+
+def test_schema_is_checked_once_per_process(monkeypatch):
+    import jsonschema
+
+    from sphdescent import problem
+
+    problem._schema_validator()
+    monkeypatch.setattr(jsonschema.validators.Draft202012Validator, "check_schema",
+                        lambda schema: pytest.fail("metaschema checked again"))
+    monkeypatch.setattr(jsonschema, "validate", lambda *a, **k: pytest.fail("validate"))
+    assert parse_dict(load_corpus("spin8_trialitary")).action.order == 3
