@@ -33,7 +33,7 @@ from .cones import (
 )
 from .invariants import validate_horospherical
 from .problem import Problem, ProblemError, parse_file, parse_text
-from .rootdata import CapExceeded, build_root_datum, root_table_cap
+from .rootdata import CapExceeded, build_root_datum
 from .staraction import ClosureCapExceeded
 from .weyl import are_weyl_conjugate, root_subset, weyl_orbit
 
@@ -111,8 +111,8 @@ def _load(path, cap):
     if hasattr(path, "read_text"):  # packaged corpus entry
         try:
             return parse_text(path.read_text(encoding="utf-8"), cap=cap)
-        except ProblemError as e:
-            raise ProblemError(f"{path.name}: {e}") from None
+        except (ProblemError, CapExceeded, ClosureCapExceeded) as e:
+            raise type(e)(f"{path.name}: {e}") from None
     return parse_file(path, cap=cap)
 
 
@@ -363,18 +363,15 @@ def cmd_cohomology(args) -> int:
 
 # -- weyl-orbit and conjugate -------------------------------------------------------------
 
-def _query_datum(args):
-    """The root datum of a weyl-orbit or conjugate query, and the step caps."""
-    cap = _cap_from(args)
-    brd = build_root_datum(args.type, args.rank, cap=root_table_cap(cap))
-    return brd, ({} if cap is None else {"cap": cap})
-
-
 def cmd_weyl_orbit(args) -> int:
-    brd, kwargs = _query_datum(args)
+    brd = build_root_datum(args.type, args.rank)
     v = _parse_vector(args.vector)
     if len(v) != brd.rank:
         raise ProblemError(f"vector must have length {brd.rank}")
+    kwargs = {}
+    cap = _cap_from(args)
+    if cap is not None:
+        kwargs["cap"] = cap
     orbit = sorted(weyl_orbit(brd, v, **kwargs))
     if args.json:
         print(json.dumps({"orbit_size": len(orbit),
@@ -388,9 +385,13 @@ def cmd_weyl_orbit(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
-    brd, kwargs = _query_datum(args)
+    brd = build_root_datum(args.type, args.rank)
     a = root_subset(brd, _parse_vector_set(args.set_a))
     b = root_subset(brd, _parse_vector_set(args.set_b))
+    kwargs = {}
+    cap = _cap_from(args)
+    if cap is not None:
+        kwargs["cap"] = cap
     w = are_weyl_conjugate(brd, a, b, **kwargs)
     if args.json:
         print(json.dumps({"conjugate": w is not None,

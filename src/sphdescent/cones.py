@@ -614,8 +614,10 @@ def is_gamma_stable(fan: ColoredFan, action, weight_lattice) -> StabilityVerdict
     permutation of simple roots).  Generators suffice: the moved-fan
     condition is closed under composition and inverses.
     """
-    duals = dual_action_on_V(action, weight_lattice, generators_only=True)
-    for name, gen, dmat in zip(action.generator_names, action.generators, duals):
+    duals = dual_action_on_V(action, weight_lattice)
+    index = {el.matrix.entries: k for k, el in enumerate(action.elements)}
+    for name, gen in zip(action.generator_names, action.generators):
+        dmat = duals[index[gen.matrix.entries]]
         for cc in fan.cones:
             if transform_colored_cone(cc, dmat, gen.s_perm) not in fan:
                 return StabilityVerdict(False, name, cc)

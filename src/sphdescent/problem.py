@@ -37,8 +37,8 @@ from .cones import (
 )
 from .intlinalg import FgAbelianGroup, IntMatrix, Lattice
 from .invariants import HorosphericalDatum, RationalLattice, SphericalInvariants
-from .rootdata import BasedRootDatum, build_root_datum, root_table_cap
-from .staraction import GaloisAction, build_action
+from .rootdata import BasedRootDatum, CapExceeded, build_root_datum
+from .staraction import ClosureCapExceeded, GaloisAction, build_action
 
 
 class ProblemError(ValueError):
@@ -235,11 +235,10 @@ class Problem:
         return self.invariants if self.invariants is not None else self.horospherical
 
 
-def _parse_root_datum(block, cap=None) -> BasedRootDatum:
+def _parse_root_datum(block) -> BasedRootDatum:
     isogeny = block.get("isogeny", "simply_connected")
     try:
-        return build_root_datum(block["type"], block["rank"], isogeny,
-                                cap=root_table_cap(cap))
+        return build_root_datum(block["type"], block["rank"], isogeny)
     except ValueError as e:
         raise ProblemError(f"root_datum: {e}") from None
 
@@ -452,7 +451,7 @@ def parse_dict(data, cap=None) -> Problem:
     if "invariants" in data and "horospherical" in data:
         raise ProblemError("give either invariants or horospherical, not both")
 
-    brd = _parse_root_datum(data["root_datum"], cap) if "root_datum" in data else None
+    brd = _parse_root_datum(data["root_datum"]) if "root_datum" in data else None
     action = inv = horo = hyps = coh = fan = None
     coh_field = t_inv = None
     for key in ("action", "invariants", "horospherical", "fan"):
@@ -501,8 +500,8 @@ def parse_file(path, cap=None) -> Problem:
         raise ProblemError(f"cannot read {path}: {e.strerror}") from None
     try:
         return parse_text(text, cap=cap)
-    except ProblemError as e:
-        raise ProblemError(f"{path}: {e}") from None
+    except (ProblemError, CapExceeded, ClosureCapExceeded) as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def _module_out(m: MultiplicativeTypeModule) -> dict:

@@ -35,13 +35,6 @@ WEYL_CAP = 10 ** 7
 ROOT_TABLE_CAP = 10 ** 6
 
 
-def root_table_cap(cap: int | None) -> int:
-    """Root-table bound for a user cap (--cap).  The cap can raise it above
-    ROOT_TABLE_CAP but never lowers it: the small caps that bound an action
-    closure or a Weyl search must leave every shipped datum buildable."""
-    return max(cap or 0, ROOT_TABLE_CAP)
-
-
 def _root_count(letter: str, rank: int) -> int:
     """|R| for an irreducible type, in closed form; ValueError if there is none."""
     n = rank

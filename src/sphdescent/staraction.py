@@ -155,24 +155,17 @@ def induced_action_on_sublattice(action: GaloisAction, lattice: Lattice) -> Indu
     return InducedAction(tuple(mats), None)
 
 
-def dual_action_on_V(action: GaloisAction, weight_lattice: Lattice,
-                     generators_only: bool = False) -> tuple[IntMatrix, ...]:
+def dual_action_on_V(action: GaloisAction, weight_lattice: Lattice) -> tuple[IntMatrix, ...]:
     """Action on the dual of a stable lattice, in the dual basis.
 
     If an element acts on the lattice by N, it acts on linear functionals by
     the inverse transpose of N, so that the evaluation pairing is preserved.
-    Stability is checked over the whole closure; with generators_only, only
-    the generators' matrices are transported (aligned with generators).
     """
     induced = induced_action_on_sublattice(action, weight_lattice)
     if not induced.present:
         raise ValueError(f"action does not stabilize the lattice: "
                          f"element {induced.violator} moves it")
-    mats = induced.matrices
-    if generators_only:
-        index = {el.matrix.entries: k for k, el in enumerate(action.elements)}
-        mats = [mats[index[g.matrix.entries]] for g in action.generators]
-    return tuple(m.inverse_unimodular().transpose() for m in mats)
+    return tuple(m.inverse_unimodular().transpose() for m in induced.matrices)
 
 
 def action_on_simple_subset(action: GaloisAction, subset, element: BRDAutomorphism) -> frozenset:

@@ -14,11 +14,9 @@ from sphdescent import rootdata, weyl
 from sphdescent.cli import main
 from sphdescent.problem import parse_dict
 from sphdescent.rootdata import (
-    ROOT_TABLE_CAP,
     CapExceeded,
     build_root_datum,
     direct_sum,
-    root_table_cap,
     torus,
     weyl_group,
 )
@@ -119,15 +117,17 @@ def test_root_table_cap_is_checked_before_any_search(monkeypatch):
 
 def test_root_table_cap_boundary():
     assert len(build_root_datum("E", 8, cap=1920).roots) == 240
-    assert root_table_cap(None) == root_table_cap(3) == ROOT_TABLE_CAP
-    assert root_table_cap(10 ** 8) == 10 ** 8
 
 
 def test_cli_exits_64_on_an_oversized_root_datum(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text('{"schema": 1, "root_datum": {"type": "A", "rank": 5000}}')
     assert main(["verdict", str(path)]) == 64
-    assert "exceeds cap 1000000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {path}: root datum A5000" in err and "exceeds cap 1000000" in err
+    # every cap hit while parsing a file names the file
+    assert main(["verdict", "--corpus", "spin8_trialitary", "--cap", "2"]) == 64
+    assert "error: spin8_trialitary.json: " in capsys.readouterr().err
     assert main(["weyl-orbit", "D", "300", "1" + ",0" * 299]) == 64
     assert "root datum D300" in capsys.readouterr().err
 

@@ -153,18 +153,6 @@ def test_dual_action_preserves_evaluation_pairing(d4, triality):
         assert _order(m) == order_n
 
 
-def test_dual_action_of_the_generators_only(d4, triality):
-    root_lat = Lattice.from_rows(4, alpha_coords(d4))
-    full = dual_action_on_V(triality, root_lat)
-    index = {el.matrix: k for k, el in enumerate(triality.elements)}
-    assert dual_action_on_V(triality, root_lat, generators_only=True) == tuple(
-        full[index[g.matrix]] for g in triality.generators)
-    # stability is still checked over the closure, with the same message
-    lat = Lattice.from_rows(4, [alpha_coords(d4)[0]])
-    with pytest.raises(ValueError, match="element t moves it"):
-        dual_action_on_V(triality, lat, generators_only=True)
-
-
 def _order(m, cap=64):
     acc = m
     ident = IntMatrix.identity(m.rows)
