@@ -81,6 +81,31 @@ def solve_exact(rows, rhs):
     return tuple(x)
 
 
+def solve_fraction_free(a, r) -> tuple[int, list[list[int]]]:
+    """Solve a @ X == r for a square integer matrix a without fractions.
+
+    Returns (d, d X) with d = +-det(a): one fraction-free Gauss-Jordan pass
+    over [a | r] keeps every entry the latest pivot times the true one, and
+    the last pivot is +-det(a), so the right block ends as d X in integers.
+    Returns (0, []) when a is singular.
+    """
+    n = len(a)
+    aug = [list(row) + list(rhs) for row, rhs in zip(a, r)]
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c]), None)
+        if piv is None:
+            return 0, []
+        aug[c], aug[piv] = aug[piv], aug[c]
+        p, prow = aug[c][c], aug[c]
+        for i in range(n):
+            if i != c:
+                f = aug[i][c]
+                aug[i] = [(p * x - f * y) // det for x, y in zip(aug[i], prow)]
+        det = p
+    return det, [row[n:] for row in aug]
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix; entries stored row-major as nested tuples."""
@@ -183,33 +208,14 @@ class IntMatrix:
         return self.rows == self.cols and self.det() in (1, -1)
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse of a unimodular matrix (stays integral).
-
-        Fraction-free Gauss-Jordan elimination of [M | I]: every stored entry
-        is the latest pivot times the true one, and the last pivot is
-        +-det(M), so for det(M) = +-1 the right block times that pivot is the
-        inverse.
-        """
+        """Exact inverse of a unimodular matrix (stays integral): the
+        solve_fraction_free pivot against the identity is +-1."""
         n = self.rows
-        if self.cols != n:
-            raise ValueError("matrix is not unimodular")
-        aug = [list(r) + [int(i == j) for j in range(n)]
-               for i, r in enumerate(self.entries)]
-        det = 1
-        for c in range(n):
-            piv = next((i for i in range(c, n) if aug[i][c]), None)
-            if piv is None:
-                raise ValueError("matrix is not unimodular")
-            aug[c], aug[piv] = aug[piv], aug[c]
-            p, prow = aug[c][c], aug[c]
-            for i in range(n):
-                if i != c:
-                    f = aug[i][c]
-                    aug[i] = [(p * x - f * y) // det for x, y in zip(aug[i], prow)]
-            det = p
+        det, inv = (solve_fraction_free(self.entries, IntMatrix.identity(n).entries)
+                    if self.cols == n else (0, []))
         if det not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        return IntMatrix(n, n, tuple(tuple(det * x for x in row[n:]) for row in aug))
+        return IntMatrix(n, n, tuple(tuple(det * x for x in row) for row in inv))
 
 
 def _empty_like(cols: int) -> IntMatrix:

@@ -16,6 +16,10 @@ simple roots) a root is m and its coroot A^T n.
 The epsilon coordinates of the basis of X, which carry the Weyl-invariant
 inner product, are derived from the simple roots only when `to_epsilon`,
 `from_epsilon` or `invariant_form` first asks for them.
+
+Automorphisms are decided on S alone: a unimodular m permuting the simple
+roots and, compatibly, the simple coroots normalises W, so it preserves R and
+the root-coroot bijection.  Diagram automorphisms lift by one elimination.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .intlinalg import IntMatrix, Vec, solve_exact, vec_dot, vec_neg
+from .intlinalg import IntMatrix, Vec, solve_exact, solve_fraction_free, vec_dot, vec_neg
 
 
 class CapExceeded(RuntimeError):
@@ -217,15 +221,14 @@ def _custom_coordinates(lattice_basis, rank: int):
     b = IntMatrix.from_rows(lattice_basis, rank)
     if b.rows != rank or b.det() == 0:
         raise ValueError("lattice_basis must be square and nonsingular")
-    # a weight with fundamental-weight coordinates p has coordinates (B^T)^-1 p
-    inv_t = list(zip(*(solve_exact(b.transpose().entries, unit)
-                       for unit in IntMatrix.identity(rank).entries)))
+    # a weight with fundamental-weight coordinates p has coordinates (B^T)^-1 p = d_inv_t p / d
+    d, d_inv_t = solve_fraction_free(b.transpose().entries, IntMatrix.identity(rank).entries)
 
     def coords(m, p, n, q):
-        x = tuple(vec_dot(row, p) for row in inv_t)
-        if any(c.denominator != 1 for c in x):
+        x = [vec_dot(row, p) for row in d_inv_t]
+        if any(c % d for c in x):
             raise ValueError("chosen lattice does not contain the root lattice")
-        return tuple(int(c) for c in x), b.apply(n)
+        return tuple(c // d for c in x), b.apply(n)
     return coords
 
 
@@ -356,117 +359,105 @@ def weyl_group(brd: BasedRootDatum, cap: int = WEYL_CAP) -> tuple[WeylElement, .
 @dataclass(frozen=True)
 class BRDAutomorphism:
     """Automorphism of a based root datum: a unimodular matrix on X together
-    with the permutations it induces on the simple roots and on all roots."""
+    with the permutation it induces on the simple roots."""
 
     matrix: IntMatrix
     s_perm: tuple[int, ...]
-    r_perm: tuple[int, ...]
 
     def compose(self, other: "BRDAutomorphism") -> "BRDAutomorphism":
-        return BRDAutomorphism(
-            matrix=self.matrix @ other.matrix,
-            s_perm=tuple(self.s_perm[j] for j in other.s_perm),
-            r_perm=tuple(self.r_perm[j] for j in other.r_perm),
-        )
+        return BRDAutomorphism(self.matrix @ other.matrix,
+                               tuple(self.s_perm[j] for j in other.s_perm))
 
 
 def identity_automorphism(brd: BasedRootDatum) -> BRDAutomorphism:
-    return BRDAutomorphism(IntMatrix.identity(brd.rank),
-                           tuple(range(len(brd.simple_roots))),
-                           tuple(range(len(brd.roots))))
+    return BRDAutomorphism(IntMatrix.identity(brd.rank), tuple(range(len(brd.simple_roots))))
 
 
 def as_brd_automorphism(brd: BasedRootDatum, m: IntMatrix) -> BRDAutomorphism | None:
     """Interpret m as an automorphism of the based root datum, or None.
 
-    Requires: m unimodular, m(R) = R, m(S) = S, and compatibility with the
-    root/coroot bijection (the dual inverse-transpose action maps coroots to
-    the matching coroots, which also preserves the pairing).
+    Checks only that m is unimodular, maps each simple root alpha_i to a
+    simple root alpha_pi(i), and satisfies m^T alpha_pi(i)^vee = alpha_i^vee.
+    That suffices: then m s_i m^-1 = s_pi(i), so m normalises W; as R = W S
+    and the coroot of w alpha_i is w alpha_i^vee, m maps R onto R and the
+    coroot of each root to the coroot of its image (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.5 and 1.14).
     """
     if m.rows != brd.rank or m.cols != brd.rank or not m.is_unimodular():
         return None
-    inv_t = m.inverse_unimodular().transpose()
-    index = {r: i for i, r in enumerate(brd.roots)}
-    r_perm = []
-    for beta, cov in zip(brd.roots, brd.coroots):
-        img = m.apply(beta)
-        if img not in index:
-            return None
-        if inv_t.apply(cov) != brd.coroots[index[img]]:
-            return None
-        r_perm.append(index[img])
-    s_perm = []
     s_index = {r: i for i, r in enumerate(brd.simple_roots)}
-    for alpha in brd.simple_roots:
-        img = m.apply(alpha)
-        if img not in s_index:
-            return None
-        s_perm.append(s_index[img])
-    return BRDAutomorphism(m, tuple(s_perm), tuple(r_perm))
-
-
-def is_brd_automorphism(brd: BasedRootDatum, m: IntMatrix) -> bool:
-    return as_brd_automorphism(brd, m) is not None
+    s_perm = tuple(s_index.get(m.apply(alpha)) for alpha in brd.simple_roots)
+    if None in s_perm:
+        return None
+    m_t = m.transpose()
+    if any(m_t.apply(brd.simple_coroots[j]) != cov
+           for j, cov in zip(s_perm, brd.simple_coroots)):
+        return None
+    return BRDAutomorphism(m, s_perm)
 
 
 def lift_s_permutation(brd: BasedRootDatum, perm) -> BRDAutomorphism | None:
     """Extend a Cartan-preserving permutation of the simple roots to X.
 
-    The lift acts trivially on any central torus block.  Returns None when the
-    permutation does not preserve the Cartan matrix or the induced rational
-    map does not stabilize the chosen lattice X.
+    On the semisimple coordinates the lift is M = C^-1 P C, where C holds the
+    simple coroots as rows (it maps X to fundamental-weight coordinates) and
+    P sends row i of C to row perm[i]; then M alpha_i = alpha_perm[i].  One
+    fraction-free elimination of [C | P C] gives d M with d = +-det(C).  The
+    lift acts trivially on any central torus block.  Returns None when the
+    permutation does not preserve the Cartan matrix or M is not integral,
+    i.e. does not stabilize the chosen lattice X.
     """
     k = len(brd.simple_roots)
     perm = tuple(perm)
     if sorted(perm) != list(range(k)):
         raise ValueError("not a permutation of the simple roots")
     cartan = brd.cartan_matrix.entries
-    for i in range(k):
-        for j in range(k):
-            if cartan[perm[i]][perm[j]] != cartan[i][j]:
-                return None
-    semis = [i for i in range(brd.rank) if i not in set(brd.torus_coords)]
+    if any(cartan[perm[i]][perm[j]] != cartan[i][j] for i in range(k) for j in range(k)):
+        return None
+    n = brd.rank
+    semis = [i for i in range(n) if i not in set(brd.torus_coords)]
     if len(semis) != k and k > 0:
         return None  # lattice does not split off the torus block
-    n = brd.rank
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for t in brd.torus_coords:
-        rows[t][t] = Fraction(1)
-    if k:
-        # solve M restricted to the semisimple coordinates from root images
-        sub = [[Fraction(brd.simple_roots[j][i]) for j in range(k)] for i in semis]
-        img = [[Fraction(brd.simple_roots[perm[j]][i]) for j in range(k)] for i in semis]
-        # M_sub @ sub == img, solved column-by-column on the transposed system
-        for ri, i in enumerate(semis):
-            coeffs = solve_exact([list(col) for col in zip(*sub)], [img[ri][j] for j in range(k)])
-            if coeffs is None:
-                return None
-            for rj, j in enumerate(semis):
-                rows[i][j] = coeffs[rj]
-    if any(x.denominator != 1 for row in rows for x in row):
+    c = [[cov[j] for j in semis] for cov in brd.simple_coroots]
+    pc = [c[perm.index(i)] for i in range(k)]
+    d, dm = solve_fraction_free(c, pc)
+    if any(x % d for row in dm for x in row):
         return None
-    m = IntMatrix.from_rows([[int(x) for x in row] for row in rows], n)
-    return as_brd_automorphism(brd, m)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, row in zip(semis, dm):
+        for j, x in zip(semis, row):
+            rows[i][j] = x // d
+    return as_brd_automorphism(brd, IntMatrix.from_rows(rows, n))
 
 
 def dynkin_automorphisms(brd: BasedRootDatum):
     """All Cartan-preserving permutations of S, lifted to X when possible.
 
-    Returns (automorphisms, skipped) where skipped lists the permutations that
-    do not stabilize the chosen lattice, with a reason string.
+    The permutations come in lexicographic order from a backtracking search
+    that extends a partial permutation only while it preserves the Cartan
+    entries among the simple roots placed so far.  Returns (automorphisms,
+    skipped) where skipped lists the permutations that do not stabilize the
+    chosen lattice, with a reason string.
     """
-    from itertools import permutations
+    cartan = brd.cartan_matrix.entries
+    k = len(cartan)
+    autos, skipped, perm = [], [], []
 
-    k = len(brd.simple_roots)
-    autos = []
-    skipped = []
-    for perm in permutations(range(k)):
-        cartan = brd.cartan_matrix.entries
-        if any(cartan[perm[i]][perm[j]] != cartan[i][j] for i in range(k) for j in range(k)):
-            continue
-        lifted = lift_s_permutation(brd, perm)
-        if lifted is None:
-            skipped.append((perm, "permutation does not stabilize the chosen lattice"))
-        else:
-            autos.append(lifted)
+    def extend():
+        i = len(perm)
+        if i == k:
+            lifted = lift_s_permutation(brd, perm)
+            if lifted is None:
+                skipped.append((tuple(perm), "permutation does not stabilize the chosen lattice"))
+            else:
+                autos.append(lifted)
+            return
+        for v in range(k):
+            if v not in perm and all(cartan[v][w] == cartan[i][j] and cartan[w][v] == cartan[j][i]
+                                     for j, w in enumerate(perm)):
+                perm.append(v)
+                extend()
+                perm.pop()
+
+    extend()
     return tuple(autos), tuple(skipped)

@@ -2,9 +2,11 @@
 
 A Galois group acts on a based root datum through a homomorphism to its
 (finite, for semisimple data) automorphism group.  We represent the action by
-its image: a named generating set together with the full closure.  From the
-closure we derive induced actions on stable sublattices, on the dual of a
-stable lattice, and on subsets of the simple roots.
+its image: a named generating set together with the full closure.  Matrix
+generators pass rootdata's test on the simple roots and coroots; simple-root
+permutations are lifted by one fraction-free elimination.  From the closure
+we derive induced actions on stable sublattices, on the dual of a stable
+lattice, and on subsets of the simple roots.
 """
 from __future__ import annotations
 

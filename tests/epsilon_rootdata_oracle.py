@@ -6,11 +6,17 @@ vectors in an ambient Euclidean space, the root system is closed under
 reflections there, and every root and coroot is written in the chosen basis
 of X by a `Fraction` solve.  It is kept only so the tests can compare the
 integer engine against an independent derivation.
+
+The diagram-automorphism layer that went with it is kept here too: the lift
+of a simple-root permutation by one `Fraction` solve per row, the
+automorphism test that maps every root and coroot, and the scan of
+`dynkin_automorphisms` over all k! permutations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from sphdescent.intlinalg import IntMatrix, solve_exact
 
@@ -217,3 +223,73 @@ def conjugate_by_full_scan(group, a, b):
         if frozenset(m.apply(r) for r in a) == frozenset(b):
             return m, word
     return None
+
+
+# -- diagram automorphisms, checked on every root ------------------------------------
+
+def as_brd_automorphism_on_all_roots(brd, m):
+    """(m, s_perm) when the unimodular m maps R onto R, each coroot (through
+    m^-T) to the coroot of the image root, and S onto S; otherwise None."""
+    if m.rows != brd.rank or m.cols != brd.rank or not m.is_unimodular():
+        return None
+    inv_t = m.inverse_unimodular().transpose()
+    index = {r: i for i, r in enumerate(brd.roots)}
+    for beta, cov in zip(brd.roots, brd.coroots):
+        img = m.apply(beta)
+        if img not in index or inv_t.apply(cov) != brd.coroots[index[img]]:
+            return None
+    s_index = {r: i for i, r in enumerate(brd.simple_roots)}
+    s_perm = []
+    for alpha in brd.simple_roots:
+        img = m.apply(alpha)
+        if img not in s_index:
+            return None
+        s_perm.append(s_index[img])
+    return m, tuple(s_perm)
+
+
+def lift_s_permutation_by_rows(brd, perm):
+    """(matrix, s_perm) of the lift of a Cartan-preserving permutation of S,
+    or None: M restricted to the semisimple coordinates solves M S = S_perm
+    one row at a time over Q, the identity on the torus block."""
+    k = len(brd.simple_roots)
+    perm = tuple(perm)
+    if sorted(perm) != list(range(k)):
+        raise ValueError("not a permutation of the simple roots")
+    cartan = [[_dot(a, c) for a in brd.simple_roots] for c in brd.simple_coroots]
+    if any(cartan[perm[i]][perm[j]] != cartan[i][j] for i in range(k) for j in range(k)):
+        return None
+    semis = [i for i in range(brd.rank) if i not in set(brd.torus_coords)]
+    if len(semis) != k and k > 0:
+        return None
+    n = brd.rank
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if k:
+        sub = [[Fraction(brd.simple_roots[j][i]) for j in range(k)] for i in semis]
+        img = [[Fraction(brd.simple_roots[perm[j]][i]) for j in range(k)] for i in semis]
+        for ri, i in enumerate(semis):
+            coeffs = solve_exact([list(col) for col in zip(*sub)], img[ri])
+            if coeffs is None:
+                return None
+            for rj, j in enumerate(semis):
+                rows[i][j] = coeffs[rj]
+    if any(x.denominator != 1 for row in rows for x in row):
+        return None
+    return as_brd_automorphism_on_all_roots(brd, IntMatrix.from_rows(rows, n))
+
+
+def dynkin_automorphisms_by_scan(brd, lift):
+    """dynkin_automorphisms by a scan over all k! permutations of S, each
+    Cartan-preserving one lifted by `lift`."""
+    k = len(brd.simple_roots)
+    cartan = [[_dot(a, c) for a in brd.simple_roots] for c in brd.simple_coroots]
+    autos, skipped = [], []
+    for perm in permutations(range(k)):
+        if any(cartan[perm[i]][perm[j]] != cartan[i][j] for i in range(k) for j in range(k)):
+            continue
+        lifted = lift(brd, perm)
+        if lifted is None:
+            skipped.append((perm, "permutation does not stabilize the chosen lattice"))
+        else:
+            autos.append(lifted)
+    return tuple(autos), tuple(skipped)

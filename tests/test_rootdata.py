@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import epsilon_rootdata_oracle as oracle
 from sphdescent.intlinalg import IntMatrix
 from sphdescent.rootdata import (
     BRDAutomorphism,
@@ -13,7 +14,6 @@ from sphdescent.rootdata import (
     direct_sum,
     dynkin_automorphisms,
     identity_automorphism,
-    is_brd_automorphism,
     lift_s_permutation,
     torus,
     weyl_group,
@@ -146,22 +146,22 @@ def test_triality_is_an_order_three_automorphism(d4):
 def test_dynkin_automorphisms_pass_the_full_check(d4):
     autos, _ = dynkin_automorphisms(d4)
     for a in autos:
-        assert is_brd_automorphism(d4, a.matrix)
+        assert oracle.as_brd_automorphism_on_all_roots(d4, a.matrix) == (a.matrix, a.s_perm)
 
 
 def test_is_brd_automorphism_rejects(d4):
-    assert not is_brd_automorphism(d4, IntMatrix.from_rows([[2, 0, 0, 0], [0, 1, 0, 0],
-                                                            [0, 0, 1, 0], [0, 0, 0, 1]]))
+    assert as_brd_automorphism(d4, IntMatrix.from_rows([[2, 0, 0, 0], [0, 1, 0, 0],
+                                                        [0, 0, 1, 0], [0, 0, 0, 1]])) is None
     # -id maps R to R but swaps positive and negative simple roots
-    assert not is_brd_automorphism(d4, -IntMatrix.identity(4))
-    assert is_brd_automorphism(d4, IntMatrix.identity(4))
+    assert as_brd_automorphism(d4, -IntMatrix.identity(4)) is None
+    assert as_brd_automorphism(d4, IntMatrix.identity(4)) is not None
 
 
 def test_weyl_elements_are_usually_not_based_automorphisms(d4):
     # any nontrivial Weyl element moves some simple root off S
     w = weyl_group(d4)
     nontrivial = [el for el in w if el.word]
-    assert all(not is_brd_automorphism(d4, el.matrix) for el in nontrivial[:20])
+    assert all(as_brd_automorphism(d4, el.matrix) is None for el in nontrivial[:20])
 
 
 def test_lift_s_permutation_identity_and_errors(d4):

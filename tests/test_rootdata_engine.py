@@ -2,24 +2,34 @@
 
 The integer builder (Cartan-matrix search) is compared table by table with
 the classical epsilon/Fraction builder kept in `epsilon_rootdata_oracle`,
-and `are_weyl_conjugate` with a scan over the whole Weyl group.
+and `are_weyl_conjugate` with a scan over the whole Weyl group.  The
+diagram-automorphism layer (lifts by one fraction-free elimination, the
+automorphism test on S, the backtracking `dynkin_automorphisms`) is
+compared with the per-row `Fraction` lift, the test on every root and the
+scan over all permutations kept in the same module.
 """
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 import epsilon_rootdata_oracle as oracle
-from sphdescent import rootdata, weyl
+from sphdescent import intlinalg, rootdata, weyl
 from sphdescent.cli import main
+from sphdescent.intlinalg import IntMatrix
 from sphdescent.problem import parse_dict
 from sphdescent.rootdata import (
     CapExceeded,
+    as_brd_automorphism,
     build_root_datum,
     direct_sum,
+    dynkin_automorphisms,
+    lift_s_permutation,
     torus,
     weyl_group,
 )
+from sphdescent.staraction import build_action
 from sphdescent.weyl import are_weyl_conjugate, orthogonal_quadruples, root_subset, weyl_orbit
 
 TYPES = ([("A", n) for n in range(1, 13)] + [("B", n) for n in range(2, 10)]
@@ -50,13 +60,16 @@ def test_tables_match_the_epsilon_builder(letter, rank, isogeny):
                        oracle.build(letter, rank, isogeny))
 
 
-@pytest.mark.parametrize("letter,rank,basis", [
+CUSTOM = [
     ("A", 1, [[2]]),
     ("A", 1, [[1]]),
     ("A", 3, [[2, 0, 0], [0, 1, 0], [1, 0, 1]]),
     ("D", 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]]),
     ("B", 2, [[0, 1], [1, 0]]),
-])
+]
+
+
+@pytest.mark.parametrize("letter,rank,basis", CUSTOM)
 def test_custom_lattices_match_the_epsilon_builder(letter, rank, basis):
     assert_same_tables(build_root_datum(letter, rank, "custom_lattice", basis),
                        oracle.build(letter, rank, "custom_lattice", basis))
@@ -85,13 +98,23 @@ def test_torus_and_direct_sums_match_the_epsilon_builder():
 
 
 def test_no_fraction_arithmetic_in_the_standard_builds(monkeypatch):
+    # also custom lattices, diagram lifts, the automorphism test and closures
     def forbidden(*args, **kwargs):
         raise AssertionError("exact rational arithmetic during a build")
-    monkeypatch.setattr(rootdata, "solve_exact", forbidden)
-    monkeypatch.setattr(rootdata, "Fraction", forbidden)
+    for module in (rootdata, intlinalg):
+        monkeypatch.setattr(module, "solve_exact", forbidden)
+        monkeypatch.setattr(module, "Fraction", forbidden)
     for letter, rank in TYPES:
         for isogeny in ("simply_connected", "adjoint"):
-            build_root_datum(letter, rank, isogeny)
+            brd = build_root_datum(letter, rank, isogeny)
+            autos, _ = dynkin_automorphisms(brd)
+            build_action(brd, [a.s_perm for a in autos])
+    for letter, rank, basis in CUSTOM:
+        brd = build_root_datum(letter, rank, "custom_lattice", basis)
+        build_action(brd, [p for p in permutations(range(rank))
+                           if lift_s_permutation(brd, p) is not None])
+    with pytest.raises(ValueError, match="does not contain the root lattice"):
+        build_root_datum("A", 1, "custom_lattice", [[3]])
 
 
 def test_root_datum_equality_ignores_the_realization():
@@ -215,3 +238,122 @@ def test_orbits_stay_in_integers_for_integral_input():
     assert all(type(x) is int for v in weyl_orbit(d4, (Fraction(2), 0, 0, 0)) for x in v)
     half = weyl_orbit(d4, (Fraction(1, 2), 0, 0, 0))
     assert any(isinstance(x, Fraction) and x.denominator == 2 for v in half for x in v)
+
+
+# -- diagram automorphisms --------------------------------------------------------------
+
+def _same(got, want):
+    return (None if got is None else (got.matrix, got.s_perm)) == want
+
+
+def _lift_inputs():
+    """Every datum of the lift comparison, with a label."""
+    for letter, rank in TYPES:
+        if rank <= 6:
+            for isogeny in ("simply_connected", "adjoint"):
+                yield f"{letter}{rank} {isogeny}", build_root_datum(letter, rank, isogeny)
+    for letter, rank, basis in CUSTOM:
+        yield f"{letter}{rank} {basis}", build_root_datum(letter, rank, "custom_lattice", basis)
+    yield "T0", torus(0)
+    yield "T2", torus(2)
+    a1, a2 = build_root_datum("A", 1), build_root_datum("A", 2)
+    for name, left, right in [
+            ("A2+T1", a2, torus(1)), ("T1+A2", torus(1), a2), ("A1+A1", a1, a1),
+            ("A1+A1 adjoint", a1, build_root_datum("A", 1, "adjoint")),
+            ("A2+A2", a2, build_root_datum("A", 2, "adjoint")),
+            ("B2+G2", build_root_datum("B", 2), build_root_datum("G", 2)),
+            ("D4+T1", build_root_datum("D", 4, "adjoint"), torus(1)),
+            ("A1+T1+A1", direct_sum(a1, torus(1)), a1)]:
+        yield name, direct_sum(left, right)
+
+
+def test_lifts_match_the_row_by_row_fraction_solve():
+    lifted = 0
+    for name, brd in _lift_inputs():
+        for perm in permutations(range(len(brd.simple_roots))):
+            want = oracle.lift_s_permutation_by_rows(brd, perm)
+            assert _same(lift_s_permutation(brd, perm), want), (name, perm)
+            lifted += want is not None
+    assert lifted > 100
+
+
+def _w_and_diagram_inputs(brd):
+    autos, _ = dynkin_automorphisms(brd)
+    for w in weyl_group(brd):
+        yield w.matrix
+        yield -w.matrix
+        for a in autos:
+            yield w.matrix @ a.matrix
+
+
+def _seeded_inputs(brd, rng, count=150):
+    """Signed permutation matrices, elementary matrices I + c E_ij, and
+    diagonal matrices of determinant 2."""
+    n = brd.rank
+    for i in range(n):
+        yield IntMatrix.from_rows([[(r == c) * (2 if r == i else 1) for c in range(n)]
+                                   for r in range(n)], n)
+    for _ in range(count):
+        order = rng.sample(range(n), n)
+        yield IntMatrix.from_rows([[rng.choice((1, -1)) * (j == order[i]) for j in range(n)]
+                                   for i in range(n)], n)
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            rows = [[int(r == c) for c in range(n)] for r in range(n)]
+            rows[i][j] = rng.choice((1, -1, 2, -2))
+            yield IntMatrix.from_rows(rows, n)
+
+
+AUT_DATA = [
+    *(pytest.param(build_root_datum(letter, rank, isogeny), id=f"{letter}{rank}-{isogeny}")
+      for letter, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                           ("B", 4), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+      for isogeny in ("simply_connected", "adjoint")),
+    # a central torus: shears that fix every root but move a coroot
+    *(pytest.param(direct_sum(build_root_datum(letter, rank), torus(t)), id=f"{letter}{rank}+T{t}")
+      for letter, rank, t in [("A", 1, 1), ("A", 2, 1), ("B", 2, 2)])]
+
+
+@pytest.mark.parametrize("brd", AUT_DATA)
+def test_automorphism_test_matches_the_check_on_every_root(brd):
+    rng = random.Random(f"aut {brd.components} {brd.isogeny}")
+    found = 0
+    for m in [*_w_and_diagram_inputs(brd), *_seeded_inputs(brd, rng)]:
+        want = oracle.as_brd_automorphism_on_all_roots(brd, m)
+        assert _same(as_brd_automorphism(brd, m), want), m
+        found += want is not None
+    assert found >= len(dynkin_automorphisms(brd)[0])
+
+
+def _scan_inputs():
+    for letter, rank in TYPES:
+        if rank <= 7:
+            for isogeny in ("simply_connected", "adjoint"):
+                yield build_root_datum(letter, rank, isogeny)
+    for letter, rank, basis in CUSTOM:
+        yield build_root_datum(letter, rank, "custom_lattice", basis)
+    a1, a2 = build_root_datum("A", 1), build_root_datum("A", 2, "adjoint")
+    yield direct_sum(direct_sum(a1, a1), build_root_datum("A", 1, "adjoint"))
+    yield direct_sum(a2, a2)
+    yield direct_sum(build_root_datum("D", 4), torus(1))
+    yield direct_sum(build_root_datum("A", 3), build_root_datum("A", 3, "adjoint"))
+    # (2, 3, 0, 1) matches the entries below the diagonal but not those above
+    yield direct_sum(build_root_datum("C", 2), build_root_datum("G", 2))
+
+
+def test_dynkin_automorphisms_match_the_scan_over_all_permutations():
+    for brd in _scan_inputs():
+        assert dynkin_automorphisms(brd) == oracle.dynkin_automorphisms_by_scan(
+            brd, lift_s_permutation), brd.components
+
+
+def test_dynkin_automorphisms_at_rank_twelve():
+    # 12! = 479,001,600 permutations; the backtracking visits under 150 partial ones
+    ident = tuple(range(12))
+    autos, skipped = dynkin_automorphisms(build_root_datum("A", 12))
+    assert [a.s_perm for a in autos] == [ident, ident[::-1]] and not skipped
+    autos, skipped = dynkin_automorphisms(build_root_datum("D", 12, "adjoint"))
+    assert [a.s_perm for a in autos] == [ident, ident[:10] + (11, 10)] and not skipped
+    swap = next(a for a in autos if a.s_perm != ident)
+    assert oracle.as_brd_automorphism_on_all_roots(
+        build_root_datum("D", 12, "adjoint"), swap.matrix) == (swap.matrix, swap.s_perm)
