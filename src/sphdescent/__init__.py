@@ -54,7 +54,6 @@ from .invariants import (
     HorosphericalDatum,
     RationalLattice,
     SphericalInvariants,
-    horospherical_invariant,
     invariants_equal,
     preserves_invariants,
     validate_horospherical,
@@ -119,7 +118,6 @@ __all__ = [
     "dynkin_automorphisms",
     "faces",
     "h2_local_vanishes",
-    "horospherical_invariant",
     "invariance_entries",
     "invariants_equal",
     "is_gamma_stable",

@@ -21,7 +21,6 @@ from .checker import (
     NO_FORM,
     invariance_entries,
     verdict,
-    wonderful_stability_report,
 )
 from .cohomology import h2_local_vanishes, obstruction_verdict
 from .cones import (
@@ -65,13 +64,10 @@ def _parse_vector_set(text: str):
     return [_parse_vector(tok) for tok in text.split(";") if tok.strip()]
 
 
-def _print_trace(entries) -> None:
-    if not entries:
-        return
-    width = max(len(e.check) for e in entries)
-    for e in entries:
-        mark = "ok  " if e.ok else "FAIL"
-        print(f"  [{mark}] {e.check:<{width}}  {e.detail}")
+def _trace_lines(entries) -> list:
+    width = max((len(e.check) for e in entries), default=0)
+    return [f"  [{'ok  ' if e.ok else 'FAIL'}] {e.check:<{width}}  {e.detail}"
+            for e in entries]
 
 
 def _trace_json(entries) -> list:
@@ -134,7 +130,35 @@ def _cap_from(args) -> int | None:
     return None
 
 
-# -- verdict ---------------------------------------------------------------------
+# -- the file commands -------------------------------------------------------
+
+def _run_batch(args) -> int:
+    """Run one file command over each of its input files.
+
+    `args.report(label, problem)` returns (exit code, JSON document, text
+    lines); a skipped file counts as exit 0.  Text mode prints each file's
+    lines as it goes; --json prints one document, wrapped as {"results":
+    [...]} when there are several files.  The exit code is the worst one.
+    """
+    cap = _cap_from(args)
+    worst = EX_OK
+    docs = []
+    for path in _resolve_paths(args):
+        code, doc, lines = args.report(_label(path), _load(path, cap))
+        docs.append(doc)
+        worst = max(worst, code)
+        if not args.json:
+            for line in lines:
+                print(line)
+    if args.json:
+        print(json.dumps(docs[0] if len(docs) == 1 else {"results": docs},
+                         indent=2))
+    return worst
+
+
+def _skipped(label: str, reason: str):
+    return EX_OK, {"file": label, "skipped": reason}, [f"{label}: skipped ({reason})"]
+
 
 def _verdict_report(label: str, problem: Problem):
     missing = [name for name, blk in (
@@ -142,7 +166,7 @@ def _verdict_report(label: str, problem: Problem):
         ("invariants or horospherical", problem.invariance_input),
         ("hypotheses", problem.hypotheses)) if blk is None]
     if missing:
-        return None, {"file": label, "skipped": "missing " + ", ".join(missing)}
+        return _skipped(label, "missing " + ", ".join(missing))
     v = verdict(problem.brd, problem.action, problem.invariance_input,
                 problem.hypotheses, problem.cohomology)
     doc = {"file": label, "status": v.status, "theorem_applied": v.theorem_applied,
@@ -150,215 +174,107 @@ def _verdict_report(label: str, problem: Problem):
            "obstruction": None if v.obstruction is None else
            {"status": v.obstruction.status, "reason": v.obstruction.reason},
            "trace": _trace_json(v.trace)}
-    return v, doc
+    headline = v.status
+    if v.theorem_applied:
+        headline += f" ({v.theorem_applied})"
+    if v.missing:
+        headline += "; missing: " + ", ".join(v.missing)
+    if v.obstruction is not None:
+        headline += (f"; obstruction: {v.obstruction.status} "
+                     f"({v.obstruction.reason})")
+    return _VERDICT_EXIT[v.status], doc, [f"{label}: {headline}",
+                                          *_trace_lines(v.trace)]
 
 
-def cmd_verdict(args) -> int:
-    cap = _cap_from(args)
-    worst = EX_OK
-    docs = []
-    for path in _resolve_paths(args):
-        problem = _load(path, cap)
-        v, doc = _verdict_report(_label(path), problem)
-        docs.append(doc)
-        if v is None:
-            if not args.json:
-                print(f"{doc['file']}: skipped ({doc['skipped']})")
-            continue
-        worst = max(worst, _VERDICT_EXIT[v.status])
-        if not args.json:
-            headline = v.status
-            if v.theorem_applied:
-                headline += f" ({v.theorem_applied})"
-            if v.missing:
-                headline += "; missing: " + ", ".join(v.missing)
-            if v.obstruction is not None:
-                headline += (f"; obstruction: {v.obstruction.status} "
-                             f"({v.obstruction.reason})")
-            print(f"{doc['file']}: {headline}")
-            _print_trace(v.trace)
-    if args.json:
-        print(json.dumps(docs[0] if len(docs) == 1 else {"results": docs},
-                         indent=2))
-    return worst
+def _invariance_report(label: str, problem: Problem):
+    if problem.action is None or problem.invariance_input is None:
+        return _skipped(label, "needs action and invariants blocks")
+    ok, entries = invariance_entries(problem.action, problem.invariance_input)
+    warnings = []
+    if problem.horospherical is not None:
+        warnings = validate_horospherical(problem.brd, problem.horospherical)
+    doc = {"file": label, "preserved": ok, "warnings": warnings,
+           "trace": _trace_json(entries)}
+    lines = [f"{label}: {'preserved' if ok else 'not preserved'}",
+             *_trace_lines(entries), *(f"  warning: {w}" for w in warnings)]
+    return EX_OK if ok else EX_NEGATIVE, doc, lines
 
-
-# -- check-invariants --------------------------------------------------------------
-
-def cmd_check_invariants(args) -> int:
-    cap = _cap_from(args)
-    worst = EX_OK
-    docs = []
-    for path in _resolve_paths(args):
-        problem = _load(path, cap)
-        label = _label(path)
-        if problem.action is None or problem.invariance_input is None:
-            docs.append({"file": label,
-                         "skipped": "needs action and invariants blocks"})
-            if not args.json:
-                print(f"{label}: skipped (needs action and invariants blocks)")
-            continue
-        ok, entries = invariance_entries(problem.action, problem.invariance_input)
-        warnings = []
-        if problem.horospherical is not None:
-            warnings = validate_horospherical(problem.brd, problem.horospherical)
-        docs.append({"file": label, "preserved": ok, "warnings": warnings,
-                     "trace": _trace_json(entries)})
-        worst = max(worst, EX_OK if ok else EX_NEGATIVE)
-        if not args.json:
-            print(f"{label}: {'preserved' if ok else 'not preserved'}")
-            _print_trace(entries)
-            for w in warnings:
-                print(f"  warning: {w}")
-    if args.json:
-        print(json.dumps(docs[0] if len(docs) == 1 else {"results": docs},
-                         indent=2))
-    return worst
-
-
-# -- check-fan -----------------------------------------------------------------------
 
 def _fan_report(label: str, problem: Problem):
+    """Validity, wonderfulness and, given an action, stability of the stated
+    fan, or else of the face fan of the valuation cone."""
     if problem.invariants is None:
-        return None, {"file": label, "skipped": "needs an invariants block"}
+        return _skipped(label, "needs an invariants block")
     vcone = problem.invariants.valuation_cone
-    doc = {"file": label}
-    if problem.fan is not None:
-        fan = problem.fan
-        fv = is_valid_fan(fan, vcone)
-        doc["valid"] = fv.ok
-        doc["problems"] = list(fv.problems)
-        doc["wonderful"] = is_wonderful(fan, vcone)
-        ok = fv.ok
+    try:
+        fan = problem.fan if problem.fan is not None else wonderful_fan(vcone)
+    except NotStrictlyConvex as e:
+        ok, doc = False, {"file": label, "valid": False, "problems": [str(e)]}
     else:
-        try:
-            report = wonderful_stability_report(problem.invariants,
-                                                problem.action) \
-                if problem.action is not None else None
-        except NotStrictlyConvex as e:
-            return False, {"file": label, "valid": False, "problems": [str(e)]}
-        if report is None:
-            try:
-                fan = wonderful_fan(vcone)
-            except NotStrictlyConvex as e:
-                return False, {"file": label, "valid": False,
-                               "problems": [str(e)]}
-            fv = is_valid_fan(fan, vcone)
-            doc["valid"] = fv.ok
-            doc["problems"] = list(fv.problems)
-            doc["wonderful"] = is_wonderful(fan, vcone)
-            return fv.ok, doc
-        doc["valid"] = report.fan_valid
-        doc["problems"] = list(report.problems)
-        doc["wonderful"] = report.wonderful
-        doc["stable"] = report.stable
-        doc["violating_generator"] = report.violating_generator
-        doc["violating_cone_rays"] = _cone_rays(report.violating_cone)
-        return report.fan_valid and report.stable, doc
-    if problem.action is not None:
-        sv = is_gamma_stable(problem.fan, problem.action,
-                             problem.invariants.weight_lattice)
-        doc["stable"] = sv.stable
-        doc["violating_generator"] = sv.violating_generator
-        doc["violating_cone_rays"] = _cone_rays(sv.violating_cone)
-        ok = ok and sv.stable
-    return ok, doc
+        fv = is_valid_fan(fan, vcone)
+        ok, doc = fv.ok, {"file": label, "valid": fv.ok,
+                          "problems": list(fv.problems),
+                          "wonderful": is_wonderful(fan, vcone)}
+        if problem.action is not None:
+            sv = is_gamma_stable(fan, problem.action,
+                                 problem.invariants.weight_lattice)
+            ok = ok and sv.stable
+            # rays of the fan cone a generator moves off the fan, in
+            # canonical coordinates, as the fan problems report them
+            doc.update(stable=sv.stable,
+                       violating_generator=sv.violating_generator,
+                       violating_cone_rays=None if sv.violating_cone is None
+                       else [list(r) for r in sv.violating_cone.cone.rays])
+    bits = [f"valid: {'yes' if doc['valid'] else 'no'}"]
+    if doc["problems"]:
+        bits.append("problems: " + "; ".join(doc["problems"]))
+    if "wonderful" in doc:
+        bits.append(f"wonderful: {'yes' if doc['wonderful'] else 'no'}")
+    if "stable" in doc:
+        bits.append(f"stable: {'yes' if doc['stable'] else 'no'}")
+        if doc["violating_generator"]:
+            bits.append(f"violated by generator '{doc['violating_generator']}'")
+            bits.append(f"moved cone rays: {doc['violating_cone_rays']}")
+    return EX_OK if ok else EX_NEGATIVE, doc, [f"{label}: " + ", ".join(bits)]
 
 
-def _cone_rays(cc):
-    # rays of the fan cone a generator moves off the fan, in canonical
-    # coordinates, as the fan problems report them
-    return None if cc is None else [list(r) for r in cc.cone.rays]
-
-
-def cmd_check_fan(args) -> int:
-    cap = _cap_from(args)
-    worst = EX_OK
-    docs = []
-    for path in _resolve_paths(args):
-        problem = _load(path, cap)
-        ok, doc = _fan_report(_label(path), problem)
-        docs.append(doc)
-        if ok is None:
-            if not args.json:
-                print(f"{doc['file']}: skipped ({doc['skipped']})")
-            continue
-        worst = max(worst, EX_OK if ok else EX_NEGATIVE)
-        if not args.json:
-            bits = [f"valid: {'yes' if doc['valid'] else 'no'}"]
-            if doc.get("problems"):
-                bits.append("problems: " + "; ".join(doc["problems"]))
-            if "wonderful" in doc:
-                bits.append(f"wonderful: {'yes' if doc['wonderful'] else 'no'}")
-            if "stable" in doc:
-                bits.append(f"stable: {'yes' if doc['stable'] else 'no'}")
-                if doc.get("violating_generator"):
-                    bits.append(f"violated by generator "
-                                f"'{doc['violating_generator']}'")
-                    bits.append(f"moved cone rays: {doc['violating_cone_rays']}")
-            print(f"{doc['file']}: " + ", ".join(bits))
-    if args.json:
-        print(json.dumps(docs[0] if len(docs) == 1 else {"results": docs},
-                         indent=2))
-    return worst
-
-
-# -- cohomology ------------------------------------------------------------------------
-
-def cmd_cohomology(args) -> int:
-    cap = _cap_from(args)
-    worst = EX_OK
-    docs = []
-    for path in _resolve_paths(args):
-        problem = _load(path, cap)
-        label = _label(path)
-        if problem.cohomology is None:
-            docs.append({"file": label, "skipped": "needs a cohomology block"})
-            if not args.json:
-                print(f"{label}: skipped (needs a cohomology block)")
-            continue
-        base = problem.cohomology_base_field
-        if base is None and problem.hypotheses is not None:
-            base = problem.hypotheses.base_field
-        if base is None:
-            base = "large_other"
-        quasi_split = (problem.hypotheses.form_is_quasi_split
-                       if problem.hypotheses is not None else False)
-        a = problem.cohomology.a_module
-        doc = {"file": label, "base_field": base}
-        h2 = None
-        if a.is_finite and base == "p_adic":
-            h2 = h2_local_vanishes(a)
-            fixed = a.fixed_characters()
-            doc["h2_vanishes"] = h2
-            doc["fixed_characters_order"] = fixed.order()
-        ov = obstruction_verdict(quasi_split, kappa=problem.cohomology.kappa,
-                                 a_module=a, base_field=base)
-        doc["obstruction"] = {"status": ov.status, "reason": ov.reason}
-        docs.append(doc)
-        if ov.vanishes or h2 is True:
-            code = EX_OK
-        elif h2 is False:
-            code = EX_NEGATIVE
-        else:
-            code = EX_INCONCLUSIVE
-        worst = max(worst, code)
-        if not args.json:
-            if h2 is True:
-                print(f"{label}: H^2 vanishes (fixed characters trivial)")
-            elif h2 is False:
-                print(f"{label}: H^2 is nonzero (fixed characters have order "
-                      f"{doc['fixed_characters_order']})")
-            else:
-                print(f"{label}: H^2 vanishing test not applicable "
-                      f"(base field {base}, "
-                      f"{'finite' if a.is_finite else 'positive-dimensional'} "
-                      "characters)")
-            print(f"  obstruction: {ov.status} ({ov.reason})")
-    if args.json:
-        print(json.dumps(docs[0] if len(docs) == 1 else {"results": docs},
-                         indent=2))
-    return worst
+def _cohomology_report(label: str, problem: Problem):
+    if problem.cohomology is None:
+        return _skipped(label, "needs a cohomology block")
+    base = problem.cohomology_base_field
+    if base is None and problem.hypotheses is not None:
+        base = problem.hypotheses.base_field
+    if base is None:
+        base = "large_other"
+    quasi_split = (problem.hypotheses.form_is_quasi_split
+                   if problem.hypotheses is not None else False)
+    a = problem.cohomology.a_module
+    doc = {"file": label, "base_field": base}
+    h2 = None
+    if a.is_finite and base == "p_adic":
+        h2 = h2_local_vanishes(a)
+        doc["h2_vanishes"] = h2
+        doc["fixed_characters_order"] = a.fixed_characters().order()
+    ov = obstruction_verdict(quasi_split, kappa=problem.cohomology.kappa,
+                             a_module=a, base_field=base)
+    doc["obstruction"] = {"status": ov.status, "reason": ov.reason}
+    if h2 is True:
+        headline = "H^2 vanishes (fixed characters trivial)"
+    elif h2 is False:
+        headline = (f"H^2 is nonzero (fixed characters have order "
+                    f"{doc['fixed_characters_order']})")
+    else:
+        headline = (f"H^2 vanishing test not applicable (base field {base}, "
+                    f"{'finite' if a.is_finite else 'positive-dimensional'} "
+                    "characters)")
+    if ov.vanishes or h2 is True:
+        code = EX_OK
+    elif h2 is False:
+        code = EX_NEGATIVE
+    else:
+        code = EX_INCONCLUSIVE
+    return code, doc, [f"{label}: {headline}",
+                       f"  obstruction: {ov.status} ({ov.reason})"]
 
 
 # -- weyl-orbit and conjugate -------------------------------------------------------------
@@ -407,7 +323,7 @@ def cmd_conjugate(args) -> int:
 
 # -- entry point -----------------------------------------------------------------------------
 
-def _add_file_command(sub, name, func, help_text):
+def _add_file_command(sub, name, report, help_text):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("file", nargs="?", help="problem file (JSON)")
     p.add_argument("--corpus", action="store_true",
@@ -417,8 +333,7 @@ def _add_file_command(sub, name, func, help_text):
                    help="emit one machine-readable JSON document")
     p.add_argument("--cap", type=int, default=None,
                    help="override enumeration caps (closure and orbit sizes)")
-    p.set_defaults(func=func)
-    return p
+    p.set_defaults(func=_run_batch, report=report)
 
 
 def _add_query_command(sub, name, func, help_text):
@@ -437,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide existence of equivariant forms of spherical "
                     "homogeneous spaces from exact combinatorial data.")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_file_command(sub, "verdict", cmd_verdict,
+    _add_file_command(sub, "verdict", _verdict_report,
                       "run the full decision procedure on a problem file")
-    _add_file_command(sub, "check-invariants", cmd_check_invariants,
+    _add_file_command(sub, "check-invariants", _invariance_report,
                       "check invariance of the combinatorial data only")
-    _add_file_command(sub, "check-fan", cmd_check_fan,
+    _add_file_command(sub, "check-fan", _fan_report,
                       "validate a colored fan (or the face fan of the "
                       "valuation cone) and its stability")
-    _add_file_command(sub, "cohomology", cmd_cohomology,
+    _add_file_command(sub, "cohomology", _cohomology_report,
                       "run the character-level cohomology computations")
     orbit = _add_query_command(sub, "weyl-orbit", cmd_weyl_orbit,
                                "enumerate the Weyl orbit of a vector")

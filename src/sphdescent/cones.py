@@ -28,7 +28,7 @@ from .intlinalg import (
     vec_neg,
 )
 from .ratlp import feasible
-from .staraction import dual_action_on_V
+from .staraction import LatticeMoved, dual_matrix_on_V
 
 
 class NotStrictlyConvex(ValueError):
@@ -384,6 +384,11 @@ class ColorRecord:
     def key(self):
         return (self.rho, tuple(sorted(self.sigma)))
 
+    def image(self, matrix: IntMatrix, s_perm) -> "ColorRecord":
+        """The color moved by a matrix on V and a simple-root permutation."""
+        return ColorRecord(matrix.apply(self.rho),
+                           frozenset(s_perm[i] for i in self.sigma))
+
 
 @dataclass(frozen=True)
 class ColoredCone:
@@ -590,11 +595,8 @@ def is_wonderful(fan: ColoredFan, v_cone: RationalCone) -> bool:
 
 def transform_colored_cone(cc: ColoredCone, matrix: IntMatrix, s_perm) -> ColoredCone:
     """Apply a lattice automorphism of V plus a simple-root permutation."""
-    new_cone = cc.cone.image(matrix)
-    new_colors = frozenset(
-        ColorRecord(matrix.apply(r.rho), frozenset(s_perm[i] for i in r.sigma))
-        for r in cc.colors)
-    return ColoredCone(new_cone, new_colors)
+    return ColoredCone(cc.cone.image(matrix),
+                       frozenset(r.image(matrix, s_perm) for r in cc.colors))
 
 
 @dataclass(frozen=True)
@@ -609,15 +611,18 @@ class StabilityVerdict:
 def is_gamma_stable(fan: ColoredFan, action, weight_lattice) -> StabilityVerdict:
     """Does every action generator map every fan cone onto a fan cone?
 
-    The action is transported to V through the inverse-transpose of its
+    Each generator is transported to V through the inverse-transpose of its
     restriction to the weight lattice; colors move by (matrix on V,
     permutation of simple roots).  Generators suffice: the moved-fan
-    condition is closed under composition and inverses.
+    condition is closed under composition and inverses, and so is
+    stability of the weight lattice.  A generator that moves the lattice
+    raises LatticeMoved before any cone is tested.
     """
-    duals = dual_action_on_V(action, weight_lattice)
-    index = {el.matrix.entries: k for k, el in enumerate(action.elements)}
-    for name, gen in zip(action.generator_names, action.generators):
-        dmat = duals[index[gen.matrix.entries]]
+    duals = [dual_matrix_on_V(gen, weight_lattice) for gen in action.generators]
+    for name, dmat in zip(action.generator_names, duals):
+        if dmat is None:
+            raise LatticeMoved(name)
+    for name, gen, dmat in zip(action.generator_names, action.generators, duals):
         for cc in fan.cones:
             if transform_colored_cone(cc, dmat, gen.s_perm) not in fan:
                 return StabilityVerdict(False, name, cc)

@@ -8,7 +8,7 @@ presentations with Smith normal form data attached.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -428,13 +428,6 @@ class Lattice:
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
         return Lattice.from_rows(self.ambient_rank, self.basis.entries + other.basis.entries)
-
-
-def sublattice_equal(a: Lattice, b: Lattice) -> bool:
-    """Equality of subgroups of the same ambient Z^n (canonical-form compare)."""
-    if a.ambient_rank != b.ambient_rank:
-        raise ValueError("lattices live in different ambient ranks")
-    return a == b
 
 
 def kernel_lattice(m: IntMatrix) -> Lattice:

@@ -22,10 +22,10 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .cones import ColorRecord, RationalCone, cones_equal
+from .cones import RationalCone, cones_equal
 from .intlinalg import IntMatrix, Lattice, vec_dot
 from .rootdata import BRDAutomorphism, BasedRootDatum
-from .staraction import GaloisAction, action_on_simple_subset
+from .staraction import GaloisAction, dual_matrix_on_V
 
 
 @dataclass(frozen=True)
@@ -140,65 +140,18 @@ class PreservationVerdict:
         return bool(self.x_ok and self.v_ok and self.omega1_ok and self.omega2_ok)
 
 
-def _dual_matrix_on_V(element: BRDAutomorphism, lattice: Lattice) -> IntMatrix | None:
-    """Inverse-transpose of the restriction to the lattice, or None if moved."""
-    if lattice.apply(element.matrix) != lattice:
-        return None
-    cols = [lattice.coordinates(element.matrix.apply(b))
-            for b in lattice.basis.entries]
-    n = lattice.rank
-    restriction = IntMatrix.from_rows(
-        [[cols[i][j] for i in range(n)] for j in range(n)], cols=n)
-    return restriction.inverse_unimodular().transpose()
-
-
-def transform_color(rec: ColorRecord, dual: IntMatrix, s_perm) -> ColorRecord:
-    return ColorRecord(dual.apply(rec.rho), frozenset(s_perm[i] for i in rec.sigma))
-
-
 def preserves_invariants(action: GaloisAction, element: BRDAutomorphism,
                          inv: SphericalInvariants) -> PreservationVerdict:
     """Does one automorphism fix the weight lattice, cone, and color sets?"""
     if action.brd != inv.brd:
         raise ValueError("action and invariants belong to different root data")
-    dual = _dual_matrix_on_V(element, inv.weight_lattice)
+    dual = dual_matrix_on_V(element, inv.weight_lattice)
     if dual is None:
         return PreservationVerdict(False, None, None, None)
     v_ok = inv.valuation_cone.image(dual) == inv.valuation_cone
-    o1 = frozenset(transform_color(r, dual, element.s_perm) for r in inv.omega1)
-    o2 = frozenset(transform_color(r, dual, element.s_perm) for r in inv.omega2)
+    o1 = frozenset(r.image(dual, element.s_perm) for r in inv.omega1)
+    o2 = frozenset(r.image(dual, element.s_perm) for r in inv.omega2)
     return PreservationVerdict(True, v_ok, o1 == inv.omega1, o2 == inv.omega2)
-
-
-@dataclass(frozen=True)
-class PreservationReport:
-    """Aggregate over all generators, with the first failure spelled out."""
-
-    ok: bool
-    violating_generator: str | None
-    verdict: PreservationVerdict | None
-
-
-def action_preserves_invariants(action: GaloisAction,
-                                inv: SphericalInvariants) -> PreservationReport:
-    """Check every generator; preservation then extends to the whole closure."""
-    for name, gen in zip(action.generator_names, action.generators):
-        verdict = preserves_invariants(action, gen, inv)
-        if not verdict.all_ok:
-            return PreservationReport(False, name, verdict)
-    return PreservationReport(True, None, None)
-
-
-def apply_to_invariants(element: BRDAutomorphism,
-                        inv: SphericalInvariants) -> SphericalInvariants:
-    """Transport the invariants along an automorphism fixing the weight lattice."""
-    dual = _dual_matrix_on_V(element, inv.weight_lattice)
-    if dual is None:
-        raise ValueError("automorphism does not stabilize the weight lattice")
-    return SphericalInvariants(
-        inv.brd, inv.weight_lattice, inv.valuation_cone.image(dual),
-        frozenset(transform_color(r, dual, element.s_perm) for r in inv.omega1),
-        frozenset(transform_color(r, dual, element.s_perm) for r in inv.omega2))
 
 
 @dataclass(frozen=True)
@@ -233,13 +186,3 @@ def validate_horospherical(brd: BasedRootDatum, datum: HorosphericalDatum) -> li
             f"characters have denominator {datum.characters.denominator}, "
             "so some generators lie outside the character lattice")
     return warnings
-
-
-def horospherical_invariant(action: GaloisAction, datum: HorosphericalDatum) -> bool:
-    """True iff every closure element fixes I as a set and M as a group."""
-    for el in action.elements:
-        if action_on_simple_subset(action, datum.simple_subset, el) != datum.simple_subset:
-            return False
-        if datum.characters.apply(el.matrix) != datum.characters:
-            return False
-    return True

@@ -4,9 +4,11 @@ A Galois group acts on a based root datum through a homomorphism to its
 (finite, for semisimple data) automorphism group.  We represent the action by
 its image: a named generating set together with the full closure.  Matrix
 generators pass rootdata's test on the simple roots and coroots; simple-root
-permutations are lifted by one fraction-free elimination.  From the closure
-we derive induced actions on stable sublattices, on the dual of a stable
-lattice, and on subsets of the simple roots.
+permutations are lifted by one fraction-free elimination.  One element moves
+to a stable sublattice of X, or to the dual V of one, by
+restrict_to_sublattice and dual_matrix_on_V; the actions of the whole
+closure on sublattices and on V are built on those two, and the action on
+subsets of the simple roots reads the simple-root permutation.
 """
 from __future__ import annotations
 
@@ -139,35 +141,69 @@ class InducedAction:
         return self.matrices is not None
 
 
+def restrict_to_sublattice(element: BRDAutomorphism, lattice: Lattice) -> IntMatrix | None:
+    """Matrix of one automorphism on a sublattice L of X, in L's canonical
+    basis (columns are images of basis vectors), or None if it moves L.
+
+    Only g(L) ⊆ L is tested, one basis vector at a time: for g in GL_n(Z)
+    that already gives g(L) = L.  Indeed g maps the span of L into itself,
+    hence onto it, and Z^n onto itself, so it fixes the saturation S of L
+    and acts on S unimodularly; then [S : g(L)] = [S : L], and g(L) ⊆ L
+    forces equality.  The restriction is therefore unimodular.
+    """
+    if lattice.ambient_rank != element.matrix.rows:
+        raise ValueError("lattice does not live in the character lattice")
+    cols = []
+    for b in lattice.basis.entries:
+        coords = lattice.coordinates(element.matrix.apply(b))
+        if coords is None:
+            return None
+        cols.append(coords)
+    n = lattice.rank
+    return IntMatrix.from_rows([[cols[i][j] for i in range(n)] for j in range(n)],
+                               cols=n)
+
+
+def dual_matrix_on_V(element: BRDAutomorphism, lattice: Lattice) -> IntMatrix | None:
+    """One automorphism on the dual of a stable lattice, in the dual basis,
+    or None if it moves the lattice.
+
+    If it acts on the lattice by N, it acts on linear functionals by the
+    inverse transpose of N, so that the evaluation pairing is preserved.
+    """
+    restriction = restrict_to_sublattice(element, lattice)
+    return None if restriction is None else restriction.inverse_unimodular().transpose()
+
+
+class LatticeMoved(ValueError):
+    """An element of the action does not map a lattice onto itself."""
+
+    def __init__(self, label: str):
+        super().__init__(f"action does not stabilize the lattice: "
+                         f"element {label} moves it")
+
+
 def induced_action_on_sublattice(action: GaloisAction, lattice: Lattice) -> InducedAction:
     """Restrict every closure element to a sublattice, if stable."""
-    if lattice.ambient_rank != action.brd.rank:
-        raise ValueError("lattice does not live in the character lattice")
-    n = lattice.rank
     mats = []
     for k, el in enumerate(action.elements):
-        cols = []
-        for b in lattice.basis.entries:
-            coords = lattice.coordinates(el.matrix.apply(b))
-            if coords is None:
-                return InducedAction(None, action.label(k))
-            cols.append(coords)
-        mats.append(IntMatrix.from_rows(
-            [[cols[i][j] for i in range(n)] for j in range(n)], cols=n))
+        m = restrict_to_sublattice(el, lattice)
+        if m is None:
+            return InducedAction(None, action.label(k))
+        mats.append(m)
     return InducedAction(tuple(mats), None)
 
 
 def dual_action_on_V(action: GaloisAction, weight_lattice: Lattice) -> tuple[IntMatrix, ...]:
-    """Action on the dual of a stable lattice, in the dual basis.
-
-    If an element acts on the lattice by N, it acts on linear functionals by
-    the inverse transpose of N, so that the evaluation pairing is preserved.
-    """
-    induced = induced_action_on_sublattice(action, weight_lattice)
-    if not induced.present:
-        raise ValueError(f"action does not stabilize the lattice: "
-                         f"element {induced.violator} moves it")
-    return tuple(m.inverse_unimodular().transpose() for m in induced.matrices)
+    """Every closure element on the dual of a stable lattice, in the dual
+    basis; raises LatticeMoved naming the first element that moves it."""
+    duals = []
+    for k, el in enumerate(action.elements):
+        m = dual_matrix_on_V(el, weight_lattice)
+        if m is None:
+            raise LatticeMoved(action.label(k))
+        duals.append(m)
+    return tuple(duals)
 
 
 def action_on_simple_subset(action: GaloisAction, subset, element: BRDAutomorphism) -> frozenset:

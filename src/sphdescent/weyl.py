@@ -33,9 +33,6 @@ class RootSubset:
         if bad:
             raise ValueError(f"not roots of the datum: {sorted(bad)}")
 
-    def sorted_roots(self):
-        return tuple(sorted(self.roots))
-
     def is_negation_closed(self) -> bool:
         return all(vec_neg(r) in self.roots for r in self.roots)
 

@@ -66,7 +66,6 @@ from sphdescent.invariants import (
     HorosphericalDatum,
     RationalLattice,
     SphericalInvariants,
-    horospherical_invariant,
     invariants_equal,
 )
 from sphdescent.problem import parse_dict, parse_text
@@ -161,9 +160,9 @@ def test_criterion_4_horospherical_family(d4, triality):
                   zip(alpha[0], alpha[1], alpha[2], alpha[3]))
     assert combo == (0, 1, 0, 0)
     for name, dat in good.items():
-        assert horospherical_invariant(triality, dat) is True, name
-    assert horospherical_invariant(
-        triality, datum({0}, [(0, 1, 0, 0)])) is False
+        assert invariance_entries(triality, dat)[0] is True, name
+    assert invariance_entries(
+        triality, datum({0}, [(0, 1, 0, 0)]))[0] is False
     report(4, "five invariant horospherical data accepted, moved subset "
               "rejected")
 
@@ -314,7 +313,7 @@ def _outcomes(p):
             out["fan_block"] = (fv.ok, is_wonderful(p.fan, p.invariants.valuation_cone),
                                 sv.stable, sv.violating_generator)
     if p.horospherical is not None and p.action is not None:
-        out["horospherical"] = horospherical_invariant(p.action, p.horospherical)
+        out["horospherical"] = invariance_entries(p.action, p.horospherical)[0]
     if p.cohomology is not None and p.cohomology.a_module.is_finite:
         out["h2"] = h2_local_vanishes(p.cohomology.a_module)
     return out

@@ -197,6 +197,58 @@ def test_check_fan_names_the_moved_cone(capsys, tmp_path):
     assert code == 0 and json.loads(out)["violating_cone_rays"] is None
 
 
+# check-fan branches that no corpus file reaches, on variants of
+# fan_stability_demo (its fan is the face fan of its valuation cone)
+
+LINEALITY = ("the valuation cone has nontrivial lineality, so no fan has it "
+             "as a maximal strictly convex cone")
+
+
+def fan_demo(tmp_path, *, fan=True, action=True, **invariants):
+    data = json.loads((corpus_root() / "fan_stability_demo.json")
+                      .read_text("utf-8"))
+    if not fan:
+        del data["fan"]
+    if not action:
+        del data["action"]
+    data["invariants"].update(invariants)
+    f = tmp_path / "demo.json"
+    f.write_text(json.dumps(data), encoding="utf-8")
+    return str(f)
+
+
+def json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fan", [False, True], ids=["face_fan", "given_fan"])
+def test_check_fan_without_an_action(capsys, tmp_path, fan):
+    f = fan_demo(tmp_path, fan=fan, action=False)
+    assert run(capsys, "check-fan", f) == (
+        0, "demo.json: valid: yes, wonderful: yes\n", "")
+    assert run(capsys, "check-fan", f, "--json") == (0, json_text(
+        {"file": "demo.json", "valid": True, "problems": [],
+         "wonderful": True}), "")
+
+
+@pytest.mark.parametrize("action", [False, True], ids=["no_action", "action"])
+def test_check_fan_face_fan_of_a_cone_with_lineality(capsys, tmp_path, action):
+    f = fan_demo(tmp_path, fan=False, action=action,
+                 valuation_cone={"generators": [[1, 0], [-1, 0], [0, 1]]})
+    assert run(capsys, "check-fan", f) == (
+        1, f"demo.json: valid: no, problems: {LINEALITY}\n", "")
+    assert run(capsys, "check-fan", f, "--json") == (1, json_text(
+        {"file": "demo.json", "valid": False, "problems": [LINEALITY]}), "")
+
+
+@pytest.mark.parametrize("fan", [False, True], ids=["face_fan", "given_fan"])
+def test_check_fan_weight_lattice_moved_by_the_action(capsys, tmp_path, fan):
+    f = fan_demo(tmp_path, fan=fan, weight_lattice={"basis": [[2, 0], [0, 1]]})
+    err = "error: action does not stabilize the lattice: element r moves it\n"
+    assert run(capsys, "check-fan", f) == (64, "", err)
+    assert run(capsys, "check-fan", f, "--json") == (64, "", err)
+
+
 # -- cohomology ------------------------------------------------------------------------
 
 def test_cohomology_vanishing_line(capsys):

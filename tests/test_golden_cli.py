@@ -1,8 +1,9 @@
 """CLI output over the shipped corpus is byte-identical to a recorded snapshot.
 
 `golden_cli_corpus.json` holds stdout, stderr and the exit code of every
-corpus file under each file subcommand, in text and `--json` form.  After an
-intended change of output, regenerate it with
+corpus file under each file subcommand, and of each subcommand's batch run
+over the whole corpus, in text and `--json` form.  After an intended change
+of output, regenerate it with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
@@ -27,6 +28,9 @@ def cases():
         for command in COMMANDS:
             for form in ((), ("--json",)):
                 yield [command, "--corpus", stem, *form]
+    for command in COMMANDS:
+        for form in ((), ("--json",)):
+            yield [command, "--corpus", *form]
 
 
 def run(argv):
@@ -43,7 +47,7 @@ def snapshot():
 
 def test_snapshot_covers_every_case(snapshot):
     assert [entry["argv"] for entry in snapshot] == list(cases())
-    assert len(snapshot) == 12 * 4 * 2
+    assert len(snapshot) == 12 * 4 * 2 + 4 * 2
 
 
 @pytest.mark.parametrize("argv", list(cases()), ids=" ".join)

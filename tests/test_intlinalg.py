@@ -16,7 +16,6 @@ from sphdescent.intlinalg import (
     hnf,
     kernel_lattice,
     snf,
-    sublattice_equal,
     vec_is_zero,
     vstack,
     xgcd,
@@ -124,7 +123,7 @@ def test_snf_properties(m):
 def test_lattice_canonical_and_membership():
     l1 = Lattice.from_rows(3, [(1, -1, 0), (0, 1, -1)])
     l2 = Lattice.from_rows(3, [(1, 0, -1), (1, -1, 0), (2, -1, -1)])
-    assert sublattice_equal(l1, l2)
+    assert l1 == l2
     assert (3, -1, -2) in l1
     assert (1, 0, 0) not in l1
     assert l1.coordinates((1, -1, 0)) is not None
@@ -135,18 +134,17 @@ def test_sublattice_equal_cyclic_image():
     # rotation, so the image equals the original (verified by HNF compare)
     l1 = Lattice.from_rows(3, [(1, -1, 0), (0, 1, -1)])
     rot = IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    assert sublattice_equal(l1.apply(rot), l1)
+    assert l1.apply(rot) == l1
 
 
 def test_sublattice_equal_rejects_rank_mismatch():
-    with pytest.raises(ValueError):
-        sublattice_equal(Lattice.full(2), Lattice.full(3))
+    assert Lattice.full(2) != Lattice.full(3)
 
 
 def test_sublattice_proper_containment_is_not_equality():
     l1 = Lattice.from_rows(2, [(1, 0), (0, 1)])
     l2 = Lattice.from_rows(2, [(2, 0), (0, 1)])
-    assert not sublattice_equal(l1, l2)
+    assert l1 != l2
     assert all(tuple(r) in l1 for r in l2.basis.entries)
 
 
@@ -159,7 +157,7 @@ def test_sublattice_equal_invariant_under_unimodular_row_mixing(m, ignored):
     if len(rows) >= 2:
         rows[0] = tuple(a + 3 * b for a, b in zip(rows[0], rows[1]))
     lat2 = Lattice.from_rows(m.cols, rows)
-    assert sublattice_equal(lat, lat2)
+    assert lat == lat2
 
 
 def test_kernel_lattice_examples():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import invariance_oracle as oracle
+from sphdescent.checker import invariance_entries
 from sphdescent.cones import ColorRecord, cone_from_generators, cone_from_inequalities
 from sphdescent.intlinalg import IntMatrix, Lattice, vec_dot, vec_neg
 from sphdescent.invariants import (
@@ -10,15 +12,12 @@ from sphdescent.invariants import (
     PreservationVerdict,
     RationalLattice,
     SphericalInvariants,
-    action_preserves_invariants,
-    apply_to_invariants,
-    horospherical_invariant,
     invariants_equal,
     preserves_invariants,
     validate_horospherical,
 )
 from sphdescent.rootdata import build_root_datum
-from sphdescent.staraction import build_action
+from sphdescent.staraction import build_action, dual_matrix_on_V
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +46,26 @@ def symmetric_invariants(brd):
         ColorRecord(tuple(vec_dot(u, brd.simple_coroots[i]) for u in basis), {i})
         for i in range(4))
     return SphericalInvariants(brd, root_lat, vcone, omega1, frozenset())
+
+
+def invariant(action, inv) -> bool:
+    """The checker's generator-level decision, asserted equal to the
+    closure-wide oracle loop it replaced."""
+    ok = invariance_entries(action, inv)[0]
+    if isinstance(inv, HorosphericalDatum):
+        assert ok == oracle.preserves_horospherical(action, inv)
+    else:
+        assert ok == oracle.closure_preserves(action, inv)
+    return ok
+
+
+def transported(element, inv) -> SphericalInvariants:
+    """The invariants moved along one automorphism that fixes the lattice."""
+    dual = dual_matrix_on_V(element, inv.weight_lattice)
+    return SphericalInvariants(
+        inv.brd, inv.weight_lattice, inv.valuation_cone.image(dual),
+        frozenset(r.image(dual, element.s_perm) for r in inv.omega1),
+        frozenset(r.image(dual, element.s_perm) for r in inv.omega2))
 
 
 # -- rational lattices --------------------------------------------------------
@@ -83,21 +102,27 @@ def test_rational_lattice_generators_roundtrip():
 
 # -- invariants equality and preservation --------------------------------------
 
-def test_invariants_equal_reflexive_and_cone_presentation(d4):
+def test_invariants_equal_reflexive_and_cone_presentation(d4, triality):
     inv = symmetric_invariants(d4)
     assert invariants_equal(inv, inv)
     # same valuation cone from a different generator list
     regen = cone_from_generators(4, inv.valuation_cone.rays + ((-3, -2, -2, -2),))
     other = SphericalInvariants(d4, inv.weight_lattice, regen, inv.omega1, inv.omega2)
     assert invariants_equal(inv, other)
+    assert invariant(triality, other)
 
 
-def test_invariants_equal_detects_omega_swap(d4):
+def test_invariants_equal_detects_omega_swap(d4, triality):
     inv = symmetric_invariants(d4)
     rec = next(iter(inv.omega1))
     moved = SphericalInvariants(d4, inv.weight_lattice, inv.valuation_cone,
                                 inv.omega1 - {rec}, frozenset([rec]))
     assert not invariants_equal(inv, moved)
+    # triality fixes only the color over the branch node
+    for rec in inv.omega1:
+        moved = SphericalInvariants(d4, inv.weight_lattice, inv.valuation_cone,
+                                    inv.omega1 - {rec}, frozenset([rec]))
+        assert invariant(triality, moved) == (rec.sigma == {1})
 
 
 def test_invariants_equal_requires_same_datum(d4):
@@ -120,16 +145,17 @@ def test_omega_overlap_rejected(d4):
 
 def test_triality_preserves_symmetric_instance(d4, triality):
     inv = symmetric_invariants(d4)
-    report = action_preserves_invariants(triality, inv)
-    assert report.ok and report.violating_generator is None
+    ok, entries = invariance_entries(triality, inv)
+    assert ok and all(e.ok for e in entries)
+    assert invariant(triality, inv)
     s3 = build_action(d4, [(2, 1, 3, 0), (0, 1, 3, 2)])
-    assert action_preserves_invariants(s3, inv).ok
+    assert invariant(s3, inv)
 
 
 def test_trivial_action_preserves_anything(d4):
     triv = build_action(d4, [])
     inv = symmetric_invariants(d4)
-    assert action_preserves_invariants(triv, inv).ok
+    assert invariant(triv, inv)
     for el in triv.elements:
         assert preserves_invariants(triv, el, inv).all_ok
 
@@ -141,8 +167,10 @@ def test_moved_weight_lattice_blocks_other_flags(d4, triality):
     verdict = preserves_invariants(triality, triality.elements[1], inv)
     assert verdict == PreservationVerdict(False, None, None, None)
     assert not verdict.all_ok
-    report = action_preserves_invariants(triality, inv)
-    assert not report.ok and report.violating_generator == "t"
+    ok, entries = invariance_entries(triality, inv)
+    assert not ok and [e.check for e in entries if not e.ok] == [
+        "invariants preserved by generator 't'"]
+    assert not invariant(triality, inv)
 
 
 def test_moved_cone_detected(d4, triality):
@@ -154,6 +182,7 @@ def test_moved_cone_detected(d4, triality):
                                    frozenset(), frozenset())
     verdict = preserves_invariants(triality, triality.elements[1], lopsided)
     assert verdict.x_ok and not verdict.v_ok
+    assert not invariant(triality, lopsided)
 
 
 def test_moved_colors_detected(d4, triality):
@@ -163,26 +192,38 @@ def test_moved_colors_detected(d4, triality):
                                   keep, frozenset())
     verdict = preserves_invariants(triality, triality.elements[1], partial)
     assert verdict.x_ok and verdict.v_ok and not verdict.omega1_ok
+    assert not invariant(triality, partial)
 
 
 def test_preservation_extends_to_closure(d4):
     # flags true on generators imply flags true on every closure element
     s3 = build_action(d4, [(2, 1, 3, 0), (0, 1, 3, 2)])
     inv = symmetric_invariants(d4)
-    assert action_preserves_invariants(s3, inv).ok
+    assert invariance_entries(s3, inv)[0]
     for el in s3.elements:
         assert preserves_invariants(s3, el, inv).all_ok
 
 
 def test_apply_to_invariants_agrees_with_equality(d4, triality):
+    # preserving the invariants is the same as moving them to equal ones
     inv = symmetric_invariants(d4)
-    for el in triality.elements:
-        assert invariants_equal(apply_to_invariants(el, inv), inv)
+    sub = cone_from_generators(4, inv.valuation_cone.rays[:2])
+    lopsided = SphericalInvariants(d4, inv.weight_lattice, sub,
+                                   frozenset(), frozenset())
+    partial = SphericalInvariants(
+        d4, inv.weight_lattice, inv.valuation_cone,
+        frozenset(r for r in inv.omega1 if r.sigma != {0}), frozenset())
+    for data, expected in ((inv, True), (lopsided, False), (partial, False)):
+        for el in triality.elements:
+            same = invariants_equal(transported(el, data), data)
+            assert same == preserves_invariants(triality, el, data).all_ok
+        assert all(preserves_invariants(triality, el, data).all_ok
+                   for el in triality.elements) == expected
     bad = SphericalInvariants(d4, Lattice.from_rows(4, [alphas(d4)[0]]),
                               cone_from_inequalities(1, [(-1,)]),
                               frozenset(), frozenset())
-    with pytest.raises(ValueError):
-        apply_to_invariants(triality.elements[1], bad)
+    assert dual_matrix_on_V(triality.elements[1], bad.weight_lattice) is None
+    assert not preserves_invariants(triality, triality.elements[1], bad).x_ok
 
 
 def test_verdict_independent_of_weight_basis_presentation(d4, triality):
@@ -201,9 +242,9 @@ def test_m1_even_instance(d4, triality):
     m1 = RationalLattice.from_generators(4, [(1, 0, 1, 1)])
     datum = HorosphericalDatum({1}, m1)
     assert validate_horospherical(d4, datum) == []
-    assert horospherical_invariant(triality, datum)
+    assert invariant(triality, datum)
     s3 = build_action(d4, [(2, 1, 3, 0), (0, 1, 3, 2)])
-    assert horospherical_invariant(s3, datum)
+    assert invariant(s3, datum)
 
 
 def test_m1_odd_instance_warns_but_stays_invariant(d4, triality):
@@ -212,7 +253,7 @@ def test_m1_odd_instance_warns_but_stays_invariant(d4, triality):
     datum = HorosphericalDatum({1}, half)
     warnings = validate_horospherical(d4, datum)
     assert any("denominator 2" in w for w in warnings)
-    assert horospherical_invariant(triality, datum)
+    assert invariant(triality, datum)
 
 
 def test_m2_span_instance(d4, triality):
@@ -223,45 +264,49 @@ def test_m2_span_instance(d4, triality):
     assert m2.is_integral  # halves of root differences are weights here
     datum = HorosphericalDatum({1}, m2)
     assert validate_horospherical(d4, datum) == []
-    assert horospherical_invariant(triality, datum)
+    assert invariant(triality, datum)
 
 
 def test_m4_and_m5_instances(d4, triality):
     a = alphas(d4)
     m5 = RationalLattice.from_generators(4, [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     assert validate_horospherical(d4, HorosphericalDatum({1}, m5)) == []
-    assert horospherical_invariant(triality, HorosphericalDatum({1}, m5))
+    assert invariant(triality, HorosphericalDatum({1}, m5))
     m4 = RationalLattice.from_generators(
         4, [(1, 0, 1, 1),
             tuple(x - y for x, y in zip(a[0], a[2])),
             tuple(x - y for x, y in zip(a[2], a[3]))])
-    assert horospherical_invariant(triality, HorosphericalDatum({1}, m4))
+    assert invariant(triality, HorosphericalDatum({1}, m4))
 
 
 def test_full_subset_instance(d4, triality):
     w2 = RationalLattice.from_generators(4, [(0, 1, 0, 0)])
     datum = HorosphericalDatum({0, 2, 3}, w2)
     assert validate_horospherical(d4, datum) == []
-    assert horospherical_invariant(triality, datum)
+    assert invariant(triality, datum)
 
 
 def test_moved_subset_fails(d4, triality):
     m5 = RationalLattice.from_generators(4, [(0, 1, 0, 0)])
-    assert not horospherical_invariant(triality, HorosphericalDatum({0}, m5))
+    assert not invariant(triality, HorosphericalDatum({0}, m5))
 
 
 def test_moved_characters_fail(d4, triality):
     m = RationalLattice.from_generators(4, [(1, 0, 0, 0)])  # omega1 alone
-    assert not horospherical_invariant(triality, HorosphericalDatum(set(), m))
+    assert not invariant(triality, HorosphericalDatum(set(), m))
 
 
-def test_orthogonality_warning(d4):
+def test_orthogonality_warning(d4, triality):
     a2 = RationalLattice.from_generators(4, [alphas(d4)[1]])
     warnings = validate_horospherical(d4, HorosphericalDatum({1}, a2))
     assert any("coroot 1" in w for w in warnings)
+    assert invariant(triality, HorosphericalDatum({1}, a2))
 
 
-def test_bad_index_warning(d4):
+def test_bad_index_warning(d4, triality):
     m = RationalLattice.from_generators(4, [(0, 1, 0, 0)])
     assert any("does not name" in w
                for w in validate_horospherical(d4, HorosphericalDatum({7}, m)))
+    for decide in (invariance_entries, oracle.preserves_horospherical):
+        with pytest.raises(ValueError):
+            decide(triality, HorosphericalDatum({7}, m))
