@@ -68,7 +68,7 @@ from .rootdata import (
     torus,
     weyl_group,
 )
-from .staraction import ClosureCapExceeded, GaloisAction, build_action, dual_action_on_V
+from .staraction import ClosureCapExceeded, GaloisAction, build_action
 from .weyl import are_weyl_conjugate, orthogonal_quadruples, root_subset, weyl_orbit
 
 __version__ = "0.1.0"
@@ -114,7 +114,6 @@ __all__ = [
     "cone_from_generators",
     "cone_from_inequalities",
     "cones_equal",
-    "dual_action_on_V",
     "dynkin_automorphisms",
     "faces",
     "h2_local_vanishes",

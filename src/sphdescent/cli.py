@@ -25,6 +25,7 @@ from .checker import (
 from .cohomology import h2_local_vanishes, obstruction_verdict
 from .cones import (
     NotStrictlyConvex,
+    StabilityVerdict,
     is_gamma_stable,
     is_valid_fan,
     is_wonderful,
@@ -33,7 +34,7 @@ from .cones import (
 from .invariants import validate_horospherical
 from .problem import Problem, ProblemError, parse_file, parse_text
 from .rootdata import CapExceeded, build_root_datum
-from .staraction import ClosureCapExceeded
+from .staraction import ClosureCapExceeded, LatticeMoved
 from .weyl import are_weyl_conjugate, root_subset, weyl_orbit
 
 EX_OK, EX_NEGATIVE, EX_INCONCLUSIVE, EX_USAGE = 0, 1, 2, 64
@@ -216,8 +217,13 @@ def _fan_report(label: str, problem: Problem):
                           "problems": list(fv.problems),
                           "wonderful": is_wonderful(fan, vcone)}
         if problem.action is not None:
-            sv = is_gamma_stable(fan, problem.action,
-                                 problem.invariants.weight_lattice)
+            try:
+                sv = is_gamma_stable(fan, problem.action,
+                                     problem.invariants.weight_lattice)
+            except LatticeMoved as e:
+                # a negative answer, as verdict and check-invariants give it
+                sv = StabilityVerdict(False, e.label, None)
+                doc["problems"].append("moves the weight lattice")
             ok = ok and sv.stable
             # rays of the fan cone a generator moves off the fan, in
             # canonical coordinates, as the fan problems report them
@@ -234,6 +240,7 @@ def _fan_report(label: str, problem: Problem):
         bits.append(f"stable: {'yes' if doc['stable'] else 'no'}")
         if doc["violating_generator"]:
             bits.append(f"violated by generator '{doc['violating_generator']}'")
+        if doc["violating_cone_rays"] is not None:
             bits.append(f"moved cone rays: {doc['violating_cone_rays']}")
     return EX_OK if ok else EX_NEGATIVE, doc, [f"{label}: " + ", ".join(bits)]
 

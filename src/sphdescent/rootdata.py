@@ -3,15 +3,18 @@
 An irreducible type is given by its simple roots in the classical epsilon
 coordinates, doubled so that every entry is an integer.  The build reads only
 the Cartan matrix A[i][j] = <alpha_j, alpha_i^vee> (Bourbaki numbering) off
-them.  One breadth-first search over simple reflections then enumerates every
-root beta together with its coroot: beta in simple-root coordinates m,
-beta^vee in simple-coroot coordinates n, and s_i moves them by (A m)_i alpha_i
-and (A^T n)_i alpha_i^vee.
-The character lattice X is coordinatized by a fixed basis, so roots and
-coroots are plain integer vectors and the pairing between X and its dual is
-the dot product: in the simply connected datum (basis the fundamental
-weights) a root is A m and its coroot n; in the adjoint datum (basis the
-simple roots) a root is m and its coroot A^T n.
+them and writes the simple roots and coroots in a fixed basis of the
+character lattice X, so that the pairing between X and its dual is the dot
+product: in the simply connected datum (basis the fundamental weights)
+alpha_i is column i of A and alpha_i^vee the unit vector e_i; in the adjoint
+datum (basis the simple roots) alpha_i is e_i and alpha_i^vee row i of A.
+
+That based datum is all a datum stores.  The root table R is built on first
+read: one ascent over simple reflections from the simple roots finds each
+positive root beta = sum m_i alpha_i with its coroot sum n_i alpha_i^vee,
+the negative roots are their negatives, and both are written in
+X-coordinates from the simple roots and coroots.  The same formula serves
+every lattice and every direct sum.
 
 The epsilon coordinates of the basis of X, which carry the Weyl-invariant
 inner product, are derived from the simple roots only when `to_epsilon`,
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .intlinalg import IntMatrix, Vec, solve_exact, solve_fraction_free, vec_dot, vec_neg
 
@@ -55,13 +59,15 @@ def _root_count(letter: str, rank: int) -> int:
 
 
 def _root_search(cartan) -> dict:
-    """Every root with its coroot, by breadth-first search from the simple roots.
+    """Every positive root with its coroot, by ascent from the simple roots.
 
     Maps m (simple-root coordinates of beta) to (p, n, q) with p = A m, so
     p_i = <beta, alpha_i^vee>; n the simple-coroot coordinates of beta^vee;
     and q = A^T n, so q_i = <alpha_i, beta^vee>.  The reflection s_i sends
-    (beta, beta^vee) to (beta - p_i alpha_i, beta^vee - q_i alpha_i^vee), and
-    p_i = 0 exactly when it fixes both.
+    (beta, beta^vee) to (beta - p_i alpha_i, beta^vee - q_i alpha_i^vee); it
+    is applied only when p_i < 0, which raises m_i and keeps beta positive.
+    Every positive root is reached: a non-simple one has some p_i > 0, and
+    s_i of it is a lower positive root from which s_i ascends back.
     """
     k = len(cartan)
     cols = [tuple(row[i] for row in cartan) for i in range(k)]  # A e_i
@@ -75,7 +81,7 @@ def _root_search(cartan) -> dict:
             p, n, q = found[m]
             for i in range(k):
                 c = p[i]
-                if c == 0:
+                if c >= 0:
                     continue
                 img = m[:i] + (m[i] - c,) + m[i + 1:]
                 if img not in found:
@@ -117,32 +123,70 @@ def _cartan_matrix(letter: str, rank: int) -> list[list[int]]:
     return [[2 * vec_dot(a, b) // vec_dot(b, b) for a in eps] for b in eps]
 
 
+class _RootTable(NamedTuple):
+    roots: tuple[Vec, ...]
+    coroots: tuple[Vec, ...]          # aligned with roots
+    positive_roots: tuple[Vec, ...]
+    root_set: frozenset
+    coroot_of: dict
+
+
 @dataclass(frozen=True)
 class BasedRootDatum:
     """Root datum with a based root system and a fixed basis of X.
 
     Roots live in X-coordinates (integers), coroots in the dual coordinates,
-    and pairing(chi, y) is the dot product.  positive_roots lists, in root
-    order, the roots with nonnegative simple-root coordinates.
+    and pairing(chi, y) is the dot product.  The simple roots and coroots
+    determine the datum, so equality and hashing read only them; the root
+    table (roots, coroots, positive_roots, root_set, coroot_of) is built from
+    them on first read.  Roots are listed in increasing order, and
+    positive_roots lists, in that order, the roots with nonnegative
+    simple-root coordinates.
     """
 
     components: tuple[tuple[str, int], ...]
     isogeny: str
     rank: int
-    roots: tuple[Vec, ...]
-    coroots: tuple[Vec, ...]          # aligned with roots
     simple_roots: tuple[Vec, ...]
     simple_coroots: tuple[Vec, ...]
-    positive_roots: tuple[Vec, ...]
     torus_coords: tuple[int, ...] = ()
 
     @cached_property
-    def root_set(self) -> frozenset:
-        return frozenset(self.roots)
+    def _table(self) -> _RootTable:
+        """R from the ascent on the Cartan matrix: the positive root
+        sum m_i alpha_i has coroot sum n_i alpha_i^vee, and R^- = -R^+."""
+        found = _root_search(self.cartan_matrix.entries)
+        s_rows = list(zip(*self.simple_roots))
+        c_rows = list(zip(*self.simple_coroots))
+        positive = {tuple(vec_dot(m, r) for r in s_rows): tuple(vec_dot(n, r) for r in c_rows)
+                    for m, (_, n, _) in found.items()}
+        coroot_of = {**positive, **{vec_neg(r): vec_neg(c) for r, c in positive.items()}}
+        roots = tuple(sorted(coroot_of))
+        table = _RootTable(roots, tuple(coroot_of[r] for r in roots),
+                           tuple(r for r in roots if r in positive),
+                           frozenset(roots), coroot_of)
+        _validate_datum(self, table)
+        return table
 
-    @cached_property
+    @property
+    def roots(self) -> tuple[Vec, ...]:
+        return self._table.roots
+
+    @property
+    def coroots(self) -> tuple[Vec, ...]:
+        return self._table.coroots
+
+    @property
+    def positive_roots(self) -> tuple[Vec, ...]:
+        return self._table.positive_roots
+
+    @property
+    def root_set(self) -> frozenset:
+        return self._table.root_set
+
+    @property
     def coroot_of(self) -> dict:
-        return dict(zip(self.roots, self.coroots))
+        return self._table.coroot_of
 
     @cached_property
     def cartan_matrix(self) -> IntMatrix:
@@ -155,9 +199,10 @@ class BasedRootDatum:
     def realization(self) -> tuple[tuple[Fraction, ...], ...]:
         """Classical epsilon coordinates of the basis of X (ambient_dim x rank).
 
-        Block diagonal over the components: an irreducible block is E S^-1,
-        where S holds the block's simple roots in X-coordinates and E the
-        classical ones as columns; a torus block is the identity.
+        Block diagonal over the components: an irreducible block is E S^-T,
+        where S holds the block's simple roots in X-coordinates as rows and E
+        the classical ones as columns, from one fraction-free solve of
+        S X = E^T; a torus block is the identity.
         """
         out, col, s = [], 0, 0
         for letter, n in self.components:
@@ -165,9 +210,9 @@ class BasedRootDatum:
                 block = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
             else:
                 sim = [r[col:col + n] for r in self.simple_roots[s:s + n]]
-                eps = _epsilon_simple_roots(letter, n)
-                block = [solve_exact(sim, [Fraction(a[d], 2) for a in eps])
-                         for d in range(len(eps[0]))]
+                eps = _epsilon_simple_roots(letter, n)  # doubled
+                d, x = solve_fraction_free(sim, eps)
+                block = [tuple(Fraction(row[e], 2 * d) for row in x) for e in range(len(eps[0]))]
                 s += n
             zero = Fraction(0)
             out += [(zero,) * col + tuple(r) + (zero,) * (self.rank - col - n) for r in block]
@@ -208,28 +253,23 @@ class BasedRootDatum:
         return self.reflection(self.simple_roots[i])
 
 
-# (root, coroot) X-coordinates of the root found as (m, p, n, q) by _root_search
-_COORDINATES = {"simply_connected": lambda m, p, n, q: (p, n),
-                "adjoint": lambda m, p, n, q: (m, q)}
-
-
-def _custom_coordinates(lattice_basis, rank: int):
-    """(root, coroot) coordinates in the basis whose rows are lattice_basis,
+def _custom_simple_system(lattice_basis, cartan):
+    """Simple roots and coroots in the basis whose rows are lattice_basis,
     written in fundamental-weight coordinates."""
+    rank = len(cartan)
     if lattice_basis is None:
         raise ValueError("custom_lattice requires lattice_basis rows")
     b = IntMatrix.from_rows(lattice_basis, rank)
     if b.rows != rank or b.det() == 0:
         raise ValueError("lattice_basis must be square and nonsingular")
-    # a weight with fundamental-weight coordinates p has coordinates (B^T)^-1 p = d_inv_t p / d
-    d, d_inv_t = solve_fraction_free(b.transpose().entries, IntMatrix.identity(rank).entries)
-
-    def coords(m, p, n, q):
-        x = [vec_dot(row, p) for row in d_inv_t]
-        if any(c % d for c in x):
-            raise ValueError("chosen lattice does not contain the root lattice")
-        return tuple(c // d for c in x), b.apply(n)
-    return coords
+    # alpha_i has fundamental-weight coordinates A e_i, so coordinates
+    # (B^T)^-1 A e_i = d^-1 (d (B^T)^-1 A) e_i; the simple roots generate the
+    # root lattice, so the lattice contains it when these are integral
+    d, x = solve_fraction_free(b.transpose().entries, cartan)
+    if any(c % d for row in x for c in row):
+        raise ValueError("chosen lattice does not contain the root lattice")
+    return ([tuple(row[i] // d for row in x) for i in range(rank)],
+            [b.column(i) for i in range(rank)])
 
 
 def build_root_datum(letter: str, rank: int, isogeny: str = "simply_connected",
@@ -239,8 +279,8 @@ def build_root_datum(letter: str, rank: int, isogeny: str = "simply_connected",
     isogeny selects X: "simply_connected" (weight lattice), "adjoint" (root
     lattice), or "custom_lattice" with `lattice_basis` rows expressed in
     fundamental-weight coordinates (the lattice must contain all roots).
-    Raises CapExceeded, before any search, when the root table |R| * rank
-    would exceed cap.
+    Raises CapExceeded, before anything is built, when the root table
+    |R| * rank would exceed cap.
     """
     if letter == "torus":
         return torus(rank)
@@ -248,29 +288,18 @@ def build_root_datum(letter: str, rank: int, isogeny: str = "simply_connected",
     if size > cap:
         raise CapExceeded(f"root datum {letter}{rank}: root table of {size} entries "
                           f"exceeds cap {cap}")
-    if isogeny == "custom_lattice":
-        coords = _custom_coordinates(lattice_basis, rank)
-    elif isogeny in _COORDINATES:
-        coords = _COORDINATES[isogeny]
+    cartan = _cartan_matrix(letter, rank)
+    unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    if isogeny == "simply_connected":
+        simple, coroots = [tuple(row[i] for row in cartan) for i in range(rank)], unit
+    elif isogeny == "adjoint":
+        simple, coroots = unit, [tuple(row) for row in cartan]
+    elif isogeny == "custom_lattice":
+        simple, coroots = _custom_simple_system(lattice_basis, cartan)
     else:
         raise ValueError(f"unknown isogeny {isogeny!r}")
-
-    found = _root_search(_cartan_matrix(letter, rank))
-    table = sorted((*coords(m, *rest), all(x >= 0 for x in m)) for m, rest in found.items())
-    simple = [coords(m, *found[m]) for m in
-              (tuple(int(i == j) for j in range(rank)) for i in range(rank))]
-    brd = BasedRootDatum(
-        components=((letter, rank),),
-        isogeny=isogeny,
-        rank=rank,
-        roots=tuple(r for r, _, _ in table),
-        coroots=tuple(c for _, c, _ in table),
-        simple_roots=tuple(r for r, _ in simple),
-        simple_coroots=tuple(c for _, c in simple),
-        positive_roots=tuple(r for r, _, pos in table if pos),
-    )
-    _validate_datum(brd)
-    return brd
+    return BasedRootDatum(components=((letter, rank),), isogeny=isogeny, rank=rank,
+                          simple_roots=tuple(simple), simple_coroots=tuple(coroots))
 
 
 def torus(rank: int) -> BasedRootDatum:
@@ -279,8 +308,7 @@ def torus(rank: int) -> BasedRootDatum:
         raise ValueError("rank must be nonnegative")
     return BasedRootDatum(
         components=(("torus", rank),) if rank else (), isogeny="torus", rank=rank,
-        roots=(), coroots=(), simple_roots=(), simple_coroots=(), positive_roots=(),
-        torus_coords=tuple(range(rank)))
+        simple_roots=(), simple_coroots=(), torus_coords=tuple(range(rank)))
 
 
 def direct_sum(a: BasedRootDatum, b: BasedRootDatum) -> BasedRootDatum:
@@ -290,27 +318,21 @@ def direct_sum(a: BasedRootDatum, b: BasedRootDatum) -> BasedRootDatum:
         return tuple(v) + (0,) * m
     def padr(v):
         return (0,) * n + tuple(v)
-    table = sorted([(padl(r), padl(c)) for r, c in zip(a.roots, a.coroots)]
-                   + [(padr(r), padr(c)) for r, c in zip(b.roots, b.coroots)])
-    positive = set(map(padl, a.positive_roots)) | set(map(padr, b.positive_roots))
     return BasedRootDatum(
         components=a.components + b.components,
         isogeny=f"{a.isogeny}+{b.isogeny}",
         rank=n + m,
-        roots=tuple(r for r, _ in table),
-        coroots=tuple(c for _, c in table),
         simple_roots=tuple(map(padl, a.simple_roots)) + tuple(map(padr, b.simple_roots)),
         simple_coroots=tuple(map(padl, a.simple_coroots)) + tuple(map(padr, b.simple_coroots)),
-        positive_roots=tuple(r for r, _ in table if r in positive),
         torus_coords=a.torus_coords + tuple(n + i for i in b.torus_coords),
     )
 
 
-def _validate_datum(brd: BasedRootDatum):
-    for beta, cov in zip(brd.roots, brd.coroots):
+def _validate_datum(brd: BasedRootDatum, table: _RootTable):
+    for beta, cov in zip(table.roots, table.coroots):
         if brd.pairing(beta, cov) != 2:
             raise AssertionError("pairing of a root with its coroot is not 2")
-        if vec_neg(beta) not in brd.root_set:
+        if vec_neg(beta) not in table.root_set:
             raise AssertionError("root system is not symmetric")
 
 
@@ -328,7 +350,7 @@ def weyl_elements(brd: BasedRootDatum, cap: int = WEYL_CAP):
     reflections.  Words are reduced and the order is deterministic, so a
     search that stops at its first hit returns the first element of that
     order.  Raises CapExceeded instead of yielding element number cap + 1."""
-    gens = [(alpha, brd.coroot_of[alpha]) for alpha in brd.simple_roots]
+    gens = list(zip(brd.simple_roots, brd.simple_coroots))
     ident = WeylElement(IntMatrix.identity(brd.rank), ())
     seen = {ident.matrix.entries}
     yield ident

@@ -6,9 +6,8 @@ its image: a named generating set together with the full closure.  Matrix
 generators pass rootdata's test on the simple roots and coroots; simple-root
 permutations are lifted by one fraction-free elimination.  One element moves
 to a stable sublattice of X, or to the dual V of one, by
-restrict_to_sublattice and dual_matrix_on_V; the actions of the whole
-closure on sublattices and on V are built on those two, and the action on
-subsets of the simple roots reads the simple-root permutation.
+restrict_to_sublattice and dual_matrix_on_V, and acts on subsets of the
+simple roots through its simple-root permutation (action_on_simple_subset).
 """
 from __future__ import annotations
 
@@ -123,24 +122,6 @@ def build_action(brd: BasedRootDatum, generators, names=None,
     return GaloisAction(brd, names, gens, tuple(elements), tuple(words))
 
 
-@dataclass(frozen=True)
-class InducedAction:
-    """Result of restricting a GaloisAction to a sublattice.
-
-    When every closure element stabilizes the lattice, matrices[k] is the
-    restriction of elements[k] written in the lattice's canonical basis.
-    Otherwise matrices is None and violator labels the first element moving
-    the lattice.
-    """
-
-    matrices: tuple[IntMatrix, ...] | None
-    violator: str | None
-
-    @property
-    def present(self) -> bool:
-        return self.matrices is not None
-
-
 def restrict_to_sublattice(element: BRDAutomorphism, lattice: Lattice) -> IntMatrix | None:
     """Matrix of one automorphism on a sublattice L of X, in L's canonical
     basis (columns are images of basis vectors), or None if it moves L.
@@ -181,29 +162,7 @@ class LatticeMoved(ValueError):
     def __init__(self, label: str):
         super().__init__(f"action does not stabilize the lattice: "
                          f"element {label} moves it")
-
-
-def induced_action_on_sublattice(action: GaloisAction, lattice: Lattice) -> InducedAction:
-    """Restrict every closure element to a sublattice, if stable."""
-    mats = []
-    for k, el in enumerate(action.elements):
-        m = restrict_to_sublattice(el, lattice)
-        if m is None:
-            return InducedAction(None, action.label(k))
-        mats.append(m)
-    return InducedAction(tuple(mats), None)
-
-
-def dual_action_on_V(action: GaloisAction, weight_lattice: Lattice) -> tuple[IntMatrix, ...]:
-    """Every closure element on the dual of a stable lattice, in the dual
-    basis; raises LatticeMoved naming the first element that moves it."""
-    duals = []
-    for k, el in enumerate(action.elements):
-        m = dual_matrix_on_V(el, weight_lattice)
-        if m is None:
-            raise LatticeMoved(action.label(k))
-        duals.append(m)
-    return tuple(duals)
+        self.label = label
 
 
 def action_on_simple_subset(action: GaloisAction, subset, element: BRDAutomorphism) -> frozenset:
@@ -213,10 +172,3 @@ def action_on_simple_subset(action: GaloisAction, subset, element: BRDAutomorphi
     if any(i < 0 or i >= nsimple for i in idx):
         raise ValueError("subset members must index the simple roots")
     return frozenset(element.s_perm[i] for i in idx)
-
-
-def stabilizes_simple_subset(action: GaloisAction, subset) -> bool:
-    """True iff every closure element maps the subset onto itself."""
-    idx = frozenset(int(i) for i in subset)
-    return all(action_on_simple_subset(action, idx, el) == idx
-               for el in action.elements)

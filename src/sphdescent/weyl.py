@@ -1,6 +1,13 @@
 """Weyl group computations: orbits, orthogonal root quadruples, conjugacy.
 
-Orbits are closed by breadth-first search over simple reflections, in
+An orbit is enumerated from its dominant member, read on the simple system
+alone: each vector carries its pairings with the simple coroots, which a
+simple reflection updates by a column of the Cartan matrix.  The start
+vector descends to the dominant chamber, a fundamental domain (Humphreys,
+Reflection Groups and Coxeter Groups, 1.12), and the orbit is the tree in
+which s_i mu is a child of mu when <mu, alpha_i^vee> > 0 and i is the least
+index with a negative pairing at s_i mu; every element but the dominant one
+has exactly one parent, so no element is produced twice.  Vectors stay in
 integers when the start vector is integral and in exact rationals otherwise.
 Conjugacy of root subsets first compares two W-invariant integer statistics
 of the form B(x, y) = sum over coroots c of <x, c><y, c>, which answers "not
@@ -42,29 +49,42 @@ def root_subset(brd: BasedRootDatum, vectors) -> RootSubset:
 
 
 def weyl_orbit(brd: BasedRootDatum, v, cap: int = ORBIT_CAP) -> frozenset:
-    """Orbit of a rational vector (X-coordinates) under the Weyl group."""
-    start = tuple(Fraction(x) for x in v)
-    if len(start) != brd.rank:
+    """Orbit of a rational vector (X-coordinates) under the Weyl group.
+
+    Raises CapExceeded when the orbit has more than cap elements.
+    """
+    mu = tuple(Fraction(x) for x in v)
+    if len(mu) != brd.rank:
         raise ValueError("vector length mismatch")
-    if all(x.denominator == 1 for x in start):
-        start = tuple(int(x) for x in start)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for alpha, cov in zip(brd.simple_roots, brd.simple_coroots):
-                c = vec_dot(w, cov)
-                if c == 0:
-                    continue
-                img = tuple(x - c * a for x, a in zip(w, alpha))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"orbit exceeded cap {cap}")
-        frontier = nxt
-    return frozenset(seen)
+    if all(x.denominator == 1 for x in mu):
+        mu = tuple(int(x) for x in mu)
+    simple = brd.simple_roots
+    cartan = brd.cartan_matrix.entries
+    cols = [tuple(row[i] for row in cartan) for i in range(len(simple))]  # <alpha_i, alpha_j^vee>
+    p = tuple(vec_dot(mu, cov) for cov in brd.simple_coroots)
+    # descend: s_i with <mu, alpha_i^vee> < 0 moves mu up by a positive multiple of alpha_i
+    i = next((i for i, c in enumerate(p) if c < 0), None)
+    while i is not None:
+        c = p[i]
+        mu = tuple(x - c * a for x, a in zip(mu, simple[i]))
+        p = tuple(x - c * y for x, y in zip(p, cols[i]))
+        i = next((i for i, c in enumerate(p) if c < 0), None)
+    orbit = [mu]
+    stack = [(mu, p)]
+    while stack:
+        mu, p = stack.pop()
+        for i, c in enumerate(p):
+            if c <= 0:
+                continue
+            q = tuple(x - c * y for x, y in zip(p, cols[i]))
+            if any(x < 0 for x in q[:i]):
+                continue  # its parent is s_j of it for a smaller j
+            nu = tuple(x - c * a for x, a in zip(mu, simple[i]))
+            orbit.append(nu)
+            if len(orbit) > cap:
+                raise CapExceeded(f"orbit exceeded cap {cap}")
+            stack.append((nu, q))
+    return frozenset(orbit)
 
 
 def orthogonal_quadruples(brd: BasedRootDatum) -> tuple[RootSubset, ...]:

@@ -243,10 +243,15 @@ def test_check_fan_face_fan_of_a_cone_with_lineality(capsys, tmp_path, action):
 
 @pytest.mark.parametrize("fan", [False, True], ids=["face_fan", "given_fan"])
 def test_check_fan_weight_lattice_moved_by_the_action(capsys, tmp_path, fan):
+    # a negative answer, as verdict and check-invariants report the same file
     f = fan_demo(tmp_path, fan=fan, weight_lattice={"basis": [[2, 0], [0, 1]]})
-    err = "error: action does not stabilize the lattice: element r moves it\n"
-    assert run(capsys, "check-fan", f) == (64, "", err)
-    assert run(capsys, "check-fan", f, "--json") == (64, "", err)
+    assert run(capsys, "check-fan", f) == (
+        1, "demo.json: valid: yes, problems: moves the weight lattice, "
+           "wonderful: yes, stable: no, violated by generator 'r'\n", "")
+    assert run(capsys, "check-fan", f, "--json") == (1, json_text(
+        {"file": "demo.json", "valid": True, "problems": ["moves the weight lattice"],
+         "wonderful": True, "stable": False, "violating_generator": "r",
+         "violating_cone_rays": None}), "")
 
 
 # -- cohomology ------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from sphdescent.cones import (
 )
 from sphdescent.intlinalg import IntMatrix, kernel_lattice
 from sphdescent.problem import parse_text
-from sphdescent.staraction import dual_action_on_V
+from sphdescent.staraction import dual_matrix_on_V
 from test_acceptance import _random_unimodular, _signed_permutation
 
 
@@ -147,8 +147,8 @@ def test_corpus_images_match_active_set_engine(name, cone, problem):
     rng = random.Random(name)
     maps = [_random_unimodular(rng, cone.ambient_dim)]
     if problem is not None and problem.action is not None:
-        maps += dual_action_on_V(problem.action,
-                                 problem.invariants.weight_lattice)
+        maps += [dual_matrix_on_V(g, problem.invariants.weight_lattice)
+                 for g in problem.action.elements]
     for m in maps:
         assert cone.image(m) == oracle.image(cone, m), name
 

@@ -6,7 +6,9 @@ and `are_weyl_conjugate` with a scan over the whole Weyl group.  The
 diagram-automorphism layer (lifts by one fraction-free elimination, the
 automorphism test on S, the backtracking `dynkin_automorphisms`) is
 compared with the per-row `Fraction` lift, the test on every root and the
-scan over all permutations kept in the same module.
+scan over all permutations kept in the same module.  `weyl_orbit`, which
+descends to the dominant chamber, is compared with the breadth-first search
+kept in `bfs_orbit_oracle`.
 """
 import random
 from fractions import Fraction
@@ -14,10 +16,11 @@ from itertools import permutations
 
 import pytest
 
+import bfs_orbit_oracle
 import epsilon_rootdata_oracle as oracle
 from sphdescent import intlinalg, rootdata, weyl
 from sphdescent.cli import main
-from sphdescent.intlinalg import IntMatrix
+from sphdescent.intlinalg import IntMatrix, vec_dot
 from sphdescent.problem import parse_dict
 from sphdescent.rootdata import (
     CapExceeded,
@@ -238,6 +241,57 @@ def test_orbits_stay_in_integers_for_integral_input():
     assert all(type(x) is int for v in weyl_orbit(d4, (Fraction(2), 0, 0, 0)) for x in v)
     half = weyl_orbit(d4, (Fraction(1, 2), 0, 0, 0))
     assert any(isinstance(x, Fraction) and x.denominator == 2 for v in half for x in v)
+
+
+def _orbit_data():
+    """Every datum of the orbit comparison, with a label."""
+    for letter, rank in SMALL_W:
+        for isogeny in ("simply_connected", "adjoint"):
+            yield f"{letter}{rank} {isogeny}", build_root_datum(letter, rank, isogeny)
+    for letter, rank, basis in CUSTOM:
+        yield f"{letter}{rank} {basis}", build_root_datum(letter, rank, "custom_lattice", basis)
+    a1, a2 = build_root_datum("A", 1), build_root_datum("A", 2, "adjoint")
+    for name, left, right in [
+            ("A2+T1", a2, torus(1)), ("T2+B2", torus(2), build_root_datum("B", 2)),
+            ("A1+T1+A1", direct_sum(a1, torus(1)), a1), ("T2", torus(2), torus(0))]:
+        yield name, direct_sum(left, right)
+
+
+def _orbit_starts(brd, rng):
+    """Zero, the unit vectors, and seeded integral and rational vectors."""
+    n = brd.rank
+    yield (0,) * n
+    for i in range(n):
+        yield tuple(int(i == j) for j in range(n))
+    for _ in range(2):
+        yield tuple(rng.randint(-3, 3) for _ in range(n))
+    yield tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n))
+
+
+def test_orbits_match_the_breadth_first_search():
+    compared = 0
+    for name, brd in _orbit_data():
+        rng = random.Random(f"orbit {name}")
+        for v in _orbit_starts(brd, rng):
+            want = bfs_orbit_oracle.weyl_orbit(brd, v)
+            assert weyl_orbit(brd, v) == want, (name, v)
+            # the same orbit from its dominant member and from its last element
+            dominant = next(u for u in want
+                            if all(vec_dot(u, c) >= 0 for c in brd.simple_coroots))
+            assert weyl_orbit(brd, dominant) == want, (name, v)
+            assert weyl_orbit(brd, max(want)) == want, (name, v)
+            compared += 1
+    assert compared > 250
+
+
+@pytest.mark.parametrize("letter,rank,v", [("D", 4, (0, 1, 0, 0)), ("B", 3, (1, -2, 1)),
+                                           ("A", 3, (Fraction(1, 2), 0, -1))])
+def test_orbit_cap_boundary(letter, rank, v):
+    brd = build_root_datum(letter, rank)
+    size = len(bfs_orbit_oracle.weyl_orbit(brd, v))
+    with pytest.raises(CapExceeded, match=f"orbit exceeded cap {size - 1}"):
+        weyl_orbit(brd, v, cap=size - 1)
+    assert len(weyl_orbit(brd, v, cap=size)) == size
 
 
 # -- diagram automorphisms --------------------------------------------------------------

@@ -7,9 +7,8 @@ from sphdescent.staraction import (
     ClosureCapExceeded,
     action_on_simple_subset,
     build_action,
-    dual_action_on_V,
-    induced_action_on_sublattice,
-    stabilizes_simple_subset,
+    dual_matrix_on_V,
+    restrict_to_sublattice,
 )
 
 
@@ -22,6 +21,11 @@ def d4():
 def triality(d4):
     # alpha1 -> alpha3 -> alpha4 -> alpha1, alpha2 fixed
     return build_action(d4, [(2, 1, 3, 0)], names=("t",))
+
+
+def on_closure(per_element, action, lattice):
+    """per_element(g, lattice) for every element g of the closure, in order."""
+    return [per_element(g, lattice) for g in action.elements]
 
 
 def alpha_coords(brd):
@@ -82,36 +86,36 @@ def test_restriction_to_stable_span(d4, triality):
     lat = Lattice.from_rows(4, [
         tuple(x - y for x, y in zip(a[0], a[2])),
         tuple(x - y for x, y in zip(a[2], a[3]))])
-    ind = induced_action_on_sublattice(triality, lat)
-    assert ind.present and ind.violator is None
-    assert len(ind.matrices) == 3
-    assert ind.matrices[0] == IntMatrix.identity(2)
-    m = ind.matrices[1]
+    mats = on_closure(restrict_to_sublattice, triality, lat)
+    assert None not in mats
+    assert len(mats) == 3
+    assert mats[0] == IntMatrix.identity(2)
+    m = mats[1]
     assert m.entries == ((-1, -1), (1, 0))
     assert m @ m @ m == IntMatrix.identity(2)
-    assert len({x.entries for x in ind.matrices}) == 3
+    assert len({x.entries for x in mats}) == 3
 
 
 def test_restriction_absent_names_violator(d4, triality):
     lat = Lattice.from_rows(4, [alpha_coords(d4)[0]])
-    ind = induced_action_on_sublattice(triality, lat)
-    assert not ind.present
-    assert ind.matrices is None and ind.violator == "t"
+    mats = on_closure(restrict_to_sublattice, triality, lat)
+    # the first element that moves the lattice is the generator t
+    first = next(k for k, m in enumerate(mats) if m is None)
+    assert triality.label(first) == "t"
+    assert mats[0] == IntMatrix.identity(1) and mats[1:] == [None, None]
 
 
 def test_trivial_action_restricts_to_identity(d4):
     act = build_action(d4, [])
     lat = Lattice.from_rows(4, [(1, 2, 0, 0), (0, 0, 3, 1)])
-    ind = induced_action_on_sublattice(act, lat)
-    assert ind.present and ind.matrices == (IntMatrix.identity(2),)
+    assert on_closure(restrict_to_sublattice, act, lat) == [IntMatrix.identity(2)]
 
 
 def test_fixed_lattice_restriction_is_trivial(triality):
     lat = triality.fixed_lattice
     assert lat.rank == 2
-    ind = induced_action_on_sublattice(triality, lat)
-    assert ind.present
-    assert all(m == IntMatrix.identity(2) for m in ind.matrices)
+    mats = on_closure(restrict_to_sublattice, triality, lat)
+    assert all(m == IntMatrix.identity(2) for m in mats)
 
 
 def test_restriction_independent_of_generating_rows(d4, triality):
@@ -122,14 +126,14 @@ def test_restriction_independent_of_generating_rows(d4, triality):
     lat2 = Lattice.from_rows(4, [tuple(x + y for x, y in zip(g1, g2)), g2,
                                  tuple(-x for x in g1)])
     assert lat1 == lat2  # canonical basis, so restrictions agree verbatim
-    assert (induced_action_on_sublattice(triality, lat1)
-            == induced_action_on_sublattice(triality, lat2))
+    assert (on_closure(restrict_to_sublattice, triality, lat1)
+            == on_closure(restrict_to_sublattice, triality, lat2))
 
 
 def test_dual_action_is_the_cyclic_permutation_on_dual_alpha_basis(d4, triality):
     a = alpha_coords(d4)
     root_lat = Lattice.from_rows(4, a)
-    dual = dual_action_on_V(triality, root_lat)
+    dual = on_closure(dual_matrix_on_V, triality, root_lat)
     # switch from the canonical-basis dual to the dual of the alpha basis:
     # if T columns express alpha_i in the canonical basis, functionals
     # transform by T^T on one side and T^{-T} on the other
@@ -144,10 +148,10 @@ def test_dual_action_is_the_cyclic_permutation_on_dual_alpha_basis(d4, triality)
 def test_dual_action_preserves_evaluation_pairing(d4, triality):
     a = alpha_coords(d4)
     root_lat = Lattice.from_rows(4, a)
-    ind = induced_action_on_sublattice(triality, root_lat)
-    dual = dual_action_on_V(triality, root_lat)
+    restricted = on_closure(restrict_to_sublattice, triality, root_lat)
+    dual = on_closure(dual_matrix_on_V, triality, root_lat)
     x, y = (1, 2, 3, 4), (2, -1, 0, 5)
-    for n, m in zip(ind.matrices, dual):
+    for n, m in zip(restricted, dual):
         assert vec_dot(n.apply(x), m.apply(y)) == vec_dot(x, y)
         order_n = _order(n)
         assert _order(m) == order_n
@@ -165,8 +169,7 @@ def _order(m, cap=64):
 
 def test_dual_action_requires_stable_lattice(d4, triality):
     lat = Lattice.from_rows(4, [alpha_coords(d4)[0]])
-    with pytest.raises(ValueError, match="t"):
-        dual_action_on_V(triality, lat)
+    assert on_closure(dual_matrix_on_V, triality, lat) == [IntMatrix.identity(1), None, None]
 
 
 def test_action_on_simple_subsets(triality):
@@ -179,10 +182,15 @@ def test_action_on_simple_subsets(triality):
         action_on_simple_subset(triality, {9}, t)
 
 
+def stabilizes(action, subset):
+    return all(action_on_simple_subset(action, subset, g) == frozenset(subset)
+               for g in action.elements)
+
+
 def test_stabilizes_simple_subset(triality):
-    assert stabilizes_simple_subset(triality, {1})
-    assert stabilizes_simple_subset(triality, {0, 2, 3})
-    assert not stabilizes_simple_subset(triality, {0})
+    assert stabilizes(triality, {1})
+    assert stabilizes(triality, {0, 2, 3})
+    assert not stabilizes(triality, {0})
 
 
 def test_generator_stability_propagates_to_closure(d4):
@@ -191,5 +199,5 @@ def test_generator_stability_propagates_to_closure(d4):
     for subset in ({1}, {0, 2, 3}, {0, 1, 2, 3}, set()):
         gen_ok = all(action_on_simple_subset(act, subset, g) == frozenset(subset)
                      for g in act.generators)
-        all_ok = stabilizes_simple_subset(act, subset)
+        all_ok = stabilizes(act, subset)
         assert gen_ok == all_ok
