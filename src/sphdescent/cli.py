@@ -1,11 +1,11 @@
 """Command-line surface: verdicts, invariance and fan checks, Weyl queries.
 
 Exit codes: 0 for a positive or conditionally positive result, 1 for a
-negative result, 2 for an inconclusive one, 64 for unreadable input.  All
-numbers are printed exactly (integers or p/q fractions).  The only
-environment variable honored is SPHDESCENT_CAP, which bounds group closure
-and orbit enumeration sizes; it never changes a verdict, only whether big
-searches are attempted.
+negative result, 2 for an inconclusive one, 64 for unreadable input or a
+command line that argparse rejects.  All numbers are printed exactly
+(integers or p/q fractions).  The only environment variable honored is
+SPHDESCENT_CAP, which bounds group closure and orbit enumeration sizes; it
+never changes a verdict, only whether big searches are attempted.
 """
 import argparse
 import json
@@ -32,9 +32,9 @@ from .cones import (
     wonderful_fan,
 )
 from .invariants import validate_horospherical
-from .problem import Problem, ProblemError, parse_file, parse_text
+from .problem import Problem, ProblemError, _num_out, parse_file
 from .rootdata import CapExceeded, build_root_datum
-from .staraction import ClosureCapExceeded, LatticeMoved
+from .staraction import LatticeMoved
 from .weyl import are_weyl_conjugate, root_subset, weyl_orbit
 
 EX_OK, EX_NEGATIVE, EX_INCONCLUSIVE, EX_USAGE = 0, 1, 2, 64
@@ -43,13 +43,8 @@ _VERDICT_EXIT = {FORM_EXISTS: EX_OK, EXISTS_IFF: EX_OK,
                  NO_FORM: EX_NEGATIVE, INCONCLUSIVE: EX_INCONCLUSIVE}
 
 
-def _fmt(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _fmt_vec(v) -> str:
-    return ",".join(_fmt(x) for x in v)
+    return ",".join(str(_num_out(x)) for x in v)
 
 
 def _parse_vector(text: str):
@@ -104,15 +99,6 @@ def _resolve_paths(args) -> list:
     return [args.file]
 
 
-def _load(path, cap):
-    if hasattr(path, "read_text"):  # packaged corpus entry
-        try:
-            return parse_text(path.read_text(encoding="utf-8"), cap=cap)
-        except (ProblemError, CapExceeded, ClosureCapExceeded) as e:
-            raise type(e)(f"{path.name}: {e}") from None
-    return parse_file(path, cap=cap)
-
-
 def _label(path) -> str:
     return path.name if hasattr(path, "name") and not isinstance(path, str) \
         else os.path.basename(str(path))
@@ -145,7 +131,7 @@ def _run_batch(args) -> int:
     worst = EX_OK
     docs = []
     for path in _resolve_paths(args):
-        code, doc, lines = args.report(_label(path), _load(path, cap))
+        code, doc, lines = args.report(_label(path), parse_file(path, cap=cap))
         docs.append(doc)
         worst = max(worst, code)
         if not args.json:
@@ -298,7 +284,7 @@ def cmd_weyl_orbit(args) -> int:
     orbit = sorted(weyl_orbit(brd, v, **kwargs))
     if args.json:
         print(json.dumps({"orbit_size": len(orbit),
-                          "orbit": [[_fmt(x) for x in u] for u in orbit]},
+                          "orbit": [[str(_num_out(x)) for x in u] for u in orbit]},
                          indent=2))
     else:
         print(f"orbit size: {len(orbit)}")
@@ -353,8 +339,16 @@ def _add_query_command(sub, name, func, help_text):
     return p
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 64; exit 2 means inconclusive."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sphdescent",
         description="Decide existence of equivariant forms of spherical "
                     "homogeneous spaces from exact combinatorial data.")
@@ -383,7 +377,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CapExceeded, ClosureCapExceeded) as e:
+    except (ValueError, CapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EX_USAGE
 

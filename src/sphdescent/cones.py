@@ -23,6 +23,7 @@ from .intlinalg import (
     IntMatrix,
     Lattice,
     kernel_lattice,
+    solve_fraction_free,
     vec_dot,
     vec_is_zero,
     vec_neg,
@@ -67,12 +68,10 @@ def _project_off(vectors, basis) -> list:
     off the span of independent integer rows (None for a vector in the span).
 
     With B the rows and G = B B^T, det(G) v - B^T adj(G) B v is det(G) > 0
-    times the projection.  adj(G) comes from one fraction-free Gauss-Jordan
-    elimination of [G | I], and only when some vector is not already
-    orthogonal to the rows; G is positive definite, so its leading minors,
-    which are the pivots, never vanish and no row swaps are needed.
+    times the projection.  adj(G) is solve_fraction_free(G, I), computed only
+    when some vector is not already orthogonal to the rows; G is positive
+    definite, so its pivots are its leading minors and the last is det(G).
     """
-    k = len(basis)
     out = []
     adj = None
     for v in vectors:
@@ -81,18 +80,9 @@ def _project_off(vectors, basis) -> list:
             out.append(_primitive(v))
             continue
         if adj is None:
-            aug = [[vec_dot(a, b) for b in basis] + [int(i == j) for j in range(k)]
-                   for i, a in enumerate(basis)]
-            det = 1
-            for p in range(k):
-                piv, prow = aug[p][p], aug[p]
-                for i in range(k):
-                    if i != p:
-                        f = aug[i][p]
-                        aug[i] = [(piv * x - f * y) // det
-                                  for x, y in zip(aug[i], prow)]
-                det = piv
-            adj = [row[k:] for row in aug]
+            det, adj = solve_fraction_free(
+                [[vec_dot(a, b) for b in basis] for a in basis],
+                IntMatrix.identity(len(basis)).entries)
         w = [vec_dot(row, bv) for row in adj]
         out.append(_primitive(tuple(
             det * x - sum(wi * b[j] for wi, b in zip(w, basis))

@@ -1,10 +1,16 @@
 """Exact integer linear algebra: matrices, normal forms, lattices, abelian groups.
 
 Everything here is arbitrary-precision integer or rational arithmetic; no
-floating point is used anywhere.  Lattices are subgroups of Z^n stored by a
-canonical row Hermite basis, so syntactic equality of the stored form decides
-mathematical equality.  Finitely generated abelian groups are cokernel
-presentations with Smith normal form data attached.
+floating point is used anywhere.  Two eliminations do the linear algebra.
+`hnf` is the row Hermite normal form, with no transform.  It gives lattice
+bases, and kernels: the rows of HNF([M^T | I]) with zero left block are
+(0, u) for u in a Hermite basis of the kernel of M (Cohen, A Course in
+Computational Algebraic Number Theory, 2.4).  `solve_fraction_free` solves
+a square system as an integer numerator over a determinant; it gives
+inverses, adjugates and rational solutions.  Lattices are subgroups of Z^n
+stored by a canonical row Hermite basis, so syntactic equality of the
+stored form decides mathematical equality.  Finitely generated abelian
+groups are cokernel presentations with Smith normal form data attached.
 """
 from __future__ import annotations
 
@@ -12,24 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd
 
 
 Vec = tuple[int, ...]
-QVec = tuple[Fraction, ...]
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b == g."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 def vec_neg(a):
@@ -42,43 +33,6 @@ def vec_dot(a, b):
 
 def vec_is_zero(a) -> bool:
     return all(x == 0 for x in a)
-
-
-def solve_exact(rows, rhs):
-    """Solve (rows) @ x == rhs exactly over Q; unique solution or None.
-
-    The coefficient matrix must have full column rank; extra equations are
-    checked for consistency.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if len(pivots) < n:
-        raise ValueError("coefficient matrix does not have full column rank")
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return tuple(x)
 
 
 def solve_fraction_free(a, r) -> tuple[int, list[list[int]]]:
@@ -232,21 +186,11 @@ def vstack(mats: list[IntMatrix]) -> IntMatrix:
     return IntMatrix(len(rows), cols, tuple(rows))
 
 
-def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite normal form.
-
-    Returns (h, u) with u unimodular, u @ m == h, pivots positive, entries
-    above each pivot reduced into [0, pivot), zero rows last.
-    """
+def hnf(m: IntMatrix) -> IntMatrix:
+    """Row Hermite normal form: pivots positive, entries above each pivot
+    reduced into [0, pivot), zero rows last."""
     nr, nc = m.rows, m.cols
     rows = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-
-    def row_op(i: int, j: int, q: int):
-        # row_i -= q * row_j
-        rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-
     r = 0
     for c in range(nc):
         while True:
@@ -254,14 +198,13 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             if not nz:
                 break
             i0 = min(nz, key=lambda i: (abs(rows[i][c]), i))
-            if i0 != r:
-                rows[r], rows[i0] = rows[i0], rows[r]
-                u[r], u[i0] = u[i0], u[r]
+            rows[r], rows[i0] = rows[i0], rows[r]
+            prow, p = rows[r], rows[r][c]
             done = True
             for i in range(r + 1, nr):
                 if rows[i][c] != 0:
-                    q = rows[i][c] // rows[r][c]
-                    row_op(i, r, q)
+                    q = rows[i][c] // p
+                    rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
                     if rows[i][c] != 0:
                         done = False
             if done:
@@ -269,17 +212,15 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if r < nr and rows[r][c] != 0:
             if rows[r][c] < 0:
                 rows[r] = [-x for x in rows[r]]
-                u[r] = [-x for x in u[r]]
-            p = rows[r][c]
+            prow, p = rows[r], rows[r][c]
             for i in range(r):
                 q = rows[i][c] // p
                 if q:
-                    row_op(i, r, q)
+                    rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
             r += 1
             if r == nr:
                 break
-    h = IntMatrix(nr, nc, tuple(tuple(x) for x in rows))
-    return h, IntMatrix(nr, nr, tuple(tuple(x) for x in u))
+    return IntMatrix(nr, nc, tuple(tuple(x) for x in rows))
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -377,7 +318,7 @@ class Lattice:
                 raise ValueError("generator length does not match ambient rank")
         if not rows:
             return cls(ambient_rank, _empty_like(ambient_rank))
-        h, _ = hnf(IntMatrix.from_rows(rows, ambient_rank))
+        h = hnf(IntMatrix.from_rows(rows, ambient_rank))
         kept = tuple(r for r in h.entries if not vec_is_zero(r))
         return cls(ambient_rank, IntMatrix(len(kept), ambient_rank, kept))
 
@@ -431,12 +372,11 @@ class Lattice:
 
 
 def kernel_lattice(m: IntMatrix) -> Lattice:
-    """Saturated lattice {x in Z^cols : m @ x == 0}."""
-    if m.rows == 0:
-        return Lattice.full(m.cols)
-    h, u = hnf(m.transpose())
-    rows = [u.entries[i] for i in range(h.rows) if vec_is_zero(h.entries[i])]
-    return Lattice.from_rows(m.cols, rows)
+    """Saturated lattice {x in Z^cols : m @ x == 0}, from one HNF of [m^T | I]."""
+    k = m.rows
+    h = hnf(vstack([m, IntMatrix.identity(m.cols)]).transpose())
+    rows = tuple(r[k:] for r in h.entries if vec_is_zero(r[:k]))
+    return Lattice(m.cols, IntMatrix(len(rows), m.cols, rows))
 
 
 def fixed_sublattice(ambient_rank: int, generators: list[IntMatrix]) -> Lattice:

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import jsonschema
 
@@ -38,7 +39,7 @@ from .cones import (
 from .intlinalg import FgAbelianGroup, IntMatrix, Lattice
 from .invariants import HorosphericalDatum, RationalLattice, SphericalInvariants
 from .rootdata import BasedRootDatum, CapExceeded, build_root_datum
-from .staraction import ClosureCapExceeded, GaloisAction, build_action
+from .staraction import GaloisAction, build_action
 
 
 class ProblemError(ValueError):
@@ -493,15 +494,18 @@ def parse_text(text: str, cap=None) -> Problem:
 
 
 def parse_file(path, cap=None) -> Problem:
+    """Parse a file given by a path or by an object with read_text, such as
+    a packaged corpus entry; errors name the path, or the object's name."""
+    resource = hasattr(path, "read_text")
+    label = path.name if resource else path
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = (path if resource else Path(path)).read_text(encoding="utf-8")
     except OSError as e:
-        raise ProblemError(f"cannot read {path}: {e.strerror}") from None
+        raise ProblemError(f"cannot read {label}: {e.strerror}") from None
     try:
         return parse_text(text, cap=cap)
-    except (ProblemError, CapExceeded, ClosureCapExceeded) as e:
-        raise type(e)(f"{path}: {e}") from None
+    except (ProblemError, CapExceeded) as e:
+        raise type(e)(f"{label}: {e}") from None
 
 
 def _module_out(m: MultiplicativeTypeModule) -> dict:

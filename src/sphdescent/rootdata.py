@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple
 
-from .intlinalg import IntMatrix, Vec, solve_exact, solve_fraction_free, vec_dot, vec_neg
+from .intlinalg import IntMatrix, Vec, solve_fraction_free, vec_dot, vec_neg
 
 
 class CapExceeded(RuntimeError):
@@ -230,12 +231,26 @@ class BasedRootDatum:
                      for row in self.realization)
 
     def from_epsilon(self, vec) -> Vec:
-        sol = solve_exact(self.realization, tuple(Fraction(x) for x in vec))
-        if sol is None:
+        """X-coordinates of a vector in epsilon coordinates: R has full column
+        rank, so R x = v has at most the solution of (R^T R) x = R^T v.  With
+        R and v scaled to integers by a and b, solve_fraction_free gives
+        z = d (b / a) x, so R x = v reads R z = d v, and x = a z / (d b)."""
+        if len(vec) != len(self.realization):
+            raise ValueError("vector length mismatch")
+        v = tuple(Fraction(x) for x in vec)
+        a = lcm(*(x.denominator for row in self.realization for x in row))
+        b = lcm(*(x.denominator for x in v))
+        r = [[int(x * a) for x in row] for row in self.realization]
+        v = [int(x * b) for x in v]
+        cols = list(zip(*r))
+        d, z = solve_fraction_free([[vec_dot(c, e) for e in cols] for c in cols],
+                                   [[vec_dot(c, v)] for c in cols])
+        z = [row[0] for row in z]
+        if any(vec_dot(row, z) != d * x for row, x in zip(r, v)):
             raise ValueError("vector is not in the span of the character lattice")
-        if any(x.denominator != 1 for x in sol):
+        if any(a * x % (d * b) for x in z):
             raise ValueError("vector is not in the character lattice")
-        return tuple(int(x) for x in sol)
+        return tuple(a * x // (d * b) for x in z)
 
     def invariant_form(self, v, w):
         """Weyl-invariant inner product, computed in the epsilon coordinates."""

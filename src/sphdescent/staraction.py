@@ -18,6 +18,7 @@ from .intlinalg import IntMatrix, Lattice, fixed_sublattice
 from .rootdata import (
     BasedRootDatum,
     BRDAutomorphism,
+    CapExceeded,
     as_brd_automorphism,
     identity_automorphism,
     lift_s_permutation,
@@ -26,7 +27,7 @@ from .rootdata import (
 CLOSURE_CAP = 10 ** 4
 
 
-class ClosureCapExceeded(RuntimeError):
+class ClosureCapExceeded(CapExceeded):
     """The generated automorphism group grew past the closure cap."""
 
 

@@ -45,7 +45,14 @@ class RootSubset:
 
 
 def root_subset(brd: BasedRootDatum, vectors) -> RootSubset:
-    return RootSubset(brd, frozenset(tuple(int(x) for x in v) for v in vectors))
+    """The roots given by integral vectors; a non-integral one is refused."""
+    roots = []
+    for v in vectors:
+        v = tuple(Fraction(x) for x in v)
+        if any(x.denominator != 1 for x in v):
+            raise ValueError(f"not an integral vector: ({', '.join(map(str, v))})")
+        roots.append(tuple(int(x) for x in v))
+    return RootSubset(brd, frozenset(roots))
 
 
 def weyl_orbit(brd: BasedRootDatum, v, cap: int = ORBIT_CAP) -> frozenset:

@@ -11,6 +11,7 @@ from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 
+from elimination_oracle import solve_exact
 from sphdescent.cones import (
     ColoredCone,
     FanVerdict,
@@ -21,7 +22,6 @@ from sphdescent.intlinalg import (
     IntMatrix,
     Lattice,
     kernel_lattice,
-    solve_exact,
     vec_dot,
     vec_is_zero,
     vec_neg,

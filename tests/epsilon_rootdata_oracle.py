@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from sphdescent.intlinalg import IntMatrix, solve_exact
+from elimination_oracle import solve_exact
+from sphdescent.intlinalg import IntMatrix
 
 
 def _dot(a, b):

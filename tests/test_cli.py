@@ -120,6 +120,32 @@ def test_file_argument_required_without_corpus(capsys):
     assert code == 64 and "give a problem file" in err
 
 
+# exit 2 means inconclusive, so a command line argparse rejects exits 64 too,
+# with argparse's own usage text
+@pytest.mark.parametrize("argv,message", [
+    (["verdict", "--no-such-flag"],
+     "sphdescent: error: unrecognized arguments: --no-such-flag"),
+    (["conjugate", "A", "2", "2,-1"],
+     "sphdescent conjugate: error: the following arguments are required: set_b"),
+    (["weyl-orbit", "A", "two", "1"],
+     "sphdescent weyl-orbit: error: argument rank: invalid int value: 'two'"),
+    ([], "sphdescent: error: the following arguments are required: command"),
+], ids=["unknown flag", "missing positional", "bad int", "no subcommand"])
+def test_argparse_usage_errors_exit_64(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 64 and out == ""
+    assert err.startswith("usage: sphdescent") and err.endswith(message + "\n")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verdict", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sphdescent verdict")
+
+
 # -- check-invariants --------------------------------------------------------------
 
 def test_check_invariants_outcomes(capsys):
@@ -328,6 +354,14 @@ def test_conjugate_identity_and_failure(capsys):
 def test_conjugate_rejects_non_roots(capsys):
     code, _, err = run(capsys, "conjugate", "D", "4", "1,1,1,1", "2,-1,0,0")
     assert code == 64 and "error:" in err
+
+
+def test_conjugate_rejects_non_integral_vectors(capsys):
+    # once read as (2, -1) by truncation, and so "conjugate via: identity"
+    code, out, err = run(capsys, "conjugate", "A", "2", "2,-1", "5/2,-1")
+    assert (code, out, err) == (64, "", "error: not an integral vector: (5/2, -1)\n")
+    code, _, err = run(capsys, "conjugate", "A", "2", "2,-1", "1/2,0")
+    assert code == 64 and err == "error: not an integral vector: (1/2, 0)\n"
 
 
 # -- caps ------------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elimination_oracle as oracle
 from sphdescent.intlinalg import (
     FgAbelianGroup,
     IntMatrix,
@@ -18,7 +19,6 @@ from sphdescent.intlinalg import (
     snf,
     vec_is_zero,
     vstack,
-    xgcd,
 )
 
 small_entries = st.integers(min_value=-9, max_value=9)
@@ -58,36 +58,42 @@ def is_row_hnf(h: IntMatrix) -> bool:
     return True
 
 
-def test_xgcd_bezout():
-    for a in range(-12, 13):
-        for b in range(-12, 13):
-            g, x, y = xgcd(a, b)
-            assert g >= 0
-            assert x * a + y * b == g
+def assert_same_row_span(m: IntMatrix, h: IntMatrix):
+    """h spans the rows of m: each lies in the other's span, read off by
+    Lattice.coordinates on an echelon basis.  The span of m is that of the
+    transform oracle's h0, certified by u @ m == h0 with u unimodular."""
+    h0, u = oracle.hnf_with_transform(m)
+    assert u @ m == h0 and u.det() in (1, -1)
+
+    def echelon(mat):
+        rows = tuple(r for r in mat.entries if not vec_is_zero(r))
+        return Lattice(mat.cols, IntMatrix(len(rows), mat.cols, rows))
+
+    assert all(echelon(h).coordinates(r) is not None for r in h0.entries)
+    assert all(echelon(h0).coordinates(r) is not None for r in h.entries)
 
 
 def test_hnf_worked_example():
     m = IntMatrix.from_rows([[2, 4], [1, 1]])
-    h, u = hnf(m)
+    h = hnf(m)
     assert h.entries == ((1, 1), (0, 2))
-    assert u @ m == h
-    assert u.det() in (1, -1)
+    assert_same_row_span(m, h)
 
 
 @given(small_matrix())
 @settings(max_examples=150, deadline=None)
 def test_hnf_properties(m):
-    h, u = hnf(m)
-    assert u @ m == h
-    assert u.det() in (1, -1)
+    h = hnf(m)
+    assert (h.rows, h.cols) == (m.rows, m.cols)
     assert is_row_hnf(h)
+    assert_same_row_span(m, h)
 
 
 @given(small_matrix())
 @settings(max_examples=100, deadline=None)
 def test_hnf_row_span_preserved(m):
-    # u is invertible over Z, so row spans coincide; check via mutual reduction
-    h, _ = hnf(m)
+    # h spans the rows of m, so both give the same canonical lattice
+    h = hnf(m)
     la = Lattice.from_rows(m.cols, m.entries)
     lb = Lattice.from_rows(m.cols, h.entries)
     assert la == lb

@@ -10,7 +10,7 @@ from sphdescent.cones import ColorRecord, cone_from_inequalities, cones_equal
 from sphdescent.intlinalg import Lattice, vec_dot, vec_neg
 from sphdescent.invariants import RationalLattice, SphericalInvariants, invariants_equal
 from sphdescent.problem import ProblemError, parse_dict, parse_file, parse_text, to_json
-from sphdescent.rootdata import build_root_datum
+from sphdescent.rootdata import CapExceeded, build_root_datum
 from sphdescent.staraction import ClosureCapExceeded
 
 D4 = {"type": "D", "rank": 4, "isogeny": "simply_connected"}
@@ -233,6 +233,17 @@ def test_top_level_must_be_an_object():
 def test_missing_file_reported(tmp_path):
     with pytest.raises(ProblemError, match="cannot read"):
         parse_file(tmp_path / "absent.json")
+    with pytest.raises(ProblemError, match=f"cannot read {tmp_path}"):
+        parse_file(str(tmp_path / "absent.json"))
+
+
+def test_parse_file_reads_a_corpus_entry_and_names_it_in_errors():
+    entry = corpus_root() / "spin8_trialitary.json"
+    assert parse_file(entry) == parse_text(entry.read_text("utf-8"))
+    # the closure cap is one of the cap errors, caught as one class
+    assert issubclass(ClosureCapExceeded, CapExceeded)
+    with pytest.raises(ClosureCapExceeded, match="^spin8_trialitary.json: "):
+        parse_file(entry, cap=2)
 
 
 # -- normal form ----------------------------------------------------------------------

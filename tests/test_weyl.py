@@ -55,6 +55,13 @@ def test_root_subset_validation(d4):
     assert not s.is_negation_closed()
 
 
+def test_root_subset_rejects_non_integral_vectors(d4):
+    # int() would truncate (5/2, -1, 0, 0) to the simple root (2, -1, 0, 0)
+    with pytest.raises(ValueError, match=r"not an integral vector: \(5/2, -1, 0, 0\)"):
+        root_subset(d4, [d4.simple_roots[0], (Fraction(5, 2), -1, 0, 0)])
+    assert root_subset(d4, [(Fraction(2), -1, 0, 0)]).roots == {(2, -1, 0, 0)}
+
+
 def test_quadruples_match_brute_force(d4):
     quads = orthogonal_quadruples(d4)
     assert len(quads) == 3
