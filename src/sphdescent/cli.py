@@ -10,6 +10,7 @@ never changes a verdict, only whether big searches are attempted.
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -340,7 +341,15 @@ def _add_query_command(sub, name, func, help_text):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on exit 64; exit 2 means inconclusive."""
+    """argparse with usage errors on exit 64; exit 2 means inconclusive.
+
+    A token that starts with "-" and a digit, such as the vector "-1,2,-1",
+    stays positional: no option of this CLI looks like that.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

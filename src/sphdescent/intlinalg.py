@@ -1,23 +1,26 @@
 """Exact integer linear algebra: matrices, normal forms, lattices, abelian groups.
 
 Everything here is arbitrary-precision integer or rational arithmetic; no
-floating point is used anywhere.  Two eliminations do the linear algebra.
-`hnf` is the row Hermite normal form, with no transform.  It gives lattice
-bases, and kernels: the rows of HNF([M^T | I]) with zero left block are
-(0, u) for u in a Hermite basis of the kernel of M (Cohen, A Course in
-Computational Algebraic Number Theory, 2.4).  `solve_fraction_free` solves
-a square system as an integer numerator over a determinant; it gives
-inverses, adjugates and rational solutions.  Lattices are subgroups of Z^n
-stored by a canonical row Hermite basis, so syntactic equality of the
-stored form decides mathematical equality.  Finitely generated abelian
-groups are cokernel presentations with Smith normal form data attached.
+floating point is used anywhere.  Two eliminations do all of the linear
+algebra.  `hnf` is the row Hermite normal form, with no transform.  It gives
+lattice bases; unimodularity (the HNF is the identity); kernels, as the
+rows of HNF([M^T | I]) with zero left block are (0, u) for u in a Hermite
+basis of the kernel of M (Cohen, A Course in Computational Algebraic Number
+Theory, 2.4); and invariant factors, as `snf` alternates row and column
+HNFs.  `solve_fraction_free` solves a square system as an integer numerator
+over a determinant; it gives inverses, adjugates, rational solutions and
+singularity.  Lattices are subgroups of Z^n stored by a canonical row
+Hermite basis, so syntactic equality of the stored form decides
+mathematical equality.  Finitely generated abelian groups are cokernel
+presentations read through their invariant factors; no Smith coordinates
+or transforms are kept.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from math import gcd
 
 
 Vec = tuple[int, ...]
@@ -95,9 +98,6 @@ class IntMatrix:
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
     def column(self, j: int) -> Vec:
         return tuple(r[j] for r in self.entries)
 
@@ -132,34 +132,8 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.entries))
 
-    def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def is_unimodular(self) -> bool:
-        return self.rows == self.cols and self.det() in (1, -1)
+        return self.rows == self.cols and hnf(self) == IntMatrix.identity(self.rows)
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse of a unimodular matrix (stays integral): the
@@ -170,10 +144,6 @@ class IntMatrix:
         if det not in (1, -1):
             raise ValueError("matrix is not unimodular")
         return IntMatrix(n, n, tuple(tuple(det * x for x in row) for row in inv))
-
-
-def _empty_like(cols: int) -> IntMatrix:
-    return IntMatrix(0, cols, ())
 
 
 def vstack(mats: list[IntMatrix]) -> IntMatrix:
@@ -223,81 +193,24 @@ def hnf(m: IntMatrix) -> IntMatrix:
     return IntMatrix(nr, nc, tuple(tuple(x) for x in rows))
 
 
-def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: (s, u, v) with u @ m @ v == s, s diagonal with
-    nonnegative entries in a divisibility chain, u and v unimodular."""
-    nr, nc = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+def snf(m: IntMatrix) -> Vec:
+    """Invariant factors of m: the min(rows, cols) diagonal entries of its
+    Smith normal form, a divisibility chain with zeros last.
 
-    def row_op(i, j, q):
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):
-        # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(nr, nc):
-        # locate a smallest-magnitude nonzero entry in the trailing block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[t + best[0]][t + best[1]])):
-                    best = (i - t, j - t)
-        if best is None:
-            break
-        swap_rows(t, t + best[0])
-        swap_cols(t, t + best[1])
-        while True:
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    row_op(i, t, a[i][t] // a[t][t])
-            if any(a[i][t] != 0 for i in range(t + 1, nr)):
-                # remainder became the smaller pivot; bring it up and repeat
-                i = next(i for i in range(t + 1, nr) if a[i][t] != 0)
-                swap_rows(t, i)
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    col_op(j, t, a[t][j] // a[t][t])
-            if any(a[t][j] != 0 for j in range(t + 1, nc)):
-                j = next(j for j in range(t + 1, nc) if a[t][j] != 0)
-                swap_cols(t, j)
-                continue
-            # pivot must divide the rest of the block
-            bad = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_op(t, bad, -1)  # add offending row, restart clearing
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    s = IntMatrix(nr, nc, tuple(tuple(x) for x in a))
-    return s, IntMatrix(nr, nr, tuple(tuple(x) for x in u)), IntMatrix(nc, nc, tuple(tuple(x) for x in v))
+    Row HNFs of m and of its transpose, taken in turn, end with at most one
+    nonzero entry in each row and column (Kannan and Bachem, SIAM J. Comput.
+    8 (1979)); diag(a, b) ~ diag(gcd(a, b), lcm(a, b)) sorts those pivots
+    into the chain.
+    """
+    h = hnf(m)
+    while any(sum(1 for x in r if x) > 1 for r in h.entries):
+        h = hnf(h.transpose())
+    d = [x for r in h.entries for x in r if x]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d + [0] * (min(m.rows, m.cols) - len(d)))
 
 
 @dataclass(frozen=True)
@@ -317,7 +230,7 @@ class Lattice:
             if len(r) != ambient_rank:
                 raise ValueError("generator length does not match ambient rank")
         if not rows:
-            return cls(ambient_rank, _empty_like(ambient_rank))
+            return cls(ambient_rank, IntMatrix(0, ambient_rank, ()))
         h = hnf(IntMatrix.from_rows(rows, ambient_rank))
         kept = tuple(r for r in h.entries if not vec_is_zero(r))
         return cls(ambient_rank, IntMatrix(len(kept), ambient_rank, kept))
@@ -325,10 +238,6 @@ class Lattice:
     @classmethod
     def full(cls, ambient_rank: int) -> "Lattice":
         return cls(ambient_rank, IntMatrix.identity(ambient_rank))
-
-    @classmethod
-    def zero(cls, ambient_rank: int) -> "Lattice":
-        return cls(ambient_rank, _empty_like(ambient_rank))
 
     @property
     def rank(self) -> int:
@@ -365,11 +274,6 @@ class Lattice:
         """Image lattice under the column action v -> m @ v."""
         return Lattice.from_rows(self.ambient_rank, [m.apply(b) for b in self.basis.entries])
 
-    def __add__(self, other: "Lattice") -> "Lattice":
-        if self.ambient_rank != other.ambient_rank:
-            raise ValueError("ambient rank mismatch")
-        return Lattice.from_rows(self.ambient_rank, self.basis.entries + other.basis.entries)
-
 
 def kernel_lattice(m: IntMatrix) -> Lattice:
     """Saturated lattice {x in Z^cols : m @ x == 0}, from one HNF of [m^T | I]."""
@@ -379,23 +283,7 @@ def kernel_lattice(m: IntMatrix) -> Lattice:
     return Lattice(m.cols, IntMatrix(len(rows), m.cols, rows))
 
 
-def fixed_sublattice(ambient_rank: int, generators: list[IntMatrix]) -> Lattice:
-    """Common fixed lattice {x : g @ x == x for all g} of unimodular generators."""
-    blocks = []
-    for g in generators:
-        if g.rows != ambient_rank or g.cols != ambient_rank:
-            raise ValueError("generator has wrong shape")
-        if not g.is_unimodular():
-            raise ValueError("generator is not unimodular")
-        blocks.append(g - IntMatrix.identity(ambient_rank))
-    if not blocks:
-        return Lattice.full(ambient_rank)
-    return kernel_lattice(vstack(blocks))
-
-
 # -- finitely generated abelian groups ---------------------------------------
-
-ENUMERATION_CAP = 10 ** 6  # default guardrail for element enumeration
 
 
 @dataclass(frozen=True)
@@ -403,9 +291,8 @@ class FgAbelianGroup:
     """Cokernel presentation Z^cols / (row span of presentation).
 
     Generators are the columns, relations the rows.  Elements are integer
-    coefficient vectors; Smith normal form of the relations provides canonical
-    coordinates in which coordinate i is taken modulo the i-th invariant
-    factor (0 meaning a free coordinate).
+    coefficient vectors.  The group is Z/d_1 + ... + Z/d_n for its invariant
+    factors d_i, a d_i of 0 meaning a free summand.
     """
 
     presentation: IntMatrix
@@ -419,17 +306,9 @@ class FgAbelianGroup:
         return Lattice.from_rows(self.ngens, self.presentation.entries)
 
     @cached_property
-    def _smith(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-        # Smith data of the transposed presentation: u @ P^T @ v == s, so the
-        # coordinate change y = u @ x diagonalizes the relation subgroup.
-        return snf(self.presentation.transpose())
-
-    @cached_property
     def invariant_factors(self) -> Vec:
-        s, _, _ = self._smith
-        n = self.ngens
-        diag = [s.entries[i][i] for i in range(min(s.rows, s.cols))]
-        return tuple(diag + [0] * (n - len(diag)))
+        diag = snf(self.presentation)
+        return diag + (0,) * (self.ngens - len(diag))
 
     @property
     def free_rank(self) -> int:
@@ -448,29 +327,6 @@ class FgAbelianGroup:
         for d in self.invariant_factors:
             out *= d
         return out
-
-    def smith_coords(self, x) -> Vec:
-        """Canonical coordinates of the element with coefficient vector x."""
-        _, u, _ = self._smith
-        y = u.apply(tuple(int(c) for c in x))
-        return tuple(c % d if d > 0 else c for c, d in zip(y, self.invariant_factors))
-
-    def from_smith(self, y) -> Vec:
-        _, u, _ = self._smith
-        return u.inverse_unimodular().apply(tuple(int(c) for c in y))
-
-    def elements_eq(self, x, y) -> bool:
-        return self.smith_coords(x) == self.smith_coords(y)
-
-    def elements(self, cap: int = ENUMERATION_CAP):
-        """All elements in Smith coordinates; only for finite groups under cap."""
-        if not self.is_finite():
-            raise ValueError("cannot enumerate an infinite group")
-        n = self.order()
-        assert n is not None
-        if n > cap:
-            raise ValueError(f"group order {n} exceeds enumeration cap {cap}")
-        return list(product(*(range(d) for d in self.invariant_factors)))
 
     def endomorphism_descends(self, m: IntMatrix) -> bool:
         if m.rows != self.ngens or m.cols != self.ngens:
@@ -524,17 +380,3 @@ def fixed_points_fg(group: FgAbelianGroup, autos: list[IntMatrix]) -> FgAbelianG
         assert c is not None  # relations are always fixed-lattice members
         new_rel.append(c)
     return FgAbelianGroup(IntMatrix.from_rows(new_rel, len(gens)))
-
-
-def fixed_elements_enumerated(group: FgAbelianGroup, autos: list[IntMatrix],
-                              cap: int = ENUMERATION_CAP) -> list[Vec]:
-    """Brute-force fixed elements of a finite group, in Smith coordinates.
-
-    Independent of fixed_points_fg; used as a cross-check oracle.
-    """
-    out = []
-    for y in group.elements(cap):
-        x = group.from_smith(y)
-        if all(group.smith_coords(a.apply(x)) == y for a in autos):
-            out.append(y)
-    return out

@@ -275,12 +275,13 @@ def _custom_simple_system(lattice_basis, cartan):
     if lattice_basis is None:
         raise ValueError("custom_lattice requires lattice_basis rows")
     b = IntMatrix.from_rows(lattice_basis, rank)
-    if b.rows != rank or b.det() == 0:
-        raise ValueError("lattice_basis must be square and nonsingular")
     # alpha_i has fundamental-weight coordinates A e_i, so coordinates
     # (B^T)^-1 A e_i = d^-1 (d (B^T)^-1 A) e_i; the simple roots generate the
     # root lattice, so the lattice contains it when these are integral
-    d, x = solve_fraction_free(b.transpose().entries, cartan)
+    d, x = (solve_fraction_free(b.transpose().entries, cartan)
+            if b.rows == rank else (0, []))
+    if d == 0:
+        raise ValueError("lattice_basis must be square and nonsingular")
     if any(c % d for row in x for c in row):
         raise ValueError("chosen lattice does not contain the root lattice")
     return ([tuple(row[i] // d for row in x) for i in range(rank)],

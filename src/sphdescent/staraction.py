@@ -12,9 +12,8 @@ simple roots through its simple-root permutation (action_on_simple_subset).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .intlinalg import IntMatrix, Lattice, fixed_sublattice
+from .intlinalg import IntMatrix, Lattice
 from .rootdata import (
     BasedRootDatum,
     BRDAutomorphism,
@@ -55,11 +54,6 @@ class GaloisAction:
 
     def label(self, k: int) -> str:
         return "*".join(self.element_words[k]) or "e"
-
-    @cached_property
-    def fixed_lattice(self) -> Lattice:
-        """Sublattice of the character lattice fixed by every element."""
-        return fixed_sublattice(self.brd.rank, [g.matrix for g in self.generators])
 
 
 def _coerce_generator(brd: BasedRootDatum, gen) -> BRDAutomorphism:

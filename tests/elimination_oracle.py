@@ -8,12 +8,20 @@ library against them, and for the other oracles that solve in `Fraction`:
   unimodular u with u @ m == h;
 * `kernel_lattice_two_hnf`: the kernel as the rows of u whose rows of h are
   zero, re-reduced by a second HNF;
+* `snf_with_transforms`: the Smith normal form by pivot search, tracking
+  unimodular u and v with u @ m @ v == s;
+* `bareiss_det`: the determinant by fraction-free Bareiss elimination;
+* `SmithCoordinates` and `fixed_elements_enumerated`: canonical coordinates
+  of a finitely generated abelian group from its Smith transform, and the
+  brute-force fixed elements of a finite one under automorphisms;
 * `solve_exact`: Gauss-Jordan elimination in `Fraction`;
 * `project_off_inline`: `cones._project_off` with its own copy of the
   fraction-free Gauss-Jordan loop;
 * `from_epsilon_exact`: `BasedRootDatum.from_epsilon` through `solve_exact`.
 """
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from sphdescent.cones import _primitive
 from sphdescent.intlinalg import IntMatrix, Lattice, vec_dot, vec_is_zero
@@ -69,7 +77,7 @@ def lattice_from_rows(ambient_rank: int, rows) -> Lattice:
     """Lattice.from_rows through the transform-tracking HNF."""
     rows = [tuple(r) for r in rows]
     if not rows:
-        return Lattice.zero(ambient_rank)
+        return Lattice(ambient_rank, IntMatrix(0, ambient_rank, ()))
     h, _ = hnf_with_transform(IntMatrix.from_rows(rows, ambient_rank))
     kept = tuple(r for r in h.entries if not vec_is_zero(r))
     return Lattice(ambient_rank, IntMatrix(len(kept), ambient_rank, kept))
@@ -82,6 +90,161 @@ def kernel_lattice_two_hnf(m: IntMatrix) -> Lattice:
     h, u = hnf_with_transform(m.transpose())
     rows = [u.entries[i] for i in range(h.rows) if vec_is_zero(h.entries[i])]
     return lattice_from_rows(m.cols, rows)
+
+
+def snf_with_transforms(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form: (s, u, v) with u @ m @ v == s, s diagonal with
+    nonnegative entries in a divisibility chain, u and v unimodular."""
+    nr, nc = m.rows, m.cols
+    a = [list(r) for r in m.entries]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def row_op(i, j, q):
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):
+        # col_i -= q * col_j
+        for row in a:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(nr, nc):
+        # locate a smallest-magnitude nonzero entry in the trailing block
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[t + best[0]][t + best[1]])):
+                    best = (i - t, j - t)
+        if best is None:
+            break
+        swap_rows(t, t + best[0])
+        swap_cols(t, t + best[1])
+        while True:
+            for i in range(t + 1, nr):
+                if a[i][t] != 0:
+                    row_op(i, t, a[i][t] // a[t][t])
+            if any(a[i][t] != 0 for i in range(t + 1, nr)):
+                # remainder became the smaller pivot; bring it up and repeat
+                i = next(i for i in range(t + 1, nr) if a[i][t] != 0)
+                swap_rows(t, i)
+                continue
+            for j in range(t + 1, nc):
+                if a[t][j] != 0:
+                    col_op(j, t, a[t][j] // a[t][t])
+            if any(a[t][j] != 0 for j in range(t + 1, nc)):
+                j = next(j for j in range(t + 1, nc) if a[t][j] != 0)
+                swap_cols(t, j)
+                continue
+            # pivot must divide the rest of the block
+            bad = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if a[i][j] % a[t][t] != 0:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_op(t, bad, -1)  # add offending row, restart clearing
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    s = IntMatrix(nr, nc, tuple(tuple(x) for x in a))
+    return s, IntMatrix(nr, nr, tuple(tuple(x) for x in u)), IntMatrix(nc, nc, tuple(tuple(x) for x in v))
+
+
+def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
+    s, _, _ = snf_with_transforms(m)
+    return tuple(s.entries[i][i] for i in range(min(s.rows, s.cols)))
+
+
+def bareiss_det(m: IntMatrix) -> int:
+    """Determinant by fraction-free Bareiss elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+ENUMERATION_CAP = 10 ** 6  # guardrail for element enumeration
+
+
+class SmithCoordinates:
+    """Canonical coordinates of the elements of an FgAbelianGroup.
+
+    From the Smith data u @ P^T @ v == s of the transposed presentation P,
+    the change y = u @ x diagonalizes the relation subgroup; coordinate i is
+    then taken modulo the i-th invariant factor (0 meaning a free one).
+    """
+
+    def __init__(self, group):
+        s, u, _ = snf_with_transforms(group.presentation.transpose())
+        diag = [s.entries[i][i] for i in range(min(s.rows, s.cols))]
+        self.factors = tuple(diag + [0] * (group.ngens - len(diag)))
+        self.u, self.u_inv = u, u.inverse_unimodular()
+
+    def of(self, x) -> tuple[int, ...]:
+        """Canonical coordinates of the element with coefficient vector x."""
+        y = self.u.apply(tuple(int(c) for c in x))
+        return tuple(c % d if d > 0 else c for c, d in zip(y, self.factors))
+
+    def element(self, y) -> tuple[int, ...]:
+        """A coefficient vector of the element with coordinates y."""
+        return self.u_inv.apply(tuple(int(c) for c in y))
+
+    def elements(self, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
+        """All elements in canonical coordinates; only for finite groups under cap."""
+        if 0 in self.factors:
+            raise ValueError("cannot enumerate an infinite group")
+        if prod(self.factors) > cap:
+            raise ValueError(f"group order {prod(self.factors)} exceeds enumeration cap {cap}")
+        return list(product(*(range(d) for d in self.factors)))
+
+
+def fixed_elements_enumerated(group, autos: list[IntMatrix],
+                              cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
+    """Brute-force fixed elements of a finite group, in Smith coordinates.
+
+    Independent of fixed_points_fg; used as a cross-check oracle.
+    """
+    sc = SmithCoordinates(group)
+    return [y for y in sc.elements(cap)
+            if all(sc.of(a.apply(sc.element(y))) == y for a in autos)]
 
 
 def solve_exact(rows, rhs):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from elimination_oracle import solve_exact
+from elimination_oracle import bareiss_det, solve_exact
 from sphdescent.intlinalg import IntMatrix
 
 
@@ -137,7 +137,7 @@ def build(letter: str, rank: int, isogeny: str = "simply_connected",
         basis_eps = [[fw_cols[j][d] for j in range(rank)] for d in range(ambient)]
         if isogeny == "custom_lattice":
             b = IntMatrix.from_rows(lattice_basis, rank)
-            if b.rows != rank or b.det() == 0:
+            if b.rows != rank or bareiss_det(b) == 0:
                 raise ValueError("lattice_basis must be square and nonsingular")
             basis_eps = [[sum(Fraction(b.entries[i][k]) * fw_cols[k][d] for k in range(rank))
                           for i in range(rank)] for d in range(ambient)]
@@ -231,7 +231,7 @@ def conjugate_by_full_scan(group, a, b):
 def as_brd_automorphism_on_all_roots(brd, m):
     """(m, s_perm) when the unimodular m maps R onto R, each coroot (through
     m^-T) to the coroot of the image root, and S onto S; otherwise None."""
-    if m.rows != brd.rank or m.cols != brd.rank or not m.is_unimodular():
+    if m.rows != brd.rank or m.cols != brd.rank or bareiss_det(m) not in (1, -1):
         return None
     inv_t = m.inverse_unimodular().transpose()
     index = {r: i for i, r in enumerate(brd.roots)}

@@ -29,6 +29,7 @@ from itertools import combinations
 
 import pytest
 
+from elimination_oracle import fixed_elements_enumerated
 from sphdescent.checker import (
     FORM_EXISTS,
     HOROSPHERICAL_CRITERION,
@@ -59,7 +60,6 @@ from sphdescent.intlinalg import (
     FgAbelianGroup,
     IntMatrix,
     Lattice,
-    fixed_elements_enumerated,
     vec_neg,
 )
 from sphdescent.invariants import (

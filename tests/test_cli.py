@@ -364,6 +364,17 @@ def test_conjugate_rejects_non_integral_vectors(capsys):
     assert code == 64 and err == "error: not an integral vector: (1/2, 0)\n"
 
 
+@pytest.mark.parametrize("argv,out", [
+    (["conjugate", "D", "4", "2,-1,0,0", "-1,2,-1,-1"], "conjugate via: s1 s2"),
+    (["conjugate", "D", "4", "2,-1,0,0", "--", "-1,2,-1,-1"], "conjugate via: s1 s2"),
+    (["conjugate", "A", "2", "-1,2;-2,1", "2,-1;1,1"], "conjugate via: s1"),
+    (["weyl-orbit", "A", "2", "-1,1"], "orbit size: 3\n  -1,1\n  0,-1\n  1,0"),
+])
+def test_vectors_that_start_with_a_minus_are_positional(capsys, argv, out):
+    # argparse's own pattern takes "-1,1" for an option: it allows only "-1"
+    assert run(capsys, *argv)[:2] == (0, out + "\n")
+
+
 # -- caps ------------------------------------------------------------------------------
 
 def test_cap_flag_limits_closure(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from elimination_oracle import fixed_elements_enumerated
 from sphdescent.cohomology import (
     NONVANISHING,
     UNKNOWN,
@@ -14,11 +15,7 @@ from sphdescent.cohomology import (
     h2_local_vanishes,
     obstruction_verdict,
 )
-from sphdescent.intlinalg import (
-    FgAbelianGroup,
-    IntMatrix,
-    fixed_elements_enumerated,
-)
+from sphdescent.intlinalg import FgAbelianGroup, IntMatrix
 
 
 def z_mod(*factors):

@@ -2,10 +2,13 @@
 
 `kernel_lattice` (one HNF of [M^T | I]) and `Lattice.from_rows` (an HNF with
 no transform) are compared with the transform-tracking HNF and its
-two-HNF kernel, `cones._project_off` (adj(G) from `solve_fraction_free`)
-with its old inline elimination, and `BasedRootDatum.from_epsilon` (the
-normal equations, solved fraction-free) with the `Fraction` solve; all
-four oracles are kept in `elimination_oracle`.
+two-HNF kernel, `snf` (alternating row and column HNFs) with the diagonal
+of the transform-tracking Smith form, `IntMatrix.is_unimodular` (the HNF is
+the identity) with the Bareiss determinant, `cones._project_off` (adj(G)
+from `solve_fraction_free`) with its old inline elimination, and
+`BasedRootDatum.from_epsilon` (the normal equations, solved fraction-free)
+with the `Fraction` solve; all of these oracles are kept in
+`elimination_oracle`.
 """
 import random
 from fractions import Fraction
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 import elimination_oracle as oracle
 from sphdescent.cones import _project_off
-from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice
+from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice, snf
 from sphdescent.rootdata import build_root_datum, direct_sum, torus
 
 entries = st.integers(min_value=-5, max_value=5)
@@ -39,11 +42,11 @@ def matrices(draw, max_rows=6, max_cols=7):
     return IntMatrix(len(rows), c, tuple(map(tuple, rows)))
 
 
-def seeded_matrices(count, seed):
+def seeded_matrices(count, seed, max_rows=6, max_cols=7, bound=5):
     rng = random.Random(seed)
     for _ in range(count):
-        r, c = rng.randint(0, 6), rng.randint(1, 7)
-        yield IntMatrix(r, c, tuple(tuple(rng.randint(-5, 5) for _ in range(c))
+        r, c = rng.randint(0, max_rows), rng.randint(1, max_cols)
+        yield IntMatrix(r, c, tuple(tuple(rng.randint(-bound, bound) for _ in range(c))
                                     for _ in range(r)))
 
 
@@ -52,26 +55,63 @@ def assert_same_as_the_oracle(m):
     ker = kernel_lattice(m)
     assert ker == oracle.kernel_lattice_two_hnf(m)
     assert all(not any(m.apply(x)) for x in ker.basis.entries)
+    assert snf(m) == oracle.smith_diagonal(m)
 
 
 @given(matrices())
 @settings(max_examples=300, deadline=None)
-def test_kernel_and_span_match_the_transform_hnf(m):
+def test_kernel_span_and_snf_match_the_transform_oracles(m):
     assert_same_as_the_oracle(m)
 
 
-def test_kernel_and_span_match_the_transform_hnf_on_seeded_matrices():
+def test_kernel_span_and_snf_match_the_transform_oracles_on_seeded_matrices():
     for m in seeded_matrices(600, seed=7):
         assert_same_as_the_oracle(m)
+    for m in seeded_matrices(40, seed=8, max_rows=10, max_cols=10, bound=1000):
+        assert_same_as_the_oracle(m)
 
 
-def test_kernel_edge_cases():
-    for m in (IntMatrix(0, 3, ()), IntMatrix.zero(2, 3), IntMatrix.zero(1, 1),
+def test_kernel_and_snf_edge_cases():
+    for m in (IntMatrix(0, 3, ()), IntMatrix(2, 0, ((), ())), IntMatrix.zero(2, 3),
+              IntMatrix.zero(1, 1), IntMatrix.from_rows([[-4]]),
               IntMatrix.identity(4), IntMatrix.from_rows([[0, 0, 2]])):
         assert_same_as_the_oracle(m)
+    assert snf(IntMatrix(2, 0, ((), ()))) == ()
+    assert snf(IntMatrix.zero(2, 3)) == (0, 0)
+    assert snf(IntMatrix.from_rows([[-4]])) == (4,)
+    assert snf(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])) == (2, 6, 12)
     assert kernel_lattice(IntMatrix(0, 3, ())) == Lattice.full(3)
     assert kernel_lattice(IntMatrix.from_rows([[2, 4, 6]])).basis.entries == (
         (1, 1, -1), (0, 3, -2))
+
+
+def random_square_matrices(count, seed):
+    """Square matrices up to 6 x 6: random ones (mostly nonsingular), ones
+    with a repeated row (singular), and products of elementary matrices
+    (unimodular)."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(0, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if k % 3 == 1 and n > 1:
+            rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+        elif k % 3 == 2:
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(3 * n):
+                i, j = rng.randrange(n), rng.randrange(n)
+                q = -2 if i == j else rng.choice((-2, -1, 1, 2))
+                rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+        yield IntMatrix(n, n, tuple(map(tuple, rows)))
+
+
+def test_is_unimodular_matches_the_bareiss_determinant():
+    seen = set()
+    for m in random_square_matrices(900, seed=3):
+        det = oracle.bareiss_det(m)
+        assert m.is_unimodular() == (det in (1, -1))
+        seen.add(min(abs(det), 2))
+    assert seen == {0, 1, 2}  # singular, unimodular and neither all occur
+    assert not IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]).is_unimodular()
 
 
 def test_project_off_matches_the_inline_elimination():

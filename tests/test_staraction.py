@@ -1,7 +1,7 @@
 """Tests for finite automorphism actions and their induced actions."""
 import pytest
 
-from sphdescent.intlinalg import IntMatrix, Lattice, vec_dot
+from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice, vec_dot, vstack
 from sphdescent.rootdata import build_root_datum, torus
 from sphdescent.staraction import (
     ClosureCapExceeded,
@@ -112,7 +112,9 @@ def test_trivial_action_restricts_to_identity(d4):
 
 
 def test_fixed_lattice_restriction_is_trivial(triality):
-    lat = triality.fixed_lattice
+    # the fixed lattice is the kernel of the stacked g - I over the generators
+    lat = kernel_lattice(vstack([g.matrix - IntMatrix.identity(4)
+                                 for g in triality.generators]))
     assert lat.rank == 2
     mats = on_closure(restrict_to_sublattice, triality, lat)
     assert all(m == IntMatrix.identity(2) for m in mats)
