@@ -106,16 +106,22 @@ def _label(path) -> str:
 
 
 def _cap_from(args) -> int | None:
+    """The cap from --cap, else from SPHDESCENT_CAP, else None; at least 1."""
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get("SPHDESCENT_CAP")
-    if env is not None:
+        cap, source, shown = args.cap, "--cap", args.cap
+    else:
+        env = os.environ.get("SPHDESCENT_CAP")
+        if env is None:
+            return None
+        source, shown = "SPHDESCENT_CAP", repr(env)
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
-            raise ProblemError(f"SPHDESCENT_CAP must be an integer, got {env!r}") \
+            raise ProblemError(f"{source} must be an integer, got {shown}") \
                 from None
-    return None
+    if cap < 1:
+        raise ProblemError(f"{source} must be a positive integer, got {shown}")
+    return cap
 
 
 # -- the file commands -------------------------------------------------------

@@ -6,10 +6,10 @@ facet inequalities (primitive, orthogonal to the equation space), and a
 Hermite basis of the equation lattice.  Structural equality of two cones is
 then the same as equality of the point sets they define.
 
-Conversion between descriptions is the incremental double-description method
-(Motzkin et al. 1953; Fukuda & Prodon 1996) in integer arithmetic.  Faces and
-images under lattice automorphisms are read off the description a cone
-already has, with no further conversion.
+Conversion between descriptions, and the feasibility question of whether
+relative interiors meet, go to the one double-description engine in `ratlp`.
+Faces and images under lattice automorphisms are read off the description a
+cone already has, with no further conversion.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import gcd, lcm
 
 from .intlinalg import (
     IntMatrix,
@@ -25,42 +24,14 @@ from .intlinalg import (
     kernel_lattice,
     solve_fraction_free,
     vec_dot,
-    vec_is_zero,
     vec_neg,
 )
-from .ratlp import feasible
+from .ratlp import _hcone_extreme_rays, _integral, _primitive, feasible
 from .staraction import LatticeMoved, dual_matrix_on_V
 
 
 class NotStrictlyConvex(ValueError):
     """A construction needed a strictly convex cone but got lineality."""
-
-
-def _qvec(v) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in v)
-
-
-def _integral(v) -> tuple[int, ...]:
-    """A positive integer multiple of a rational vector; itself if integral."""
-    if all(type(x) is int for x in v):
-        return tuple(v)
-    fv = _qvec(v)
-    mult = lcm(*(x.denominator for x in fv))
-    return tuple(int(x * mult) for x in fv)
-
-
-def _primitive(v) -> tuple[int, ...] | None:
-    """Scale a rational vector to a primitive integer vector, same direction."""
-    iv = _integral(v)
-    g = gcd(*iv)
-    if g == 0:
-        return None
-    return iv if g == 1 else tuple(x // g for x in iv)
-
-
-def _combine(p: int, u, q: int, v) -> tuple[int, ...] | None:
-    """Primitive direction of p*u + q*v, or None when that is zero."""
-    return _primitive(tuple(p * x + q * y for x, y in zip(u, v)))
 
 
 def _project_off(vectors, basis) -> list:
@@ -88,83 +59,6 @@ def _project_off(vectors, basis) -> list:
             det * x - sum(wi * b[j] for wi, b in zip(w, basis))
             for j, x in enumerate(v))))
     return out
-
-
-def _adjacent(z: int, masks) -> bool:
-    # combinatorial test: no ray besides the two is tight wherever both are
-    holders = 0
-    for m in masks:
-        if m & z == z:
-            holders += 1
-            if holders > 2:
-                return False
-    return True
-
-
-def _hcone_extreme_rays(constraints, dim: int) -> tuple[tuple, Lattice]:
-    """Extreme rays, modulo lineality, of {x : c.x >= 0 for all c}.
-
-    Returns (rays, lineality): sorted primitive integer ray representatives
-    orthogonal to the lineality space, and the saturated lineality lattice
-    (the kernel of the constraint matrix).
-
-    Incremental double description inside the orthogonal complement of the
-    lineality, which the constraint rows span.  The cone starts as that whole
-    space, held as a spanning set of the lineality it has left.  A constraint
-    that is not zero on that lineality turns one spanning vector into a new
-    ray and moves the other vectors, and the rays, onto its hyperplane.  Any
-    other constraint keeps the rays on its nonnegative side and adds, for
-    each adjacent pair of rays it separates, the positive combination on its
-    hyperplane.  Each ray carries the bit set of the constraints so far that
-    are tight on it, which gives the adjacency test.
-    """
-    rows = [c for c in map(_primitive, constraints) if c is not None]
-    if not rows:
-        return (), Lattice.full(dim)
-    lin = kernel_lattice(IntMatrix.from_rows(rows, cols=dim))
-    span = list(dict.fromkeys(rows))
-    rays, masks = [], []
-    cuts = 0  # dimension of the cone modulo its lineality
-    for k, a in enumerate(rows):
-        bit = 1 << k
-        i = next((i for i, v in enumerate(span) if vec_dot(a, v)), None)
-        if i is not None:
-            piv = span.pop(i)
-            s = vec_dot(a, piv)
-            if s < 0:
-                piv, s = vec_neg(piv), -s
-            span = [w for w in (_combine(s, v, -vec_dot(a, v), piv) for v in span)
-                    if w is not None]
-            rays = [_combine(s, r, -vec_dot(a, r), piv) for r in rays]
-            masks = [m | bit for m in masks]
-            rays.append(piv)
-            masks.append(bit - 1)
-            cuts += 1
-            continue
-        vals = [vec_dot(a, r) for r in rays]
-        if all(t >= 0 for t in vals):
-            masks = [m | bit if t == 0 else m for m, t in zip(masks, vals)]
-            continue
-        # two adjacent rays are tight together on cuts - 2 independent rows
-        need = cuts - 2
-        new_rays, new_masks = [], []
-        for p, tp in enumerate(vals):
-            if tp <= 0:
-                continue
-            for n, tn in enumerate(vals):
-                if tn >= 0:
-                    continue
-                z = masks[p] & masks[n]
-                if z.bit_count() < need or not _adjacent(z, masks):
-                    continue
-                new_rays.append(_combine(tp, rays[n], -tn, rays[p]))
-                new_masks.append(z | bit)
-        for r, m, t in zip(rays, masks, vals):
-            if t >= 0:
-                new_rays.append(r)
-                new_masks.append(m | bit if t == 0 else m)
-        rays, masks = new_rays, new_masks
-    return tuple(sorted(rays)), lin
 
 
 @lru_cache(maxsize=256)
@@ -317,9 +211,8 @@ def meet_relative_interiors(strict, weak=()):
     `weak`, or None.  Exact rational feasibility.
 
     c.x > 0 for facets is homogenized to c.x >= 1: for a homogeneous system
-    a solution can be scaled until every strict value reaches 1.  Equations
-    are eliminated first by restricting to the kernel of their stacked rows,
-    which keeps the linear program at the dimension actually in play.
+    a solution can be scaled until every strict value reaches 1.  Each
+    equation enters as two weak rows, e.x >= 0 and -e.x >= 0.
     """
     cones = list(strict) + list(weak)
     if not cones:
@@ -327,37 +220,20 @@ def meet_relative_interiors(strict, weak=()):
     dim = cones[0].ambient_dim
     if any(c.ambient_dim != dim for c in cones):
         raise ValueError("dimension mismatch")
-    eq_rows = []
+    # row -> right-hand side; equations go first, so that each pair removes
+    # a dimension before the rays it would otherwise cut are formed
     needed = {}
+    for cone in cones:
+        for e in cone.equations:
+            needed[e] = needed[vec_neg(e)] = 0
     for cone in strict:
-        eq_rows += list(cone.equations)
-        for c in cone.inequalities:
-            needed[c] = 1
+        needed.update(dict.fromkeys(cone.inequalities, 1))
     for cone in weak:
-        eq_rows += list(cone.equations)
         for c in cone.inequalities:
             needed.setdefault(c, 0)
-    if not eq_rows:
-        sol = feasible(list(needed), list(needed.values()))
-        return sol if sol is None or needed else (Fraction(0),) * dim
-    basis = kernel_lattice(IntMatrix.from_rows(eq_rows, cols=dim)).basis.entries
-    rows, rhs = [], []
-    for c, r in needed.items():
-        row = tuple(vec_dot(c, b) for b in basis)
-        if vec_is_zero(row):
-            if r > 0:
-                return None
-            continue
-        rows.append(row)
-        rhs.append(r)
-    sol = feasible(rows, rhs)
-    if sol is None:
-        return None
-    out = [Fraction(0)] * dim
-    for y, b in zip(sol, basis):
-        for j, x in enumerate(b):
-            out[j] += y * x
-    return tuple(out)
+    if not needed:
+        return (Fraction(0),) * dim
+    return feasible(list(needed), list(needed.values()))
 
 
 @dataclass(frozen=True)
@@ -368,7 +244,7 @@ class ColorRecord:
     sigma: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", _qvec(self.rho))
+        object.__setattr__(self, "rho", tuple(Fraction(x) for x in self.rho))
         object.__setattr__(self, "sigma", frozenset(int(i) for i in self.sigma))
 
     def key(self):
@@ -497,7 +373,8 @@ def _relint_contains(cone: RationalCone, p) -> bool:
 
 
 def _relint_meets(cone: RationalCone, v_cone: RationalCone) -> bool:
-    # the canonical interior point often certifies cheaply; LP decides else
+    # the canonical interior point often certifies cheaply; feasibility
+    # decides else
     if cone.is_strictly_convex and v_cone.contains(cone.relative_interior_point()):
         return True
     return meet_relative_interiors([cone], [v_cone]) is not None

@@ -94,10 +94,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
     def column(self, j: int) -> Vec:
         return tuple(r[j] for r in self.entries)
 
@@ -119,18 +115,10 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in self.entries)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.entries, other.entries)))
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix(self.rows, self.cols,
                          tuple(tuple(a - b for a, b in zip(ra, rb))
                                for ra, rb in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.entries))
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and hnf(self) == IntMatrix.identity(self.rows)

@@ -1,20 +1,120 @@
-"""Exact rational linear feasibility via phase-one simplex.
+"""Exact rational polyhedra: double-description conversion and feasibility.
 
-Decides whether a system of weak inequalities c . x >= r has a rational
-solution, and returns one when it does.  Strict homogeneous inequalities are
+`_hcone_extreme_rays` is the one polyhedral engine of the package: the
+incremental double-description method (Motzkin et al. 1953; Fukuda & Prodon
+1996) in integer arithmetic, turning {x : c.x >= 0 for all c} into its
+extreme rays and lineality.  `cones` builds canonical cones on it, and
+`feasible` decides a system of weak inequalities c . x >= r with it, by
+homogenizing the system to a cone.  Strict homogeneous inequalities are
 handled by callers through scaling: c . x > 0 is feasible together with a
 homogeneous system iff c . x >= 1 is.
-
-Rows are cleared to integers and the tableau is pivoted fraction-free in the
-style of integer Gaussian elimination: every stored entry is det times the
-true rational entry, where det is the most recent pivot, and the two-term
-update divides exactly by the previous pivot.  Bland's rule guarantees
-termination.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+
+from .intlinalg import IntMatrix, Lattice, kernel_lattice, vec_dot, vec_neg
+
+
+def _integral(v) -> tuple[int, ...]:
+    """A positive integer multiple of a rational vector; itself if integral."""
+    if all(type(x) is int for x in v):
+        return tuple(v)
+    fv = [Fraction(x) for x in v]
+    mult = lcm(*(x.denominator for x in fv))
+    return tuple(int(x * mult) for x in fv)
+
+
+def _primitive(v) -> tuple[int, ...] | None:
+    """Scale a rational vector to a primitive integer vector, same direction."""
+    iv = _integral(v)
+    g = gcd(*iv)
+    if g == 0:
+        return None
+    return iv if g == 1 else tuple(x // g for x in iv)
+
+
+def _combine(p: int, u, q: int, v) -> tuple[int, ...] | None:
+    """Primitive direction of p*u + q*v, or None when that is zero."""
+    return _primitive(tuple(p * x + q * y for x, y in zip(u, v)))
+
+
+def _adjacent(z: int, masks) -> bool:
+    # combinatorial test: no ray besides the two is tight wherever both are
+    holders = 0
+    for m in masks:
+        if m & z == z:
+            holders += 1
+            if holders > 2:
+                return False
+    return True
+
+
+def _hcone_extreme_rays(constraints, dim: int) -> tuple[tuple, Lattice]:
+    """Extreme rays, modulo lineality, of {x : c.x >= 0 for all c}.
+
+    Returns (rays, lineality): sorted primitive integer ray representatives
+    orthogonal to the lineality space, and the saturated lineality lattice
+    (the kernel of the constraint matrix).
+
+    Incremental double description inside the orthogonal complement of the
+    lineality, which the constraint rows span.  The cone starts as that whole
+    space, held as a spanning set of the lineality it has left.  A constraint
+    that is not zero on that lineality turns one spanning vector into a new
+    ray and moves the other vectors, and the rays, onto its hyperplane.  Any
+    other constraint keeps the rays on its nonnegative side and adds, for
+    each adjacent pair of rays it separates, the positive combination on its
+    hyperplane.  Each ray carries the bit set of the constraints so far that
+    are tight on it, which gives the adjacency test.
+    """
+    rows = [c for c in map(_primitive, constraints) if c is not None]
+    if not rows:
+        return (), Lattice.full(dim)
+    lin = kernel_lattice(IntMatrix.from_rows(rows, cols=dim))
+    span = list(dict.fromkeys(rows))
+    rays, masks = [], []
+    cuts = 0  # dimension of the cone modulo its lineality
+    for k, a in enumerate(rows):
+        bit = 1 << k
+        i = next((i for i, v in enumerate(span) if vec_dot(a, v)), None)
+        if i is not None:
+            piv = span.pop(i)
+            s = vec_dot(a, piv)
+            if s < 0:
+                piv, s = vec_neg(piv), -s
+            span = [w for w in (_combine(s, v, -vec_dot(a, v), piv) for v in span)
+                    if w is not None]
+            rays = [_combine(s, r, -vec_dot(a, r), piv) for r in rays]
+            masks = [m | bit for m in masks]
+            rays.append(piv)
+            masks.append(bit - 1)
+            cuts += 1
+            continue
+        vals = [vec_dot(a, r) for r in rays]
+        if all(t >= 0 for t in vals):
+            masks = [m | bit if t == 0 else m for m, t in zip(masks, vals)]
+            continue
+        # two adjacent rays are tight together on cuts - 2 independent rows
+        need = cuts - 2
+        new_rays, new_masks = [], []
+        for p, tp in enumerate(vals):
+            if tp <= 0:
+                continue
+            for n, tn in enumerate(vals):
+                if tn >= 0:
+                    continue
+                z = masks[p] & masks[n]
+                if z.bit_count() < need or not _adjacent(z, masks):
+                    continue
+                new_rays.append(_combine(tp, rays[n], -tn, rays[p]))
+                new_masks.append(z | bit)
+        for r, m, t in zip(rays, masks, vals):
+            if t >= 0:
+                new_rays.append(r)
+                new_masks.append(m | bit if t == 0 else m)
+        rays, masks = new_rays, new_masks
+    return tuple(sorted(rays)), lin
 
 
 def feasible(rows, rhs) -> tuple[Fraction, ...] | None:
@@ -22,82 +122,19 @@ def feasible(rows, rhs) -> tuple[Fraction, ...] | None:
 
     rows: sequence of coefficient vectors, all of one length n (n may be 0).
     rhs: sequence of right-hand sides, one per row.
+
+    The system is feasible exactly when the cone {(x, t) : row . x - r t >= 0,
+    t >= 0} has a point with t > 0.  Its lineality lies in t = 0, so that
+    holds exactly when one of its extreme rays has t > 0, and then x is the
+    ray's first n entries over t.  t >= 0 goes first: it is the first cut.
     """
-    rows = [tuple(Fraction(x) for x in row) for row in rows]
-    rhs = [Fraction(r) for r in rhs]
+    rows, rhs = [tuple(row) for row in rows], list(rhs)
     if len(rows) != len(rhs):
         raise ValueError("one right-hand side per row required")
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if any(len(r) != n for r in rows):
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
         raise ValueError("ragged coefficient rows")
-    if m == 0:
-        return (Fraction(0),) * n
-    if n == 0:
-        return () if all(r <= 0 for r in rhs) else None
-
-    # Standard form: split x = xp - xn, subtract slack, flip rows to b >= 0,
-    # then start from the all-artificial basis.  Columns: xp (n), xn (n),
-    # slack (m), right-hand side (1).  Each row is scaled to integers first;
-    # row scaling changes neither the solution set nor feasibility.
-    ncols = 2 * n + m
-    tab = []
-    for i in range(m):
-        mult = lcm(*(x.denominator for x in rows[i]), rhs[i].denominator)
-        irow = [int(x * mult) for x in rows[i]]
-        row = irow + [-x for x in irow] + [0] * (m + 1)
-        row[2 * n + i] = -1
-        row[ncols] = int(rhs[i] * mult)
-        if row[ncols] < 0:
-            row = [-x for x in row]
-        tab.append(row)
-    basis = [ncols + i for i in range(m)]
-    det = 1
-
-    # Phase one minimizes the sum of the artificial variables.  The reduced
-    # cost of column j is minus the sum of tableau column j over rows whose
-    # basic variable is still artificial (artificials never re-enter, so
-    # their own columns are never scanned), and the objective is the matching
-    # sum of right-hand sides; both are recomputed per pivot.
-    while True:
-        art = [trow for b, trow in zip(basis, tab) if b >= ncols]
-        enter = next((j for j in range(ncols)
-                      if sum(trow[j] for trow in art) > 0), None)
-        if enter is None:
-            if sum(trow[ncols] for trow in art) != 0:
-                return None
-            break
-        pivot_row = None
-        for i in range(m):
-            if tab[i][enter] <= 0:
-                continue
-            # b[i]/a[i] against the incumbent by cross-multiplication; both
-            # stored denominators are positive, so the comparison is exact
-            if pivot_row is not None:
-                diff = (tab[i][ncols] * tab[pivot_row][enter]
-                        - tab[pivot_row][ncols] * tab[i][enter])
-                if diff > 0 or (diff == 0 and basis[i] > basis[pivot_row]):
-                    continue
-            pivot_row = i
-        if pivot_row is None:
-            # phase-one objective is bounded below by 0, so this cannot occur
-            raise AssertionError("unbounded phase-one objective")
-        pv = tab[pivot_row][enter]
-        prow = tab[pivot_row]
-        for i in range(m):
-            if i == pivot_row:
-                continue
-            trow = tab[i]
-            f = trow[enter]
-            if f:
-                tab[i] = [(pv * x - f * y) // det for x, y in zip(trow, prow)]
-            elif pv != det:
-                tab[i] = [pv * x // det for x in trow]
-        basis[pivot_row] = enter
-        det = pv
-
-    x = [Fraction(0)] * (2 * n)
-    for i, j in enumerate(basis):
-        if j < 2 * n:
-            x[j] = Fraction(tab[i][ncols], det)
-    return tuple(p - q for p, q in zip(x[:n], x[n:]))
+    cone = [(0,) * n + (1,)] + [(*row, -r) for row, r in zip(rows, rhs)]
+    rays, _ = _hcone_extreme_rays(cone, n + 1)
+    ray = next((ray for ray in rays if ray[n] > 0), None)
+    return None if ray is None else tuple(Fraction(x, ray[n]) for x in ray[:n])

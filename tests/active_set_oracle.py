@@ -5,6 +5,8 @@ against.  It enumerates every constraint subset of the size an extreme ray's
 active set must have, with one kernel computation each, so it is exponential
 in the number of constraints: use it on small inputs only.  One fault is
 mended here, in `_primitive` (see there); everything else is as it was.
+Its fan check takes its meets from the simplex in `simplex_oracle.py`, so
+that fan verdicts are compared engine against linear program.
 """
 from fractions import Fraction
 from functools import reduce
@@ -12,12 +14,8 @@ from itertools import combinations
 from math import gcd, lcm
 
 from elimination_oracle import solve_exact
-from sphdescent.cones import (
-    ColoredCone,
-    FanVerdict,
-    RationalCone,
-    meet_relative_interiors,
-)
+from simplex_oracle import meet_relative_interiors
+from sphdescent.cones import ColoredCone, FanVerdict, RationalCone
 from sphdescent.intlinalg import (
     IntMatrix,
     Lattice,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from sphdescent.cones import _primitive
+from sphdescent.ratlp import _primitive
 from sphdescent.intlinalg import IntMatrix, Lattice, vec_dot, vec_is_zero
 
 

@@ -124,7 +124,7 @@ def test_unknown_normalizer_is_inconclusive(d4, triality, symmetric):
 
 def test_zero_character_map_route(d4, triality, symmetric):
     # free rank-1 source mapping to an order-2 target by an even multiple
-    src = MultiplicativeTypeModule(FgAbelianGroup(IntMatrix.zero(0, 1)),
+    src = MultiplicativeTypeModule(FgAbelianGroup(IntMatrix(0, 1, ())),
                                    (IntMatrix.identity(1),), ("t",))
     tgt = MultiplicativeTypeModule(FgAbelianGroup(IntMatrix.from_rows([[2]])),
                                    (IntMatrix.identity(1),), ("t",))

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, outputs, cap handling."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +281,20 @@ def test_check_fan_weight_lattice_moved_by_the_action(capsys, tmp_path, fan):
          "violating_cone_rays": None}), "")
 
 
+DATA = Path(__file__).parent / "data"
+
+
+def test_check_fan_decides_meets_the_ray_sums_miss(capsys):
+    # each maximal cone's ray sum lies outside the valuation cone, so every
+    # axiom falls through to the feasibility test: two meets, three misses
+    f = str(DATA / "fan_ray_sums_outside.json")
+    assert run(capsys, "check-fan", f, "--json") == (0, json_text(
+        {"file": "fan_ray_sums_outside.json", "valid": True, "problems": [],
+         "wonderful": False}), "")
+    assert run(capsys, "check-fan", f) == (
+        0, "fan_ray_sums_outside.json: valid: yes, wonderful: no\n", "")
+
+
 # -- cohomology ------------------------------------------------------------------------
 
 def test_cohomology_vanishing_line(capsys):
@@ -394,3 +409,21 @@ def test_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv("SPHDESCENT_CAP", "notanumber")
     code, _, err = run(capsys, "verdict", "--corpus", "spin8_trialitary")
     assert code == 64 and "must be an integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-fan", "--corpus", "fan_stability_demo"],
+    ["verdict", "--corpus", "spin8_trialitary"],
+    ["weyl-orbit", "A", "2", "-1,1"],
+    ["conjugate", "A", "2", "2,-1", "-1,2"],
+], ids=["check-fan", "verdict", "weyl-orbit", "conjugate"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cap_below_one_is_a_usage_error(capsys, monkeypatch, argv, cap):
+    # once read as a cap hit: "orbit exceeded cap -3"
+    assert run(capsys, *argv, "--cap", cap) == (
+        64, "", f"error: --cap must be a positive integer, got {cap}\n")
+    monkeypatch.setenv("SPHDESCENT_CAP", cap)
+    assert run(capsys, *argv) == (
+        64, "", f"error: SPHDESCENT_CAP must be a positive integer, got '{cap}'\n")
+    # an explicit flag wins over the environment
+    assert run(capsys, *argv, "--cap", "100000")[0] in (0, 1)

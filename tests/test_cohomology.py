@@ -70,7 +70,7 @@ def test_swap_action_keeps_the_diagonal_fixed():
 
 
 def test_positive_dimensional_refused():
-    free = FgAbelianGroup(IntMatrix.zero(0, 1))
+    free = FgAbelianGroup(IntMatrix(0, 1, ()))
     m = MultiplicativeTypeModule(free, (IntMatrix.identity(1),), ("s",))
     with pytest.raises(PositiveDimensional):
         h2_local_vanishes(m)
@@ -155,7 +155,7 @@ def test_map_requires_shared_generator_names():
 
 def torus_to_center_zero_map():
     # rank-1 free characters mapping onto Z/2 by an even multiple
-    src = MultiplicativeTypeModule(FgAbelianGroup(IntMatrix.zero(0, 1)),
+    src = MultiplicativeTypeModule(FgAbelianGroup(IntMatrix(0, 1, ())),
                                    (IntMatrix.identity(1),), ("s",))
     tgt = MultiplicativeTypeModule(z_mod(2), (IntMatrix.identity(1),), ("s",))
     return CharacterMap(src, tgt, IntMatrix.from_rows([[2]]))

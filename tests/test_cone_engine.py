@@ -3,13 +3,15 @@ active-set engine it replaced (`active_set_oracle.py`).
 
 Canonical cones must be byte-identical in both conversion directions, on
 every face and on images under signed permutations and unimodular maps, and
-the fan checks must give identical verdicts.  Inputs: the cones of
+the fan checks must give identical verdicts, the oracle's taking its meets
+from the simplex in `simplex_oracle.py`.  Inputs: the cones of
 acceptance criteria 7 and 8 and a seeded grid of dims 2-5 with dim..dim+3
 generators, plus dim 6 with at most 8 generators, small enough for the
 exponential oracle.
 """
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,7 @@ from sphdescent.cones import (
     wonderful_fan,
 )
 from sphdescent.intlinalg import IntMatrix, kernel_lattice
-from sphdescent.problem import parse_text
+from sphdescent.problem import parse_file, parse_text
 from sphdescent.staraction import dual_matrix_on_V
 from test_acceptance import _random_unimodular, _signed_permutation
 
@@ -79,6 +81,7 @@ def _corpus_cones():
     return out
 
 
+DATA = Path(__file__).parent / "data"
 CRITERION_7 = _criterion_7_draws()
 GRID = _grid_draws()
 POINTED = [(dim, gens) for dim, gens in CRITERION_7 + GRID
@@ -185,6 +188,22 @@ def _fan_cases():
         if rng.random() < 0.3:
             fan.pop(rng.randrange(len(fan)))
         cases.append((f"random {len(cases)}", fan, v))
+    # cones that reach past the valuation cone, so that the sum of a cone's
+    # rays often misses it and the meets go to the feasibility test
+    data = parse_file(DATA / "fan_ray_sums_outside.json")
+    cases.append(("ray sums outside", data.fan.cones,
+                  data.invariants.valuation_cone))
+    while len(cases) < 40:
+        dim = rng.choice((2, 3))
+        a, b, v = (cone_from_generators(
+            dim, [tuple(rng.randint(-1, 3) for _ in range(dim))
+                  for _ in range(rng.randint(1, dim + 1))]) for _ in range(3))
+        if not (a.rays and b.rays and v.rays and a.is_strictly_convex
+                and b.is_strictly_convex):
+            continue
+        fan = list(faces(ColoredCone(a, frozenset())))
+        fan += faces(ColoredCone(b, frozenset()))
+        cases.append((f"reaching past {len(cases)}", fan, v))
     return cases
 
 

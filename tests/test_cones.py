@@ -1,10 +1,14 @@
-"""Tests for rational cones, colored fans, fan axioms, and fan stability."""
+"""Tests for rational cones, colored fans, fan axioms, fan stability, and the
+feasibility test, compared with the simplex it replaced (`simplex_oracle`)."""
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import simplex_oracle
 from sphdescent.cones import (
     ColorRecord,
     ColoredCone,
@@ -29,7 +33,8 @@ from sphdescent.staraction import build_action
 
 
 def in_hull(cone, point):
-    """Membership via the generator description: exact LP over multipliers."""
+    """Membership via the generator description: exact feasibility over
+    multipliers."""
     gens = cone.generators()
     if not gens:
         return all(x == 0 for x in point)
@@ -63,6 +68,34 @@ def test_feasible_edge_shapes():
     assert feasible([], []) == ()
     assert feasible([(), ()], [0, -1]) == ()
     assert feasible([()], [1]) is None
+    # all-zero rows hold exactly when their right-hand sides are <= 0
+    assert feasible([(0, 0), (0, 0)], [0, -2]) is not None
+    assert feasible([(0, 0), (1, 1)], [Fraction(1, 3), 0]) is None
+    half = Fraction(1, 2)
+    x = feasible([(half, Fraction(-2, 3)), (-half, 0)], [Fraction(1, 3), -2])
+    assert x is not None and half * x[0] - Fraction(2, 3) * x[1] >= Fraction(1, 3)
+    assert -half * x[0] >= -2
+    assert feasible([(half,), (-half,)], [half, Fraction(-1, 3)]) is None
+
+
+def test_feasible_rejects_ragged_rows_and_mismatched_rhs():
+    with pytest.raises(ValueError, match="ragged"):
+        feasible([(1, 0), (1,)], [0, 0])
+    with pytest.raises(ValueError, match="one right-hand side per row"):
+        feasible([(1, 0)], [0, 1])
+    with pytest.raises(ValueError, match="one right-hand side per row"):
+        feasible([], [0])
+
+
+def assert_feasible_agrees_with_the_simplex(rows, rhs):
+    """Same feasible/None answer as the simplex; a point satisfies its rows."""
+    x = feasible(rows, rhs)
+    assert (x is None) == (simplex_oracle.feasible(rows, rhs) is None)
+    if x is not None:
+        assert len(x) == (len(rows[0]) if rows else 0)
+        assert all(sum(c * v for c, v in zip(row, x)) >= r
+                   for row, r in zip(rows, rhs))
+    return x
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -72,10 +105,53 @@ def test_feasible_witness_property_random(seed):
     rows = [tuple(rng.randint(-4, 4) for _ in range(n))
             for _ in range(rng.randint(1, 6))]
     rhs = [rng.randint(-3, 3) for _ in rows]
-    x = feasible(rows, rhs)
-    if x is not None:
-        assert all(sum(c * v for c, v in zip(row, x)) >= r
-                   for row, r in zip(rows, rhs))
+    assert_feasible_agrees_with_the_simplex(rows, rhs)
+
+
+rationals = st.one_of(st.integers(-4, 4),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def systems(draw):
+    """Rows of length 0..6 and 0..10 of them; some all-zero rows, and some
+    equations as two opposite rows."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(0, 10))
+    rows = draw(st.lists(st.tuples(*[rationals] * n), min_size=m, max_size=m))
+    rhs = draw(st.lists(rationals, min_size=m, max_size=m))
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        rows.append(tuple(-x for x in rows[i]))
+        rhs.append(-rhs[i])
+    if draw(st.booleans()):
+        rows.append((0,) * n)
+        rhs.append(draw(rationals))
+    return rows, rhs
+
+
+@given(systems())
+@settings(max_examples=400, deadline=None)
+def test_feasible_matches_the_simplex(system):
+    assert_feasible_agrees_with_the_simplex(*system)
+
+
+def test_feasible_matches_the_simplex_on_seeded_systems():
+    rng = random.Random(9090)
+    answers = []
+    for _ in range(1500):
+        n, m = rng.randint(0, 6), rng.randint(0, 10)
+        rows = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                      if rng.random() < 0.2 else rng.randint(-4, 4)
+                      for _ in range(n)) for _ in range(m)]
+        rhs = [rng.randint(-3, 3) for _ in rows]
+        if rows and rng.random() < 0.3:
+            i = rng.randrange(m)
+            rows.append(tuple(-x for x in rows[i]))
+            rhs.append(-rhs[i])
+        answers.append(assert_feasible_agrees_with_the_simplex(rows, rhs))
+    # both answers occur often enough for the comparison to mean something
+    assert 400 < sum(x is None for x in answers) < 1100
 
 
 # -- double description -------------------------------------------------------
@@ -190,6 +266,24 @@ def test_relative_interior_point_is_interior():
     assert all(sum(a * b for a, b in zip(row, p)) == 0 for row in c.equations)
 
 
+def _in_relint(cone, x):
+    return (all(sum(a * b for a, b in zip(e, x)) == 0 for e in cone.equations)
+            and all(sum(a * b for a, b in zip(c, x)) > 0
+                    for c in cone.inequalities))
+
+
+def assert_meet_agrees_with_the_old_body(strict, weak):
+    """Same answer as the kernel-elimination-plus-simplex meet, and a point
+    interior to every strict cone and inside every weak one."""
+    x = meet_relative_interiors(strict, weak)
+    old = simplex_oracle.meet_relative_interiors(strict, weak)
+    assert (x is None) == (old is None)
+    if x is not None:
+        assert all(_in_relint(c, x) for c in strict)
+        assert all(c.contains(x) for c in weak)
+    return x
+
+
 def test_meet_relative_interiors():
     neg = cone_from_generators(2, [(-1, 0), (0, -1)])
     ray = cone_from_generators(2, [(-1, 0)])
@@ -197,6 +291,61 @@ def test_meet_relative_interiors():
     assert meet_relative_interiors([ray, neg], []) is None  # ray lies on a facet
     origin = cone_from_generators(2, [])
     assert meet_relative_interiors([origin], [neg]) is not None  # {0} meets any cone
+
+
+def _cone(dim, *gens):
+    return cone_from_generators(dim, gens)
+
+
+@pytest.mark.parametrize("strict,weak,meets", [
+    # strict cones with equations: two rays meet only where they coincide
+    ([_cone(3, (1, 1, 0))], [_cone(3, (1, 0, 0), (0, 1, 0), (0, 0, 1))], True),
+    ([_cone(3, (1, 1, 0)), _cone(3, (1, 0, 0), (0, 1, 0))], [], True),
+    ([_cone(3, (1, 1, 0)), _cone(3, (1, 0, 0))], [], False),
+    ([_cone(3, (2, 2, 0)), _cone(3, (1, 1, 0), (1, 1, 1))], [], False),
+    # weak cones with lineality: the half-plane y >= 0 and the line y = 0
+    ([_cone(2, (-1, 1))], [_cone(2, (1, 0), (-1, 0), (0, 1))], True),
+    ([_cone(2, (0, -1))], [_cone(2, (1, 0), (-1, 0), (0, 1))], False),
+    ([_cone(2, (1, 1), (1, -1))], [_cone(2, (1, 0), (-1, 0))], True),
+    ([_cone(3, (1, 0, 1), (0, 1, 1))],
+     [_cone(3, (1, 0, 0), (-1, 0, 0), (0, 1, -1))], False),
+    # a strict facet that is another cone's equation: x > 0 against x = 0
+    ([_cone(2, (1, 0), (0, 1))], [_cone(2, (0, 1))], False),
+    ([_cone(2, (1, 0), (0, 1)), _cone(2, (0, 1))], [], False),
+    ([_cone(2, (0, 1))], [_cone(2, (1, 0), (0, 1))], True),
+    # the origin: its relative interior is itself, so it meets every cone
+    # but no relative interior of a cone with a ray
+    ([_cone(2)], [_cone(2, (1, 0), (0, 1)), _cone(2, (-1, -1))], True),
+    ([_cone(2), _cone(2, (1, 0))], [], False),
+    ([_cone(3, (1, 0, 0), (-1, 0, 0))], [_cone(3)], True),
+    # dimension 0: one point, in every cone's relative interior
+    ([_cone(0)], [_cone(0)], True),
+    ([], [_cone(0)], True),
+])
+def test_meet_relative_interiors_cases(strict, weak, meets):
+    x = assert_meet_agrees_with_the_old_body(strict, weak)
+    assert (x is not None) == meets
+
+
+def _random_cone(rng, dim):
+    """Anything from the origin to the whole space: few generators give
+    equations, a generator and its negative give lineality."""
+    gens = [tuple(rng.randint(-2, 2) for _ in range(dim))
+            for _ in range(rng.randint(0, dim + 1))]
+    if gens and rng.random() < 0.3:
+        gens.append(tuple(-x for x in gens[0]))
+    return cone_from_generators(dim, gens)
+
+
+def test_meet_relative_interiors_matches_the_old_body():
+    rng = random.Random(5151)
+    answers = []
+    for _ in range(600):
+        dim = rng.randint(1, 5)
+        strict = [_random_cone(rng, dim) for _ in range(rng.randint(1, 2))]
+        weak = [_random_cone(rng, dim) for _ in range(rng.randint(0, 2))]
+        answers.append(assert_meet_agrees_with_the_old_body(strict, weak))
+    assert 150 < sum(x is None for x in answers) < 450
 
 
 # -- colored cones and faces --------------------------------------------------

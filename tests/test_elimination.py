@@ -72,12 +72,13 @@ def test_kernel_span_and_snf_match_the_transform_oracles_on_seeded_matrices():
 
 
 def test_kernel_and_snf_edge_cases():
-    for m in (IntMatrix(0, 3, ()), IntMatrix(2, 0, ((), ())), IntMatrix.zero(2, 3),
-              IntMatrix.zero(1, 1), IntMatrix.from_rows([[-4]]),
+    zero_2x3 = IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
+    for m in (IntMatrix(0, 3, ()), IntMatrix(2, 0, ((), ())), zero_2x3,
+              IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[-4]]),
               IntMatrix.identity(4), IntMatrix.from_rows([[0, 0, 2]])):
         assert_same_as_the_oracle(m)
     assert snf(IntMatrix(2, 0, ((), ()))) == ()
-    assert snf(IntMatrix.zero(2, 3)) == (0, 0)
+    assert snf(zero_2x3) == (0, 0)
     assert snf(IntMatrix.from_rows([[-4]])) == (4,)
     assert snf(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])) == (2, 6, 12)
     assert kernel_lattice(IntMatrix(0, 3, ())) == Lattice.full(3)

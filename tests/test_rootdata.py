@@ -153,7 +153,8 @@ def test_is_brd_automorphism_rejects(d4):
     assert as_brd_automorphism(d4, IntMatrix.from_rows([[2, 0, 0, 0], [0, 1, 0, 0],
                                                         [0, 0, 1, 0], [0, 0, 0, 1]])) is None
     # -id maps R to R but swaps positive and negative simple roots
-    assert as_brd_automorphism(d4, -IntMatrix.identity(4)) is None
+    assert as_brd_automorphism(d4, IntMatrix.from_rows(
+        [[-1 if i == j else 0 for j in range(4)] for i in range(4)])) is None
     assert as_brd_automorphism(d4, IntMatrix.identity(4)) is not None
 
 

@@ -20,7 +20,7 @@ import bfs_orbit_oracle
 import epsilon_rootdata_oracle as oracle
 from sphdescent import intlinalg, rootdata, weyl
 from sphdescent.cli import main
-from sphdescent.intlinalg import IntMatrix, vec_dot
+from sphdescent.intlinalg import IntMatrix, vec_dot, vec_neg
 from sphdescent.problem import parse_dict
 from sphdescent.rootdata import (
     CapExceeded,
@@ -335,7 +335,7 @@ def _w_and_diagram_inputs(brd):
     autos, _ = dynkin_automorphisms(brd)
     for w in weyl_group(brd):
         yield w.matrix
-        yield -w.matrix
+        yield IntMatrix.from_rows(map(vec_neg, w.matrix.entries))
         for a in autos:
             yield w.matrix @ a.matrix
 

@@ -63,7 +63,8 @@ def test_generator_validation(d4):
     with pytest.raises(ValueError):
         build_action(d4, [(1, 0, 2, 3)])  # not a diagram symmetry
     with pytest.raises(ValueError):
-        build_action(d4, [-IntMatrix.identity(4)])
+        build_action(d4, [IntMatrix.from_rows(
+            [[-1 if i == j else 0 for j in range(4)] for i in range(4)])])
     with pytest.raises(ValueError):
         build_action(d4, [(2, 1, 3, 0)], names=("a", "b"))
 
