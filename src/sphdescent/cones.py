@@ -24,9 +24,11 @@ from .intlinalg import (
     kernel_lattice,
     solve_fraction_free,
     vec_dot,
+    vec_integral,
     vec_neg,
+    vec_primitive,
 )
-from .ratlp import _hcone_extreme_rays, _integral, _primitive, feasible
+from .ratlp import _hcone_extreme_rays, feasible
 from .staraction import LatticeMoved, dual_matrix_on_V
 
 
@@ -48,14 +50,14 @@ def _project_off(vectors, basis) -> list:
     for v in vectors:
         bv = [vec_dot(b, v) for b in basis]
         if not any(bv):
-            out.append(_primitive(v))
+            out.append(vec_primitive(v))
             continue
         if adj is None:
             det, adj = solve_fraction_free(
                 [[vec_dot(a, b) for b in basis] for a in basis],
                 IntMatrix.identity(len(basis)).entries)
         w = [vec_dot(row, bv) for row in adj]
-        out.append(_primitive(tuple(
+        out.append(vec_primitive(tuple(
             det * x - sum(wi * b[j] for wi, b in zip(w, basis))
             for j, x in enumerate(v))))
     return out
@@ -95,7 +97,7 @@ class RationalCone:
     def contains(self, v) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        iv = _integral(v)
+        iv = vec_integral(v)
         return (all(vec_dot(e, iv) == 0 for e in self.equations)
                 and all(vec_dot(c, iv) >= 0 for c in self.inequalities))
 
@@ -367,7 +369,7 @@ class FanVerdict:
 
 def _relint_contains(cone: RationalCone, p) -> bool:
     # relative interior membership: equations hold, every facet is strict
-    p = _integral(p)
+    p = vec_integral(p)
     return (all(vec_dot(e, p) == 0 for e in cone.equations)
             and all(vec_dot(c, p) > 0 for c in cone.inequalities))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 
 Vec = tuple[int, ...]
@@ -36,6 +36,24 @@ def vec_dot(a, b):
 
 def vec_is_zero(a) -> bool:
     return all(x == 0 for x in a)
+
+
+def vec_integral(v) -> tuple[int, ...]:
+    """A positive integer multiple of a rational vector; itself if integral."""
+    if all(type(x) is int for x in v):
+        return tuple(v)
+    fv = [Fraction(x) for x in v]
+    mult = lcm(*(x.denominator for x in fv))
+    return tuple(int(x * mult) for x in fv)
+
+
+def vec_primitive(v) -> tuple[int, ...] | None:
+    """Scale a rational vector to a primitive integer vector, same direction."""
+    iv = vec_integral(v)
+    g = gcd(*iv)
+    if g == 0:
+        return None
+    return iv if g == 1 else tuple(x // g for x in iv)
 
 
 def solve_fraction_free(a, r) -> tuple[int, list[list[int]]]:

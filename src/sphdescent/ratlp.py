@@ -12,32 +12,20 @@ homogeneous system iff c . x >= 1 is.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
-from .intlinalg import IntMatrix, Lattice, kernel_lattice, vec_dot, vec_neg
-
-
-def _integral(v) -> tuple[int, ...]:
-    """A positive integer multiple of a rational vector; itself if integral."""
-    if all(type(x) is int for x in v):
-        return tuple(v)
-    fv = [Fraction(x) for x in v]
-    mult = lcm(*(x.denominator for x in fv))
-    return tuple(int(x * mult) for x in fv)
-
-
-def _primitive(v) -> tuple[int, ...] | None:
-    """Scale a rational vector to a primitive integer vector, same direction."""
-    iv = _integral(v)
-    g = gcd(*iv)
-    if g == 0:
-        return None
-    return iv if g == 1 else tuple(x // g for x in iv)
+from .intlinalg import (
+    IntMatrix,
+    Lattice,
+    kernel_lattice,
+    vec_dot,
+    vec_neg,
+    vec_primitive,
+)
 
 
 def _combine(p: int, u, q: int, v) -> tuple[int, ...] | None:
     """Primitive direction of p*u + q*v, or None when that is zero."""
-    return _primitive(tuple(p * x + q * y for x, y in zip(u, v)))
+    return vec_primitive(tuple(p * x + q * y for x, y in zip(u, v)))
 
 
 def _adjacent(z: int, masks) -> bool:
@@ -68,7 +56,7 @@ def _hcone_extreme_rays(constraints, dim: int) -> tuple[tuple, Lattice]:
     hyperplane.  Each ray carries the bit set of the constraints so far that
     are tight on it, which gives the adjacency test.
     """
-    rows = [c for c in map(_primitive, constraints) if c is not None]
+    rows = [c for c in map(vec_primitive, constraints) if c is not None]
     if not rows:
         return (), Lattice.full(dim)
     lin = kernel_lattice(IntMatrix.from_rows(rows, cols=dim))

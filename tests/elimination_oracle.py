@@ -23,8 +23,13 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from sphdescent.ratlp import _primitive
-from sphdescent.intlinalg import IntMatrix, Lattice, vec_dot, vec_is_zero
+from sphdescent.intlinalg import (
+    IntMatrix,
+    Lattice,
+    vec_dot,
+    vec_is_zero,
+    vec_primitive,
+)
 
 
 def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -293,7 +298,7 @@ def project_off_inline(vectors, basis) -> list:
     for v in vectors:
         bv = [vec_dot(b, v) for b in basis]
         if not any(bv):
-            out.append(_primitive(v))
+            out.append(vec_primitive(v))
             continue
         if adj is None:
             aug = [[vec_dot(a, b) for b in basis] + [int(i == j) for j in range(k)]
@@ -309,7 +314,7 @@ def project_off_inline(vectors, basis) -> list:
                 det = piv
             adj = [row[k:] for row in aug]
         w = [vec_dot(row, bv) for row in adj]
-        out.append(_primitive(tuple(
+        out.append(vec_primitive(tuple(
             det * x - sum(wi * b[j] for wi, b in zip(w, basis))
             for j, x in enumerate(v))))
     return out

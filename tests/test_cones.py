@@ -33,8 +33,9 @@ from sphdescent.staraction import build_action
 
 
 def in_hull(cone, point):
-    """Membership via the generator description: exact feasibility over
-    multipliers."""
+    """Membership via the generator description: exact LP over multipliers,
+    solved by the simplex oracle so that it is independent of the cone
+    engine."""
     gens = cone.generators()
     if not gens:
         return all(x == 0 for x in point)
@@ -46,7 +47,7 @@ def in_hull(cone, point):
     for i in range(len(gens)):
         rows.append(tuple(int(k == i) for k in range(len(gens))))
         rhs.append(0)
-    return feasible(rows, rhs) is not None
+    return simplex_oracle.feasible(rows, rhs) is not None
 
 
 # -- feasibility primitive ----------------------------------------------------
