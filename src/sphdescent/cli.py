@@ -13,6 +13,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
 from .checker import (
@@ -105,14 +106,14 @@ def _label(path) -> str:
         else os.path.basename(str(path))
 
 
-def _cap_from(args) -> int | None:
-    """The cap from --cap, else from SPHDESCENT_CAP, else None; at least 1."""
+def _caps(args) -> dict:
+    """{"cap": n} from --cap, else from SPHDESCENT_CAP, else {}; n at least 1."""
     if args.cap is not None:
         cap, source, shown = args.cap, "--cap", args.cap
     else:
         env = os.environ.get("SPHDESCENT_CAP")
         if env is None:
-            return None
+            return {}
         source, shown = "SPHDESCENT_CAP", repr(env)
         try:
             cap = int(env)
@@ -121,7 +122,7 @@ def _cap_from(args) -> int | None:
                 from None
     if cap < 1:
         raise ProblemError(f"{source} must be a positive integer, got {shown}")
-    return cap
+    return {"cap": cap}
 
 
 # -- the file commands -------------------------------------------------------
@@ -134,11 +135,11 @@ def _run_batch(args) -> int:
     lines as it goes; --json prints one document, wrapped as {"results":
     [...]} when there are several files.  The exit code is the worst one.
     """
-    cap = _cap_from(args)
+    caps = _caps(args)
     worst = EX_OK
     docs = []
     for path in _resolve_paths(args):
-        code, doc, lines = args.report(_label(path), parse_file(path, cap=cap))
+        code, doc, lines = args.report(_label(path), parse_file(path, **caps))
         docs.append(doc)
         worst = max(worst, code)
         if not args.json:
@@ -284,11 +285,7 @@ def cmd_weyl_orbit(args) -> int:
     v = _parse_vector(args.vector)
     if len(v) != brd.rank:
         raise ProblemError(f"vector must have length {brd.rank}")
-    kwargs = {}
-    cap = _cap_from(args)
-    if cap is not None:
-        kwargs["cap"] = cap
-    orbit = sorted(weyl_orbit(brd, v, **kwargs))
+    orbit = sorted(weyl_orbit(brd, v, **_caps(args)))
     if args.json:
         print(json.dumps({"orbit_size": len(orbit),
                           "orbit": [[str(_num_out(x)) for x in u] for u in orbit]},
@@ -304,11 +301,7 @@ def cmd_conjugate(args) -> int:
     brd = build_root_datum(args.type, args.rank)
     a = root_subset(brd, _parse_vector_set(args.set_a))
     b = root_subset(brd, _parse_vector_set(args.set_b))
-    kwargs = {}
-    cap = _cap_from(args)
-    if cap is not None:
-        kwargs["cap"] = cap
-    w = are_weyl_conjugate(brd, a, b, **kwargs)
+    w = are_weyl_conjugate(brd, a, b, **_caps(args))
     if args.json:
         print(json.dumps({"conjugate": w is not None,
                           "witness_word": None if w is None else
@@ -362,7 +355,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args returns a fresh Namespace each time."""
     parser = _Parser(
         prog="sphdescent",
         description="Decide existence of equivariant forms of spherical "

@@ -15,15 +15,14 @@ Coordinate conventions for user input:
   are X-vectors in the stated basis.  The parser converts everything to the
   library's canonical coordinates (dual of the Hermite basis), so verdicts
   do not depend on which basis the author chose.
-* Rational entries are integers or strings like "3/2"; floats are rejected.
+* Rational entries are integers or strings like "3/2".  Floats are rejected
+  everywhere, integral ones such as 1.0 included.
 """
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from pathlib import Path
-
-import jsonschema
 
 from .checker import BASE_FIELDS, NORMALIZER_REASONS, CohomologyInputs, HypothesisSet
 from .cohomology import CharacterMap, MultiplicativeTypeModule
@@ -435,20 +434,70 @@ def _parse_fan(block, inv: SphericalInvariants | None, t_inv, brd) -> ColoredFan
         raise ProblemError(f"fan: {e}") from None
 
 
-@cache
-def _schema_validator():
-    """SCHEMA's validator, checked against its metaschema once per process."""
-    cls = jsonschema.validators.validator_for(SCHEMA)
-    cls.check_schema(SCHEMA)
-    return cls(SCHEMA)
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "boolean": bool}
+
+
+def _is_type(x, name) -> bool:
+    """JSON type test: bool is not an integer, and no float is one."""
+    return (isinstance(x, _JSON_TYPES[name])
+            and isinstance(x, bool) == (name == "boolean"))
+
+
+def _violations(x, schema, path=()):
+    """(path, message) for each way x breaks a SCHEMA node, in key order and
+    worded as jsonschema words them.  Only SCHEMA's keywords are known."""
+    if "type" in schema and not _is_type(x, schema["type"]):
+        yield path, f"{x!r} is not of type {schema['type']!r}"
+        return
+    for key, arg in schema.items():
+        if key == "const" and not (type(x) is type(arg) and x == arg):
+            yield path, f"{arg!r} was expected"
+        elif key == "enum" and not any(type(x) is type(e) and x == e for e in arg):
+            yield path, f"{x!r} is not one of {arg!r}"
+        elif key == "minimum" and x < arg:
+            yield path, f"{x!r} is less than the minimum of {arg!r}"
+        elif key in ("minLength", "minProperties") and len(x) < arg:  # arg is 1
+            yield path, f"{x!r} should be non-empty"
+        elif key == "pattern" and not re.search(arg, x):
+            yield path, f"{x!r} does not match {arg!r}"
+        elif key == "required":
+            yield from ((path, f"{k!r} is a required property")
+                        for k in arg if k not in x)
+        elif key == "properties":
+            for k, sub in arg.items():
+                if k in x:
+                    yield from _violations(x[k], sub, path + (k,))
+        elif key == "additionalProperties":
+            extra = sorted(k for k in x if k not in schema.get("properties", {}))
+            if arg is False and extra:
+                yield path, ("Additional properties are not allowed ("
+                             f"{', '.join(map(repr, extra))} "
+                             f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+            elif arg is not False:
+                for k in extra:
+                    yield from _violations(x[k], arg, path + (k,))
+        elif key == "items":
+            for i, item in enumerate(x):
+                yield from _violations(item, arg, path + (i,))
+        elif key == "anyOf" and all(next(_violations(x, sub, path), None)
+                                    for sub in arg):
+            # jsonschema's best match: the branch of x's type, if there is one
+            typed = [sub for sub in arg if "type" in sub and _is_type(x, sub["type"])]
+            yield from (_violations(x, typed[0], path) if len(typed) == 1 else
+                        [(path, f"{x!r} is not valid under any of the given schemas")])
+
+
+def _check_schema(data):
+    """Raise ProblemError for the first violation of SCHEMA at the shallowest path."""
+    found = min(_violations(data, SCHEMA), key=lambda v: len(v[0]), default=None)
+    if found is not None:
+        where = "/".join(str(p) for p in found[0]) or "(top level)"
+        raise ProblemError(f"schema violation at {where}: {found[1]}")
 
 
 def parse_dict(data, cap=None) -> Problem:
     """Validate a decoded JSON object and build the library objects."""
-    e = jsonschema.exceptions.best_match(_schema_validator().iter_errors(data))
-    if e is not None:
-        where = "/".join(str(p) for p in e.absolute_path) or "(top level)"
-        raise ProblemError(f"schema violation at {where}: {e.message}")
+    _check_schema(data)
     if "invariants" in data and "horospherical" in data:
         raise ProblemError("give either invariants or horospherical, not both")
 

@@ -39,6 +39,12 @@ class CapExceeded(RuntimeError):
     """An enumeration guardrail was hit before the computation finished."""
 
 
+def check_cap(cap):
+    """Refuse a cap below 1: it is a wrong argument, not a cap hit."""
+    if cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap}")
+
+
 WEYL_CAP = 10 ** 7
 # Default bound on |R| * rank, the size of a datum's root table.
 ROOT_TABLE_CAP = 10 ** 6
@@ -296,8 +302,9 @@ def build_root_datum(letter: str, rank: int, isogeny: str = "simply_connected",
     lattice), or "custom_lattice" with `lattice_basis` rows expressed in
     fundamental-weight coordinates (the lattice must contain all roots).
     Raises CapExceeded, before anything is built, when the root table
-    |R| * rank would exceed cap.
+    |R| * rank would exceed cap, and ValueError when cap is below 1.
     """
+    check_cap(cap)
     if letter == "torus":
         return torus(rank)
     size = _root_count(letter, rank) * rank
@@ -365,7 +372,9 @@ def weyl_elements(brd: BasedRootDatum, cap: int = WEYL_CAP):
     """Lazily enumerate the Weyl group by breadth-first search over simple
     reflections.  Words are reduced and the order is deterministic, so a
     search that stops at its first hit returns the first element of that
-    order.  Raises CapExceeded instead of yielding element number cap + 1."""
+    order.  Raises CapExceeded instead of yielding element number cap + 1,
+    and ValueError, before the identity, when cap is below 1."""
+    check_cap(cap)
     gens = list(zip(brd.simple_roots, brd.simple_coroots))
     ident = WeylElement(IntMatrix.identity(brd.rank), ())
     seen = {ident.matrix.entries}

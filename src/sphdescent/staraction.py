@@ -19,6 +19,7 @@ from .rootdata import (
     BRDAutomorphism,
     CapExceeded,
     as_brd_automorphism,
+    check_cap,
     identity_automorphism,
     lift_s_permutation,
 )
@@ -80,8 +81,9 @@ def build_action(brd: BasedRootDatum, generators, names=None,
 
     Each generator may be a BRDAutomorphism, an IntMatrix, or a permutation
     of simple root indices (lifted as a diagram automorphism).  An empty
-    generator list yields the trivial action.
+    generator list yields the trivial action.  A cap below 1 is a ValueError.
     """
+    check_cap(cap)
     gens = tuple(_coerce_generator(brd, g) for g in generators)
     if names is None:
         names = tuple(f"g{i}" for i in range(len(gens)))

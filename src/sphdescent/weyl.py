@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .intlinalg import vec_dot, vec_neg
-from .rootdata import BasedRootDatum, CapExceeded, WeylElement, weyl_elements
+from .rootdata import BasedRootDatum, CapExceeded, WeylElement, check_cap, weyl_elements
 
 ORBIT_CAP = 10 ** 6
 
@@ -58,8 +58,10 @@ def root_subset(brd: BasedRootDatum, vectors) -> RootSubset:
 def weyl_orbit(brd: BasedRootDatum, v, cap: int = ORBIT_CAP) -> frozenset:
     """Orbit of a rational vector (X-coordinates) under the Weyl group.
 
-    Raises CapExceeded when the orbit has more than cap elements.
+    Raises CapExceeded when the orbit has more than cap elements, and
+    ValueError when cap is below 1.
     """
+    check_cap(cap)
     mu = tuple(Fraction(x) for x in v)
     if len(mu) != brd.rank:
         raise ValueError("vector length mismatch")

@@ -1,5 +1,8 @@
 """Tests for the command-line interface: exit codes, outputs, cap handling."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -427,3 +430,77 @@ def test_cap_below_one_is_a_usage_error(capsys, monkeypatch, argv, cap):
         64, "", f"error: SPHDESCENT_CAP must be a positive integer, got '{cap}'\n")
     # an explicit flag wins over the environment
     assert run(capsys, *argv, "--cap", "100000")[0] in (0, 1)
+
+
+# -- integral floats ------------------------------------------------------------------
+
+def _spin8_with(path, value):
+    data = json.loads((corpus_root() / "spin8_trialitary.json").read_text("utf-8"))
+    block = data
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    return data
+
+
+# jsonschema counts 1.0 as an integer: "rank": 4.0 once crashed verdict with a
+# TypeError traceback, and 1.0 in a basis or a permutation reached exact code
+@pytest.mark.parametrize("path,value,where", [
+    (("root_datum", "rank"), 4.0, "root_datum/rank"),
+    (("invariants", "weight_lattice", "basis", 0, 0), 2.0,
+     "invariants/weight_lattice/basis/0/0"),
+    (("action", "generators", 0, "s_permutation", 0), 3.0,
+     "action/generators/0/s_permutation/0"),
+], ids=["rank", "basis", "s_permutation"])
+@pytest.mark.parametrize("command", ["verdict", "check-invariants"])
+def test_integral_floats_are_schema_violations(capsys, tmp_path, path, value,
+                                               where, command):
+    f = tmp_path / "floats.json"
+    f.write_text(json.dumps(_spin8_with(path, value)))
+    assert run(capsys, command, str(f)) == (
+        64, "", f"error: {f}: schema violation at {where}: "
+                f"{value!r} is not of type 'integer'\n")
+
+
+# -- one parser per process ---------------------------------------------------------
+
+def fresh_process(*argv):
+    """The CLI's stdout and exit code in a new interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "sphdescent", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout
+
+
+def test_json_flag_does_not_stick(capsys):
+    code, out, _ = run(capsys, "verdict", "--corpus", "sl2_torus", "--json")
+    assert code == 0 and json.loads(out)["status"] == "form_exists"
+    code, out, _ = run(capsys, "verdict", "--corpus", "sl2_torus")
+    assert code == 0 and out.startswith("sl2_torus.json: form_exists (")
+
+
+def test_cap_flag_does_not_stick(capsys):
+    code, _, err = run(capsys, "weyl-orbit", "A", "2", "1,0", "--cap", "1")
+    assert code == 64 and "exceeded cap 1" in err
+    code, out, _ = run(capsys, "weyl-orbit", "A", "2", "1,0")
+    assert code == 0 and out.startswith("orbit size: 3\n")
+
+
+def test_usage_error_and_help_leave_no_trace(capsys):
+    argv = ["verdict", "--corpus", "spin8_trialitary", "--json"]
+    with pytest.raises(SystemExit) as exit_:
+        main(["verdict", "--corpus", "--cap", "many"])
+    assert exit_.value.code == 64
+    with pytest.raises(SystemExit) as exit_:
+        main(["check-fan", "--help"])
+    assert exit_.value.code == 0
+    capsys.readouterr()
+    assert run(capsys, *argv)[:2] == fresh_process(*argv)
+
+
+def test_weyl_orbit_after_check_fan(capsys):
+    assert run(capsys, "check-fan", "--corpus", "fan_stability_demo")[0] == 1
+    code, out, _ = run(capsys, "weyl-orbit", "D", "4", "0,1,0,0", "--json")
+    assert code == 0 and json.loads(out)["orbit_size"] == 24

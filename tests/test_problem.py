@@ -1,15 +1,30 @@
 """Tests for the JSON problem format: schema, coordinate conversion, normal form."""
+import copy
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphdescent.checker import HypothesisSet
 from sphdescent.cli import corpus_names, corpus_root
 from sphdescent.cones import ColorRecord, cone_from_inequalities, cones_equal
 from sphdescent.intlinalg import Lattice, vec_dot, vec_neg
 from sphdescent.invariants import RationalLattice, SphericalInvariants, invariants_equal
-from sphdescent.problem import ProblemError, parse_dict, parse_file, parse_text, to_json
+from sphdescent.problem import (
+    SCHEMA,
+    ProblemError,
+    _check_schema,
+    parse_dict,
+    parse_file,
+    parse_text,
+    to_json,
+)
 from sphdescent.rootdata import CapExceeded, build_root_datum
 from sphdescent.staraction import ClosureCapExceeded
 
@@ -112,6 +127,14 @@ def test_unknown_keys_are_rejected():
 def test_schema_version_is_checked():
     with pytest.raises(ProblemError, match="schema violation at schema"):
         parse_dict({"schema": 2})
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_schema_version_must_be_the_integer_1(version):
+    # a JSON true is not the integer 1, and neither is 1.0
+    with pytest.raises(ProblemError) as got:
+        parse_dict({"schema": version})
+    assert str(got.value) == "schema violation at schema: 1 was expected"
 
 
 def test_both_invariant_blocks_rejected():
@@ -300,13 +323,118 @@ def test_schema_messages_match_jsonschema_validate(bad):
     assert str(got.value) == f"schema violation at {where}: {ref.value.message}"
 
 
-def test_schema_is_checked_once_per_process(monkeypatch):
+def test_parse_dict_runs_without_jsonschema():
+    # jsonschema is a test dependency only: importing the package must not
+    # load it, and parsing must not need it
+    code = ("import sys, sphdescent; assert 'jsonschema' not in sys.modules; "
+            "sys.modules['jsonschema'] = None; "
+            "from sphdescent.cli import corpus_root; "
+            "from sphdescent.problem import parse_file; "
+            "assert parse_file(corpus_root() / 'spin8_trialitary.json').action.order == 3")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+
+
+_WALKED = {"type", "const", "enum", "minimum", "minLength", "minProperties",
+           "pattern", "required", "properties", "additionalProperties", "items",
+           "anyOf"}
+
+
+def _schema_nodes(node):
+    yield node
+    for key, arg in node.items():
+        if key == "properties":
+            for sub in arg.values():
+                yield from _schema_nodes(sub)
+        elif key in ("items", "additionalProperties") and isinstance(arg, dict):
+            yield from _schema_nodes(arg)
+        elif key == "anyOf":
+            for sub in arg:
+                yield from _schema_nodes(sub)
+
+
+def test_schema_uses_only_the_walked_keywords():
     import jsonschema
 
-    from sphdescent import problem
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+    for node in _schema_nodes(SCHEMA):
+        assert set(node) - {"$schema"} <= _WALKED, node
+        # the walk words minLength and minProperties for a minimum of 1
+        assert node.get("minLength", 1) == node.get("minProperties", 1) == 1
 
-    problem._schema_validator()
-    monkeypatch.setattr(jsonschema.validators.Draft202012Validator, "check_schema",
-                        lambda schema: pytest.fail("metaschema checked again"))
-    monkeypatch.setattr(jsonschema, "validate", lambda *a, **k: pytest.fail("validate"))
-    assert parse_dict(load_corpus("spin8_trialitary")).action.order == 3
+
+# -- the walk against jsonschema -------------------------------------------------------------
+
+_CORPUS = [load_corpus(name[:-len(".json")]) for name in corpus_names()]
+_VALUES = [-1, 0, 1, 3, 0.5, 1.0, "", "x", "3/2", "1/0", "-2", True, False, None,
+           [], [1], [1.0], [[1, "1/2"]], {}, {"rho": [1]}]
+_KEYS = ["extra", "schema", "rank", "type", "isogeny", "name", "generators",
+         "basis", "rho", "sigma", "I", "M", "denominator", "base_field", "g"]
+
+
+def _paths(x, path=()):
+    yield path
+    items = x.items() if isinstance(x, dict) else \
+        enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+def _floats(x):
+    if isinstance(x, float):
+        yield x
+    for v in x.values() if isinstance(x, dict) else x if isinstance(x, list) else ():
+        yield from _floats(v)
+
+
+@st.composite
+def mutated_corpus_documents(draw):
+    """A corpus document with one to three random edits: a value replaced,
+    a key or item deleted, or a key added."""
+    data = copy.deepcopy(draw(st.sampled_from(_CORPUS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        node = data
+        for k in path[:-1]:
+            node = node[k]
+        edit = draw(st.sampled_from(["replace", "delete", "add"]))
+        value = copy.deepcopy(draw(st.sampled_from(_VALUES)))
+        if edit == "add" and isinstance(node, dict):
+            target = node[path[-1]] if path else node
+            if isinstance(target, dict):
+                target[draw(st.sampled_from(_KEYS))] = value
+        elif path and edit == "delete":
+            del node[path[-1]]
+        elif path:
+            node[path[-1]] = value
+    return data
+
+
+def _walk_message(data):
+    try:
+        _check_schema(data)
+    except ProblemError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_corpus_documents())
+def test_schema_walk_agrees_with_jsonschema(data):
+    import jsonschema
+
+    errors = list(jsonschema.Draft202012Validator(SCHEMA).iter_errors(data))
+    ours = _walk_message(data)
+    if any(f.is_integer() for f in _floats(data)):
+        # jsonschema counts 1.0 as an integer; no float passes the walk
+        assert ours is not None
+        return
+    assert (ours is None) == (not errors)
+    if len(errors) == 1:
+        best = jsonschema.exceptions.best_match(errors)
+        where = "/".join(str(p) for p in best.absolute_path) or "(top level)"
+        assert ours == f"schema violation at {where}: {best.message}"

@@ -16,6 +16,7 @@ from sphdescent.rootdata import (
     identity_automorphism,
     lift_s_permutation,
     torus,
+    weyl_elements,
     weyl_group,
 )
 
@@ -79,6 +80,20 @@ def test_weyl_group_d4_order_with_orbit_stabilizer_crosscheck(d4):
 def test_weyl_cap(d4):
     with pytest.raises(CapExceeded):
         weyl_group(d4, cap=10)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_weyl_cap_below_one_is_refused(d4, cap):
+    walk = weyl_elements(d4, cap)
+    with pytest.raises(ValueError, match=f"^cap must be a positive integer, got {cap}$"):
+        next(walk)  # before the identity is yielded
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_root_table_cap_below_one_is_refused(cap):
+    # refused before the root count: a rank no table could hold
+    with pytest.raises(ValueError, match=f"^cap must be a positive integer, got {cap}$"):
+        build_root_datum("A", 10 ** 9, cap=cap)
 
 
 def test_weyl_words_are_reduced_and_act_correctly(d4):

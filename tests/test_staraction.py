@@ -76,6 +76,15 @@ def test_infinite_closure_hits_cap():
         build_action(t2, [shear])
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_closure_cap_below_one_is_refused(d4, cap):
+    def generators():
+        pytest.fail("a generator was read")
+        yield
+    with pytest.raises(ValueError, match=f"^cap must be a positive integer, got {cap}$"):
+        build_action(d4, generators(), cap=cap)
+
+
 def test_torus_finite_order_generator_is_fine():
     t2 = torus(2)
     swap = IntMatrix.from_rows([[0, 1], [1, 0]])

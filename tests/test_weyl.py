@@ -42,6 +42,13 @@ def test_orbit_cap(d4):
         weyl_orbit(d4, (1, 0, 0, 0), cap=3)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_orbit_cap_below_one_is_refused(cap):
+    # once a cap hit: "orbit exceeded cap 0"
+    with pytest.raises(ValueError, match=f"^cap must be a positive integer, got {cap}$"):
+        weyl_orbit(build_root_datum("A", 2), (-1, 1), cap=cap)
+
+
 def test_orbit_accepts_rational_vectors(d4):
     half = (Fraction(1, 2), 0, 0, 0)
     orbit = weyl_orbit(d4, half)
