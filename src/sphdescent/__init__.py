@@ -34,6 +34,7 @@ from .cones import (
     ColoredCone,
     ColoredFan,
     ColorRecord,
+    FanCone,
     FanVerdict,
     NotStrictlyConvex,
     RationalCone,
@@ -87,6 +88,7 @@ __all__ = [
     "ColorRecord",
     "ColoredCone",
     "ColoredFan",
+    "FanCone",
     "FanVerdict",
     "FgAbelianGroup",
     "GaloisAction",

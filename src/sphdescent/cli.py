@@ -125,6 +125,21 @@ def _caps(args) -> dict:
     return {"cap": cap}
 
 
+def _emit(*lines, end=False) -> None:
+    """Print lines (and flush at the end).  Once the reader has closed the
+    pipe, stdout goes to the null device, so the rest of the output and the
+    flush at exit go nowhere and the command keeps its own exit code."""
+    try:
+        for line in lines:
+            print(line)
+        if end:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 # -- the file commands -------------------------------------------------------
 
 def _run_batch(args) -> int:
@@ -143,11 +158,11 @@ def _run_batch(args) -> int:
         docs.append(doc)
         worst = max(worst, code)
         if not args.json:
-            for line in lines:
-                print(line)
+            _emit(*lines)
     if args.json:
-        print(json.dumps(docs[0] if len(docs) == 1 else {"results": docs},
+        _emit(json.dumps(docs[0] if len(docs) == 1 else {"results": docs},
                          indent=2))
+    _emit(end=True)
     return worst
 
 
@@ -287,13 +302,12 @@ def cmd_weyl_orbit(args) -> int:
         raise ProblemError(f"vector must have length {brd.rank}")
     orbit = sorted(weyl_orbit(brd, v, **_caps(args)))
     if args.json:
-        print(json.dumps({"orbit_size": len(orbit),
+        _emit(json.dumps({"orbit_size": len(orbit),
                           "orbit": [[str(_num_out(x)) for x in u] for u in orbit]},
-                         indent=2))
+                         indent=2), end=True)
     else:
-        print(f"orbit size: {len(orbit)}")
-        for u in orbit:
-            print(" ", _fmt_vec(u))
+        _emit(f"orbit size: {len(orbit)}", *(f"  {_fmt_vec(u)}" for u in orbit),
+              end=True)
     return EX_OK
 
 
@@ -303,14 +317,14 @@ def cmd_conjugate(args) -> int:
     b = root_subset(brd, _parse_vector_set(args.set_b))
     w = are_weyl_conjugate(brd, a, b, **_caps(args))
     if args.json:
-        print(json.dumps({"conjugate": w is not None,
+        _emit(json.dumps({"conjugate": w is not None,
                           "witness_word": None if w is None else
-                          [i + 1 for i in w.word]}, indent=2))
+                          [i + 1 for i in w.word]}, indent=2), end=True)
     elif w is None:
-        print("not conjugate")
+        _emit("not conjugate", end=True)
     else:
         word = " ".join(f"s{i + 1}" for i in w.word) or "identity"
-        print(f"conjugate via: {word}")
+        _emit(f"conjugate via: {word}", end=True)
     return EX_OK if w is not None else EX_NEGATIVE
 
 

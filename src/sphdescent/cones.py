@@ -8,21 +8,25 @@ then the same as equality of the point sets they define.
 
 Conversion between descriptions, and the feasibility question of whether
 relative interiors meet, go to the one double-description engine in `ratlp`.
-Faces and images under lattice automorphisms are read off the description a
-cone already has, with no further conversion.
+
+A colored fan holds one sorted list of primitive rays and each of its cones
+as a bit mask over that list plus its colors: fan cones are strictly convex,
+so each is spanned by its extreme rays.  Faces, fan membership and stability
+under lattice automorphisms are read off masks, facet incidence masks and
+integer dot products, with no further conversion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .intlinalg import (
     IntMatrix,
-    Lattice,
     kernel_lattice,
-    solve_fraction_free,
     vec_dot,
     vec_integral,
     vec_neg,
@@ -34,39 +38,6 @@ from .staraction import LatticeMoved, dual_matrix_on_V
 
 class NotStrictlyConvex(ValueError):
     """A construction needed a strictly convex cone but got lineality."""
-
-
-def _project_off(vectors, basis) -> list:
-    """Primitive directions of the orthogonal projections of integer vectors
-    off the span of independent integer rows (None for a vector in the span).
-
-    With B the rows and G = B B^T, det(G) v - B^T adj(G) B v is det(G) > 0
-    times the projection.  adj(G) is solve_fraction_free(G, I), computed only
-    when some vector is not already orthogonal to the rows; G is positive
-    definite, so its pivots are its leading minors and the last is det(G).
-    """
-    out = []
-    adj = None
-    for v in vectors:
-        bv = [vec_dot(b, v) for b in basis]
-        if not any(bv):
-            out.append(vec_primitive(v))
-            continue
-        if adj is None:
-            det, adj = solve_fraction_free(
-                [[vec_dot(a, b) for b in basis] for a in basis],
-                IntMatrix.identity(len(basis)).entries)
-        w = [vec_dot(row, bv) for row in adj]
-        out.append(vec_primitive(tuple(
-            det * x - sum(wi * b[j] for wi, b in zip(w, basis))
-            for j, x in enumerate(v))))
-    return out
-
-
-@lru_cache(maxsize=256)
-def _inverse_transpose(matrix: IntMatrix) -> IntMatrix:
-    # a stability check maps every cone of a fan by the same matrix
-    return matrix.inverse_unimodular().transpose()
 
 
 @dataclass(frozen=True)
@@ -87,10 +58,6 @@ class RationalCone:
     def dim(self) -> int:
         return self.ambient_dim - len(self.equations)
 
-    @property
-    def is_origin(self) -> bool:
-        return not self.rays and not self.lineality
-
     def generators(self) -> tuple:
         return self.rays + self.lineality + tuple(vec_neg(r) for r in self.lineality)
 
@@ -106,38 +73,18 @@ class RationalCone:
             raise ValueError("dimension mismatch")
         return all(self.contains(g) for g in other.generators())
 
-    def relative_interior_point(self) -> tuple[int, ...]:
-        """Sum of the extreme rays: a canonical relative interior point."""
-        if not self.rays:
-            return (0,) * self.ambient_dim
-        return tuple(map(sum, zip(*self.rays)))
-
-    def image(self, matrix: IntMatrix) -> "RationalCone":
-        """Image cone under a unimodular matrix acting on columns.
-
-        Rays and lineality map by the matrix, inequalities and equations by
-        its inverse transpose.  Nothing is converted: the image only needs
-        Hermite bases for its two lattices, and rays and inequalities
-        projected off the lattice spans and made primitive.
-        """
-        dim = self.ambient_dim
-        if matrix.rows != dim or matrix.cols != dim:
-            raise ValueError("the map must be a square matrix of the cone's "
-                             "dimension")
-        dual = _inverse_transpose(matrix)
-        lin = Lattice.from_rows(dim, [matrix.apply(b) for b in self.lineality])
-        eqs = Lattice.from_rows(dim, [dual.apply(e) for e in self.equations])
-        rays = _project_off([matrix.apply(r) for r in self.rays],
-                            lin.basis.entries)
-        ineqs = _project_off([dual.apply(c) for c in self.inequalities],
-                             eqs.basis.entries)
-        return RationalCone(dim, tuple(sorted(rays)), lin.basis.entries,
-                            tuple(sorted(ineqs)), eqs.basis.entries)
-
 
 def _check_rows(dim: int, rows) -> None:
     if any(len(r) != dim for r in rows):
         raise ValueError("dimension mismatch")
+
+
+def _kernel(dim: int, rows) -> tuple:
+    """Hermite basis of the integer vectors orthogonal to rational rows."""
+    rows = [r for r in map(vec_primitive, rows) if r is not None]
+    if not rows:
+        return IntMatrix.identity(dim).entries
+    return kernel_lattice(IntMatrix.from_rows(rows, cols=dim)).basis.entries
 
 
 def cone_from_generators(dim: int, generators) -> RationalCone:
@@ -148,12 +95,13 @@ def cone_from_generators(dim: int, generators) -> RationalCone:
     _check_rows(dim, generators)
     # facets of the cone are the extreme rays of its polar dual, whose
     # lineality is the orthogonal complement of the cone's span
-    ineqs, perp = _hcone_extreme_rays(generators, dim)
+    ineqs = _hcone_extreme_rays(generators)
+    perp = _kernel(dim, generators)
     constraints = list(ineqs)
-    for e in perp.basis.entries:
+    for e in perp:
         constraints += [e, vec_neg(e)]
-    rays, lin = _hcone_extreme_rays(constraints, dim)
-    return RationalCone(dim, rays, lin.basis.entries, ineqs, perp.basis.entries)
+    return RationalCone(dim, _hcone_extreme_rays(constraints),
+                        _kernel(dim, constraints), ineqs, perp)
 
 
 def cone_from_inequalities(dim: int, inequalities, equations=()) -> RationalCone:
@@ -163,12 +111,12 @@ def cone_from_inequalities(dim: int, inequalities, equations=()) -> RationalCone
     _check_rows(dim, constraints + equations)
     for e in equations:
         constraints += [e, vec_neg(e)]
-    rays, lin = _hcone_extreme_rays(constraints, dim)
+    rays, lin = _hcone_extreme_rays(constraints), _kernel(dim, constraints)
     gens = list(rays)
-    for b in lin.basis.entries:
+    for b in lin:
         gens += [b, vec_neg(b)]
-    ineqs, perp = _hcone_extreme_rays(gens, dim)
-    return RationalCone(dim, rays, lin.basis.entries, ineqs, perp.basis.entries)
+    return RationalCone(dim, rays, lin, _hcone_extreme_rays(gens),
+                        _kernel(dim, gens))
 
 
 def cones_equal(a: RationalCone, b: RationalCone) -> bool:
@@ -178,40 +126,18 @@ def cones_equal(a: RationalCone, b: RationalCone) -> bool:
 
 @lru_cache(maxsize=65536)
 def _cone_from_ray_tuple(dim: int, rays: tuple) -> RationalCone:
-    # Process-wide memo of cones by ray tuple, from when every face went
-    # through a conversion.  Nothing in the package calls it any more: faces
-    # are built from their parent's description and shared per call (see
-    # faces), since a process-wide memo of every face ever built held about
-    # 1 kB a face, unreleased.  It stays because the benchmark's traced run
-    # reads its cache statistics.
+    # Memo of cones by ray tuple, from when every face was converted.
+    # Nothing calls it now that fan cones are ray masks; it stays because
+    # the benchmark's traced run reads its cache statistics.
     return cone_from_generators(dim, rays)
-
-
-def _face(parent: RationalCone, incidence, mask: int, rays: tuple) -> RationalCone:
-    """The face of a strictly convex cone spanned by the rays in `mask`.
-
-    `incidence` holds each parent facet's ray mask.  The equations are the
-    kernel of the rays; every facet of the face is its meet with a parent
-    facet, and the facets are the meets whose ray sets are maximal below the
-    face's own, each given by such a parent facet projected onto the face's
-    span.
-    """
-    dim = parent.ambient_dim
-    equations = kernel_lattice(IntMatrix.from_rows(rays, cols=dim)).basis.entries
-    cuts = {}
-    for c, m in zip(parent.inequalities, incidence):
-        if m & mask != mask:
-            cuts.setdefault(m & mask, c)
-    facets = [c for t, c in cuts.items()
-              if not any(u != t and u & t == t for u in cuts)]
-    ineqs = _project_off(facets, equations)
-    return RationalCone(dim, rays, (), tuple(sorted(ineqs)), equations)
 
 
 def meet_relative_interiors(strict, weak=()):
     """A point interior to every cone of `strict` and inside every cone of
     `weak`, or None.  Exact rational feasibility.
 
+    Each entry needs `ambient_dim`, `equations` and `inequalities`: a
+    `RationalCone`, or the relative interior of a fan cone's face.
     c.x > 0 for facets is homogenized to c.x >= 1: for a homogeneous system
     a solution can be scaled until every strict value reaches 1.  Each
     equation enters as two weak rows, e.x >= 0 and -e.x >= 0.
@@ -276,11 +202,6 @@ class ColoredCone:
             if not self.cone.contains(rec.rho):
                 raise ValueError("color image outside the cone")
 
-    def key(self):
-        c = self.cone
-        return (c.rays, c.lineality, c.equations, c.inequalities,
-                tuple(sorted(r.key() for r in self.colors)))
-
 
 def colored_cone(dim: int, generators, colors) -> ColoredCone:
     """Build the colored cone spanned by the color images and extra generators."""
@@ -289,68 +210,131 @@ def colored_cone(dim: int, generators, colors) -> ColoredCone:
     return ColoredCone(cone_from_generators(dim, gens), recs)
 
 
-def faces(cc: ColoredCone, known: dict | None = None) -> frozenset:
-    """All faces of a colored cone, each with its induced color set.
+class FanCone(NamedTuple):
+    """A cone of a colored fan: a bit mask over the fan's rays, and its colors."""
 
-    The cone is strictly convex, so each face is spanned by the extreme rays
-    on it, and its ray set is an intersection of facet ray sets.  The face
-    lattice is therefore the closure of the facet incidence masks under
-    intersection, and each face is built from the parent's description with
-    no conversion.  A face's colors are those whose image lies on it.
+    mask: int
+    colors: frozenset
 
-    `known` maps ray tuples to faces already built; faces() looks faces up
-    there first and adds those it builds, so a caller walking the faces of
-    faces builds each one once.
-    """
-    base = cc.cone
-    known = {} if known is None else known
-    incidence = tuple(sum(1 << i for i, r in enumerate(base.rays)
-                          if vec_dot(c, r) == 0)
-                      for c in base.inequalities)
-    full = (1 << len(base.rays)) - 1
-    closed = {full}
-    for mask in incidence:
-        closed |= {span & mask for span in closed}
-    out = []
-    for span in closed:
-        if span == full:
-            face = base
-        else:
-            rays = tuple(r for i, r in enumerate(base.rays) if span >> i & 1)
-            face = known.get(rays)
-            if face is None:
-                face = known[rays] = _face(base, incidence, span, rays)
-        cols = frozenset(r for r in cc.colors if face.contains(r.rho))
-        out.append(ColoredCone(face, cols))
-    return frozenset(out)
+
+# the relative interior of a face of a parent cone, as the meets read it
+_Relint = namedtuple("_Relint", "ambient_dim equations inequalities")
+
+
+def _parent(cone: RationalCone, bit: dict) -> tuple:
+    """A strictly convex cone with each facet's ray mask over a fan's rays."""
+    return cone, tuple(sum(bit[r] for r in cone.rays if vec_dot(c, r) == 0)
+                       for c in cone.inequalities)
+
+
+def _face_masks(mask: int, facet_masks) -> set:
+    """Ray masks of the faces of the face `mask` of a parent cone: its
+    closure under intersection with the facet masks, as each face of a
+    strictly convex cone is spanned by its rays and cut out by facets."""
+    closed = {mask}
+    for m in facet_masks:
+        closed |= {span & m for span in closed}
+    return closed
+
+
+def _relint(parent, span: int) -> _Relint:
+    """The relative interior of the face `span` of a parent: the parent's
+    equations and the facets tight on the face hold with equality, every
+    other parent facet strictly, as each proper face of the face is cut out
+    by one of those."""
+    cone, masks = parent
+    eqs, strict = list(cone.equations), []
+    for c, m in zip(cone.inequalities, masks):
+        (eqs if m & span == span else strict).append(c)
+    return _Relint(cone.ambient_dim, tuple(eqs), tuple(strict))
+
+
+def _face_colors(parent, span: int, colors) -> frozenset:
+    """The colors on a face: those on every parent facet tight on it."""
+    if not colors:
+        return frozenset()
+    eqs = _relint(parent, span).equations
+    return frozenset(r for r in colors if all(vec_dot(e, r.rho) == 0 for e in eqs))
 
 
 @dataclass(frozen=True)
 class ColoredFan:
-    """Nonempty finite set of colored cones, kept in a canonical order."""
+    """Nonempty finite set of colored cones over one sorted list of rays.
 
+    `rays` is the union of the cones' primitive extreme rays, and cone k is
+    `cones[k]`, a ray mask over `rays` plus its colors; cones are sorted by
+    ray tuple, then by color keys.  `parents[k]` is a cone that has cone k
+    as a face, with its facets' ray masks: its H-description gives cone k's
+    faces and relative interior.
+    """
+
+    ambient_dim: int
+    rays: tuple
     cones: tuple
+    parents: tuple = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, cones) -> "ColoredFan":
-        dedup = {cc.key(): cc for cc in cones}
-        if not dedup:
+        """The fan of the given colored cones, each its own parent."""
+        cones = list(cones)
+        if not cones:
             raise ValueError("a colored fan must be nonempty")
-        dims = {cc.cone.ambient_dim for cc in dedup.values()}
+        dims = {cc.cone.ambient_dim for cc in cones}
         if len(dims) != 1:
             raise ValueError("all cones must share one ambient dimension")
-        return cls(tuple(dedup[k] for k in sorted(dedup)))
+        rays = tuple(sorted({r for cc in cones for r in cc.cone.rays}))
+        bit = {r: 1 << i for i, r in enumerate(rays)}
+        parents = {cc.cone: _parent(cc.cone, bit) for cc in cones}
+        return _fan(dims.pop(), rays, [
+            (sum(bit[r] for r in cc.cone.rays), cc.colors, parents[cc.cone])
+            for cc in cones])
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.cones[0].cone.ambient_dim
+    def __len__(self) -> int:
+        return len(self.cones)
 
     @cached_property
     def _members(self) -> frozenset:
         return frozenset(self.cones)
 
-    def __contains__(self, cc: ColoredCone) -> bool:
-        return cc in self._members
+    def __contains__(self, fc: FanCone) -> bool:
+        return fc in self._members
+
+    def rays_of(self, mask: int) -> tuple:
+        """The rays in a mask, in order: the extreme rays of its cone."""
+        return tuple(r for i, r in enumerate(self.rays) if mask >> i & 1)
+
+    def colored_cone(self, k: int) -> ColoredCone:
+        """Cone k in full canonical form: one conversion, for reports."""
+        fc = self.cones[k]
+        return ColoredCone(cone_from_generators(self.ambient_dim,
+                                                self.rays_of(fc.mask)),
+                           fc.colors)
+
+
+def _fan(dim: int, rays: tuple, entries) -> ColoredFan:
+    """Fan of (mask, colors, parent) entries: duplicates go, and the cones
+    are put in canonical order."""
+    parents = {}
+    for mask, colors, parent in entries:
+        parents.setdefault(FanCone(mask, frozenset(colors)), parent)
+
+    def key(fc):
+        rays_in = tuple(r for i, r in enumerate(rays) if fc.mask >> i & 1)
+        return rays_in, sorted(r.key() for r in fc.colors)
+
+    order = sorted(parents, key=key)
+    return ColoredFan(dim, rays, tuple(order), tuple(parents[fc] for fc in order))
+
+
+def faces(cc: ColoredCone) -> ColoredFan:
+    """All faces of a colored cone, each with the colors on it, as a fan
+    over the cone's rays with the cone as every face's parent."""
+    base = cc.cone
+    parent = _parent(base, {r: 1 << i for i, r in enumerate(base.rays)})
+    full = (1 << len(base.rays)) - 1
+    return _fan(base.ambient_dim, base.rays, [
+        (span, _face_colors(parent, span, cc.colors), parent)
+        for span in _face_masks(full, parent[1])])
 
 
 @dataclass(frozen=True)
@@ -367,29 +351,10 @@ class FanVerdict:
         return self.interior_ok and self.closure_ok and self.separation_ok
 
 
-def _relint_contains(cone: RationalCone, p) -> bool:
+def _relint_contains(cone, p) -> bool:
     # relative interior membership: equations hold, every facet is strict
-    p = vec_integral(p)
     return (all(vec_dot(e, p) == 0 for e in cone.equations)
             and all(vec_dot(c, p) > 0 for c in cone.inequalities))
-
-
-def _relint_meets(cone: RationalCone, v_cone: RationalCone) -> bool:
-    # the canonical interior point often certifies cheaply; feasibility
-    # decides else
-    if cone.is_strictly_convex and v_cone.contains(cone.relative_interior_point()):
-        return True
-    return meet_relative_interiors([cone], [v_cone]) is not None
-
-
-def _relints_overlap(a: RationalCone, b: RationalCone,
-                     v_cone: RationalCone) -> bool:
-    for one, other in ((a, b), (b, a)):
-        if one.is_strictly_convex:
-            p = one.relative_interior_point()
-            if _relint_contains(other, p) and v_cone.contains(p):
-                return True
-    return meet_relative_interiors([a, b], [v_cone]) is not None
 
 
 def is_valid_fan(fan: ColoredFan, v_cone: RationalCone) -> FanVerdict:
@@ -400,34 +365,47 @@ def is_valid_fan(fan: ColoredFan, v_cone: RationalCone) -> FanVerdict:
     the fan; (iii) no point of the valuation cone is interior to two cones.
     Two distinct faces of one cone have disjoint relative interiors, so
     (iii) is only tested for pairs that are not both faces of one fan cone.
+    The sum of a face's rays is interior to it and often certifies a meet
+    cheaply; exact feasibility decides else.
     """
     if v_cone.ambient_dim != fan.ambient_dim:
         raise ValueError("fan and valuation cone dimensions differ")
+
+    def point(mask):
+        return tuple(map(sum, zip(*fan.rays_of(mask)))) or (0,) * fan.ambient_dim
+
+    def meets(parent, span):
+        return (v_cone.contains(point(span))
+                or meet_relative_interiors([_relint(parent, span)], [v_cone])
+                is not None)
+
     problems = []
     interior_ok = True
-    for k, cc in enumerate(fan.cones):
-        if not _relint_meets(cc.cone, v_cone):
+    for k, (fc, parent) in enumerate(zip(fan.cones, fan.parents)):
+        if not meets(parent, fc.mask):
             interior_ok = False
             problems.append(f"cone {k}: relative interior misses the valuation cone")
     closure_ok = True
-    known = {cc.cone.rays: cc.cone for cc in fan.cones}
-    holders = {}  # cone -> bit set of the fan cones it is a face of
-    for k, cc in enumerate(fan.cones):
+    holders = {}  # mask -> bit set of the fan cones it is a face of
+    for k, (fc, parent) in enumerate(zip(fan.cones, fan.parents)):
         missing = []
-        for face in faces(cc, known):
-            holders[face.cone] = holders.get(face.cone, 0) | 1 << k
-            if face not in fan and _relint_meets(face.cone, v_cone):
-                missing.append(face)
-        for face in sorted(missing, key=ColoredCone.key):
+        for span in _face_masks(fc.mask, parent[1]):
+            holders[span] = holders.get(span, 0) | 1 << k
+            face = FanCone(span, _face_colors(parent, span, fc.colors))
+            if face not in fan and meets(parent, span):
+                missing.append(fan.rays_of(span))
+        for rays in sorted(missing):
             closure_ok = False
-            problems.append(f"cone {k}: face with rays {face.cone.rays} "
-                            "missing from the fan")
+            problems.append(f"cone {k}: face with rays {rays} missing from the fan")
     separation_ok = True
-    for i, j in combinations(range(len(fan.cones)), 2):
-        a, b = fan.cones[i].cone, fan.cones[j].cone
+    for i, j in combinations(range(len(fan)), 2):
+        a, b = fan.cones[i].mask, fan.cones[j].mask
         if a != b and holders[a] & holders[b]:
             continue
-        if _relints_overlap(a, b, v_cone):
+        ri, rj = (_relint(fan.parents[k], fan.cones[k].mask) for k in (i, j))
+        if (any(_relint_contains(other, point(one)) and v_cone.contains(point(one))
+                for one, other in ((a, rj), (b, ri)))
+                or meet_relative_interiors([ri, rj], [v_cone]) is not None):
             separation_ok = False
             problems.append(f"cones {i} and {j}: relative interiors overlap "
                             "inside the valuation cone")
@@ -440,7 +418,7 @@ def wonderful_fan(v_cone: RationalCone) -> ColoredFan:
         raise NotStrictlyConvex(
             "the valuation cone has nontrivial lineality, so no fan has it "
             "as a maximal strictly convex cone")
-    return ColoredFan.build(faces(ColoredCone(v_cone, frozenset())))
+    return faces(ColoredCone(v_cone, frozenset()))
 
 
 def is_wonderful(fan: ColoredFan, v_cone: RationalCone) -> bool:
@@ -448,24 +426,15 @@ def is_wonderful(fan: ColoredFan, v_cone: RationalCone) -> bool:
 
     Without colors the fan's cones are distinct, so this holds exactly when
     one fan cone equals the valuation cone and every fan cone lies in it.
-    Fan cones are strictly convex, hence spanned by their rays: a cone whose
-    rays are among the valuation cone's rays lies in it, and any other cone
-    has its rays tested.
+    Fan cones are strictly convex, hence spanned by their rays: one equals
+    the valuation cone when it is strictly convex with the same rays, and
+    all lie in it when every fan ray does.
     """
-    if any(cc.colors for cc in fan.cones):
+    if any(fc.colors for fc in fan.cones) or not v_cone.is_strictly_convex:
         return False
-    if sum(cc.cone == v_cone for cc in fan.cones) != 1:
+    if sum(fan.rays_of(fc.mask) == v_cone.rays for fc in fan.cones) != 1:
         return False
-    v_rays = frozenset(v_cone.rays)
-    return all(v_rays.issuperset(cc.cone.rays)
-               or all(v_cone.contains(r) for r in cc.cone.rays)
-               for cc in fan.cones)
-
-
-def transform_colored_cone(cc: ColoredCone, matrix: IntMatrix, s_perm) -> ColoredCone:
-    """Apply a lattice automorphism of V plus a simple-root permutation."""
-    return ColoredCone(cc.cone.image(matrix),
-                       frozenset(r.image(matrix, s_perm) for r in cc.colors))
+    return all(v_cone.contains(r) for r in fan.rays)
 
 
 @dataclass(frozen=True)
@@ -482,7 +451,10 @@ def is_gamma_stable(fan: ColoredFan, action, weight_lattice) -> StabilityVerdict
 
     Each generator is transported to V through the inverse-transpose of its
     restriction to the weight lattice; colors move by (matrix on V,
-    permutation of simple roots).  Generators suffice: the moved-fan
+    permutation of simple roots).  A unimodular map sends a cone's primitive
+    extreme rays to the image's, so a cone maps onto a fan cone exactly when
+    every ray maps into the fan's ray list and the image mask, with the
+    image colors, is a fan cone.  Generators suffice: the moved-fan
     condition is closed under composition and inverses, and so is
     stability of the weight lattice.  A generator that moves the lattice
     raises LatticeMoved before any cone is tested.
@@ -491,8 +463,12 @@ def is_gamma_stable(fan: ColoredFan, action, weight_lattice) -> StabilityVerdict
     for name, dmat in zip(action.generator_names, duals):
         if dmat is None:
             raise LatticeMoved(name)
+    index = {r: 1 << i for i, r in enumerate(fan.rays)}
     for name, gen, dmat in zip(action.generator_names, action.generators, duals):
-        for cc in fan.cones:
-            if transform_colored_cone(cc, dmat, gen.s_perm) not in fan:
-                return StabilityVerdict(False, name, cc)
+        moved = [index.get(dmat.apply(r)) for r in fan.rays]
+        for k, fc in enumerate(fan.cones):
+            bits = [b for i, b in enumerate(moved) if fc.mask >> i & 1]
+            if None in bits or FanCone(sum(bits), frozenset(
+                    r.image(dmat, gen.s_perm) for r in fc.colors)) not in fan:
+                return StabilityVerdict(False, name, fan.colored_cone(k))
     return StabilityVerdict(True, None, None)

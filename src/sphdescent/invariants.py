@@ -148,7 +148,10 @@ def preserves_invariants(action: GaloisAction, element: BRDAutomorphism,
     dual = dual_matrix_on_V(element, inv.weight_lattice)
     if dual is None:
         return PreservationVerdict(False, None, None, None)
-    v_ok = inv.valuation_cone.image(dual) == inv.valuation_cone
+    cone, inverse = inv.valuation_cone, dual.inverse_unimodular()
+    # g.V = V exactly when g.V and g^-1.V both lie in V
+    v_ok = all(cone.contains(dual.apply(x)) and cone.contains(inverse.apply(x))
+               for x in cone.generators())
     o1 = frozenset(r.image(dual, element.s_perm) for r in inv.omega1)
     o2 = frozenset(r.image(dual, element.s_perm) for r in inv.omega2)
     return PreservationVerdict(True, v_ok, o1 == inv.omega1, o2 == inv.omega2)

@@ -637,9 +637,10 @@ def to_json(problem: Problem) -> dict:
             block["base_field"] = problem.cohomology_base_field
         out["cohomology"] = block
     if problem.fan is not None:
+        fan = problem.fan
         out["fan"] = {"cones": [
-            {"rays": _mat_out(cc.cone.generators()),
+            {"rays": _mat_out(fan.rays_of(fc.mask)),
              "colors": [_color_out(r)
-                        for r in sorted(cc.colors, key=lambda r: r.key())]}
-            for cc in sorted(problem.fan.cones, key=lambda cc: cc.key())]}
+                        for r in sorted(fc.colors, key=lambda r: r.key())]}
+            for fc in fan.cones]}
     return out

@@ -3,7 +3,8 @@
 `_hcone_extreme_rays` is the one polyhedral engine of the package: the
 incremental double-description method (Motzkin et al. 1953; Fukuda & Prodon
 1996) in integer arithmetic, turning {x : c.x >= 0 for all c} into its
-extreme rays and lineality.  `cones` builds canonical cones on it, and
+extreme rays; its lineality is the kernel of the rows, which `cones`
+computes where a cone keeps it.  `cones` builds canonical cones on it, and
 `feasible` decides a system of weak inequalities c . x >= r with it, by
 homogenizing the system to a cone.  Strict homogeneous inequalities are
 handled by callers through scaling: c . x > 0 is feasible together with a
@@ -13,14 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .intlinalg import (
-    IntMatrix,
-    Lattice,
-    kernel_lattice,
-    vec_dot,
-    vec_neg,
-    vec_primitive,
-)
+from .intlinalg import vec_dot, vec_neg, vec_primitive
 
 
 def _combine(p: int, u, q: int, v) -> tuple[int, ...] | None:
@@ -39,12 +33,14 @@ def _adjacent(z: int, masks) -> bool:
     return True
 
 
-def _hcone_extreme_rays(constraints, dim: int) -> tuple[tuple, Lattice]:
+def _hcone_extreme_rays(constraints, watch: int | None = None) -> tuple:
     """Extreme rays, modulo lineality, of {x : c.x >= 0 for all c}.
 
-    Returns (rays, lineality): sorted primitive integer ray representatives
-    orthogonal to the lineality space, and the saturated lineality lattice
-    (the kernel of the constraint matrix).
+    Returns the sorted primitive integer ray representatives orthogonal to
+    the lineality space, which is the kernel of the constraint matrix.
+    With `watch` set, stops with () once no ray has a positive entry at
+    that index.  That is final when the first row is x[watch] >= 0, as in
+    `feasible`: the lineality left after it lies in x[watch] = 0.
 
     Incremental double description inside the orthogonal complement of the
     lineality, which the constraint rows span.  The cone starts as that whole
@@ -57,9 +53,6 @@ def _hcone_extreme_rays(constraints, dim: int) -> tuple[tuple, Lattice]:
     are tight on it, which gives the adjacency test.
     """
     rows = [c for c in map(vec_primitive, constraints) if c is not None]
-    if not rows:
-        return (), Lattice.full(dim)
-    lin = kernel_lattice(IntMatrix.from_rows(rows, cols=dim))
     span = list(dict.fromkeys(rows))
     rays, masks = [], []
     cuts = 0  # dimension of the cone modulo its lineality
@@ -102,7 +95,9 @@ def _hcone_extreme_rays(constraints, dim: int) -> tuple[tuple, Lattice]:
                 new_rays.append(r)
                 new_masks.append(m | bit if t == 0 else m)
         rays, masks = new_rays, new_masks
-    return tuple(sorted(rays)), lin
+        if watch is not None and all(r[watch] <= 0 for r in rays):
+            return ()
+    return tuple(sorted(rays))
 
 
 def feasible(rows, rhs) -> tuple[Fraction, ...] | None:
@@ -115,6 +110,10 @@ def feasible(rows, rhs) -> tuple[Fraction, ...] | None:
     t >= 0} has a point with t > 0.  Its lineality lies in t = 0, so that
     holds exactly when one of its extreme rays has t > 0, and then x is the
     ray's first n entries over t.  t >= 0 goes first: it is the first cut.
+    The lineality left after it lies in t = 0, so a later row keeps or
+    rescales the rays with t > 0 and makes new ones only from pairs that
+    hold one; once no ray has t > 0 the answer is None and the conversion
+    stops.
     """
     rows, rhs = [tuple(row) for row in rows], list(rhs)
     if len(rows) != len(rhs):
@@ -123,6 +122,6 @@ def feasible(rows, rhs) -> tuple[Fraction, ...] | None:
     if any(len(row) != n for row in rows):
         raise ValueError("ragged coefficient rows")
     cone = [(0,) * n + (1,)] + [(*row, -r) for row, r in zip(rows, rhs)]
-    rays, _ = _hcone_extreme_rays(cone, n + 1)
+    rays = _hcone_extreme_rays(cone, watch=n)
     ray = next((ray for ray in rays if ray[n] > 0), None)
     return None if ray is None else tuple(Fraction(x, ray[n]) for x in ray[:n])

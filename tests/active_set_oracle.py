@@ -7,6 +7,11 @@ in the number of constraints: use it on small inputs only.  One fault is
 mended here, in `_primitive` (see there); everything else is as it was.
 Its fan check takes its meets from the simplex in `simplex_oracle.py`, so
 that fan verdicts are compared engine against linear program.
+
+The fan code below is the `RationalCone`-based fan layer that ray masks
+replaced: a fan is a list of `ColoredCone`s sorted by their full canonical
+description, every face and every image is converted again, and fan
+membership compares whole canonical cones.
 """
 from fractions import Fraction
 from functools import reduce
@@ -15,7 +20,13 @@ from math import gcd, lcm
 
 from elimination_oracle import solve_exact
 from simplex_oracle import meet_relative_interiors
-from sphdescent.cones import ColoredCone, FanVerdict, RationalCone
+from sphdescent.cones import (
+    ColoredCone,
+    ColorRecord,
+    FanVerdict,
+    RationalCone,
+    StabilityVerdict,
+)
 from sphdescent.intlinalg import (
     IntMatrix,
     Lattice,
@@ -24,6 +35,7 @@ from sphdescent.intlinalg import (
     vec_is_zero,
     vec_neg,
 )
+from sphdescent.staraction import LatticeMoved, dual_matrix_on_V
 
 
 def _qvec(v):
@@ -157,6 +169,11 @@ def _relint_point(cone):
     return tuple(out)
 
 
+def _relint_contains(cone, p):
+    return (all(vec_dot(e, p) == 0 for e in cone.equations)
+            and all(vec_dot(c, p) > 0 for c in cone.inequalities))
+
+
 def _relint_meets(cone, v_cone):
     if cone.is_strictly_convex and _contains(v_cone, _relint_point(cone)):
         return True
@@ -167,34 +184,49 @@ def _relints_overlap(a, b, v_cone):
     for one, other in ((a, b), (b, a)):
         if one.is_strictly_convex:
             p = _relint_point(one)
-            if (all(vec_dot(e, p) == 0 for e in other.equations)
-                    and all(vec_dot(c, p) > 0 for c in other.inequalities)
-                    and _contains(v_cone, p)):
+            if _relint_contains(other, p) and _contains(v_cone, p):
                 return True
     return meet_relative_interiors([a, b], [v_cone]) is not None
 
 
-def is_valid_fan(fan, v_cone):
+def key(cc):
+    """The canonical order of fan cones: the full description, then colors."""
+    c = cc.cone
+    return (c.rays, c.lineality, c.equations, c.inequalities,
+            tuple(sorted(r.key() for r in cc.colors)))
+
+
+def fan(cones):
+    """A fan as a list: duplicates dropped, sorted by `key`."""
+    dedup = {key(cc): cc for cc in cones}
+    return [dedup[k] for k in sorted(dedup)]
+
+
+def wonderful_fan(v_cone):
+    return fan(faces(ColoredCone(v_cone, frozenset())))
+
+
+def is_valid_fan(cones, v_cone):
     """The fan axioms as first implemented: faces converted again, and a
     separation test on every pair of cones."""
     problems = []
     interior_ok = True
-    for k, cc in enumerate(fan.cones):
+    for k, cc in enumerate(cones):
         if not _relint_meets(cc.cone, v_cone):
             interior_ok = False
             problems.append(f"cone {k}: relative interior misses the valuation cone")
     closure_ok = True
-    for k, cc in enumerate(fan.cones):
-        for face in sorted(faces(cc), key=ColoredCone.key):
+    for k, cc in enumerate(cones):
+        for face in sorted(faces(cc), key=key):
             if not _relint_meets(face.cone, v_cone):
                 continue
-            if not any(face == other for other in fan.cones):
+            if not any(face == other for other in cones):
                 closure_ok = False
                 problems.append(f"cone {k}: face with rays {face.cone.rays} "
                                 "missing from the fan")
     separation_ok = True
-    for i, j in combinations(range(len(fan.cones)), 2):
-        a, b = fan.cones[i].cone, fan.cones[j].cone
+    for i, j in combinations(range(len(cones)), 2):
+        a, b = cones[i].cone, cones[j].cone
         if _relints_overlap(a, b, v_cone):
             separation_ok = False
             problems.append(f"cones {i} and {j}: relative interiors overlap "
@@ -202,15 +234,34 @@ def is_valid_fan(fan, v_cone):
     return FanVerdict(interior_ok, closure_ok, separation_ok, tuple(problems))
 
 
-def is_wonderful(fan, v_cone):
+def is_wonderful(cones, v_cone):
     """Maximal cones found by pairwise containment."""
-    if any(cc.colors for cc in fan.cones):
+    if any(cc.colors for cc in cones):
         return False
 
     def inside(big, small):
         return all(_contains(big, g) for g in small.generators())
 
-    maximal = [cc for cc in fan.cones
+    maximal = [cc for cc in cones
                if not any(other is not cc and inside(other.cone, cc.cone)
-                          and other.cone != cc.cone for other in fan.cones)]
+                          and other.cone != cc.cone for other in cones)]
     return len(maximal) == 1 and maximal[0].cone == v_cone
+
+
+def is_gamma_stable(cones, action, weight_lattice):
+    """Each generator's image of each cone, converted again, looked up among
+    the fan's cones."""
+    duals = [dual_matrix_on_V(gen, weight_lattice) for gen in action.generators]
+    for name, dual in zip(action.generator_names, duals):
+        if dual is None:
+            raise LatticeMoved(name)
+    members = set(cones)
+    for name, gen, dual in zip(action.generator_names, action.generators, duals):
+        for cc in cones:
+            moved = ColoredCone(image(cc.cone, dual), frozenset(
+                ColorRecord(dual.apply(r.rho),
+                            frozenset(gen.s_perm[i] for i in r.sigma))
+                for r in cc.colors))
+            if moved not in members:
+                return StabilityVerdict(False, name, cc)
+    return StabilityVerdict(True, None, None)

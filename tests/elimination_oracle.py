@@ -15,21 +15,13 @@ library against them, and for the other oracles that solve in `Fraction`:
   of a finitely generated abelian group from its Smith transform, and the
   brute-force fixed elements of a finite one under automorphisms;
 * `solve_exact`: Gauss-Jordan elimination in `Fraction`;
-* `project_off_inline`: `cones._project_off` with its own copy of the
-  fraction-free Gauss-Jordan loop;
 * `from_epsilon_exact`: `BasedRootDatum.from_epsilon` through `solve_exact`.
 """
 from fractions import Fraction
 from itertools import product
 from math import prod
 
-from sphdescent.intlinalg import (
-    IntMatrix,
-    Lattice,
-    vec_dot,
-    vec_is_zero,
-    vec_primitive,
-)
+from sphdescent.intlinalg import IntMatrix, Lattice, vec_is_zero
 
 
 def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -287,37 +279,6 @@ def solve_exact(rows, rhs):
     for i, c in enumerate(pivots):
         x[c] = aug[i][n]
     return tuple(x)
-
-
-def project_off_inline(vectors, basis) -> list:
-    """Primitive directions of the projections of integer vectors off the
-    span of independent integer rows, adj(G) by an inline elimination."""
-    k = len(basis)
-    out = []
-    adj = None
-    for v in vectors:
-        bv = [vec_dot(b, v) for b in basis]
-        if not any(bv):
-            out.append(vec_primitive(v))
-            continue
-        if adj is None:
-            aug = [[vec_dot(a, b) for b in basis] + [int(i == j) for j in range(k)]
-                   for i, a in enumerate(basis)]
-            det = 1
-            for p in range(k):
-                piv, prow = aug[p][p], aug[p]
-                for i in range(k):
-                    if i != p:
-                        f = aug[i][p]
-                        aug[i] = [(piv * x - f * y) // det
-                                  for x, y in zip(aug[i], prow)]
-                det = piv
-            adj = [row[k:] for row in aug]
-        w = [vec_dot(row, bv) for row in adj]
-        out.append(vec_primitive(tuple(
-            det * x - sum(wi * b[j] for wi, b in zip(w, basis))
-            for j, x in enumerate(v))))
-    return out
 
 
 def from_epsilon_exact(brd, vec):

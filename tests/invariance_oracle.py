@@ -5,8 +5,10 @@ replaced, kept as test oracles.
 `dual_matrix_on_V` compares the image lattice with the lattice in Hermite
 form before it restricts; `preserves_spherical` moves colors by its own
 loop; `preserves_horospherical` and `closure_preserves` test every closure
-element instead of the generators.
+element instead of the generators.  Cone images come from the active-set
+engine in `active_set_oracle`.
 """
+from active_set_oracle import image
 from sphdescent.cones import ColorRecord
 from sphdescent.intlinalg import IntMatrix
 from sphdescent.staraction import action_on_simple_subset
@@ -33,7 +35,7 @@ def preserves_spherical(element, inv) -> bool:
     dual = dual_matrix_on_V(element, inv.weight_lattice)
     if dual is None:
         return False
-    return (inv.valuation_cone.image(dual) == inv.valuation_cone
+    return (image(inv.valuation_cone, dual) == inv.valuation_cone
             and frozenset(_transform_color(r, dual, element.s_perm)
                           for r in inv.omega1) == inv.omega1
             and frozenset(_transform_color(r, dual, element.s_perm)

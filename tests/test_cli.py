@@ -504,3 +504,57 @@ def test_weyl_orbit_after_check_fan(capsys):
     assert run(capsys, "check-fan", "--corpus", "fan_stability_demo")[0] == 1
     code, out, _ = run(capsys, "weyl-orbit", "D", "4", "0,1,0,0", "--json")
     assert code == 0 and json.loads(out)["orbit_size"] == 24
+
+
+# -- a reader that closes the pipe early ------------------------------------------
+
+def _env():
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+
+
+PIPE_CASES = [(["verdict", "--corpus"], 2), (["verdict", "--corpus", "--json"], 2),
+              (["check-fan", "--corpus"], 1), (["check-fan", "--corpus", "--json"], 1),
+              (["weyl-orbit", "D", "4", "0,1,0,0"], 0)]
+
+
+@pytest.mark.parametrize("argv,code", PIPE_CASES)
+def test_closed_pipe_leaves_no_traceback(argv, code):
+    # the reader is gone before the first write: every write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "sphdescent", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=_env())
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (code, b"")
+
+
+@pytest.mark.parametrize("argv,code", PIPE_CASES[:4])
+def test_reader_that_stops_after_one_line(argv, code):
+    # as `... | head -1`: whatever is still unwritten goes nowhere
+    proc = subprocess.Popen([sys.executable, "-m", "sphdescent", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_env())
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait() == code
+    assert b"Traceback" not in proc.stderr.read()
+    proc.stderr.close()
+
+
+def test_check_fan_finds_the_faces_of_stated_maximal_cones(capsys):
+    # only the two maximal cones are stated; their faces come from the
+    # closure of facet incidence masks, and the swap moves a color
+    f = Path(__file__).parent / "data" / "fan_maximal_cones_only.json"
+    code, out, _ = run(capsys, "check-fan", str(f), "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["valid"] is False and doc["wonderful"] is False
+    assert doc["problems"] == [
+        f"cone {k}: face with rays {rays} missing from the fan"
+        for k, rays in ((0, ()), (0, ((0, 1),)), (0, ((1, 1),)),
+                        (1, ()), (1, ((1, 0),)), (1, ((1, 1),)))]
+    assert doc["stable"] is False and doc["violating_generator"] == "s"
+    assert doc["violating_cone_rays"] == [[0, 1], [1, 1]]

@@ -1,10 +1,11 @@
 """Differential tests: the double-description cone engine against the
 active-set engine it replaced (`active_set_oracle.py`).
 
-Canonical cones must be byte-identical in both conversion directions, on
-every face and on images under signed permutations and unimodular maps, and
-the fan checks must give identical verdicts, the oracle's taking its meets
-from the simplex in `simplex_oracle.py`.  Inputs: the cones of
+Canonical cones must be byte-identical in both conversion directions; the
+face lattices, each face's relative interior, the images under signed
+permutations and unimodular maps and the invariance test on them must
+agree, and the fan checks must give identical verdicts, the oracle's taking
+its meets from the simplex in `simplex_oracle.py`.  Inputs: the cones of
 acceptance criteria 7 and 8 and a seeded grid of dims 2-5 with dim..dim+3
 generators, plus dim 6 with at most 8 generators, small enough for the
 exponential oracle.
@@ -21,6 +22,8 @@ from sphdescent.cones import (
     ColoredCone,
     ColoredFan,
     ColorRecord,
+    _relint,
+    _relint_contains,
     cone_from_generators,
     cone_from_inequalities,
     faces,
@@ -28,9 +31,11 @@ from sphdescent.cones import (
     is_wonderful,
     wonderful_fan,
 )
-from sphdescent.intlinalg import IntMatrix, kernel_lattice
+from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice
+from sphdescent.invariants import SphericalInvariants, preserves_invariants
 from sphdescent.problem import parse_file, parse_text
-from sphdescent.staraction import dual_matrix_on_V
+from sphdescent.rootdata import BRDAutomorphism, torus
+from sphdescent.staraction import build_action, dual_matrix_on_V
 from test_acceptance import _random_unimodular, _signed_permutation
 
 
@@ -77,8 +82,14 @@ def _corpus_cones():
             continue
         out.append((name, p.invariants.valuation_cone, p))
         if p.fan is not None:
-            out += [(name, cc.cone, None) for cc in p.fan.cones]
+            out += [(name, p.fan.colored_cone(k).cone, None)
+                    for k in range(len(p.fan))]
     return out
+
+
+def colored_cones(fan):
+    """A fan's cones in full canonical form, in the fan's order."""
+    return [fan.colored_cone(k) for k in range(len(fan))]
 
 
 DATA = Path(__file__).parent / "data"
@@ -118,12 +129,21 @@ def test_corpus_cones_match_active_set_engine(name, cone, problem):
 
 def _assert_faces_match(cone):
     got = faces(ColoredCone(cone, frozenset()))
-    assert {f.cone.rays for f in got} == oracle.face_ray_sets(cone)
-    # the cone itself is its top face, compared with the oracle elsewhere
-    for f in got:
-        if f.cone != cone:
-            assert f.cone == oracle.cone_from_generators(cone.ambient_dim,
-                                                         f.cone.rays)
+    assert {got.rays_of(fc.mask) for fc in got.cones} == oracle.face_ray_sets(cone)
+    # each face's relative interior, read off the parent's facets, holds the
+    # same sums of the parent's rays as the oracle's face converted again:
+    # a sum of rays is interior to the least face that holds them all
+    rng = random.Random(str(cone.rays))
+    dim = cone.ambient_dim
+    points = []
+    for _ in range(12):
+        pick = rng.sample(cone.rays, rng.randint(0, len(cone.rays)))
+        points.append(tuple(sum(r[j] for r in pick) for j in range(dim)))
+    for fc, parent in zip(got.cones, got.parents):
+        want = oracle.cone_from_generators(dim, got.rays_of(fc.mask))
+        relint = _relint(parent, fc.mask)
+        for p in points:
+            assert _relint_contains(relint, p) == oracle._relint_contains(want, p)
 
 
 @pytest.mark.parametrize("dim,gens", POINTED)
@@ -137,12 +157,46 @@ def test_corpus_faces_match_active_set_engine(name, cone, problem):
         _assert_faces_match(cone)
 
 
+def _assert_images_match(cone, m):
+    """A unimodular map on V sends a strictly convex cone's extreme rays to
+    its image's, which the stability check reads off, and the invariance
+    check's two containments say whether it fixes the cone."""
+    moved = oracle.image(cone, m)
+    if cone.is_strictly_convex:
+        assert moved.rays == tuple(sorted(m.apply(r) for r in cone.rays))
+    dim = cone.ambient_dim
+    inv = SphericalInvariants(torus(dim), Lattice.full(dim), cone,
+                              frozenset(), frozenset())
+    # the automorphism of X whose inverse transpose is m
+    element = BRDAutomorphism(m.inverse_unimodular().transpose(), ())
+    verdict = preserves_invariants(build_action(torus(dim), []), element, inv)
+    assert verdict.v_ok == (moved == cone)
+    return verdict.v_ok
+
+
 @pytest.mark.parametrize("dim,gens", CRITERION_7 + GRID)
 def test_images_match_active_set_engine(dim, gens):
     rng = random.Random(str(gens))
     cone = cone_from_generators(dim, gens)
     for m in (_signed_permutation(rng, dim), _random_unimodular(rng, dim)):
-        assert cone.image(m) == oracle.image(cone, m)
+        _assert_images_match(cone, m)
+    if dim <= 4:
+        # closed under a signed involution s, so fixed by it
+        s = _signed_involution(rng, dim)
+        sym = cone_from_generators(dim, gens + [s.apply(g) for g in gens])
+        assert _assert_images_match(sym, s)
+
+
+def _signed_involution(rng, dim):
+    rows = [[0] * dim for _ in range(dim)]
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    for i in range(0, dim - 1, 2):
+        a, b = perm[i], perm[i + 1]
+        rows[a][b] = rows[b][a] = rng.choice((1, -1))
+    for i in perm[dim - dim % 2:]:
+        rows[i][i] = rng.choice((1, -1))
+    return IntMatrix.from_rows(rows)
 
 
 @pytest.mark.parametrize("name,cone,problem", CORPUS)
@@ -153,7 +207,7 @@ def test_corpus_images_match_active_set_engine(name, cone, problem):
         maps += [dual_matrix_on_V(g, problem.invariants.weight_lattice)
                  for g in problem.action.elements]
     for m in maps:
-        assert cone.image(m) == oracle.image(cone, m), name
+        _assert_images_match(cone, m)
 
 
 def _fan_cases():
@@ -163,14 +217,16 @@ def _fan_cases():
     left = ColoredCone(cone_from_generators(2, [(-1, 0), (-1, -1)]), frozenset())
     right = ColoredCone(cone_from_generators(2, [(-1, -1), (0, -1)]), frozenset())
     recolored = ColoredCone(neg, frozenset([ColorRecord((-1, 0), {0})]))
+    base_faces = colored_cones(faces(base))
     cases = [
-        ("wrong side", faces(ColoredCone(pos, frozenset())), neg),
+        ("wrong side", colored_cones(faces(ColoredCone(pos, frozenset()))), neg),
         ("missing face",
-         [f for f in faces(base) if f.cone.rays != ((-1, 0),)], neg),
-        ("duplicated cone", list(faces(base)) + [recolored], neg),
-        ("two maximal cones", list(faces(left)) + list(faces(right)), neg),
+         [f for f in base_faces if f.cone.rays != ((-1, 0),)], neg),
+        ("duplicated cone", base_faces + [recolored], neg),
+        ("two maximal cones",
+         colored_cones(faces(left)) + colored_cones(faces(right)), neg),
         ("overlapping maximal cones",
-         list(faces(base)) + list(faces(left)), neg),
+         base_faces + colored_cones(faces(left)), neg),
     ]
     # unions of two face fans inside the cone they span: overlapping
     # interiors, faces shared or not, and a dropped face now and then
@@ -183,15 +239,15 @@ def _fan_cases():
         v = cone_from_generators(dim, a.rays + b.rays)
         if not (a.rays and b.rays and v.is_strictly_convex):
             continue
-        fan = list(faces(ColoredCone(a, frozenset())))
-        fan += faces(ColoredCone(b, frozenset()))
+        fan = colored_cones(faces(ColoredCone(a, frozenset())))
+        fan += colored_cones(faces(ColoredCone(b, frozenset())))
         if rng.random() < 0.3:
             fan.pop(rng.randrange(len(fan)))
         cases.append((f"random {len(cases)}", fan, v))
     # cones that reach past the valuation cone, so that the sum of a cone's
     # rays often misses it and the meets go to the feasibility test
     data = parse_file(DATA / "fan_ray_sums_outside.json")
-    cases.append(("ray sums outside", data.fan.cones,
+    cases.append(("ray sums outside", colored_cones(data.fan),
                   data.invariants.valuation_cone))
     while len(cases) < 40:
         dim = rng.choice((2, 3))
@@ -201,17 +257,18 @@ def _fan_cases():
         if not (a.rays and b.rays and v.rays and a.is_strictly_convex
                 and b.is_strictly_convex):
             continue
-        fan = list(faces(ColoredCone(a, frozenset())))
-        fan += faces(ColoredCone(b, frozenset()))
+        fan = colored_cones(faces(ColoredCone(a, frozenset())))
+        fan += colored_cones(faces(ColoredCone(b, frozenset())))
         cases.append((f"reaching past {len(cases)}", fan, v))
     return cases
 
 
 @pytest.mark.parametrize("label,cones,v_cone", _fan_cases())
 def test_fan_verdicts_match_active_set_engine(label, cones, v_cone):
-    fan = ColoredFan.build(cones)
-    assert is_valid_fan(fan, v_cone) == oracle.is_valid_fan(fan, v_cone), label
-    assert is_wonderful(fan, v_cone) == oracle.is_wonderful(fan, v_cone), label
+    fan, want = ColoredFan.build(cones), oracle.fan(cones)
+    assert colored_cones(fan) == want, label
+    assert is_valid_fan(fan, v_cone) == oracle.is_valid_fan(want, v_cone), label
+    assert is_wonderful(fan, v_cone) == oracle.is_wonderful(want, v_cone), label
 
 
 def test_face_fan_verdicts_match_active_set_engine():
@@ -219,8 +276,8 @@ def test_face_fan_verdicts_match_active_set_engine():
         if dim == 5:
             continue  # the oracle's pairwise checks take seconds a fan
         cone = cone_from_generators(dim, gens)
-        fan = wonderful_fan(cone)
-        assert is_valid_fan(fan, cone) == oracle.is_valid_fan(fan, cone)
+        assert is_valid_fan(wonderful_fan(cone), cone) == \
+            oracle.is_valid_fan(oracle.wonderful_fan(cone), cone)
 
 
 def test_dim_6_with_12_generators():

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import active_set_oracle
 import simplex_oracle
+from sphdescent import ratlp
 from sphdescent.cones import (
     ColorRecord,
     ColoredCone,
     ColoredFan,
     NotStrictlyConvex,
+    _relint,
+    _relint_contains,
     colored_cone,
     cone_from_generators,
     cone_from_inequalities,
@@ -23,13 +27,13 @@ from sphdescent.cones import (
     is_valid_fan,
     is_wonderful,
     meet_relative_interiors,
-    transform_colored_cone,
     wonderful_fan,
 )
 from sphdescent.intlinalg import IntMatrix, Lattice
+from sphdescent.invariants import SphericalInvariants, preserves_invariants
 from sphdescent.ratlp import feasible
-from sphdescent.rootdata import torus
-from sphdescent.staraction import build_action
+from sphdescent.rootdata import BRDAutomorphism, torus
+from sphdescent.staraction import GaloisAction, build_action
 
 
 def in_hull(cone, point):
@@ -155,6 +159,42 @@ def test_feasible_matches_the_simplex_on_seeded_systems():
     assert 400 < sum(x is None for x in answers) < 1100
 
 
+def test_feasible_stops_early_on_seeded_infeasible_systems(monkeypatch):
+    """Systems with a contradiction c.x >= 1, -c.x >= 0 after at most n - 2
+    rows: None, as the simplex says, and the conversion stops before the
+    rows that follow.  Those few rows leave a lineality at t = 0, so a
+    conversion that went on would dot the next row with it."""
+    cut = []
+    dot = ratlp.vec_dot
+
+    def watched(a, v):
+        cut.append(a)  # every row the conversion cuts with comes first
+        return dot(a, v)
+
+    monkeypatch.setattr(ratlp, "vec_dot", watched)
+    rng = random.Random(4242)
+    stopped = 0
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        c = tuple(rng.randint(-3, 3) for _ in range(n))
+        if not any(c):
+            continue
+
+        def draw(k):
+            return [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)]
+
+        head, tail = draw(rng.randint(0, n - 2)), draw(rng.randint(1, 6))
+        rows = head + [c, tuple(-x for x in c)] + tail
+        rhs = [rng.randint(-3, 0) for _ in head] + [1, 0] + \
+            [rng.randint(-3, 3) for _ in tail]
+        cut.clear()
+        assert assert_feasible_agrees_with_the_simplex(rows, rhs) is None
+        k = len(head) + 2
+        after = ratlp.vec_primitive((*rows[k], -rhs[k]))
+        stopped += after is not None and after not in cut
+    assert stopped > 250
+
+
 # -- double description -------------------------------------------------------
 
 def test_orthant():
@@ -175,8 +215,7 @@ def test_half_plane_with_lineality():
 
 def test_origin_cone():
     c = cone_from_generators(2, [])
-    assert c.is_origin and c.rays == () and c.equations == ((1, 0), (0, 1))
-    assert c.relative_interior_point() == (0, 0)
+    assert c.rays == c.lineality == () and c.equations == ((1, 0), (0, 1))
     assert c.contains((0, 0)) and not c.contains((1, 0))
 
 
@@ -238,14 +277,14 @@ def test_double_description_consistency_random(seed):
         assert cone.contains(p) == in_hull(cone, p)
 
 
-def test_image_maps_rays_forward_and_facets_by_inverse_transpose():
+def test_image_rays_are_the_mapped_rays():
+    # what the stability check relies on: a unimodular map sends a strictly
+    # convex cone's primitive extreme rays to its image's
     c = cone_from_generators(3, [(1, 0, 0), (1, 1, 0)])
-    shear = IntMatrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
-    moved = c.image(IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [1, 1, 1]]))
+    m = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [1, 1, 1]])
+    moved = active_set_oracle.image(c, m)
     assert moved == cone_from_generators(3, [(0, 1, 1), (1, 1, 2)])
-    half = cone_from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
-    assert half.image(shear) == cone_from_generators(
-        3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
+    assert moved.rays == tuple(sorted(m.apply(r) for r in c.rays))
 
 
 @pytest.mark.parametrize("rows", [
@@ -255,16 +294,29 @@ def test_image_maps_rays_forward_and_facets_by_inverse_transpose():
     [[1, 1, 0], [1, 1, 0], [0, 0, 1]],      # singular
 ])
 def test_image_needs_a_unimodular_matrix(rows):
+    # images of the valuation cone and of fan cones are taken by the
+    # transport of an automorphism to V, which refuses any other matrix
     c = cone_from_generators(3, [(1, 0, 0), (0, 1, 0)])
+    inv = SphericalInvariants(torus(3), Lattice.full(3), c, frozenset(), frozenset())
+    element = BRDAutomorphism(IntMatrix.from_rows(rows), ())
     with pytest.raises(ValueError):
-        c.image(IntMatrix.from_rows(rows))
+        preserves_invariants(build_action(torus(3), []), element, inv)
+    # an action whose generator never passed build_action's checks
+    action = GaloisAction(torus(3), ("g",), (element,), (element,), (("g",),))
+    with pytest.raises(ValueError):
+        is_gamma_stable(wonderful_fan(c), action, Lattice.full(3))
 
 
-def test_relative_interior_point_is_interior():
-    c = cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)])
-    p = c.relative_interior_point()
-    assert all(sum(a * b for a, b in zip(row, p)) > 0 for row in c.inequalities)
-    assert all(sum(a * b for a, b in zip(row, p)) == 0 for row in c.equations)
+def test_ray_sums_are_interior_to_their_faces():
+    # the fan checks try the sum of a face's rays before any feasibility test
+    c = cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 1, 1)])
+    fan = faces(ColoredCone(c, frozenset()))
+    for fc, parent in zip(fan.cones, fan.parents):
+        p = tuple(sum(r[j] for r in fan.rays_of(fc.mask)) for j in range(3))
+        assert _relint_contains(_relint(parent, fc.mask), p)
+        face = cone_from_generators(3, fan.rays_of(fc.mask))
+        assert all(sum(a * b for a, b in zip(row, p)) > 0 for row in face.inequalities)
+        assert all(sum(a * b for a, b in zip(row, p)) == 0 for row in face.equations)
 
 
 def _in_relint(cone, x):
@@ -369,11 +421,23 @@ def test_colored_cone_factory_spans_colors():
     assert cc.colors == frozenset([rec])
 
 
+def colored_cones(fan):
+    """A fan's cones in full canonical form, in the fan's order."""
+    return [fan.colored_cone(k) for k in range(len(fan))]
+
+
+def cone_set(fan):
+    return {(fan.rays_of(fc.mask), fc.colors) for fc in fan.cones}
+
+
 def test_faces_of_simplicial_cone():
     orth = cone_from_generators(2, [(1, 0), (0, 1)])
     fs = faces(ColoredCone(orth, frozenset()))
-    assert len(fs) == 4
-    assert sorted(len(f.cone.rays) for f in fs) == [0, 1, 1, 2]
+    assert len(fs) == 4 and fs.rays == orth.rays
+    assert sorted(fc.mask.bit_count() for fc in fs.cones) == [0, 1, 1, 2]
+    # canonical order: by ray tuple
+    assert [fs.rays_of(fc.mask) for fc in fs.cones] == [
+        (), ((0, 1),), ((0, 1), (1, 0)), ((1, 0),)]
 
 
 def test_faces_of_origin():
@@ -384,7 +448,8 @@ def test_faces_of_origin():
 def test_faces_inherit_colors_by_membership():
     rec = ColorRecord((1, 0), {0})
     cc = colored_cone(2, [(0, 1)], [rec])
-    by_rays = {f.cone.rays: f.colors for f in faces(cc)}
+    fs = faces(cc)
+    by_rays = {fs.rays_of(fc.mask): fc.colors for fc in fs.cones}
     assert by_rays[((1, 0),)] == frozenset([rec])
     assert by_rays[((0, 1),)] == frozenset()
     assert by_rays[()] == frozenset()
@@ -396,8 +461,8 @@ def test_faces_closed_and_transitive():
                      frozenset())
     fs = faces(cc)
     assert len(fs) == 8  # simplicial: all coordinate faces
-    for f in fs:
-        assert faces(f) <= fs
+    for f in colored_cones(fs):
+        assert cone_set(faces(f)) <= cone_set(fs)
 
 
 # -- fans ---------------------------------------------------------------------
@@ -441,13 +506,13 @@ def test_wonderful_fan_needs_strict_convexity():
 
 def test_axiom_interior_fails_for_wrong_side(neg_orthant):
     pos = ColoredCone(cone_from_generators(2, [(1, 0), (0, 1)]), frozenset())
-    verdict = is_valid_fan(ColoredFan.build(faces(pos)), neg_orthant)
+    verdict = is_valid_fan(faces(pos), neg_orthant)
     assert not verdict.interior_ok and not verdict.ok
 
 
 def test_axiom_closure_fails_for_missing_face(neg_orthant):
     base = ColoredCone(neg_orthant, frozenset())
-    keep = [f for f in faces(base) if f.cone.rays != ((-1, 0),)]
+    keep = [f for f in colored_cones(faces(base)) if f.cone.rays != ((-1, 0),)]
     verdict = is_valid_fan(ColoredFan.build(keep), neg_orthant)
     assert verdict.interior_ok and verdict.separation_ok
     assert not verdict.closure_ok
@@ -458,7 +523,7 @@ def test_axiom_separation_fails_for_duplicated_cone(neg_orthant):
     base = ColoredCone(neg_orthant, frozenset())
     recolored = ColoredCone(neg_orthant,
                             frozenset([ColorRecord((-1, 0), {0})]))
-    fan = ColoredFan.build(list(faces(base)) + [recolored])
+    fan = ColoredFan.build(colored_cones(faces(base)) + [recolored])
     verdict = is_valid_fan(fan, neg_orthant)
     assert not verdict.separation_ok
 
@@ -467,7 +532,7 @@ def test_valid_fan_with_two_maximal_cones():
     v = cone_from_generators(2, [(-1, 0), (0, -1)])
     left = ColoredCone(cone_from_generators(2, [(-1, 0), (-1, -1)]), frozenset())
     right = ColoredCone(cone_from_generators(2, [(-1, -1), (0, -1)]), frozenset())
-    fan = ColoredFan.build(list(faces(left)) + list(faces(right)))
+    fan = ColoredFan.build(colored_cones(faces(left)) + colored_cones(faces(right)))
     verdict = is_valid_fan(fan, v)
     assert verdict.ok
     assert not is_wonderful(fan, v)  # two maximal cones
@@ -476,7 +541,7 @@ def test_valid_fan_with_two_maximal_cones():
 def test_is_wonderful_rejects_colors_and_subcones(neg_orthant):
     fan = wonderful_fan(neg_orthant)
     recolored = []
-    for cc in fan.cones:
+    for cc in colored_cones(fan):
         if cc.cone.rays == ((-1, 0),):
             recolored.append(ColoredCone(cc.cone,
                                          frozenset([ColorRecord((-1, 0), set())])))
@@ -526,12 +591,9 @@ def test_stability_requires_stable_weight_lattice():
         is_gamma_stable(fan, swap, Lattice.from_rows(2, [(1, 0)]))
 
 
-def test_transform_colored_cone_moves_colors():
+def test_color_image_moves_valuation_and_support():
     swap = IntMatrix.from_rows([[0, 1], [1, 0]])
-    cc = colored_cone(2, [(0, 1)], [ColorRecord((1, 0), {0})])
-    moved = transform_colored_cone(cc, swap, (1, 0))
-    assert moved.cone.rays == ((0, 1), (1, 0))
-    rec = next(iter(moved.colors))
+    rec = ColorRecord((1, 0), {0}).image(swap, (1, 0))
     assert rec.rho == (0, 1) and rec.sigma == {1}
 
 
@@ -541,9 +603,35 @@ def test_stability_of_colored_fan_depends_on_color_symmetry():
     full = Lattice.full(2)
     sym_rec = [ColorRecord((1, 0), set()), ColorRecord((0, 1), set())]
     cc = colored_cone(2, [], sym_rec)
-    fan = ColoredFan.build(faces(cc))
-    assert is_gamma_stable(fan, swap, full).stable
+    assert is_gamma_stable(faces(cc), swap, full).stable
     # same cone, but only one ray carries a color: swap breaks the symmetry
     asym = colored_cone(2, [(0, 1)], [ColorRecord((1, 0), set())])
-    fan2 = ColoredFan.build(faces(asym))
-    assert not is_gamma_stable(fan2, swap, full).stable
+    assert not is_gamma_stable(faces(asym), swap, full).stable
+
+
+def _two_cone_fan(right_colors):
+    """Faces of the cones spanned by (1,0),(1,1) with the color (1,0) and
+    by (0,1),(1,1) with the given colors: the swap maps each onto the
+    other's rays."""
+    left = colored_cone(2, [(1, 1)], [ColorRecord((1, 0), set())])
+    right = colored_cone(2, [(0, 1), (1, 1)], right_colors)
+    return ColoredFan.build(colored_cones(faces(left)) + colored_cones(faces(right)))
+
+
+def test_stability_compares_colors_of_the_image_cone():
+    swap = build_action(torus(2), [IntMatrix.from_rows([[0, 1], [1, 0]])],
+                        names=("s",))
+    full = Lattice.full(2)
+    symmetric = _two_cone_fan([ColorRecord((0, 1), set())])
+    assert is_gamma_stable(symmetric, swap, full).stable
+    # the rays of every cone still map onto the rays of a fan cone, but the
+    # color (1,0) lands on (0,1), which the other cone does not carry
+    fan = _two_cone_fan([])
+    assert {fan.rays_of(fc.mask) for fc in fan.cones} == \
+        {symmetric.rays_of(fc.mask) for fc in symmetric.cones}
+    verdict = is_gamma_stable(fan, swap, full)
+    assert not verdict.stable and verdict.violating_generator == "s"
+    # the first cone in canonical order that moves: the ray (0,1), whose
+    # image (1,0) is a fan cone only with the color (1,0)
+    assert verdict.violating_cone == colored_cone(2, [(0, 1)], [])
+    assert is_valid_fan(fan, cone_from_generators(2, [(1, 0), (0, 1)])).ok

@@ -4,8 +4,7 @@
 no transform) are compared with the transform-tracking HNF and its
 two-HNF kernel, `snf` (alternating row and column HNFs) with the diagonal
 of the transform-tracking Smith form, `IntMatrix.is_unimodular` (the HNF is
-the identity) with the Bareiss determinant, `cones._project_off` (adj(G)
-from `solve_fraction_free`) with its old inline elimination, and
+the identity) with the Bareiss determinant, and
 `BasedRootDatum.from_epsilon` (the normal equations, solved fraction-free)
 with the `Fraction` solve; all of these oracles are kept in
 `elimination_oracle`.
@@ -18,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elimination_oracle as oracle
-from sphdescent.cones import _project_off
 from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice, snf
 from sphdescent.rootdata import build_root_datum, direct_sum, torus
 
@@ -113,18 +111,6 @@ def test_is_unimodular_matches_the_bareiss_determinant():
         seen.add(min(abs(det), 2))
     assert seen == {0, 1, 2}  # singular, unimodular and neither all occur
     assert not IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]).is_unimodular()
-
-
-def test_project_off_matches_the_inline_elimination():
-    rng = random.Random(11)
-    for _ in range(400):
-        dim = rng.randint(1, 6)
-        rows = [[rng.randint(-4, 4) for _ in range(dim)]
-                for _ in range(rng.randint(0, dim))]
-        basis = Lattice.from_rows(dim, rows).basis.entries  # independent rows
-        vectors = [tuple(rng.randint(-6, 6) for _ in range(dim)) for _ in range(4)]
-        vectors += list(basis[:1])  # in the span: None
-        assert _project_off(vectors, basis) == oracle.project_off_inline(vectors, basis)
 
 
 def _from_epsilon_or_error(f, *args):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import active_set_oracle
 import invariance_oracle as oracle
 from sphdescent.checker import invariance_entries
 from sphdescent.cones import ColorRecord, cone_from_generators, cone_from_inequalities
@@ -63,7 +64,7 @@ def transported(element, inv) -> SphericalInvariants:
     """The invariants moved along one automorphism that fixes the lattice."""
     dual = dual_matrix_on_V(element, inv.weight_lattice)
     return SphericalInvariants(
-        inv.brd, inv.weight_lattice, inv.valuation_cone.image(dual),
+        inv.brd, inv.weight_lattice, active_set_oracle.image(inv.valuation_cone, dual),
         frozenset(r.image(dual, element.s_perm) for r in inv.omega1),
         frozenset(r.image(dual, element.s_perm) for r in inv.omega2))
 
