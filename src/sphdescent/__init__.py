@@ -39,7 +39,6 @@ from .cones import (
     NotStrictlyConvex,
     RationalCone,
     StabilityVerdict,
-    colored_cone,
     cone_from_generators,
     cone_from_inequalities,
     cones_equal,
@@ -55,22 +54,20 @@ from .invariants import (
     HorosphericalDatum,
     RationalLattice,
     SphericalInvariants,
-    invariants_equal,
     preserves_invariants,
     validate_horospherical,
 )
-from .problem import Problem, ProblemError, parse_dict, parse_file, parse_text, to_json
+from .problem import Problem, ProblemError, parse_dict, parse_file, parse_text
 from .rootdata import (
     BasedRootDatum,
     BRDAutomorphism,
     CapExceeded,
     build_root_datum,
-    dynkin_automorphisms,
     torus,
     weyl_group,
 )
 from .staraction import ClosureCapExceeded, GaloisAction, build_action
-from .weyl import are_weyl_conjugate, orthogonal_quadruples, root_subset, weyl_orbit
+from .weyl import are_weyl_conjugate, root_subset, weyl_orbit
 
 __version__ = "0.1.0"
 
@@ -112,27 +109,22 @@ __all__ = [
     "are_weyl_conjugate",
     "build_action",
     "build_root_datum",
-    "colored_cone",
     "cone_from_generators",
     "cone_from_inequalities",
     "cones_equal",
-    "dynkin_automorphisms",
     "faces",
     "h2_local_vanishes",
     "invariance_entries",
-    "invariants_equal",
     "is_gamma_stable",
     "is_valid_fan",
     "is_wonderful",
     "meet_relative_interiors",
     "obstruction_verdict",
-    "orthogonal_quadruples",
     "parse_dict",
     "parse_file",
     "parse_text",
     "preserves_invariants",
     "root_subset",
-    "to_json",
     "torus",
     "validate_horospherical",
     "verdict",

@@ -270,7 +270,7 @@ def _cohomology_report(label: str, problem: Problem):
     if a.is_finite and base == "p_adic":
         h2 = h2_local_vanishes(a)
         doc["h2_vanishes"] = h2
-        doc["fixed_characters_order"] = a.fixed_characters().order()
+        doc["fixed_characters_order"] = a.fixed_characters.order()
     ov = obstruction_verdict(quasi_split, kappa=problem.cohomology.kappa,
                              a_module=a, base_field=base)
     doc["obstruction"] = {"status": ov.status, "reason": ov.reason}
@@ -283,7 +283,7 @@ def _cohomology_report(label: str, problem: Problem):
         headline = (f"H^2 vanishing test not applicable (base field {base}, "
                     f"{'finite' if a.is_finite else 'positive-dimensional'} "
                     "characters)")
-    if ov.vanishes or h2 is True:
+    if ov.vanishes:
         code = EX_OK
     elif h2 is False:
         code = EX_NEGATIVE

@@ -13,6 +13,7 @@ distinguishes "provably vanishes" from "unknown" and never certifies
 nonvanishing.
 """
 from dataclasses import dataclass
+from functools import cached_property
 
 from .intlinalg import FgAbelianGroup, IntMatrix, fixed_points_fg
 
@@ -51,7 +52,9 @@ class MultiplicativeTypeModule:
     def is_finite(self) -> bool:
         return self.characters.is_finite()
 
+    @cached_property
     def fixed_characters(self) -> FgAbelianGroup:
+        """The characters fixed by every generator, computed once per module."""
         return fixed_points_fg(self.characters, list(self.action))
 
 
@@ -65,7 +68,7 @@ def h2_local_vanishes(module: MultiplicativeTypeModule) -> bool:
         raise PositiveDimensional(
             "the vanishing test requires a finite character group "
             "(free rank 0); positive-dimensional targets are out of scope")
-    return module.fixed_characters().is_trivial()
+    return module.fixed_characters.is_trivial()
 
 
 @dataclass(frozen=True)

@@ -203,13 +203,6 @@ class ColoredCone:
                 raise ValueError("color image outside the cone")
 
 
-def colored_cone(dim: int, generators, colors) -> ColoredCone:
-    """Build the colored cone spanned by the color images and extra generators."""
-    recs = frozenset(colors)
-    gens = [r.rho for r in recs] + [tuple(g) for g in generators]
-    return ColoredCone(cone_from_generators(dim, gens), recs)
-
-
 class FanCone(NamedTuple):
     """A cone of a colored fan: a bit mask over the fan's rays, and its colors."""
 

@@ -6,7 +6,8 @@ weight lattice), and the images of its colors in V paired with their
 simple-root supports, split by the number of preimages (one or two).  By
 Losev's uniqueness theorem the invariants determine the space, so equality
 of invariants and their preservation under a finite automorphism action are
-the decidable heart of the descent questions this package answers.
+the decidable heart of the descent questions this package answers.  Lattices
+and cones are stored in canonical form, so equality is `==`.
 
 Horospherical spaces are covered by the simpler datum (I, M): a set of
 simple roots and a lattice of characters orthogonal to it.
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .cones import RationalCone, cones_equal
+from .cones import RationalCone
 from .intlinalg import IntMatrix, Lattice, vec_dot
 from .rootdata import BRDAutomorphism, BasedRootDatum
 from .staraction import GaloisAction, dual_matrix_on_V
@@ -110,16 +111,6 @@ class SphericalInvariants:
                 raise ValueError("color support must consist of simple roots")
         if self.omega1 & self.omega2:
             raise ValueError("a color pair cannot have both one and two preimages")
-
-
-def invariants_equal(a: SphericalInvariants, b: SphericalInvariants) -> bool:
-    """Losev-style equality: lattice, cone (as a set), and both color sets."""
-    if a.brd != b.brd:
-        raise ValueError("invariants belong to different root data")
-    if a.weight_lattice != b.weight_lattice:
-        return False
-    return (cones_equal(a.valuation_cone, b.valuation_cone)
-            and a.omega1 == b.omega1 and a.omega2 == b.omega2)
 
 
 @dataclass(frozen=True)

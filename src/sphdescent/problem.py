@@ -1,4 +1,4 @@
-"""Problem-file format: schema, parsing, and normalized serialization.
+"""Problem-file format: the schema and the parser.
 
 A problem file is a single JSON object (versioned by `schema: 1`) describing
 a root datum, a finite Galois action on it, combinatorial invariants (either
@@ -20,7 +20,7 @@ Coordinate conventions for user input:
 """
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +30,6 @@ from .cones import (
     ColoredCone,
     ColoredFan,
     ColorRecord,
-    RationalCone,
     cone_from_generators,
     cone_from_inequalities,
     cones_equal,
@@ -205,14 +204,6 @@ def _num_out(x):
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _vec_out(v):
-    return [_num_out(x) for x in v]
-
-
-def _mat_out(rows):
-    return [_vec_out(r) for r in rows]
-
-
 @dataclass(frozen=True)
 class Problem:
     """A fully parsed problem file."""
@@ -227,7 +218,6 @@ class Problem:
     cohomology_base_field: str | None
     fan: ColoredFan | None
     notes: str = ""
-    source: dict = field(default=None, compare=False, repr=False)
 
     @property
     def invariance_input(self):
@@ -286,7 +276,7 @@ def _basis_transition(brd: BasedRootDatum, rows):
     lat = Lattice.from_rows(brd.rank, [tuple(r) for r in rows])
     if lat.rank != len(rows):
         raise ProblemError("weight lattice basis rows must be independent")
-    t = IntMatrix.from_rows([lat.coordinates(tuple(r)) for r in rows])
+    t = IntMatrix.from_rows([lat.coordinates(tuple(r)) for r in rows], lat.rank)
     return lat, t
 
 
@@ -527,8 +517,7 @@ def parse_dict(data, cap=None) -> Problem:
     return Problem(
         title=data.get("title", ""), brd=brd, action=action, invariants=inv,
         horospherical=horo, hypotheses=hyps, cohomology=coh,
-        cohomology_base_field=coh_field, fan=fan, notes=data.get("notes", ""),
-        source=data)
+        cohomology_base_field=coh_field, fan=fan, notes=data.get("notes", ""))
 
 
 def parse_text(text: str, cap=None) -> Problem:
@@ -556,91 +545,3 @@ def parse_file(path, cap=None) -> Problem:
     except (ProblemError, CapExceeded) as e:
         raise type(e)(f"{label}: {e}") from None
 
-
-def _module_out(m: MultiplicativeTypeModule) -> dict:
-    return {
-        "presentation": _mat_out(m.characters.presentation.entries),
-        "action": {name: _mat_out(mat.entries)
-                   for name, mat in zip(m.generator_names, m.action)},
-    }
-
-
-def _color_out(rec: ColorRecord) -> dict:
-    return {"rho": _vec_out(rec.rho), "sigma": sorted(i + 1 for i in rec.sigma)}
-
-
-def _cone_generators_out(cone: RationalCone) -> list:
-    return _mat_out(cone.generators())
-
-
-def to_json(problem: Problem) -> dict:
-    """Normalized problem dictionary.
-
-    The weight lattice is restated on its Hermite basis, so every V-vector
-    comes out in the library's canonical coordinates and a second
-    parse/serialize pass reproduces the output verbatim.
-    """
-    out = {"schema": 1}
-    if problem.title:
-        out["title"] = problem.title
-    if problem.notes:
-        out["notes"] = problem.notes
-    if problem.brd is not None:
-        letter, rank = problem.brd.components[0] if problem.brd.components \
-            else ("torus", 0)
-        block = {"type": letter, "rank": rank}
-        if problem.brd.isogeny in ("simply_connected", "adjoint"):
-            block["isogeny"] = problem.brd.isogeny
-        out["root_datum"] = block
-    if problem.action is not None:
-        out["action"] = {"generators": [
-            {"name": name, "matrix_on_X": _mat_out(gen.matrix.entries)}
-            for name, gen in zip(problem.action.generator_names,
-                                 problem.action.generators)]}
-    if problem.invariants is not None:
-        inv = problem.invariants
-        colors = {}
-        for label, recs in (("omega1", inv.omega1), ("omega2", inv.omega2)):
-            if recs:
-                colors[label] = [_color_out(r)
-                                 for r in sorted(recs, key=lambda r: r.key())]
-        block = {
-            "weight_lattice": {"basis": _mat_out(inv.weight_lattice.basis.entries)},
-            "valuation_cone": {
-                "generators": _cone_generators_out(inv.valuation_cone)},
-        }
-        if colors:
-            block["colors"] = colors
-        out["invariants"] = block
-    if problem.horospherical is not None:
-        datum = problem.horospherical
-        m_block = {"generators": _mat_out(datum.characters.lattice.basis.entries)}
-        if datum.characters.denominator != 1:
-            m_block["denominator"] = datum.characters.denominator
-        out["horospherical"] = {"I": sorted(i + 1 for i in datum.simple_subset),
-                                "M": m_block}
-    if problem.hypotheses is not None:
-        h = problem.hypotheses
-        out["hypotheses"] = {
-            "field_is_large": h.field_is_large,
-            "char_zero": h.char_zero,
-            "form_is_quasi_split": h.form_is_quasi_split,
-            "normalizer_self_normalizing": h.normalizer_self_normalizing,
-            "base_field": h.base_field,
-        }
-    if problem.cohomology is not None:
-        block = {"A_characters": _module_out(problem.cohomology.a_module)}
-        if problem.cohomology.kappa is not None:
-            block["Z_characters"] = _module_out(problem.cohomology.kappa.target)
-            block["kappa_matrix"] = _mat_out(problem.cohomology.kappa.matrix.entries)
-        if problem.cohomology_base_field is not None:
-            block["base_field"] = problem.cohomology_base_field
-        out["cohomology"] = block
-    if problem.fan is not None:
-        fan = problem.fan
-        out["fan"] = {"cones": [
-            {"rays": _mat_out(fan.rays_of(fc.mask)),
-             "colors": [_color_out(r)
-                        for r in sorted(fc.colors, key=lambda r: r.key())]}
-            for fc in fan.cones]}
-    return out

@@ -16,10 +16,6 @@ the negative roots are their negatives, and both are written in
 X-coordinates from the simple roots and coroots.  The same formula serves
 every lattice and every direct sum.
 
-The epsilon coordinates of the basis of X, which carry the Weyl-invariant
-inner product, are derived from the simple roots only when `to_epsilon`,
-`from_epsilon` or `invariant_form` first asks for them.
-
 Automorphisms are decided on S alone: a unimodular m permuting the simple
 roots and, compatibly, the simple coroots normalises W, so it preserves R and
 the root-coroot bijection.  Diagram automorphisms lift by one elimination.
@@ -27,9 +23,7 @@ the root-coroot bijection.  Diagram automorphisms lift by one elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import NamedTuple
 
 from .intlinalg import IntMatrix, Vec, solve_fraction_free, vec_dot, vec_neg
@@ -202,65 +196,11 @@ class BasedRootDatum:
             [[vec_dot(self.simple_roots[j], self.simple_coroots[i]) for j in range(k)]
              for i in range(k)], k)
 
-    @cached_property
-    def realization(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Classical epsilon coordinates of the basis of X (ambient_dim x rank).
-
-        Block diagonal over the components: an irreducible block is E S^-T,
-        where S holds the block's simple roots in X-coordinates as rows and E
-        the classical ones as columns, from one fraction-free solve of
-        S X = E^T; a torus block is the identity.
-        """
-        out, col, s = [], 0, 0
-        for letter, n in self.components:
-            if letter == "torus":
-                block = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-            else:
-                sim = [r[col:col + n] for r in self.simple_roots[s:s + n]]
-                eps = _epsilon_simple_roots(letter, n)  # doubled
-                d, x = solve_fraction_free(sim, eps)
-                block = [tuple(Fraction(row[e], 2 * d) for row in x) for e in range(len(eps[0]))]
-                s += n
-            zero = Fraction(0)
-            out += [(zero,) * col + tuple(r) + (zero,) * (self.rank - col - n) for r in block]
-            col += n
-        return tuple(out)
-
     def pairing(self, chi, y):
         """Canonical pairing between X and its dual in the fixed bases."""
         if len(chi) != self.rank or len(y) != self.rank:
             raise ValueError("vector length mismatch")
         return vec_dot(chi, y)
-
-    def to_epsilon(self, v) -> tuple[Fraction, ...]:
-        return tuple(sum(Fraction(row[j]) * v[j] for j in range(self.rank))
-                     for row in self.realization)
-
-    def from_epsilon(self, vec) -> Vec:
-        """X-coordinates of a vector in epsilon coordinates: R has full column
-        rank, so R x = v has at most the solution of (R^T R) x = R^T v.  With
-        R and v scaled to integers by a and b, solve_fraction_free gives
-        z = d (b / a) x, so R x = v reads R z = d v, and x = a z / (d b)."""
-        if len(vec) != len(self.realization):
-            raise ValueError("vector length mismatch")
-        v = tuple(Fraction(x) for x in vec)
-        a = lcm(*(x.denominator for row in self.realization for x in row))
-        b = lcm(*(x.denominator for x in v))
-        r = [[int(x * a) for x in row] for row in self.realization]
-        v = [int(x * b) for x in v]
-        cols = list(zip(*r))
-        d, z = solve_fraction_free([[vec_dot(c, e) for e in cols] for c in cols],
-                                   [[vec_dot(c, v)] for c in cols])
-        z = [row[0] for row in z]
-        if any(vec_dot(row, z) != d * x for row, x in zip(r, v)):
-            raise ValueError("vector is not in the span of the character lattice")
-        if any(a * x % (d * b) for x in z):
-            raise ValueError("vector is not in the character lattice")
-        return tuple(a * x // (d * b) for x in z)
-
-    def invariant_form(self, v, w):
-        """Weyl-invariant inner product, computed in the epsilon coordinates."""
-        return vec_dot(self.to_epsilon(v), self.to_epsilon(w))
 
     def reflection(self, root: Vec) -> IntMatrix:
         if root not in self.coroot_of:
@@ -269,9 +209,6 @@ class BasedRootDatum:
         n = self.rank
         return IntMatrix.from_rows(
             [[(1 if i == j else 0) - root[i] * cor[j] for j in range(n)] for i in range(n)], n)
-
-    def simple_reflection(self, i: int) -> IntMatrix:
-        return self.reflection(self.simple_roots[i])
 
 
 def _custom_simple_system(lattice_basis, cartan):
@@ -476,35 +413,3 @@ def lift_s_permutation(brd: BasedRootDatum, perm) -> BRDAutomorphism | None:
             rows[i][j] = x // d
     return as_brd_automorphism(brd, IntMatrix.from_rows(rows, n))
 
-
-def dynkin_automorphisms(brd: BasedRootDatum):
-    """All Cartan-preserving permutations of S, lifted to X when possible.
-
-    The permutations come in lexicographic order from a backtracking search
-    that extends a partial permutation only while it preserves the Cartan
-    entries among the simple roots placed so far.  Returns (automorphisms,
-    skipped) where skipped lists the permutations that do not stabilize the
-    chosen lattice, with a reason string.
-    """
-    cartan = brd.cartan_matrix.entries
-    k = len(cartan)
-    autos, skipped, perm = [], [], []
-
-    def extend():
-        i = len(perm)
-        if i == k:
-            lifted = lift_s_permutation(brd, perm)
-            if lifted is None:
-                skipped.append((tuple(perm), "permutation does not stabilize the chosen lattice"))
-            else:
-                autos.append(lifted)
-            return
-        for v in range(k):
-            if v not in perm and all(cartan[v][w] == cartan[i][j] and cartan[w][v] == cartan[j][i]
-                                     for j, w in enumerate(perm)):
-                perm.append(v)
-                extend()
-                perm.pop()
-
-    extend()
-    return tuple(autos), tuple(skipped)

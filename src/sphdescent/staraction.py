@@ -2,7 +2,8 @@
 
 A Galois group acts on a based root datum through a homomorphism to its
 (finite, for semisimple data) automorphism group.  We represent the action by
-its image: a named generating set together with the full closure.  Matrix
+its image: a named generating set together with the full closure, whose
+capped construction is the check that the image is finite.  Matrix
 generators pass rootdata's test on the simple roots and coroots; simple-root
 permutations are lifted by one fraction-free elimination.  One element moves
 to a stable sublattice of X, or to the dual V of one, by
@@ -33,28 +34,17 @@ class ClosureCapExceeded(CapExceeded):
 
 @dataclass(frozen=True)
 class GaloisAction:
-    """A finite subgroup of Aut(BRD) with named generators.
-
-    elements[0] is the identity; element_words[k] is a word in generator
-    names evaluating (left to right) to elements[k].
-    """
+    """A finite subgroup of Aut(BRD) with named generators; elements[0] is
+    the identity."""
 
     brd: BasedRootDatum
     generator_names: tuple[str, ...]
     generators: tuple[BRDAutomorphism, ...]
     elements: tuple[BRDAutomorphism, ...]
-    element_words: tuple[tuple[str, ...], ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    def label(self, k: int) -> str:
-        return "*".join(self.element_words[k]) or "e"
 
 
 def _coerce_generator(brd: BasedRootDatum, gen) -> BRDAutomorphism:
@@ -96,14 +86,13 @@ def build_action(brd: BasedRootDatum, generators, names=None,
 
     ident = identity_automorphism(brd)
     elements = [ident]
-    words = [()]
-    seen = {ident.matrix.entries: 0}
-    frontier = [0]
+    seen = {ident.matrix.entries}
+    frontier = [ident]
     while frontier:
         nxt = []
-        for k in frontier:
-            for name, g in zip(names, gens):
-                prod = elements[k].compose(g)
+        for el in frontier:
+            for g in gens:
+                prod = el.compose(g)
                 if prod.matrix.entries in seen:
                     continue
                 if len(elements) >= cap:
@@ -111,12 +100,11 @@ def build_action(brd: BasedRootDatum, generators, names=None,
                         f"closure exceeds {cap} elements; the action must factor "
                         "through a finite group (for a torus factor, pick "
                         "generators of finite order)")
-                seen[prod.matrix.entries] = len(elements)
-                nxt.append(len(elements))
+                seen.add(prod.matrix.entries)
+                nxt.append(prod)
                 elements.append(prod)
-                words.append(words[k] + (name,))
         frontier = nxt
-    return GaloisAction(brd, names, gens, tuple(elements), tuple(words))
+    return GaloisAction(brd, names, gens, tuple(elements))
 
 
 def restrict_to_sublattice(element: BRDAutomorphism, lattice: Lattice) -> IntMatrix | None:

@@ -1,4 +1,4 @@
-"""Weyl group computations: orbits, orthogonal root quadruples, conjugacy.
+"""Weyl group computations: orbits and conjugacy of root subsets.
 
 An orbit is enumerated from its dominant member, read on the simple system
 alone: each vector carries its pairings with the simple coroots, which a
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .intlinalg import vec_dot, vec_neg
-from .rootdata import BasedRootDatum, CapExceeded, WeylElement, check_cap, weyl_elements
+from .intlinalg import vec_dot
+from .rootdata import WEYL_CAP, BasedRootDatum, CapExceeded, WeylElement, check_cap, weyl_elements
 
 ORBIT_CAP = 10 ** 6
 
@@ -39,9 +39,6 @@ class RootSubset:
         bad = [r for r in self.roots if r not in self.brd.root_set]
         if bad:
             raise ValueError(f"not roots of the datum: {sorted(bad)}")
-
-    def is_negation_closed(self) -> bool:
-        return all(vec_neg(r) in self.roots for r in self.roots)
 
 
 def root_subset(brd: BasedRootDatum, vectors) -> RootSubset:
@@ -96,22 +93,6 @@ def weyl_orbit(brd: BasedRootDatum, v, cap: int = ORBIT_CAP) -> frozenset:
     return frozenset(orbit)
 
 
-def orthogonal_quadruples(brd: BasedRootDatum) -> tuple[RootSubset, ...]:
-    """Negation-closed sets {±β₁..±β₄} of pairwise orthogonal roots.
-
-    Defined for type D₄ only (rank-4 orthogonality patterns of its positive
-    system); found by exhaustive search over positive-root quadruples.  Roots
-    x and y are orthogonal exactly when <x, y^vee> = 0.
-    """
-    if brd.components != (("D", 4),):
-        raise ValueError("orthogonal quadruples are implemented for irreducible D4")
-    found = set()
-    for quad in combinations(brd.positive_roots, 4):
-        if all(vec_dot(x, brd.coroot_of[y]) == 0 for x, y in combinations(quad, 2)):
-            found.add(frozenset(quad) | frozenset(vec_neg(b) for b in quad))
-    return tuple(RootSubset(brd, s) for s in sorted(found, key=lambda s: sorted(s)))
-
-
 def _form_statistics(brd: BasedRootDatum, roots):
     """Sorted B(x, x) and sorted B(x, y) over distinct pairs of the subset.
 
@@ -124,7 +105,7 @@ def _form_statistics(brd: BasedRootDatum, roots):
 
 
 def are_weyl_conjugate(brd: BasedRootDatum, a: RootSubset, b: RootSubset,
-                       cap: int = 10 ** 7) -> WeylElement | None:
+                       cap: int = WEYL_CAP) -> WeylElement | None:
     """First Weyl element (in canonical enumeration order) mapping a to b.
 
     Returns None when the subsets are not conjugate.  The witness word is

@@ -14,8 +14,7 @@ library against them, and for the other oracles that solve in `Fraction`:
 * `SmithCoordinates` and `fixed_elements_enumerated`: canonical coordinates
   of a finitely generated abelian group from its Smith transform, and the
   brute-force fixed elements of a finite one under automorphisms;
-* `solve_exact`: Gauss-Jordan elimination in `Fraction`;
-* `from_epsilon_exact`: `BasedRootDatum.from_epsilon` through `solve_exact`.
+* `solve_exact`: Gauss-Jordan elimination in `Fraction`.
 """
 from fractions import Fraction
 from itertools import product
@@ -280,12 +279,3 @@ def solve_exact(rows, rhs):
         x[c] = aug[i][n]
     return tuple(x)
 
-
-def from_epsilon_exact(brd, vec):
-    """X-coordinates of an epsilon-coordinate vector by a `Fraction` solve."""
-    sol = solve_exact(brd.realization, tuple(Fraction(x) for x in vec))
-    if sol is None:
-        raise ValueError("vector is not in the span of the character lattice")
-    if any(x.denominator != 1 for x in sol):
-        raise ValueError("vector is not in the character lattice")
-    return tuple(int(x) for x in sol)

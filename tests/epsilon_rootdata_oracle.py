@@ -9,14 +9,16 @@ integer engine against an independent derivation.
 
 The diagram-automorphism layer that went with it is kept here too: the lift
 of a simple-root permutation by one `Fraction` solve per row, the
-automorphism test that maps every root and coroot, and the scan of
-`dynkin_automorphisms` over all k! permutations.
+automorphism test that maps every root and coroot, and the scan over all k!
+permutations of S for the Cartan-preserving ones.  The D4 quadruples of
+pairwise orthogonal roots are counted here too, orthogonality read in the
+epsilon realization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from elimination_oracle import bareiss_det, solve_exact
 from sphdescent.intlinalg import IntMatrix
@@ -120,6 +122,17 @@ class EpsilonDatum:
                      for row in self.realization)
 
 
+def orthogonal_quadruples(brd, eps: EpsilonDatum) -> list[frozenset]:
+    """Sets {±b1, ..., ±b4} of pairwise orthogonal roots of brd, found by a
+    scan of the 4-subsets of R+ with orthogonality read through eps."""
+    found = set()
+    for combo in combinations(brd.positive_roots, 4):
+        vecs = [eps.to_epsilon(r) for r in combo]
+        if all(_dot(a, b) == 0 for a, b in combinations(vecs, 2)):
+            found.add(frozenset(combo) | frozenset(tuple(-x for x in r) for r in combo))
+    return sorted(found, key=sorted)
+
+
 def build(letter: str, rank: int, isogeny: str = "simply_connected",
           lattice_basis=None) -> EpsilonDatum:
     simple_eps = epsilon_simple_roots(letter, rank)
@@ -200,7 +213,7 @@ def direct_sum(a: EpsilonDatum, b: EpsilonDatum) -> EpsilonDatum:
 def weyl_group_by_products(brd):
     """W as (matrix, word) pairs, breadth-first by full products with the
     simple reflection matrices, in the canonical order of the library."""
-    gens = [brd.simple_reflection(i) for i in range(len(brd.simple_roots))]
+    gens = [brd.reflection(alpha) for alpha in brd.simple_roots]
     ident = IntMatrix.identity(brd.rank)
     seen = {ident}
     out = [(ident, ())]
@@ -280,8 +293,9 @@ def lift_s_permutation_by_rows(brd, perm):
 
 
 def dynkin_automorphisms_by_scan(brd, lift):
-    """dynkin_automorphisms by a scan over all k! permutations of S, each
-    Cartan-preserving one lifted by `lift`."""
+    """(automorphisms, skipped) by a scan over all k! permutations of S in
+    lexicographic order: each Cartan-preserving one is lifted by `lift`, and
+    skipped, with a reason, when the lift is None."""
     k = len(brd.simple_roots)
     cartan = [[_dot(a, c) for a in brd.simple_roots] for c in brd.simple_coroots]
     autos, skipped = [], []

@@ -298,6 +298,18 @@ def test_check_fan_decides_meets_the_ray_sums_miss(capsys):
         0, "fan_ray_sums_outside.json: valid: yes, wonderful: no\n", "")
 
 
+def test_file_commands_read_a_weight_lattice_of_rank_zero(capsys):
+    # H = G: V is the zero space, so every basis and matrix on it is empty
+    f = str(DATA / "weight_lattice_rank_zero.json")
+    assert run(capsys, "check-fan", f) == (
+        0, "weight_lattice_rank_zero.json: valid: yes, wonderful: yes, stable: yes\n", "")
+    code, out, _ = run(capsys, "check-invariants", f)
+    assert (code, out.splitlines()[0]) == (0, "weight_lattice_rank_zero.json: preserved")
+    code, out, _ = run(capsys, "verdict", f, "--json")
+    assert code == 0 and json.loads(out)["status"] == "form_exists"
+    assert run(capsys, "cohomology", f)[0] == 0  # skipped: no cohomology block
+
+
 # -- cohomology ------------------------------------------------------------------------
 
 def test_cohomology_vanishing_line(capsys):

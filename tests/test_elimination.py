@@ -3,9 +3,8 @@
 `kernel_lattice` (one HNF of [M^T | I]) and `Lattice.from_rows` (an HNF with
 no transform) are compared with the transform-tracking HNF and its
 two-HNF kernel, `snf` (alternating row and column HNFs) with the diagonal
-of the transform-tracking Smith form, `IntMatrix.is_unimodular` (the HNF is
-the identity) with the Bareiss determinant, and
-`BasedRootDatum.from_epsilon` (the normal equations, solved fraction-free)
+of the transform-tracking Smith form, and `IntMatrix.is_unimodular` (the HNF
+is the identity) with the Bareiss determinant, and `solve_fraction_free`
 with the `Fraction` solve; all of these oracles are kept in
 `elimination_oracle`.
 """
@@ -17,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elimination_oracle as oracle
-from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice, snf
-from sphdescent.rootdata import build_root_datum, direct_sum, torus
+from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice, snf, solve_fraction_free
+from sphdescent.rootdata import build_root_datum
 
 entries = st.integers(min_value=-5, max_value=5)
 
@@ -113,32 +112,18 @@ def test_is_unimodular_matches_the_bareiss_determinant():
     assert not IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]).is_unimodular()
 
 
-def _from_epsilon_or_error(f, *args):
-    try:
-        return f(*args)
-    except ValueError as e:
-        return str(e)
+def assert_solve_matches(m: IntMatrix, rhs):
+    d, dx = solve_fraction_free(m.entries, rhs)
+    assert d in (oracle.bareiss_det(m), -oracle.bareiss_det(m))
+    for j in range(len(rhs[0]) if d and rhs else 0):
+        assert tuple(Fraction(row[j], d) for row in dx) == oracle.solve_exact(
+            m.entries, [r[j] for r in rhs])
 
 
-def assert_from_epsilon_matches(brd, rng):
-    dim = len(brd.realization)
-    probes = []
-    for _ in range(12):
-        x = tuple(rng.randint(-3, 3) for _ in range(brd.rank))
-        v = brd.to_epsilon(x)
-        probes.append(v)
-        if dim:
-            k = rng.randrange(dim)
-            probes.append(tuple(a + Fraction(1, rng.choice((1, 2, 3))) * (i == k)
-                                for i, a in enumerate(v)))
-            probes.append(tuple(Fraction(a, 2) for a in v))
-            probes.append(tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4)))
-                                for _ in range(dim)))
-    for v in probes:
-        new = _from_epsilon_or_error(brd.from_epsilon, v)
-        assert new == _from_epsilon_or_error(oracle.from_epsilon_exact, brd, v)
-    for x in brd.simple_roots:
-        assert brd.from_epsilon(brd.to_epsilon(x)) == x
+def test_solve_fraction_free_matches_the_fraction_solve():
+    rng = random.Random(4)
+    for m in random_square_matrices(600, seed=4):
+        assert_solve_matches(m, [[rng.randint(-4, 4) for _ in range(2)] for _ in range(m.rows)])
 
 
 TYPES = ([("A", n) for n in range(1, 8)] + [("B", n) for n in range(2, 7)]
@@ -146,38 +131,10 @@ TYPES = ([("A", n) for n in range(1, 8)] + [("B", n) for n in range(2, 7)]
          + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 
 
-@pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
 @pytest.mark.parametrize("letter,rank", TYPES)
-def test_from_epsilon_matches_the_fraction_solve(letter, rank, isogeny):
-    assert_from_epsilon_matches(build_root_datum(letter, rank, isogeny),
-                                random.Random(f"{letter}{rank}{isogeny}"))
-
-
-@pytest.mark.parametrize("letter,rank,basis", [
-    ("A", 1, [[2]]),
-    ("A", 3, [[2, 0, 0], [0, 1, 0], [1, 0, 1]]),
-    ("D", 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]]),
-    ("B", 2, [[0, 1], [1, 0]]),
-])
-def test_from_epsilon_matches_on_custom_lattices(letter, rank, basis):
-    assert_from_epsilon_matches(build_root_datum(letter, rank, "custom_lattice", basis),
-                                random.Random(rank))
-
-
-def test_from_epsilon_matches_on_direct_sums_with_tori():
-    rng = random.Random(5)
-    for brd in (torus(0), torus(2),
-                direct_sum(build_root_datum("A", 2), torus(1)),
-                direct_sum(torus(2), build_root_datum("B", 3, "adjoint")),
-                direct_sum(build_root_datum("C", 2), build_root_datum("G", 2))):
-        assert_from_epsilon_matches(brd, rng)
-
-
-def test_from_epsilon_errors():
-    a2 = build_root_datum("A", 2)
-    with pytest.raises(ValueError, match="not in the span"):
-        a2.from_epsilon((1, 0, 0))
-    with pytest.raises(ValueError, match="not in the character lattice"):
-        build_root_datum("A", 2, "adjoint").from_epsilon(a2.to_epsilon((1, 0)))
-    with pytest.raises(ValueError, match="length mismatch"):
-        a2.from_epsilon((1, -1))
+def test_solve_fraction_free_matches_on_cartan_systems(letter, rank):
+    # the systems rootdata solves: the simple coroots of the adjoint datum,
+    # the Cartan matrix, against the identity and against itself transposed
+    cartan = build_root_datum(letter, rank, "adjoint").cartan_matrix
+    assert_solve_matches(cartan, IntMatrix.identity(rank).entries)
+    assert_solve_matches(cartan, cartan.transpose().entries)

@@ -26,7 +26,6 @@ from sphdescent.cones import (
     ColoredCone,
     ColoredFan,
     ColorRecord,
-    colored_cone,
     cone_from_generators,
     faces,
     is_gamma_stable,
@@ -180,7 +179,8 @@ def _colored_fan_cases():
                 colors.add(ColorRecord(tuple(map(sum, zip(*rays))), set()))
             if rng.random() < 0.5:
                 colors |= {ColorRecord(m.apply(c.rho), c.sigma) for c in colors}
-            pieces.append(colored_cone(dim, rays, colors))
+            pieces.append(ColoredCone(
+                cone_from_generators(dim, rays + [c.rho for c in colors]), frozenset(colors)))
         if not pieces:
             continue
         cones = [cc for piece in pieces for cc in colored_cones(faces(piece))]
@@ -202,11 +202,12 @@ def test_colored_fans_match_the_oracle(label, cones, v_cone, m):
 
 def test_colored_face_fans_match_the_oracle():
     rec = ColorRecord((1, 0), {0})
-    for cc in (colored_cone(2, [(0, 1)], [rec]),
-               colored_cone(2, [], [rec, ColorRecord((0, 1), set())]),
-               colored_cone(3, [(0, 1, 0), (0, 0, 1)],
-                            [ColorRecord((1, 1, 1), set()),
-                             ColorRecord((1, 0, 0), set())])):
+    quadrant = cone_from_generators(2, [(1, 0), (0, 1)])
+    for cc in (ColoredCone(quadrant, frozenset([rec])),
+               ColoredCone(quadrant, frozenset([rec, ColorRecord((0, 1), set())])),
+               ColoredCone(cone_from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                           frozenset([ColorRecord((1, 1, 1), set()),
+                                      ColorRecord((1, 0, 0), set())]))):
         got = faces(cc)
         assert colored_cones(got) == oracle.fan(oracle.faces(cc))
 

@@ -13,7 +13,6 @@ from sphdescent.invariants import (
     PreservationVerdict,
     RationalLattice,
     SphericalInvariants,
-    invariants_equal,
     preserves_invariants,
     validate_horospherical,
 )
@@ -105,11 +104,11 @@ def test_rational_lattice_generators_roundtrip():
 
 def test_invariants_equal_reflexive_and_cone_presentation(d4, triality):
     inv = symmetric_invariants(d4)
-    assert invariants_equal(inv, inv)
+    assert inv == inv
     # same valuation cone from a different generator list
     regen = cone_from_generators(4, inv.valuation_cone.rays + ((-3, -2, -2, -2),))
     other = SphericalInvariants(d4, inv.weight_lattice, regen, inv.omega1, inv.omega2)
-    assert invariants_equal(inv, other)
+    assert inv == other  # the cone is stored in canonical form
     assert invariant(triality, other)
 
 
@@ -118,7 +117,7 @@ def test_invariants_equal_detects_omega_swap(d4, triality):
     rec = next(iter(inv.omega1))
     moved = SphericalInvariants(d4, inv.weight_lattice, inv.valuation_cone,
                                 inv.omega1 - {rec}, frozenset([rec]))
-    assert not invariants_equal(inv, moved)
+    assert inv != moved
     # triality fixes only the color over the branch node
     for rec in inv.omega1:
         moved = SphericalInvariants(d4, inv.weight_lattice, inv.valuation_cone,
@@ -132,8 +131,7 @@ def test_invariants_equal_requires_same_datum(d4):
     lat = Lattice.full(4)
     foreign = SphericalInvariants(other, lat, cone_from_generators(4, []),
                                   frozenset(), frozenset())
-    with pytest.raises(ValueError):
-        invariants_equal(inv, foreign)
+    assert inv != foreign
 
 
 def test_omega_overlap_rejected(d4):
@@ -216,7 +214,7 @@ def test_apply_to_invariants_agrees_with_equality(d4, triality):
         frozenset(r for r in inv.omega1 if r.sigma != {0}), frozenset())
     for data, expected in ((inv, True), (lopsided, False), (partial, False)):
         for el in triality.elements:
-            same = invariants_equal(transported(el, data), data)
+            same = transported(el, data) == data
             assert same == preserves_invariants(triality, el, data).all_ok
         assert all(preserves_invariants(triality, el, data).all_ok
                    for el in triality.elements) == expected

@@ -1,4 +1,4 @@
-"""Tests for the JSON problem format: schema, coordinate conversion, normal form."""
+"""Tests for the JSON problem format: schema and coordinate conversion."""
 import copy
 import json
 import os
@@ -15,7 +15,7 @@ from sphdescent.checker import HypothesisSet
 from sphdescent.cli import corpus_names, corpus_root
 from sphdescent.cones import ColorRecord, cone_from_inequalities, cones_equal
 from sphdescent.intlinalg import Lattice, vec_dot, vec_neg
-from sphdescent.invariants import RationalLattice, SphericalInvariants, invariants_equal
+from sphdescent.invariants import RationalLattice, SphericalInvariants
 from sphdescent.problem import (
     SCHEMA,
     ProblemError,
@@ -23,7 +23,6 @@ from sphdescent.problem import (
     parse_dict,
     parse_file,
     parse_text,
-    to_json,
 )
 from sphdescent.rootdata import CapExceeded, build_root_datum
 from sphdescent.staraction import ClosureCapExceeded
@@ -66,7 +65,7 @@ def symmetric(d4):
 def test_spin8_file_matches_hand_built_instance(d4, symmetric):
     p = parse_dict(load_corpus("spin8_trialitary"))
     assert p.brd == d4
-    assert invariants_equal(p.invariants, symmetric)
+    assert p.invariants == symmetric
     assert p.action.generator_names == ("t",)
     assert p.action.generators[0].s_perm == (2, 1, 3, 0)
     assert p.hypotheses == HypothesisSet(True, True, True, "BySymmetric", "p_adic")
@@ -173,7 +172,7 @@ def test_cohomology_block_stands_alone():
     p = parse_dict(load_corpus("spin8_center"))
     assert p.brd is None and p.invariants is None
     assert p.cohomology_base_field == "p_adic"
-    assert p.cohomology.a_module.fixed_characters().is_trivial()
+    assert p.cohomology.a_module.fixed_characters.is_trivial()
 
 
 def test_bad_permutations_rejected():
@@ -269,27 +268,10 @@ def test_parse_file_reads_a_corpus_entry_and_names_it_in_errors():
         parse_file(entry, cap=2)
 
 
-# -- normal form ----------------------------------------------------------------------
-
-def test_corpus_round_trips_to_a_stable_normal_form():
-    assert len(corpus_names()) == 12
-    for name in corpus_names():
-        text = (corpus_root() / name).read_text("utf-8")
-        first = parse_text(text)
-        normal = to_json(first)
-        second = parse_dict(normal)
-        assert second == first, name
-        assert to_json(second) == normal, name
-
-
-def test_normal_form_restates_the_basis():
-    normal = to_json(parse_dict(load_corpus("spin8_trialitary")))
-    assert normal["invariants"]["weight_lattice"]["basis"] == [
-        [1, 0, 1, 1], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
-    gen = normal["action"]["generators"][0]
-    assert "matrix_on_X" in gen and "s_permutation" not in gen
-    assert "generators" in normal["invariants"]["valuation_cone"]
-    assert "inequalities" not in normal["invariants"]["valuation_cone"]
+def test_parse_restates_the_weight_lattice_on_its_hermite_basis():
+    p = parse_dict(load_corpus("spin8_trialitary"))
+    assert p.invariants.weight_lattice.basis.entries == (
+        (1, 0, 1, 1), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
 
 
 # -- schema messages ---------------------------------------------------------------------

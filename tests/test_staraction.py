@@ -35,13 +35,15 @@ def alpha_coords(brd):
 
 def test_trivial_action(d4):
     act = build_action(d4, [])
-    assert act.order == 1 and act.is_trivial
-    assert act.label(0) == "e"
+    assert act.order == 1
+    assert act.elements[0].matrix == IntMatrix.identity(4)
 
 
 def test_triality_closure_order_three(triality):
     assert triality.order == 3
-    assert [triality.label(k) for k in range(3)] == ["e", "t", "t*t"]
+    t = triality.generators[0]
+    assert triality.elements == (triality.elements[0], t, t.compose(t))
+    assert triality.elements[0].matrix == IntMatrix.identity(4)
 
 
 def test_full_s3_closure_order_six(d4):
@@ -111,7 +113,7 @@ def test_restriction_absent_names_violator(d4, triality):
     mats = on_closure(restrict_to_sublattice, triality, lat)
     # the first element that moves the lattice is the generator t
     first = next(k for k, m in enumerate(mats) if m is None)
-    assert triality.label(first) == "t"
+    assert triality.elements[first] == triality.generators[0]
     assert mats[0] == IntMatrix.identity(1) and mats[1:] == [None, None]
 
 

@@ -1,17 +1,12 @@
-"""Tests for Weyl orbits, orthogonal root quadruples, and conjugacy search."""
+"""Tests for Weyl orbits and conjugacy search, on the orthogonal root
+quadruples of D4 among others."""
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
-from sphdescent.rootdata import CapExceeded, build_root_datum, dynkin_automorphisms
-from sphdescent.weyl import (
-    RootSubset,
-    are_weyl_conjugate,
-    orthogonal_quadruples,
-    root_subset,
-    weyl_orbit,
-)
+import epsilon_rootdata_oracle as oracle
+from sphdescent.rootdata import CapExceeded, build_root_datum, lift_s_permutation
+from sphdescent.weyl import are_weyl_conjugate, root_subset, weyl_orbit
 
 
 @pytest.fixture(scope="module")
@@ -19,10 +14,19 @@ def d4():
     return build_root_datum("D", 4)
 
 
-def test_orbit_of_first_fundamental_weight(d4):
+@pytest.fixture(scope="module")
+def d4_eps():
+    return oracle.build("D", 4)
+
+
+def quadruples_by_recount(brd, eps):
+    return [root_subset(brd, q) for q in oracle.orthogonal_quadruples(brd, eps)]
+
+
+def test_orbit_of_first_fundamental_weight(d4, d4_eps):
     orbit = weyl_orbit(d4, (1, 0, 0, 0))
     assert len(orbit) == 8
-    eps = {tuple(d4.to_epsilon(v)) for v in orbit}
+    eps = {d4_eps.to_epsilon(v) for v in orbit}
     unit = lambda i, s: tuple(Fraction(s) if j == i else Fraction(0) for j in range(4))
     assert eps == {unit(i, s) for i in range(4) for s in (1, -1)}
 
@@ -58,8 +62,7 @@ def test_orbit_accepts_rational_vectors(d4):
 def test_root_subset_validation(d4):
     with pytest.raises(ValueError):
         root_subset(d4, [(5, 0, 0, 0)])
-    s = root_subset(d4, [d4.simple_roots[0]])
-    assert not s.is_negation_closed()
+    assert root_subset(d4, [d4.simple_roots[0]]).roots == {d4.simple_roots[0]}
 
 
 def test_root_subset_rejects_non_integral_vectors(d4):
@@ -69,36 +72,9 @@ def test_root_subset_rejects_non_integral_vectors(d4):
     assert root_subset(d4, [(Fraction(2), -1, 0, 0)]).roots == {(2, -1, 0, 0)}
 
 
-def test_quadruples_match_brute_force(d4):
-    quads = orthogonal_quadruples(d4)
-    assert len(quads) == 3
-    assert all(len(q.roots) == 8 and q.is_negation_closed() for q in quads)
-    # independent recount: pairwise orthogonality under the invariant form,
-    # over all 4-subsets of the positive roots
-    pos = d4.positive_roots
-    found = set()
-    for combo in combinations(pos, 4):
-        if all(d4.invariant_form(a, b) == 0 for a, b in combinations(combo, 2)):
-            found.add(frozenset(combo) | frozenset(tuple(-x for x in r) for r in combo))
-    assert found == {q.roots for q in quads}
-
-
-def test_quadruples_contain_the_split_pairing(d4):
-    # {±(e1-e2), ±(e1+e2), ±(e3-e4), ±(e3+e4)} in the orthogonal realization
-    a1, a3, a4 = d4.simple_roots[0], d4.simple_roots[2], d4.simple_roots[3]
-    e1p2 = d4.from_epsilon((1, 1, 0, 0))
-    target = root_subset(d4, [a1, tuple(-x for x in a1), a3, tuple(-x for x in a3),
-                              a4, tuple(-x for x in a4), e1p2, tuple(-x for x in e1p2)])
-    assert target.roots in {q.roots for q in orthogonal_quadruples(d4)}
-
-
-def test_quadruples_rejects_other_types():
-    with pytest.raises(ValueError):
-        orthogonal_quadruples(build_root_datum("A", 3))
-
-
-def test_quadruples_are_weyl_conjugate_with_verified_witness(d4):
-    quads = orthogonal_quadruples(d4)
+def test_quadruples_are_weyl_conjugate_with_verified_witness(d4, d4_eps):
+    quads = quadruples_by_recount(d4, d4_eps)
+    assert len(quads) == 3 and all(len(q.roots) == 8 for q in quads)
     for other in quads[1:]:
         w = are_weyl_conjugate(d4, quads[0], other)
         assert w is not None
@@ -106,19 +82,18 @@ def test_quadruples_are_weyl_conjugate_with_verified_witness(d4):
         assert image == other.roots
 
 
-def test_conjugacy_self_witness_is_identity(d4):
-    quads = orthogonal_quadruples(d4)
-    w = are_weyl_conjugate(d4, quads[0], quads[0])
+def test_conjugacy_self_witness_is_identity(d4, d4_eps):
+    quad = quadruples_by_recount(d4, d4_eps)[0]
+    w = are_weyl_conjugate(d4, quad, quad)
     assert w is not None and w.word == ()
 
 
-def test_triality_preserves_the_split_quadruple(d4):
+def test_triality_preserves_the_split_quadruple(d4, d4_eps):
     # the outer triality automorphism permutes simple roots 1 -> 3 -> 4 -> 1,
-    # all of which lie in the split quadruple, so it maps that set to itself
-    autos, _ = dynkin_automorphisms(d4)
-    tri = next(a for a in autos if a.s_perm == (2, 1, 3, 0))
-    quads = orthogonal_quadruples(d4)
-    split = next(q for q in quads
+    # all of which lie in the split quadruple
+    # {±(e1-e2), ±(e1+e2), ±(e3-e4), ±(e3+e4)}, so it maps that set to itself
+    tri = lift_s_permutation(d4, (2, 1, 3, 0))
+    split = next(q for q in quadruples_by_recount(d4, d4_eps)
                  if all(s in q.roots for s in (d4.simple_roots[0],
                                                d4.simple_roots[2], d4.simple_roots[3])))
     image = root_subset(d4, [tri.matrix.apply(r) for r in split.roots])
@@ -130,8 +105,7 @@ def test_triality_preserves_the_split_quadruple(d4):
 def test_conjugacy_in_rank_two():
     a2 = build_root_datum("A", 2)
     a1 = a2.simple_roots[0]
-    high = a2.from_epsilon(tuple(x + y for x, y in zip(
-        a2.to_epsilon(a2.simple_roots[0]), a2.to_epsilon(a2.simple_roots[1]))))
+    high = tuple(x + y for x, y in zip(a2.simple_roots[0], a2.simple_roots[1]))
     pair = root_subset(a2, [a1, tuple(-x for x in a1)])
     target = root_subset(a2, [high, tuple(-x for x in high)])
     w = are_weyl_conjugate(a2, pair, target)
