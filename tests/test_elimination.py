@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import elimination_oracle as oracle
 from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice, snf, solve_fraction_free
-from sphdescent.rootdata import build_root_datum
+from sphdescent.rootdata import build_root_datum, direct_sum, lift_s_permutation, torus
 
 entries = st.integers(min_value=-5, max_value=5)
 
@@ -138,3 +138,51 @@ def test_solve_fraction_free_matches_on_cartan_systems(letter, rank):
     cartan = build_root_datum(letter, rank, "adjoint").cartan_matrix
     assert_solve_matches(cartan, IntMatrix.identity(rank).entries)
     assert_solve_matches(cartan, cartan.transpose().entries)
+
+
+def assert_lift_systems_solve(brd):
+    """The systems `lift_s_permutation` solves: the simple coroots on the
+    semisimple coordinates against the same rows permuted.  A lift exists
+    only where the solution is integral."""
+    semis = [i for i in range(brd.rank) if i not in set(brd.torus_coords)]
+    k = len(brd.simple_roots)
+    assert len(semis) == k
+    c = IntMatrix.from_rows([[cov[j] for j in semis] for cov in brd.simple_coroots], k)
+    ident = tuple(range(k))
+    for perm in sorted({ident, ident[::-1], ident[1:] + ident[:1],
+                        ident[:-2] + ident[-2:][::-1]}):
+        pc = [c.entries[perm.index(i)] for i in range(k)]
+        assert_solve_matches(c, pc)
+        d, dx = solve_fraction_free(c.entries, pc)
+        integral = d != 0 and not any(x % d for row in dx for x in row)
+        assert integral or lift_s_permutation(brd, perm) is None, perm
+    assert lift_s_permutation(brd, ident) is not None
+
+
+@pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
+@pytest.mark.parametrize("letter,rank", TYPES)
+def test_solve_fraction_free_matches_on_the_lift_systems(letter, rank, isogeny):
+    assert_lift_systems_solve(build_root_datum(letter, rank, isogeny))
+
+
+@pytest.mark.parametrize("letter,rank,basis", [
+    ("A", 1, [[2]]),
+    ("A", 3, [[2, 0, 0], [0, 1, 0], [1, 0, 1]]),
+    ("D", 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]]),
+    ("B", 2, [[0, 1], [1, 0]]),
+])
+def test_solve_fraction_free_matches_on_custom_lattices(letter, rank, basis):
+    # the custom builder solves B^T against the Cartan matrix for the simple
+    # roots in the chosen basis
+    brd = build_root_datum(letter, rank, "custom_lattice", basis)
+    assert_solve_matches(IntMatrix.from_rows(basis, rank).transpose(),
+                         brd.cartan_matrix.entries)
+    assert_lift_systems_solve(brd)
+
+
+def test_solve_fraction_free_matches_on_direct_sums_with_tori():
+    for brd in (torus(0), torus(2),
+                direct_sum(build_root_datum("A", 2), torus(1)),
+                direct_sum(torus(2), build_root_datum("B", 3, "adjoint")),
+                direct_sum(build_root_datum("C", 2), build_root_datum("G", 2))):
+        assert_lift_systems_solve(brd)
