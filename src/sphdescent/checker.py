@@ -24,6 +24,8 @@ from .cohomology import (
 )
 from .cones import (
     ColoredCone,
+    ColoredFan,
+    NotStrictlyConvex,
     is_gamma_stable,
     is_valid_fan,
     is_wonderful,
@@ -35,7 +37,7 @@ from .invariants import (
     preserves_invariants,
 )
 from .rootdata import BasedRootDatum
-from .staraction import GaloisAction, action_on_simple_subset
+from .staraction import GaloisAction, LatticeMoved, action_on_simple_subset
 
 FORM_EXISTS = "form_exists"
 NO_FORM = "no_form"
@@ -110,45 +112,22 @@ class Verdict:
             raise ValueError("form_exists verdict with a failed trace entry")
 
 
-def _spherical_entries(action: GaloisAction, inv: SphericalInvariants):
-    entries = []
-    all_ok = True
-    for name, gen in zip(action.generator_names, action.generators):
-        v = preserves_invariants(action, gen, inv)
-        problems = []
-        if not v.x_ok:
-            problems.append("moves the weight lattice")
-        else:
-            if not v.v_ok:
-                problems.append("moves the valuation cone")
-            if not v.omega1_ok:
-                problems.append("moves the single-preimage colors")
-            if not v.omega2_ok:
-                problems.append("moves the double-preimage colors")
-        ok = not problems
-        all_ok = all_ok and ok
-        entries.append(TraceEntry(
-            f"invariants preserved by generator '{name}'", ok,
-            "; ".join(problems) if problems else "lattice, cone, and colors fixed"))
-    return all_ok, entries
+def _spherical_problems(action: GaloisAction, inv: SphericalInvariants, gen):
+    v = preserves_invariants(action, gen, inv)
+    if not v.x_ok:
+        return ["moves the weight lattice"]
+    return [p for ok, p in ((v.v_ok, "moves the valuation cone"),
+                            (v.omega1_ok, "moves the single-preimage colors"),
+                            (v.omega2_ok, "moves the double-preimage colors"))
+            if not ok]
 
 
-def _horospherical_entries(action: GaloisAction, datum: HorosphericalDatum):
-    entries = []
-    all_ok = True
-    for name, gen in zip(action.generator_names, action.generators):
-        problems = []
-        moved = action_on_simple_subset(action, datum.simple_subset, gen)
-        if moved != datum.simple_subset:
-            problems.append("moves the simple-root subset")
-        if datum.characters.apply(gen.matrix) != datum.characters:
-            problems.append("moves the character group")
-        ok = not problems
-        all_ok = all_ok and ok
-        entries.append(TraceEntry(
-            f"invariants preserved by generator '{name}'", ok,
-            "; ".join(problems) if problems else "subset and characters fixed"))
-    return all_ok, entries
+def _horospherical_problems(action: GaloisAction, datum: HorosphericalDatum, gen):
+    moved = action_on_simple_subset(action, datum.simple_subset, gen)
+    return [p for ok, p in (
+        (moved == datum.simple_subset, "moves the simple-root subset"),
+        (datum.characters.apply(gen.matrix) == datum.characters,
+         "moves the character group")) if not ok]
 
 
 def invariance_entries(action: GaloisAction, invariants):
@@ -158,11 +137,18 @@ def invariance_entries(action: GaloisAction, invariants):
     whole closure, so this decides invariance under the full finite image.
     """
     if isinstance(invariants, HorosphericalDatum):
-        return _horospherical_entries(action, invariants)
-    if isinstance(invariants, SphericalInvariants):
-        return _spherical_entries(action, invariants)
-    raise TypeError("invariants must be spherical invariants or a "
-                    "horospherical datum")
+        problems_of, fixed = _horospherical_problems, "subset and characters fixed"
+    elif isinstance(invariants, SphericalInvariants):
+        problems_of, fixed = _spherical_problems, "lattice, cone, and colors fixed"
+    else:
+        raise TypeError("invariants must be spherical invariants or a "
+                        "horospherical datum")
+    entries = []
+    for name, gen in zip(action.generator_names, action.generators):
+        problems = problems_of(action, invariants, gen)
+        entries.append(TraceEntry(f"invariants preserved by generator '{name}'",
+                                  not problems, "; ".join(problems) or fixed))
+    return all(e.ok for e in entries), entries
 
 
 def _check_cohomology_names(action: GaloisAction, coh: CohomologyInputs):
@@ -238,23 +224,44 @@ def verdict(brd: BasedRootDatum, action: GaloisAction, invariants,
 
 @dataclass(frozen=True)
 class WonderfulReport:
-    """Fan-side report: validity, wonderfulness, and Galois stability."""
+    """Fan-side report: validity, wonderfulness, and Galois stability.
+
+    `wonderful` and `stable` are None when undecided: both when a valuation
+    cone with lineality has no face fan, `stable` alone without an action.
+    """
 
     fan_valid: bool
-    wonderful: bool
-    stable: bool
+    wonderful: bool | None
+    stable: bool | None
     violating_generator: str | None
     problems: tuple
     violating_cone: ColoredCone | None
 
 
 def wonderful_stability_report(invariants: SphericalInvariants,
-                               action: GaloisAction) -> WonderfulReport:
-    """Build the face fan of the valuation cone and test it end to end."""
-    fan = wonderful_fan(invariants.valuation_cone)
-    validity = is_valid_fan(fan, invariants.valuation_cone)
-    wonderful = is_wonderful(fan, invariants.valuation_cone)
-    stability = is_gamma_stable(fan, action, invariants.weight_lattice)
-    return WonderfulReport(validity.ok, wonderful, stability.stable,
-                           stability.violating_generator, validity.problems,
-                           stability.violating_cone)
+                               action: GaloisAction | None = None,
+                               fan: ColoredFan | None = None) -> WonderfulReport:
+    """Validity, wonderfulness and, given an action, Galois stability of a
+    colored fan: the given one, or else the face fan of the valuation cone.
+
+    A valuation cone with lineality, which has no face fan, and an action
+    that moves the weight lattice are negative answers with a problem.
+    """
+    vcone = invariants.valuation_cone
+    try:
+        fan = wonderful_fan(vcone) if fan is None else fan
+    except NotStrictlyConvex as e:
+        return WonderfulReport(False, None, None, None, (str(e),), None)
+    validity = is_valid_fan(fan, vcone)
+    problems = validity.problems
+    stable = generator = moved = None
+    if action is not None:
+        try:
+            sv = is_gamma_stable(fan, action, invariants.weight_lattice)
+            stable, generator, moved = (sv.stable, sv.violating_generator,
+                                        sv.violating_cone)
+        except LatticeMoved as e:
+            stable, generator = False, e.label
+            problems += ("moves the weight lattice",)
+    return WonderfulReport(validity.ok, is_wonderful(fan, vcone), stable,
+                           generator, problems, moved)

@@ -23,20 +23,12 @@ from .checker import (
     NO_FORM,
     invariance_entries,
     verdict,
+    wonderful_stability_report,
 )
 from .cohomology import h2_local_vanishes, obstruction_verdict
-from .cones import (
-    NotStrictlyConvex,
-    StabilityVerdict,
-    is_gamma_stable,
-    is_valid_fan,
-    is_wonderful,
-    wonderful_fan,
-)
 from .invariants import validate_horospherical
 from .problem import Problem, ProblemError, _num_out, parse_file
 from .rootdata import CapExceeded, build_root_datum
-from .staraction import LatticeMoved
 from .weyl import are_weyl_conjugate, root_subset, weyl_orbit
 
 EX_OK, EX_NEGATIVE, EX_INCONCLUSIVE, EX_USAGE = 0, 1, 2, 64
@@ -211,57 +203,37 @@ def _invariance_report(label: str, problem: Problem):
 
 
 def _fan_report(label: str, problem: Problem):
-    """Validity, wonderfulness and, given an action, stability of the stated
-    fan, or else of the face fan of the valuation cone."""
     if problem.invariants is None:
         return _skipped(label, "needs an invariants block")
-    vcone = problem.invariants.valuation_cone
-    try:
-        fan = problem.fan if problem.fan is not None else wonderful_fan(vcone)
-    except NotStrictlyConvex as e:
-        ok, doc = False, {"file": label, "valid": False, "problems": [str(e)]}
-    else:
-        fv = is_valid_fan(fan, vcone)
-        ok, doc = fv.ok, {"file": label, "valid": fv.ok,
-                          "problems": list(fv.problems),
-                          "wonderful": is_wonderful(fan, vcone)}
-        if problem.action is not None:
-            try:
-                sv = is_gamma_stable(fan, problem.action,
-                                     problem.invariants.weight_lattice)
-            except LatticeMoved as e:
-                # a negative answer, as verdict and check-invariants give it
-                sv = StabilityVerdict(False, e.label, None)
-                doc["problems"].append("moves the weight lattice")
-            ok = ok and sv.stable
-            # rays of the fan cone a generator moves off the fan, in
-            # canonical coordinates, as the fan problems report them
-            doc.update(stable=sv.stable,
-                       violating_generator=sv.violating_generator,
-                       violating_cone_rays=None if sv.violating_cone is None
-                       else [list(r) for r in sv.violating_cone.cone.rays])
-    bits = [f"valid: {'yes' if doc['valid'] else 'no'}"]
-    if doc["problems"]:
-        bits.append("problems: " + "; ".join(doc["problems"]))
-    if "wonderful" in doc:
-        bits.append(f"wonderful: {'yes' if doc['wonderful'] else 'no'}")
-    if "stable" in doc:
-        bits.append(f"stable: {'yes' if doc['stable'] else 'no'}")
-        if doc["violating_generator"]:
-            bits.append(f"violated by generator '{doc['violating_generator']}'")
-        if doc["violating_cone_rays"] is not None:
-            bits.append(f"moved cone rays: {doc['violating_cone_rays']}")
-    return EX_OK if ok else EX_NEGATIVE, doc, [f"{label}: " + ", ".join(bits)]
+    r = wonderful_stability_report(problem.invariants, problem.action,
+                                   problem.fan)
+    doc = {"file": label, "valid": r.fan_valid, "problems": list(r.problems)}
+    bits = [f"valid: {'yes' if r.fan_valid else 'no'}"]
+    if r.problems:
+        bits.append("problems: " + "; ".join(r.problems))
+    if r.wonderful is not None:
+        doc["wonderful"] = r.wonderful
+        bits.append(f"wonderful: {'yes' if r.wonderful else 'no'}")
+    if r.stable is not None:
+        # rays of the fan cone a generator moves off the fan, in
+        # canonical coordinates, as the fan problems report them
+        rays = (None if r.violating_cone is None
+                else [list(x) for x in r.violating_cone.cone.rays])
+        doc.update(stable=r.stable, violating_generator=r.violating_generator,
+                   violating_cone_rays=rays)
+        bits.append(f"stable: {'yes' if r.stable else 'no'}")
+        if r.violating_generator:
+            bits.append(f"violated by generator '{r.violating_generator}'")
+        if rays is not None:
+            bits.append(f"moved cone rays: {rays}")
+    code = EX_OK if r.fan_valid and r.stable is not False else EX_NEGATIVE
+    return code, doc, [f"{label}: " + ", ".join(bits)]
 
 
 def _cohomology_report(label: str, problem: Problem):
     if problem.cohomology is None:
         return _skipped(label, "needs a cohomology block")
-    base = problem.cohomology_base_field
-    if base is None and problem.hypotheses is not None:
-        base = problem.hypotheses.base_field
-    if base is None:
-        base = "large_other"
+    base = problem.base_field
     quasi_split = (problem.hypotheses.form_is_quasi_split
                    if problem.hypotheses is not None else False)
     a = problem.cohomology.a_module

@@ -105,18 +105,16 @@ def cone_from_generators(dim: int, generators) -> RationalCone:
 
 
 def cone_from_inequalities(dim: int, inequalities, equations=()) -> RationalCone:
-    """Canonical cone {x : c.x >= 0, e.x = 0}; redundant rows are fine."""
+    """Canonical cone {x : c.x >= 0, e.x = 0}; redundant rows are fine.
+
+    It is the polar of the cone spanned by the rows c and +-e, so its
+    canonical form is that cone's with the two descriptions swapped.
+    """
     constraints = list(inequalities)
-    equations = list(equations)
-    _check_rows(dim, constraints + equations)
     for e in equations:
         constraints += [e, vec_neg(e)]
-    rays, lin = _hcone_extreme_rays(constraints), _kernel(dim, constraints)
-    gens = list(rays)
-    for b in lin:
-        gens += [b, vec_neg(b)]
-    return RationalCone(dim, rays, lin, _hcone_extreme_rays(gens),
-                        _kernel(dim, gens))
+    p = cone_from_generators(dim, constraints)
+    return RationalCone(dim, p.inequalities, p.equations, p.rays, p.lineality)
 
 
 def cones_equal(a: RationalCone, b: RationalCone) -> bool:

@@ -215,7 +215,7 @@ class Problem:
     horospherical: HorosphericalDatum | None
     hypotheses: HypothesisSet | None
     cohomology: CohomologyInputs | None
-    cohomology_base_field: str | None
+    base_field: str
     fan: ColoredFan | None
     notes: str = ""
 
@@ -280,45 +280,46 @@ def _basis_transition(brd: BasedRootDatum, rows):
     return lat, t
 
 
-def _parse_color(c, t_inv: IntMatrix, rank: int, nsimple: int) -> ColorRecord:
-    rho = _qvec(c["rho"])
-    if len(rho) != rank:
-        raise ProblemError(f"color functional {c['rho']} must have length {rank}")
+def _transported(rows, m: IntMatrix, what: str) -> list:
+    """Stated-basis rows, checked for length, in canonical coordinates."""
+    vecs = [_qvec(r) for r in rows]
+    if any(len(v) != m.cols for v in vecs):
+        raise ProblemError(f"{what} must have length {m.cols}")
+    return [m.apply(v) for v in vecs]
+
+
+def _parse_color(c, t_inv: IntMatrix, nsimple: int) -> ColorRecord:
+    [rho] = _transported([c["rho"]], t_inv, f"color functional {c['rho']}")
     sigma = set()
     for i in c["sigma"]:
         if not 1 <= i <= nsimple:
             raise ProblemError(f"color names simple root {i}, but there are "
                                f"only {nsimple}")
         sigma.add(i - 1)
-    return ColorRecord(t_inv.apply(rho), frozenset(sigma))
+    return ColorRecord(rho, frozenset(sigma))
 
 
 def _parse_invariants(block, brd: BasedRootDatum):
     lat, t = _basis_transition(brd, block["weight_lattice"]["basis"])
     rank = lat.rank
     t_inv = t.inverse_unimodular()
-    t_tr = t.transpose()
     vc = block["valuation_cone"]
     cone_g = cone_i = None
     if "generators" in vc:
-        gens = [t_inv.apply(_qvec(r)) for r in vc["generators"]]
-        if any(len(g) != rank for g in gens):
-            raise ProblemError(f"valuation cone generators must have length {rank}")
-        cone_g = cone_from_generators(rank, gens)
+        cone_g = cone_from_generators(rank, _transported(
+            vc["generators"], t_inv, "valuation cone generators"))
     if "inequalities" in vc:
-        ineqs = [t_tr.apply(_qvec(r)) for r in vc["inequalities"]]
-        if any(len(w) != rank for w in ineqs):
-            raise ProblemError(f"valuation cone inequalities must have length {rank}")
-        cone_i = cone_from_inequalities(rank, ineqs)
+        cone_i = cone_from_inequalities(rank, _transported(
+            vc["inequalities"], t.transpose(), "valuation cone inequalities"))
     if cone_g is not None and cone_i is not None and not cones_equal(cone_g, cone_i):
         raise ProblemError("valuation cone generators and inequalities "
                            "describe different cones")
     cone = cone_g if cone_g is not None else cone_i
     colors = block.get("colors", {})
     nsimple = len(brd.simple_roots)
-    omega1 = frozenset(_parse_color(c, t_inv, rank, nsimple)
+    omega1 = frozenset(_parse_color(c, t_inv, nsimple)
                        for c in colors.get("omega1", []))
-    omega2 = frozenset(_parse_color(c, t_inv, rank, nsimple)
+    omega2 = frozenset(_parse_color(c, t_inv, nsimple)
                        for c in colors.get("omega2", []))
     try:
         return SphericalInvariants(brd, lat, cone, omega1, omega2), t_inv
@@ -346,7 +347,7 @@ def _parse_horospherical(block, brd: BasedRootDatum) -> HorosphericalDatum:
                               RationalLattice.from_generators(brd.rank, gens))
 
 
-def _parse_hypotheses(block) -> HypothesisSet:
+def _parse_hypotheses(block, base_field: str) -> HypothesisSet:
     try:
         return HypothesisSet(
             field_is_large=block.get("field_is_large", False),
@@ -354,7 +355,7 @@ def _parse_hypotheses(block) -> HypothesisSet:
             form_is_quasi_split=block.get("form_is_quasi_split", False),
             normalizer_self_normalizing=block.get("normalizer_self_normalizing",
                                                   "Unknown"),
-            base_field=block.get("base_field", "large_other"),
+            base_field=base_field,
         )
     except ValueError as e:
         raise ProblemError(f"hypotheses: {e}") from None
@@ -397,7 +398,7 @@ def _parse_cohomology(block):
                                                      a_module.characters.ngens))
         except ValueError as e:
             raise ProblemError(f"kappa_matrix: {e}") from None
-    return CohomologyInputs(kappa=kappa, a_module=a_module), block.get("base_field")
+    return CohomologyInputs(kappa=kappa, a_module=a_module)
 
 
 def _parse_fan(block, inv: SphericalInvariants | None, t_inv, brd) -> ColoredFan:
@@ -409,10 +410,8 @@ def _parse_fan(block, inv: SphericalInvariants | None, t_inv, brd) -> ColoredFan
     cones = []
     for c in block["cones"]:
         # fan vectors use the same stated basis as the invariants block
-        rays = [t_inv.apply(_qvec(r)) for r in c["rays"]]
-        if any(len(r) != rank for r in rays):
-            raise ProblemError(f"fan rays must have length {rank}")
-        colors = frozenset(_parse_color(rec, t_inv, rank, nsimple)
+        rays = _transported(c["rays"], t_inv, "fan rays")
+        colors = frozenset(_parse_color(rec, t_inv, nsimple)
                            for rec in c.get("colors", []))
         try:
             cones.append(ColoredCone(cone_from_generators(rank, rays), colors))
@@ -492,8 +491,7 @@ def parse_dict(data, cap=None) -> Problem:
         raise ProblemError("give either invariants or horospherical, not both")
 
     brd = _parse_root_datum(data["root_datum"]) if "root_datum" in data else None
-    action = inv = horo = hyps = coh = fan = None
-    coh_field = t_inv = None
+    action = inv = horo = hyps = coh = fan = t_inv = None
     for key in ("action", "invariants", "horospherical", "fan"):
         if key in data and brd is None:
             raise ProblemError(f"a {key} block needs a root_datum block")
@@ -503,21 +501,24 @@ def parse_dict(data, cap=None) -> Problem:
         inv, t_inv = _parse_invariants(data["invariants"], brd)
     if "horospherical" in data:
         horo = _parse_horospherical(data["horospherical"], brd)
+    # one base field per problem: as stated in either block, else large_other
+    hyp_field = data.get("hypotheses", {}).get("base_field")
+    coh_field = data.get("cohomology", {}).get("base_field")
+    if hyp_field and coh_field and hyp_field != coh_field:
+        raise ProblemError(
+            f"cohomology base_field {coh_field!r} contradicts the "
+            f"hypotheses base_field {hyp_field!r}")
+    base_field = hyp_field or coh_field or "large_other"
     if "hypotheses" in data:
-        hyps = _parse_hypotheses(data["hypotheses"])
+        hyps = _parse_hypotheses(data["hypotheses"], base_field)
     if "cohomology" in data:
-        coh, coh_field = _parse_cohomology(data["cohomology"])
-        if (coh_field is not None and hyps is not None
-                and coh_field != hyps.base_field):
-            raise ProblemError(
-                f"cohomology base_field {coh_field!r} contradicts the "
-                f"hypotheses base_field {hyps.base_field!r}")
+        coh = _parse_cohomology(data["cohomology"])
     if "fan" in data:
         fan = _parse_fan(data["fan"], inv, t_inv, brd)
     return Problem(
         title=data.get("title", ""), brd=brd, action=action, invariants=inv,
         horospherical=horo, hypotheses=hyps, cohomology=coh,
-        cohomology_base_field=coh_field, fan=fan, notes=data.get("notes", ""))
+        base_field=base_field, fan=fan, notes=data.get("notes", ""))
 
 
 def parse_text(text: str, cap=None) -> Problem:
@@ -542,6 +543,8 @@ def parse_file(path, cap=None) -> Problem:
         raise ProblemError(f"cannot read {label}: {e.strerror}") from None
     try:
         return parse_text(text, cap=cap)
-    except (ProblemError, CapExceeded) as e:
+    except CapExceeded as e:
         raise type(e)(f"{label}: {e}") from None
+    except ValueError as e:
+        raise ProblemError(f"{label}: {e}") from None
 

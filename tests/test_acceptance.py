@@ -305,10 +305,9 @@ def _outcomes(p):
         out["wonderful"] = (r.fan_valid, r.wonderful, r.stable,
                             r.violating_generator)
         if p.fan is not None:
-            fv = is_valid_fan(p.fan, p.invariants.valuation_cone)
-            sv = is_gamma_stable(p.fan, p.action, p.invariants.weight_lattice)
-            out["fan_block"] = (fv.ok, is_wonderful(p.fan, p.invariants.valuation_cone),
-                                sv.stable, sv.violating_generator)
+            r = wonderful_stability_report(p.invariants, p.action, fan=p.fan)
+            out["fan_block"] = (r.fan_valid, r.wonderful, r.stable,
+                                r.violating_generator)
     if p.horospherical is not None and p.action is not None:
         out["horospherical"] = invariance_entries(p.action, p.horospherical)[0]
     if p.cohomology is not None and p.cohomology.a_module.is_finite:

@@ -27,3 +27,16 @@ def test_ray_cache_statistics_exist():
     # the benchmark reads the cone ray cache's hit counts through cache_info
     from sphdescent import cones
     assert callable(cones._cone_from_ray_tuple.cache_info)
+
+
+def test_check_fan_runs_the_traced_wonderful_report(capsys):
+    # check-fan decides through the library's fan report, so the traced
+    # run charges its time to that span
+    from sphdescent.cli import main
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert main(["check-fan", "--corpus", "fan_stability_demo"]) == 1
+    finally:
+        tracer.uninstall()
+    assert "checker.wonderful_stability_report" in {s[0] for s in tracer.spans}

@@ -21,7 +21,7 @@ from sphdescent.checker import (
     wonderful_stability_report,
 )
 from sphdescent.cohomology import CharacterMap, MultiplicativeTypeModule
-from sphdescent.cones import ColorRecord, NotStrictlyConvex, cone_from_generators, cone_from_inequalities
+from sphdescent.cones import ColorRecord, cone_from_generators, cone_from_inequalities
 from sphdescent.intlinalg import FgAbelianGroup, IntMatrix, Lattice, vec_dot, vec_neg
 from sphdescent.invariants import HorosphericalDatum, RationalLattice, SphericalInvariants
 from sphdescent.rootdata import build_root_datum
@@ -261,11 +261,13 @@ def test_rotated_cone_reports_violator():
     assert r.violating_generator == "r"
 
 
-def test_non_strictly_convex_cone_propagates():
+def test_non_strictly_convex_cone_is_reported():
     t2 = build_root_datum("torus", 2)
     rot = build_action(t2, [IntMatrix.from_rows([[0, -1], [1, 0]])], names=("r",))
     wide = SphericalInvariants(t2, Lattice.full(2),
                                cone_from_generators(2, [(1, 0), (-1, 0), (0, 1)]),
                                frozenset(), frozenset())
-    with pytest.raises(NotStrictlyConvex):
-        wonderful_stability_report(wide, rot)
+    r = wonderful_stability_report(wide, rot)
+    assert r.fan_valid is False and r.wonderful is None and r.stable is None
+    assert r.problems == ("the valuation cone has nontrivial lineality, so no "
+                          "fan has it as a maximal strictly convex cone",)

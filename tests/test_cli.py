@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from sphdescent.cli import corpus_names, corpus_root, main
+from sphdescent.problem import parse_dict
 
 ALL_CORPUS = [
     "d4_horo_bad_I.json",
@@ -298,6 +299,25 @@ def test_check_fan_decides_meets_the_ray_sums_miss(capsys):
         0, "fan_ray_sums_outside.json: valid: yes, wonderful: no\n", "")
 
 
+@pytest.mark.parametrize("block", ["generators", "inequalities", "rays"])
+def test_a_vector_of_the_wrong_length_is_refused_with_file_and_block(
+        capsys, tmp_path, block):
+    if block == "generators":
+        f = str(DATA / "valuation_cone_generator_too_long.json")
+        message = "valuation cone generators must have length 2"
+    elif block == "inequalities":
+        f = fan_demo(tmp_path, valuation_cone={"inequalities": [[0, 1], [1]]})
+        message = "valuation cone inequalities must have length 2"
+    else:
+        f = fan_demo(tmp_path)
+        data = json.loads(Path(f).read_text("utf-8"))
+        data["fan"]["cones"][1]["rays"] = [[1]]
+        Path(f).write_text(json.dumps(data), encoding="utf-8")
+        message = "fan rays must have length 2"
+    for command in ("verdict", "check-invariants", "check-fan", "cohomology"):
+        assert run(capsys, command, f) == (64, "", f"error: {f}: {message}\n")
+
+
 def test_file_commands_read_a_weight_lattice_of_rank_zero(capsys):
     # H = G: V is the zero space, so every basis and matrix on it is empty
     f = str(DATA / "weight_lattice_rank_zero.json")
@@ -330,6 +350,25 @@ def test_cohomology_nonzero_fixed_characters(capsys, tmp_path):
     code, out, _ = run(capsys, "cohomology", str(f))
     assert code == 1
     assert "H^2 is nonzero (fixed characters have order 2)" in out
+
+
+def test_base_field_stated_in_the_cohomology_block_alone(capsys, tmp_path):
+    # the hypotheses block states no base field, so the cohomology block's
+    # is the problem's; without kappa the obstruction route reads it
+    data = json.loads((corpus_root() / "sl2_torus.json").read_text("utf-8"))
+    del data["hypotheses"]["base_field"], data["cohomology"]["kappa_matrix"]
+    data["cohomology"]["base_field"] = "p_adic"
+    p = parse_dict(data)
+    assert p.base_field == p.hypotheses.base_field == "p_adic"
+    f = tmp_path / "sl2_p_adic.json"
+    f.write_text(json.dumps(data), encoding="utf-8")
+    code, out, _ = run(capsys, "verdict", str(f), "--json")
+    assert code == 0 and json.loads(out)["obstruction"] == {
+        "status": "unknown", "reason": "nontrivial_fixed_characters"}
+    code, out, _ = run(capsys, "cohomology", str(f), "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["base_field"] == "p_adic"
+    assert doc["h2_vanishes"] is False
 
 
 def test_cohomology_outside_p_adic_defers_to_obstruction(capsys):

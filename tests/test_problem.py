@@ -16,6 +16,7 @@ from sphdescent.cli import corpus_names, corpus_root
 from sphdescent.cones import ColorRecord, cone_from_inequalities, cones_equal
 from sphdescent.intlinalg import Lattice, vec_dot, vec_neg
 from sphdescent.invariants import RationalLattice, SphericalInvariants
+from sphdescent import problem
 from sphdescent.problem import (
     SCHEMA,
     ProblemError,
@@ -171,7 +172,7 @@ def test_base_field_contradiction():
 def test_cohomology_block_stands_alone():
     p = parse_dict(load_corpus("spin8_center"))
     assert p.brd is None and p.invariants is None
-    assert p.cohomology_base_field == "p_adic"
+    assert p.base_field == "p_adic"
     assert p.cohomology.a_module.fixed_characters.is_trivial()
 
 
@@ -266,6 +267,18 @@ def test_parse_file_reads_a_corpus_entry_and_names_it_in_errors():
     assert issubclass(ClosureCapExceeded, CapExceeded)
     with pytest.raises(ClosureCapExceeded, match="^spin8_trialitary.json: "):
         parse_file(entry, cap=2)
+
+
+def test_parse_file_names_the_file_in_any_value_error(tmp_path, monkeypatch):
+    # a ValueError from any layer becomes a ProblemError naming the file
+    f = tmp_path / "p.json"
+    f.write_text("{}", encoding="utf-8")
+
+    def fail(text, cap=None):
+        raise ValueError("vector length mismatch")
+    monkeypatch.setattr(problem, "parse_text", fail)
+    with pytest.raises(ProblemError, match="^p.json: vector length mismatch$"):
+        parse_file(f)
 
 
 def test_parse_restates_the_weight_lattice_on_its_hermite_basis():
