@@ -41,7 +41,6 @@ from .cones import (
     StabilityVerdict,
     cone_from_generators,
     cone_from_inequalities,
-    cones_equal,
     faces,
     is_gamma_stable,
     is_valid_fan,
@@ -111,7 +110,6 @@ __all__ = [
     "build_root_datum",
     "cone_from_generators",
     "cone_from_inequalities",
-    "cones_equal",
     "faces",
     "h2_local_vanishes",
     "invariance_entries",

@@ -187,20 +187,15 @@ def verdict(brd: BasedRootDatum, action: GaloisAction, invariants,
     if not inv_ok:
         return Verdict(NO_FORM, NECESSITY, trace)
 
+    norm = hyps.normalizer_self_normalizing
     missing = []
-    trace.append(TraceEntry("field_is_large", hyps.field_is_large,
-                            "asserted" if hyps.field_is_large else "not asserted"))
-    if not hyps.field_is_large:
-        missing.append("field_is_large")
-    trace.append(TraceEntry("char_zero", hyps.char_zero,
-                            "asserted" if hyps.char_zero else "not asserted"))
-    if not hyps.char_zero:
-        missing.append("char_zero")
-    norm_ok = hyps.normalizer_self_normalizing != "Unknown"
-    trace.append(TraceEntry("normalizer_self_normalizing", norm_ok,
-                            _NORMALIZER_DETAIL[hyps.normalizer_self_normalizing]))
-    if not norm_ok:
-        missing.append("normalizer_self_normalizing")
+    for name, ok, detail in (
+            ("field_is_large", hyps.field_is_large, None),
+            ("char_zero", hyps.char_zero, None),
+            ("normalizer_self_normalizing", norm != "Unknown", _NORMALIZER_DETAIL[norm])):
+        trace.append(TraceEntry(name, ok, detail or ("asserted" if ok else "not asserted")))
+        if not ok:
+            missing.append(name)
 
     if missing:
         return Verdict(INCONCLUSIVE, None, trace, tuple(missing))

@@ -68,11 +68,6 @@ class RationalCone:
         return (all(vec_dot(e, iv) == 0 for e in self.equations)
                 and all(vec_dot(c, iv) >= 0 for c in self.inequalities))
 
-    def contains_cone(self, other: "RationalCone") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        return all(self.contains(g) for g in other.generators())
-
 
 def _check_rows(dim: int, rows) -> None:
     if any(len(r) != dim for r in rows):
@@ -115,11 +110,6 @@ def cone_from_inequalities(dim: int, inequalities, equations=()) -> RationalCone
         constraints += [e, vec_neg(e)]
     p = cone_from_generators(dim, constraints)
     return RationalCone(dim, p.inequalities, p.equations, p.rays, p.lineality)
-
-
-def cones_equal(a: RationalCone, b: RationalCone) -> bool:
-    """Mutual containment; agrees with structural equality of canonical forms."""
-    return a.contains_cone(b) and b.contains_cone(a)
 
 
 @lru_cache(maxsize=65536)

@@ -38,6 +38,15 @@ def vec_is_zero(a) -> bool:
     return all(x == 0 for x in a)
 
 
+def _int_vec(v) -> Vec:
+    """v as ints; ValueError naming an entry that is not an integer."""
+    v = tuple(v)
+    out = tuple(map(int, v))
+    if out != v:
+        raise ValueError(f"entry {next(x for x in v if x != int(x))} is not an integer")
+    return out
+
+
 def vec_integral(v) -> tuple[int, ...]:
     """A positive integer multiple of a rational vector; itself if integral."""
     if all(type(x) is int for x in v):
@@ -101,7 +110,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(map(_int_vec, rows))
         if cols is None:
             if not rows:
                 raise ValueError("cannot infer width of an empty matrix")
@@ -231,10 +240,9 @@ class Lattice:
 
     @classmethod
     def from_rows(cls, ambient_rank: int, rows) -> "Lattice":
-        rows = [tuple(int(x) for x in r) for r in rows]
-        for r in rows:
-            if len(r) != ambient_rank:
-                raise ValueError("generator length does not match ambient rank")
+        rows = [_int_vec(r) for r in rows]
+        if any(len(r) != ambient_rank for r in rows):
+            raise ValueError("generator length does not match ambient rank")
         if not rows:
             return cls(ambient_rank, IntMatrix(0, ambient_rank, ()))
         h = hnf(IntMatrix.from_rows(rows, ambient_rank))

@@ -26,7 +26,7 @@ from math import gcd
 from .cones import RationalCone
 from .intlinalg import IntMatrix, Lattice, vec_dot
 from .rootdata import BRDAutomorphism, BasedRootDatum
-from .staraction import GaloisAction, dual_matrix_on_V
+from .staraction import GaloisAction, restrict_to_sublattice
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,12 @@ def preserves_invariants(action: GaloisAction, element: BRDAutomorphism,
     """Does one automorphism fix the weight lattice, cone, and color sets?"""
     if action.brd != inv.brd:
         raise ValueError("action and invariants belong to different root data")
-    dual = dual_matrix_on_V(element, inv.weight_lattice)
-    if dual is None:
+    restriction = restrict_to_sublattice(element, inv.weight_lattice)
+    if restriction is None:
         return PreservationVerdict(False, None, None, None)
-    cone, inverse = inv.valuation_cone, dual.inverse_unimodular()
+    # g acts on V by the inverse transpose of its restriction N, so g^-1 by N^T
+    dual = restriction.inverse_unimodular().transpose()
+    cone, inverse = inv.valuation_cone, restriction.transpose()
     # g.V = V exactly when g.V and g^-1.V both lie in V
     v_ok = all(cone.contains(dual.apply(x)) and cone.contains(inverse.apply(x))
                for x in cone.generators())

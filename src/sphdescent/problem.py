@@ -32,7 +32,6 @@ from .cones import (
     ColorRecord,
     cone_from_generators,
     cone_from_inequalities,
-    cones_equal,
 )
 from .intlinalg import FgAbelianGroup, IntMatrix, Lattice
 from .invariants import HorosphericalDatum, RationalLattice, SphericalInvariants
@@ -236,7 +235,7 @@ def _parse_root_datum(block) -> BasedRootDatum:
 def _parse_action(block, brd: BasedRootDatum, cap=None) -> GaloisAction:
     gens, names = [], []
     nsimple = len(brd.simple_roots)
-    for i, g in enumerate(block["generators"]):
+    for g in block["generators"]:
         names.append(g["name"])
         has_perm = "s_permutation" in g
         has_mat = "matrix_on_X" in g
@@ -257,8 +256,6 @@ def _parse_action(block, brd: BasedRootDatum, cap=None) -> GaloisAction:
                 raise ProblemError(
                     f"matrix_on_X of {g['name']!r} must be {brd.rank}x{brd.rank}")
             gens.append(IntMatrix.from_rows(rows, brd.rank))
-    if len(set(names)) != len(names):
-        raise ProblemError("action generator names must be distinct")
     kwargs = {"cap": cap} if cap is not None else {}
     try:
         return build_action(brd, gens, names=tuple(names), **kwargs)
@@ -311,7 +308,7 @@ def _parse_invariants(block, brd: BasedRootDatum):
     if "inequalities" in vc:
         cone_i = cone_from_inequalities(rank, _transported(
             vc["inequalities"], t.transpose(), "valuation cone inequalities"))
-    if cone_g is not None and cone_i is not None and not cones_equal(cone_g, cone_i):
+    if cone_g is not None and cone_i is not None and cone_g != cone_i:
         raise ProblemError("valuation cone generators and inequalities "
                            "describe different cones")
     cone = cone_g if cone_g is not None else cone_i
@@ -345,20 +342,6 @@ def _parse_horospherical(block, brd: BasedRootDatum) -> HorosphericalDatum:
         gens.append(tuple(Fraction(x, denom) for x in row))
     return HorosphericalDatum(frozenset(subset),
                               RationalLattice.from_generators(brd.rank, gens))
-
-
-def _parse_hypotheses(block, base_field: str) -> HypothesisSet:
-    try:
-        return HypothesisSet(
-            field_is_large=block.get("field_is_large", False),
-            char_zero=block.get("char_zero", False),
-            form_is_quasi_split=block.get("form_is_quasi_split", False),
-            normalizer_self_normalizing=block.get("normalizer_self_normalizing",
-                                                  "Unknown"),
-            base_field=base_field,
-        )
-    except ValueError as e:
-        raise ProblemError(f"hypotheses: {e}") from None
 
 
 def _parse_module(block, label: str) -> MultiplicativeTypeModule:
@@ -501,16 +484,17 @@ def parse_dict(data, cap=None) -> Problem:
         inv, t_inv = _parse_invariants(data["invariants"], brd)
     if "horospherical" in data:
         horo = _parse_horospherical(data["horospherical"], brd)
-    # one base field per problem: as stated in either block, else large_other
+    # one base field per problem: as stated in either block, else the default
     hyp_field = data.get("hypotheses", {}).get("base_field")
     coh_field = data.get("cohomology", {}).get("base_field")
     if hyp_field and coh_field and hyp_field != coh_field:
         raise ProblemError(
             f"cohomology base_field {coh_field!r} contradicts the "
             f"hypotheses base_field {hyp_field!r}")
-    base_field = hyp_field or coh_field or "large_other"
+    base_field = hyp_field or coh_field or HypothesisSet.base_field
     if "hypotheses" in data:
-        hyps = _parse_hypotheses(data["hypotheses"], base_field)
+        # the schema admits only HypothesisSet's fields, and only valid values
+        hyps = HypothesisSet(**{**data["hypotheses"], "base_field": base_field})
     if "cohomology" in data:
         coh = _parse_cohomology(data["cohomology"])
     if "fan" in data:

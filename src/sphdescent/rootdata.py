@@ -1,9 +1,8 @@
 """Based root data with chosen character lattices, built in integers.
 
-An irreducible type is given by its simple roots in the classical epsilon
-coordinates, doubled so that every entry is an integer.  The build reads only
-the Cartan matrix A[i][j] = <alpha_j, alpha_i^vee> (Bourbaki numbering) off
-them and writes the simple roots and coroots in a fixed basis of the
+An irreducible type is given by its Cartan matrix A[i][j] =
+<alpha_j, alpha_i^vee>, read off the Dynkin diagram in Bourbaki numbering.
+The build writes the simple roots and coroots in a fixed basis of the
 character lattice X, so that the pairing between X and its dual is the dot
 product: in the simply connected datum (basis the fundamental weights)
 alpha_i is column i of A and alpha_i^vee the unit vector e_i; in the adjoint
@@ -95,33 +94,25 @@ def _root_search(cartan) -> dict:
     return found
 
 
-def _epsilon_simple_roots(letter: str, rank: int) -> list[Vec]:
-    """Simple roots in the classical epsilon coordinates, doubled so that
-    every entry is an integer, in Bourbaki order."""
-    def e(*terms, m=rank):  # twice the sum of c * epsilon_i over (i, c)
-        v = [0] * m
-        for i, c in terms:
-            v[i] += 2 * c
-        return tuple(v)
+def _cartan_matrix(letter: str, n: int) -> list[list[int]]:
+    """A[i][j] = <alpha_j, alpha_i^vee>, read off the Dynkin diagram in
+    Bourbaki's numbering (Lie Groups and Lie Algebras, Ch. VI, plates).
 
-    if letter == "A":
-        return [e((i, 1), (i + 1, -1), m=rank + 1) for i in range(rank)]
-    if letter in "BCD":
-        last = {"B": e((rank - 1, 1)), "C": e((rank - 1, 2)),
-                "D": e((rank - 2, 1), (rank - 1, 1))}[letter]
-        return [e((i, 1), (i + 1, -1)) for i in range(rank - 1)] + [last]
-    if letter == "E":
-        return ([(1, -1, -1, -1, -1, -1, -1, 1), e((0, 1), (1, 1), m=8)]
-                + [e((i, 1), (i - 1, -1), m=8) for i in range(1, 7)])[:rank]
-    if letter == "F":
-        return [e((1, 1), (2, -1)), e((2, 1), (3, -1)), e((3, 1)), (1, -1, -1, -1)]
-    return [e((0, 1), (1, -1), m=3), (-4, 2, 2)]  # G2
-
-
-def _cartan_matrix(letter: str, rank: int) -> list[list[int]]:
-    """A[i][j] = <alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i)."""
-    eps = _epsilon_simple_roots(letter, rank)
-    return [[2 * vec_dot(a, b) // vec_dot(b, b) for a in eps] for b in eps]
+    Each bond puts -1 at both ends; a double or triple bond then puts -2 or
+    -3 in the row of the coroot of its short root.
+    """
+    bonds = [(i, i + 1) for i in range(n - 1)]
+    if letter == "D":
+        bonds[-1] = (n - 3, n - 1)
+    elif letter == "E":
+        bonds = [(0, 2), (1, 3)] + bonds[2:]
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        a[i][j] = a[j][i] = -1
+    for i, j, m in {"B": [(n - 1, n - 2, 2)], "C": [(n - 2, n - 1, 2)],
+                    "F": [(2, 1, 2)], "G": [(0, 1, 3)]}.get(letter, []):
+        a[i][j] = -m
+    return a
 
 
 class _RootTable(NamedTuple):

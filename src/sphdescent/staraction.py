@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import IntMatrix, Lattice
+from .intlinalg import IntMatrix, Lattice, _int_vec
 from .rootdata import (
     BasedRootDatum,
     BRDAutomorphism,
@@ -49,16 +49,13 @@ class GaloisAction:
 
 def _coerce_generator(brd: BasedRootDatum, gen) -> BRDAutomorphism:
     if isinstance(gen, BRDAutomorphism):
-        out = as_brd_automorphism(brd, gen.matrix)
-        if out is None:
-            raise ValueError("generator is not an automorphism of this datum")
-        return out
+        gen = gen.matrix
     if isinstance(gen, IntMatrix):
         out = as_brd_automorphism(brd, gen)
         if out is None:
             raise ValueError("matrix generator is not a based root datum automorphism")
         return out
-    perm = tuple(int(i) for i in gen)
+    perm = _int_vec(gen)
     out = lift_s_permutation(brd, perm)
     if out is None:
         raise ValueError(f"simple root permutation {perm} does not lift to the datum")

@@ -52,7 +52,6 @@ from sphdescent.cohomology import (
 )
 from sphdescent.cones import (
     cone_from_generators,
-    cones_equal,
     is_gamma_stable,
     is_valid_fan,
     is_wonderful,
@@ -224,7 +223,7 @@ def test_criterion_7_wonderful_fan_property_suite():
         sv = is_gamma_stable(fan, action, Lattice.full(dim))
         # direct predicate: the dual matrix maps the cone onto itself
         dual = m.inverse_unimodular().transpose()
-        fixes = cones_equal(active_set_oracle.image(cone, dual), cone)
+        fixes = active_set_oracle.image(cone, dual) == cone
         assert sv.stable == fixes
         assert (sv.violating_generator is None) == fixes
         if fixes:

@@ -1,5 +1,6 @@
 """Tests for exact integer linear algebra: normal forms, lattices, groups."""
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -134,6 +135,17 @@ def test_lattice_canonical_and_membership():
     assert (3, -1, -2) in l1
     assert (1, 0, 0) not in l1
     assert l1.coordinates((1, -1, 0)) is not None
+
+
+def test_integer_constructors_refuse_non_integral_entries():
+    # int() would truncate these to 0 and 1
+    with pytest.raises(ValueError, match="^entry 1/2 is not an integer$"):
+        IntMatrix.from_rows([[Fraction(1, 2), 1], [0, 1]])
+    with pytest.raises(ValueError, match="^entry 3/2 is not an integer$"):
+        Lattice.from_rows(2, [(Fraction(3, 2), 0), (0, 1)])
+    # integral fractions are kept, as ints
+    assert IntMatrix.from_rows([[Fraction(4, 2), 1]]).entries == ((2, 1),)
+    assert Lattice.from_rows(2, [(Fraction(2), 0)]) == Lattice.from_rows(2, [(2, 0)])
 
 
 def test_sublattice_equal_cyclic_image():

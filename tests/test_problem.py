@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sphdescent.checker import HypothesisSet
 from sphdescent.cli import corpus_names, corpus_root
-from sphdescent.cones import ColorRecord, cone_from_inequalities, cones_equal
+from sphdescent.cones import ColorRecord, cone_from_inequalities
 from sphdescent.intlinalg import Lattice, vec_dot, vec_neg
 from sphdescent.invariants import RationalLattice, SphericalInvariants
 from sphdescent import problem
@@ -88,7 +88,7 @@ def test_generator_and_inequality_routes_agree(symmetric):
     only_gens = {"generators": data["invariants"]["valuation_cone"]["generators"]}
     data["invariants"]["valuation_cone"] = only_gens
     p = parse_dict(data)
-    assert cones_equal(p.invariants.valuation_cone, symmetric.valuation_cone)
+    assert p.invariants.valuation_cone == symmetric.valuation_cone
 
 
 def test_disagreeing_cone_descriptions_are_rejected():

@@ -1,4 +1,6 @@
 """Tests for finite automorphism actions and their induced actions."""
+from fractions import Fraction
+
 import pytest
 
 from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice, vec_dot, vstack
@@ -69,6 +71,15 @@ def test_generator_validation(d4):
             [[-1 if i == j else 0 for j in range(4)] for i in range(4)])])
     with pytest.raises(ValueError):
         build_action(d4, [(2, 1, 3, 0)], names=("a", "b"))
+
+
+def test_non_integral_generator_is_refused():
+    # truncated to -1, the entry -3/2 would give an action of order 2
+    with pytest.raises(ValueError, match="^entry -3/2 is not an integer$"):
+        build_action(torus(1), [IntMatrix.from_rows([[Fraction(-3, 2)]])])
+    # truncated to 1, the permutation entry 3/2 would give the swap of A2
+    with pytest.raises(ValueError, match="^entry 3/2 is not an integer$"):
+        build_action(build_root_datum("A", 2), [(Fraction(3, 2), 0)])
 
 
 def test_infinite_closure_hits_cap():
