@@ -23,7 +23,6 @@ from .cohomology import (
     obstruction_verdict,
 )
 from .cones import (
-    ColoredCone,
     ColoredFan,
     NotStrictlyConvex,
     is_gamma_stable,
@@ -37,7 +36,7 @@ from .invariants import (
     preserves_invariants,
 )
 from .rootdata import BasedRootDatum
-from .staraction import GaloisAction, LatticeMoved, action_on_simple_subset
+from .staraction import GaloisAction
 
 FORM_EXISTS = "form_exists"
 NO_FORM = "no_form"
@@ -50,7 +49,6 @@ HOROSPHERICAL_CRITERION = "horospherical-criterion"
 OBSTRUCTION_DESCENT = "obstruction-vanishing-descent"
 TITS_CRITERION = "tits-class-obstruction-criterion"
 
-NORMALIZER_REASONS = ("AssertedTrue", "ByHorospherical", "BySymmetric", "Unknown")
 BASE_FIELDS = ("p_adic", "real", "large_other")
 
 _NORMALIZER_DETAIL = {
@@ -59,6 +57,9 @@ _NORMALIZER_DETAIL = {
     "BySymmetric": "symmetric subgroups have self-normalizing normalizer",
     "Unknown": "unresolved",
 }
+NORMALIZER_REASONS = tuple(_NORMALIZER_DETAIL)
+
+_LATTICE_MOVED = "moves the weight lattice"
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ class Verdict:
 def _spherical_problems(action: GaloisAction, inv: SphericalInvariants, gen):
     v = preserves_invariants(action, gen, inv)
     if not v.x_ok:
-        return ["moves the weight lattice"]
+        return [_LATTICE_MOVED]
     return [p for ok, p in ((v.v_ok, "moves the valuation cone"),
                             (v.omega1_ok, "moves the single-preimage colors"),
                             (v.omega2_ok, "moves the double-preimage colors"))
@@ -123,7 +124,7 @@ def _spherical_problems(action: GaloisAction, inv: SphericalInvariants, gen):
 
 
 def _horospherical_problems(action: GaloisAction, datum: HorosphericalDatum, gen):
-    moved = action_on_simple_subset(action, datum.simple_subset, gen)
+    moved = frozenset(gen.s_perm[i] for i in datum.simple_subset)
     return [p for ok, p in (
         (moved == datum.simple_subset, "moves the simple-root subset"),
         (datum.characters.apply(gen.matrix) == datum.characters,
@@ -137,6 +138,8 @@ def invariance_entries(action: GaloisAction, invariants):
     whole closure, so this decides invariance under the full finite image.
     """
     if isinstance(invariants, HorosphericalDatum):
+        if max(invariants.simple_subset, default=-1) >= len(action.brd.simple_roots):
+            raise ValueError("subset members must index the simple roots")
         problems_of, fixed = _horospherical_problems, "subset and characters fixed"
     elif isinstance(invariants, SphericalInvariants):
         problems_of, fixed = _spherical_problems, "lattice, cone, and colors fixed"
@@ -223,6 +226,9 @@ class WonderfulReport:
 
     `wonderful` and `stable` are None when undecided: both when a valuation
     cone with lineality has no face fan, `stable` alone without an action.
+    `violating_rays` are the rays of the fan cone that the violating
+    generator moves off the fan; None when the fan is stable or the
+    generator moves the weight lattice.
     """
 
     fan_valid: bool
@@ -230,7 +236,7 @@ class WonderfulReport:
     stable: bool | None
     violating_generator: str | None
     problems: tuple
-    violating_cone: ColoredCone | None
+    violating_rays: tuple | None
 
 
 def wonderful_stability_report(invariants: SphericalInvariants,
@@ -249,14 +255,13 @@ def wonderful_stability_report(invariants: SphericalInvariants,
         return WonderfulReport(False, None, None, None, (str(e),), None)
     validity = is_valid_fan(fan, vcone)
     problems = validity.problems
-    stable = generator = moved = None
+    stable = generator = rays = None
     if action is not None:
-        try:
-            sv = is_gamma_stable(fan, action, invariants.weight_lattice)
-            stable, generator, moved = (sv.stable, sv.violating_generator,
-                                        sv.violating_cone)
-        except LatticeMoved as e:
-            stable, generator = False, e.label
-            problems += ("moves the weight lattice",)
+        sv = is_gamma_stable(fan, action, invariants.weight_lattice)
+        stable, generator = sv.stable, sv.violating_generator
+        if sv.violating_cone is not None:
+            rays = fan.rays_of(sv.violating_cone.mask)
+        elif not stable:
+            problems += (_LATTICE_MOVED,)
     return WonderfulReport(validity.ok, is_wonderful(fan, vcone), stable,
-                           generator, problems, moved)
+                           generator, problems, rays)

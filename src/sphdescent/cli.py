@@ -217,8 +217,8 @@ def _fan_report(label: str, problem: Problem):
     if r.stable is not None:
         # rays of the fan cone a generator moves off the fan, in
         # canonical coordinates, as the fan problems report them
-        rays = (None if r.violating_cone is None
-                else [list(x) for x in r.violating_cone.cone.rays])
+        rays = (None if r.violating_rays is None
+                else [list(x) for x in r.violating_rays])
         doc.update(stable=r.stable, violating_generator=r.violating_generator,
                    violating_cone_rays=rays)
         bits.append(f"stable: {'yes' if r.stable else 'no'}")

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from .intlinalg import (
     IntMatrix,
+    _int_vec,
     kernel_lattice,
     vec_dot,
     vec_integral,
@@ -33,7 +34,7 @@ from .intlinalg import (
     vec_primitive,
 )
 from .ratlp import _hcone_extreme_rays, feasible
-from .staraction import LatticeMoved, dual_matrix_on_V
+from .staraction import dual_matrix_on_V
 
 
 class NotStrictlyConvex(ValueError):
@@ -53,10 +54,6 @@ class RationalCone:
     @property
     def is_strictly_convex(self) -> bool:
         return not self.lineality
-
-    @property
-    def dim(self) -> int:
-        return self.ambient_dim - len(self.equations)
 
     def generators(self) -> tuple:
         return self.rays + self.lineality + tuple(vec_neg(r) for r in self.lineality)
@@ -152,6 +149,15 @@ def meet_relative_interiors(strict, weak=()):
     return feasible(list(needed), list(needed.values()))
 
 
+def _simple_indices(indices) -> frozenset:
+    """A set of simple-root indices; ValueError for a non-integral or
+    negative one."""
+    out = frozenset(_int_vec(indices))
+    if any(i < 0 for i in out):
+        raise ValueError("simple-root indices must be nonnegative")
+    return out
+
+
 @dataclass(frozen=True)
 class ColorRecord:
     """Image data of one color: its valuation vector and its simple-root set."""
@@ -161,7 +167,7 @@ class ColorRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "rho", tuple(Fraction(x) for x in self.rho))
-        object.__setattr__(self, "sigma", frozenset(int(i) for i in self.sigma))
+        object.__setattr__(self, "sigma", _simple_indices(self.sigma))
 
     def key(self):
         return (self.rho, tuple(sorted(self.sigma)))
@@ -283,13 +289,6 @@ class ColoredFan:
     def rays_of(self, mask: int) -> tuple:
         """The rays in a mask, in order: the extreme rays of its cone."""
         return tuple(r for i, r in enumerate(self.rays) if mask >> i & 1)
-
-    def colored_cone(self, k: int) -> ColoredCone:
-        """Cone k in full canonical form: one conversion, for reports."""
-        fc = self.cones[k]
-        return ColoredCone(cone_from_generators(self.ambient_dim,
-                                                self.rays_of(fc.mask)),
-                           fc.colors)
 
 
 def _fan(dim: int, rays: tuple, entries) -> ColoredFan:
@@ -420,11 +419,15 @@ def is_wonderful(fan: ColoredFan, v_cone: RationalCone) -> bool:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Outcome of the fan stability check under a finite action."""
+    """Outcome of the fan stability check under a finite action.
+
+    `violating_cone` is the fan cone that the violating generator moves off
+    the fan, or None when it moves the weight lattice.
+    """
 
     stable: bool
     violating_generator: str | None
-    violating_cone: ColoredCone | None
+    violating_cone: FanCone | None
 
 
 def is_gamma_stable(fan: ColoredFan, action, weight_lattice) -> StabilityVerdict:
@@ -437,19 +440,20 @@ def is_gamma_stable(fan: ColoredFan, action, weight_lattice) -> StabilityVerdict
     every ray maps into the fan's ray list and the image mask, with the
     image colors, is a fan cone.  Generators suffice: the moved-fan
     condition is closed under composition and inverses, and so is
-    stability of the weight lattice.  A generator that moves the lattice
-    raises LatticeMoved before any cone is tested.
+    stability of the weight lattice.  The first generator that moves the
+    lattice is reported before any cone is tested; otherwise the first fan
+    cone moved off the fan is reported as it is stored.
     """
     duals = [dual_matrix_on_V(gen, weight_lattice) for gen in action.generators]
     for name, dmat in zip(action.generator_names, duals):
         if dmat is None:
-            raise LatticeMoved(name)
+            return StabilityVerdict(False, name, None)
     index = {r: 1 << i for i, r in enumerate(fan.rays)}
     for name, gen, dmat in zip(action.generator_names, action.generators, duals):
         moved = [index.get(dmat.apply(r)) for r in fan.rays]
-        for k, fc in enumerate(fan.cones):
+        for fc in fan.cones:
             bits = [b for i, b in enumerate(moved) if fc.mask >> i & 1]
             if None in bits or FanCone(sum(bits), frozenset(
                     r.image(dmat, gen.s_perm) for r in fc.colors)) not in fan:
-                return StabilityVerdict(False, name, fan.colored_cone(k))
+                return StabilityVerdict(False, name, fc)
     return StabilityVerdict(True, None, None)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .cones import RationalCone
+from .cones import RationalCone, _simple_indices
 from .intlinalg import IntMatrix, Lattice, vec_dot
 from .rootdata import BRDAutomorphism, BasedRootDatum
 from .staraction import GaloisAction, restrict_to_sublattice
@@ -107,7 +107,7 @@ class SphericalInvariants:
         for rec in self.omega1 | self.omega2:
             if len(rec.rho) != self.weight_lattice.rank:
                 raise ValueError("color image dimension mismatch")
-            if any(i < 0 or i >= nsimple for i in rec.sigma):
+            if any(i >= nsimple for i in rec.sigma):
                 raise ValueError("color support must consist of simple roots")
         if self.omega1 & self.omega2:
             raise ValueError("a color pair cannot have both one and two preimages")
@@ -125,10 +125,6 @@ class PreservationVerdict:
     v_ok: bool | None
     omega1_ok: bool | None
     omega2_ok: bool | None
-
-    @property
-    def all_ok(self) -> bool:
-        return bool(self.x_ok and self.v_ok and self.omega1_ok and self.omega2_ok)
 
 
 def preserves_invariants(action: GaloisAction, element: BRDAutomorphism,
@@ -158,8 +154,7 @@ class HorosphericalDatum:
     characters: RationalLattice
 
     def __post_init__(self):
-        object.__setattr__(self, "simple_subset",
-                           frozenset(int(i) for i in self.simple_subset))
+        object.__setattr__(self, "simple_subset", _simple_indices(self.simple_subset))
 
 
 def validate_horospherical(brd: BasedRootDatum, datum: HorosphericalDatum) -> list[str]:
@@ -167,14 +162,14 @@ def validate_horospherical(brd: BasedRootDatum, datum: HorosphericalDatum) -> li
     warnings = []
     nsimple = len(brd.simple_roots)
     for i in sorted(datum.simple_subset):
-        if i < 0 or i >= nsimple:
+        if i >= nsimple:
             warnings.append(f"index {i} does not name a simple root")
     if datum.characters.ambient_rank != brd.rank:
         warnings.append("character group does not live in the character lattice")
         return warnings
     for row in datum.characters.lattice.basis.entries:
         for i in sorted(datum.simple_subset):
-            if 0 <= i < nsimple and vec_dot(row, brd.simple_coroots[i]) != 0:
+            if i < nsimple and vec_dot(row, brd.simple_coroots[i]) != 0:
                 warnings.append(
                     f"generator {row} pairs nontrivially with coroot {i}")
     if not datum.characters.is_integral:

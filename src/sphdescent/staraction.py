@@ -7,8 +7,8 @@ capped construction is the check that the image is finite.  Matrix
 generators pass rootdata's test on the simple roots and coroots; simple-root
 permutations are lifted by one fraction-free elimination.  One element moves
 to a stable sublattice of X, or to the dual V of one, by
-restrict_to_sublattice and dual_matrix_on_V, and acts on subsets of the
-simple roots through its simple-root permutation (action_on_simple_subset).
+restrict_to_sublattice and dual_matrix_on_V, which give None when it moves
+the lattice; it moves simple-root indices by its permutation `s_perm`.
 """
 from __future__ import annotations
 
@@ -136,21 +136,3 @@ def dual_matrix_on_V(element: BRDAutomorphism, lattice: Lattice) -> IntMatrix | 
     """
     restriction = restrict_to_sublattice(element, lattice)
     return None if restriction is None else restriction.inverse_unimodular().transpose()
-
-
-class LatticeMoved(ValueError):
-    """An element of the action does not map a lattice onto itself."""
-
-    def __init__(self, label: str):
-        super().__init__(f"action does not stabilize the lattice: "
-                         f"element {label} moves it")
-        self.label = label
-
-
-def action_on_simple_subset(action: GaloisAction, subset, element: BRDAutomorphism) -> frozenset:
-    """Image of a set of simple root indices under one closure element."""
-    nsimple = len(action.brd.simple_roots)
-    idx = frozenset(int(i) for i in subset)
-    if any(i < 0 or i >= nsimple for i in idx):
-        raise ValueError("subset members must index the simple roots")
-    return frozenset(element.s_perm[i] for i in idx)

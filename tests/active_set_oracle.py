@@ -11,7 +11,8 @@ that fan verdicts are compared engine against linear program.
 The fan code below is the `RationalCone`-based fan layer that ray masks
 replaced: a fan is a list of `ColoredCone`s sorted by their full canonical
 description, every face and every image is converted again, and fan
-membership compares whole canonical cones.
+membership compares whole canonical cones.  `colored_cones` lists a mask
+fan's cones in that form.
 """
 from fractions import Fraction
 from functools import reduce
@@ -20,6 +21,7 @@ from math import gcd, lcm
 
 from elimination_oracle import solve_exact
 from simplex_oracle import meet_relative_interiors
+from sphdescent import cones as engine
 from sphdescent.cones import (
     ColoredCone,
     ColorRecord,
@@ -35,7 +37,7 @@ from sphdescent.intlinalg import (
     vec_is_zero,
     vec_neg,
 )
-from sphdescent.staraction import LatticeMoved, dual_matrix_on_V
+from sphdescent.staraction import dual_matrix_on_V
 
 
 def _qvec(v):
@@ -254,7 +256,7 @@ def is_gamma_stable(cones, action, weight_lattice):
     duals = [dual_matrix_on_V(gen, weight_lattice) for gen in action.generators]
     for name, dual in zip(action.generator_names, duals):
         if dual is None:
-            raise LatticeMoved(name)
+            return StabilityVerdict(False, name, None)
     members = set(cones)
     for name, gen, dual in zip(action.generator_names, action.generators, duals):
         for cc in cones:
@@ -265,3 +267,12 @@ def is_gamma_stable(cones, action, weight_lattice):
             if moved not in members:
                 return StabilityVerdict(False, name, cc)
     return StabilityVerdict(True, None, None)
+
+
+def colored_cones(fan):
+    """A mask fan's cones as `ColoredCone`s in the fan's order, each
+    converted from its rays by the engine."""
+    return [ColoredCone(engine.cone_from_generators(fan.ambient_dim,
+                                                    fan.rays_of(fc.mask)),
+                        fc.colors)
+            for fc in fan.cones]

@@ -11,7 +11,6 @@ engine in `active_set_oracle`.
 from active_set_oracle import image
 from sphdescent.cones import ColorRecord
 from sphdescent.intlinalg import IntMatrix
-from sphdescent.staraction import action_on_simple_subset
 
 
 def dual_matrix_on_V(element, lattice):
@@ -49,8 +48,10 @@ def closure_preserves(action, inv) -> bool:
 
 def preserves_horospherical(action, datum) -> bool:
     """True iff every closure element fixes I as a set and M as a group."""
+    if not datum.simple_subset <= set(range(len(action.brd.simple_roots))):
+        raise ValueError("subset members must index the simple roots")
     for el in action.elements:
-        if action_on_simple_subset(action, datum.simple_subset, el) != datum.simple_subset:
+        if frozenset(el.s_perm[i] for i in datum.simple_subset) != datum.simple_subset:
             return False
         if datum.characters.apply(el.matrix) != datum.characters:
             return False

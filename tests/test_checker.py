@@ -258,7 +258,26 @@ def test_rotated_cone_reports_violator():
                               frozenset(), frozenset())
     r = wonderful_stability_report(lop, rot)
     assert r.fan_valid and r.wonderful and not r.stable
-    assert r.violating_generator == "r"
+    assert r.violating_generator == "r" and r.violating_rays == ((1, 0),)
+
+
+def test_lattice_move_is_reported_before_any_cone():
+    # the reflection keeps the lattice and moves the cone, the swap moves
+    # the lattice: every generator's lattice is tested before any cone
+    t2 = build_root_datum("torus", 2)
+    action = build_action(t2, [IntMatrix.from_rows([[-1, 0], [0, 1]]),
+                               IntMatrix.from_rows([[0, 1], [1, 0]])],
+                          names=("f", "s"))
+    inv = SphericalInvariants(t2, Lattice.from_rows(2, [(2, 0), (0, 1)]),
+                              cone_from_generators(2, [(1, 0), (1, 1)]),
+                              frozenset(), frozenset())
+    r = wonderful_stability_report(inv, action)
+    assert r.fan_valid and r.wonderful and r.stable is False
+    assert r.violating_generator == "s" and r.violating_rays is None
+    assert r.problems == ("moves the weight lattice",)
+    r = wonderful_stability_report(inv, build_action(t2, action.generators[:1],
+                                                     names=("f",)))
+    assert r.violating_generator == "f" and r.violating_rays is not None
 
 
 def test_non_strictly_convex_cone_is_reported():

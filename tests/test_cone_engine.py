@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import active_set_oracle as oracle
+from active_set_oracle import colored_cones
 from sphdescent.cli import corpus_names, corpus_root
 from sphdescent.cones import (
     ColoredCone,
@@ -82,14 +83,8 @@ def _corpus_cones():
             continue
         out.append((name, p.invariants.valuation_cone, p))
         if p.fan is not None:
-            out += [(name, p.fan.colored_cone(k).cone, None)
-                    for k in range(len(p.fan))]
+            out += [(name, cc.cone, None) for cc in colored_cones(p.fan)]
     return out
-
-
-def colored_cones(fan):
-    """A fan's cones in full canonical form, in the fan's order."""
-    return [fan.colored_cone(k) for k in range(len(fan))]
 
 
 DATA = Path(__file__).parent / "data"
@@ -293,7 +288,7 @@ def test_dim_6_with_12_generators():
                for c in normals):
             break
     cone = cone_from_generators(dim, gens)
-    assert cone.is_strictly_convex and cone.dim == dim
+    assert cone.is_strictly_convex and cone.equations == ()
     assert all(sum(a * b for a, b in zip(c, g)) >= 0
                for c in cone.inequalities for g in gens)
     directions = {oracle._primitive(g) for g in gens if any(g)}

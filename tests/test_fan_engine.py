@@ -6,12 +6,13 @@ cones.
 `wonderful_fan` and `ColoredFan.build` must list the same cones in the same
 order, `is_valid_fan` must give an equal `FanVerdict` (every flag and every
 problem string), `is_wonderful` the same answer, and `is_gamma_stable` an
-equal `StabilityVerdict` (flag, generator and violating cone), or both raise
-`LatticeMoved` for the same generator.  Inputs: seeded face fans in dims
-2-6 under signed permutations and finite-order unimodular maps, colored
-fans, the fans and valuation cones of the shipped corpus, and the fan files
-under `tests/data`.  A last test counts Hermite normal forms: once the
-valuation cone is built, the mask layer needs none.
+equal `StabilityVerdict` (flag, generator, and violating cone, or None for
+a generator that moves the weight lattice).  Inputs: seeded face fans in
+dims 2-6 under signed permutations and finite-order unimodular maps,
+colored fans, the fans and valuation cones of the shipped corpus, and the
+fan files under `tests/data`.  A last test counts Hermite normal forms:
+once the valuation cone is built, the mask layer needs none, whether the
+fan is stable or not.
 """
 import random
 import sys
@@ -20,12 +21,14 @@ from pathlib import Path
 import pytest
 
 import active_set_oracle as oracle
+from active_set_oracle import colored_cones
 from sphdescent import intlinalg
 from sphdescent.cli import corpus_names, corpus_root
 from sphdescent.cones import (
     ColoredCone,
     ColoredFan,
     ColorRecord,
+    StabilityVerdict,
     cone_from_generators,
     faces,
     is_gamma_stable,
@@ -36,35 +39,26 @@ from sphdescent.cones import (
 from sphdescent.intlinalg import IntMatrix, Lattice
 from sphdescent.problem import parse_file
 from sphdescent.rootdata import torus
-from sphdescent.staraction import LatticeMoved, build_action
+from sphdescent.staraction import build_action
 from test_acceptance import _random_unimodular, _signed_permutation
 
 DATA = Path(__file__).parent / "data"
 
 
-def colored_cones(fan):
-    """A fan's cones in full canonical form, in the fan's order."""
-    return [fan.colored_cone(k) for k in range(len(fan))]
-
-
-def _stability(check, fan, action, lattice):
-    try:
-        return check(fan, action, lattice)
-    except LatticeMoved as e:
-        return ("lattice moved", e.label)
-
-
 def assert_fans_agree(fan, want, v_cone, actions=()):
     """`fan` against the oracle's list `want`, on every check."""
-    assert colored_cones(fan) == want
+    cones = colored_cones(fan)
+    assert cones == want
     assert is_valid_fan(fan, v_cone) == oracle.is_valid_fan(want, v_cone)
     assert is_wonderful(fan, v_cone) == oracle.is_wonderful(want, v_cone)
-    outcomes = []
     for action, lattice in actions:
-        got = _stability(is_gamma_stable, fan, action, lattice)
-        assert got == _stability(oracle.is_gamma_stable, want, action, lattice)
-        outcomes.append(getattr(got, "stable", None))
-    return outcomes
+        got = is_gamma_stable(fan, action, lattice)
+        # the engine names the stored fan cone, the oracle its canonical form
+        moved = got.violating_cone
+        if moved is not None:
+            moved = cones[fan.cones.index(moved)]
+        assert StabilityVerdict(got.stable, got.violating_generator, moved) == \
+            oracle.is_gamma_stable(want, action, lattice)
 
 
 # -- face fans under signed permutations and unimodular maps -----------------
@@ -249,7 +243,7 @@ def test_maximal_cones_only_file():
     # the swap maps each maximal cone's rays onto the other's: only the
     # colors tell the image apart from a fan cone
     assert not sv.stable and sv.violating_generator == "s"
-    assert sv.violating_cone.cone.rays == ((0, 1), (1, 1))
+    assert fan.rays_of(sv.violating_cone.mask) == ((0, 1), (1, 1))
     assert sv.violating_cone.colors == frozenset()
 
 
@@ -284,10 +278,17 @@ def test_mask_layer_computes_no_hermite_form(hnf_calls):
                        shift)
     full = Lattice.full(5)
     action = build_action(torus(5), [shift], names=("s",))
+    # -1 moves every pointed cone: the second generator names a fan cone
+    minus = IntMatrix.from_rows([[-int(i == j) for j in range(5)]
+                                 for i in range(5)])
+    moving = build_action(torus(5), [shift, minus], names=("s", "m"))
     assert hnf_calls  # the counter sees the conversions and the closure
     hnf_calls.clear()
     fan = wonderful_fan(cone)
     assert len(fan) > 20
     assert is_valid_fan(fan, cone).ok
     assert is_gamma_stable(fan, action, full).stable
+    sv = is_gamma_stable(fan, moving, full)
+    assert not sv.stable and sv.violating_generator == "m"
+    assert sv.violating_cone in fan.cones
     assert hnf_calls == []

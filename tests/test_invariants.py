@@ -19,6 +19,8 @@ from sphdescent.invariants import (
 from sphdescent.rootdata import build_root_datum
 from sphdescent.staraction import build_action, dual_matrix_on_V
 
+PRESERVED = PreservationVerdict(True, True, True, True)
+
 
 @pytest.fixture(scope="module")
 def d4():
@@ -156,7 +158,7 @@ def test_trivial_action_preserves_anything(d4):
     inv = symmetric_invariants(d4)
     assert invariant(triv, inv)
     for el in triv.elements:
-        assert preserves_invariants(triv, el, inv).all_ok
+        assert preserves_invariants(triv, el, inv) == PRESERVED
 
 
 def test_moved_weight_lattice_blocks_other_flags(d4, triality):
@@ -165,7 +167,6 @@ def test_moved_weight_lattice_blocks_other_flags(d4, triality):
                               frozenset(), frozenset())
     verdict = preserves_invariants(triality, triality.elements[1], inv)
     assert verdict == PreservationVerdict(False, None, None, None)
-    assert not verdict.all_ok
     ok, entries = invariance_entries(triality, inv)
     assert not ok and [e.check for e in entries if not e.ok] == [
         "invariants preserved by generator 't'"]
@@ -200,7 +201,7 @@ def test_preservation_extends_to_closure(d4):
     inv = symmetric_invariants(d4)
     assert invariance_entries(s3, inv)[0]
     for el in s3.elements:
-        assert preserves_invariants(s3, el, inv).all_ok
+        assert preserves_invariants(s3, el, inv) == PRESERVED
 
 
 def test_apply_to_invariants_agrees_with_equality(d4, triality):
@@ -215,8 +216,8 @@ def test_apply_to_invariants_agrees_with_equality(d4, triality):
     for data, expected in ((inv, True), (lopsided, False), (partial, False)):
         for el in triality.elements:
             same = transported(el, data) == data
-            assert same == preserves_invariants(triality, el, data).all_ok
-        assert all(preserves_invariants(triality, el, data).all_ok
+            assert same == (preserves_invariants(triality, el, data) == PRESERVED)
+        assert all(preserves_invariants(triality, el, data) == PRESERVED
                    for el in triality.elements) == expected
     bad = SphericalInvariants(d4, Lattice.from_rows(4, [alphas(d4)[0]]),
                               cone_from_inequalities(1, [(-1,)]),
@@ -309,3 +310,14 @@ def test_bad_index_warning(d4, triality):
     for decide in (invariance_entries, oracle.preserves_horospherical):
         with pytest.raises(ValueError):
             decide(triality, HorosphericalDatum({7}, m))
+
+
+def test_simple_root_indices_are_nonnegative_integers():
+    m = RationalLattice.from_generators(4, [(0, 1, 0, 0)])
+    for indices in ({Fraction(3, 2), 1.9}, {Fraction(1, 2), 2.7}, {-1}):
+        with pytest.raises(ValueError):
+            ColorRecord((1, 0), indices)
+        with pytest.raises(ValueError):
+            HorosphericalDatum(indices, m)
+    assert ColorRecord((1, 0), {Fraction(2), 1.0}).sigma == {1, 2}
+    assert HorosphericalDatum({Fraction(2)}, m).simple_subset == {2}
