@@ -35,7 +35,7 @@ from .invariants import (
     SphericalInvariants,
     preserves_invariants,
 )
-from .rootdata import BasedRootDatum
+from .rootdata import WEYL_CAP, BasedRootDatum
 from .staraction import GaloisAction
 
 FORM_EXISTS = "form_exists"
@@ -241,19 +241,21 @@ class WonderfulReport:
 
 def wonderful_stability_report(invariants: SphericalInvariants,
                                action: GaloisAction | None = None,
-                               fan: ColoredFan | None = None) -> WonderfulReport:
+                               fan: ColoredFan | None = None,
+                               cap: int = WEYL_CAP) -> WonderfulReport:
     """Validity, wonderfulness and, given an action, Galois stability of a
     colored fan: the given one, or else the face fan of the valuation cone.
 
     A valuation cone with lineality, which has no face fan, and an action
     that moves the weight lattice are negative answers with a problem.
+    CapExceeded when a cone has more than `cap` faces to enumerate.
     """
     vcone = invariants.valuation_cone
     try:
-        fan = wonderful_fan(vcone) if fan is None else fan
+        fan = wonderful_fan(vcone, cap) if fan is None else fan
     except NotStrictlyConvex as e:
         return WonderfulReport(False, None, None, None, (str(e),), None)
-    validity = is_valid_fan(fan, vcone)
+    validity = is_valid_fan(fan, vcone, cap)
     problems = validity.problems
     stable = generator = rays = None
     if action is not None:

@@ -4,8 +4,8 @@ Exit codes: 0 for a positive or conditionally positive result, 1 for a
 negative result, 2 for an inconclusive one, 64 for unreadable input or a
 command line that argparse rejects.  All numbers are printed exactly
 (integers or p/q fractions).  The only environment variable honored is
-SPHDESCENT_CAP, which bounds group closure and orbit enumeration sizes; it
-never changes a verdict, only whether big searches are attempted.
+SPHDESCENT_CAP, which bounds group closure, orbit and face enumeration
+sizes; it never changes a verdict, only whether big searches are attempted.
 """
 import argparse
 import json
@@ -137,8 +137,9 @@ def _emit(*lines, end=False) -> None:
 def _run_batch(args) -> int:
     """Run one file command over each of its input files.
 
-    `args.report(label, problem)` returns (exit code, JSON document, text
-    lines); a skipped file counts as exit 0.  Text mode prints each file's
+    `args.report(label, problem, **caps)` returns (exit code, JSON document,
+    text lines); a skipped file counts as exit 0, and a cap hit names the
+    file, as it does when the file is parsed.  Text mode prints each file's
     lines as it goes; --json prints one document, wrapped as {"results":
     [...]} when there are several files.  The exit code is the worst one.
     """
@@ -146,7 +147,11 @@ def _run_batch(args) -> int:
     worst = EX_OK
     docs = []
     for path in _resolve_paths(args):
-        code, doc, lines = args.report(_label(path), parse_file(path, **caps))
+        label, problem = _label(path), parse_file(path, **caps)
+        try:
+            code, doc, lines = args.report(label, problem, **caps)
+        except CapExceeded as e:
+            raise CapExceeded(f"{label}: {e}") from None
         docs.append(doc)
         worst = max(worst, code)
         if not args.json:
@@ -162,7 +167,7 @@ def _skipped(label: str, reason: str):
     return EX_OK, {"file": label, "skipped": reason}, [f"{label}: skipped ({reason})"]
 
 
-def _verdict_report(label: str, problem: Problem):
+def _verdict_report(label: str, problem: Problem, **_caps):
     missing = [name for name, blk in (
         ("action", problem.action),
         ("invariants or horospherical", problem.invariance_input),
@@ -188,7 +193,7 @@ def _verdict_report(label: str, problem: Problem):
                                           *_trace_lines(v.trace)]
 
 
-def _invariance_report(label: str, problem: Problem):
+def _invariance_report(label: str, problem: Problem, **_caps):
     if problem.action is None or problem.invariance_input is None:
         return _skipped(label, "needs action and invariants blocks")
     ok, entries = invariance_entries(problem.action, problem.invariance_input)
@@ -202,11 +207,11 @@ def _invariance_report(label: str, problem: Problem):
     return EX_OK if ok else EX_NEGATIVE, doc, lines
 
 
-def _fan_report(label: str, problem: Problem):
+def _fan_report(label: str, problem: Problem, **caps):
     if problem.invariants is None:
         return _skipped(label, "needs an invariants block")
     r = wonderful_stability_report(problem.invariants, problem.action,
-                                   problem.fan)
+                                   problem.fan, **caps)
     doc = {"file": label, "valid": r.fan_valid, "problems": list(r.problems)}
     bits = [f"valid: {'yes' if r.fan_valid else 'no'}"]
     if r.problems:
@@ -230,7 +235,7 @@ def _fan_report(label: str, problem: Problem):
     return code, doc, [f"{label}: " + ", ".join(bits)]
 
 
-def _cohomology_report(label: str, problem: Problem):
+def _cohomology_report(label: str, problem: Problem, **_caps):
     if problem.cohomology is None:
         return _skipped(label, "needs a cohomology block")
     base = problem.base_field
@@ -311,7 +316,8 @@ def _add_file_command(sub, name, report, help_text):
     p.add_argument("--json", action="store_true",
                    help="emit one machine-readable JSON document")
     p.add_argument("--cap", type=int, default=None,
-                   help="override enumeration caps (closure and orbit sizes)")
+                   help="override enumeration caps (closure, orbit and "
+                        "face counts)")
     p.set_defaults(func=_run_batch, report=report)
 
 

@@ -21,7 +21,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 from .intlinalg import (
@@ -34,6 +33,7 @@ from .intlinalg import (
     vec_primitive,
 )
 from .ratlp import _hcone_extreme_rays, feasible
+from .rootdata import WEYL_CAP, CapExceeded, check_cap
 from .staraction import dual_matrix_on_V
 
 
@@ -71,8 +71,11 @@ def _check_rows(dim: int, rows) -> None:
         raise ValueError("dimension mismatch")
 
 
-def _kernel(dim: int, rows) -> tuple:
-    """Hermite basis of the integer vectors orthogonal to rational rows."""
+def _kernel(dim: int, rows, rank: int) -> tuple:
+    """Hermite basis of the integer vectors orthogonal to rational rows of
+    the given rank: () at full rank, with no Hermite form to compute."""
+    if rank == dim:
+        return ()
     rows = [r for r in map(vec_primitive, rows) if r is not None]
     if not rows:
         return IntMatrix.identity(dim).entries
@@ -87,13 +90,13 @@ def cone_from_generators(dim: int, generators) -> RationalCone:
     _check_rows(dim, generators)
     # facets of the cone are the extreme rays of its polar dual, whose
     # lineality is the orthogonal complement of the cone's span
-    ineqs = _hcone_extreme_rays(generators)
-    perp = _kernel(dim, generators)
+    ineqs, rank = _hcone_extreme_rays(generators)
+    perp = _kernel(dim, generators, rank)
     constraints = list(ineqs)
     for e in perp:
         constraints += [e, vec_neg(e)]
-    return RationalCone(dim, _hcone_extreme_rays(constraints),
-                        _kernel(dim, constraints), ineqs, perp)
+    rays, rank = _hcone_extreme_rays(constraints)
+    return RationalCone(dim, rays, _kernel(dim, constraints, rank), ineqs, perp)
 
 
 def cone_from_inequalities(dim: int, inequalities, equations=()) -> RationalCone:
@@ -214,13 +217,16 @@ def _parent(cone: RationalCone, bit: dict) -> tuple:
                        for c in cone.inequalities)
 
 
-def _face_masks(mask: int, facet_masks) -> set:
+def _face_masks(mask: int, facet_masks, cap: int) -> set:
     """Ray masks of the faces of the face `mask` of a parent cone: its
     closure under intersection with the facet masks, as each face of a
-    strictly convex cone is spanned by its rays and cut out by facets."""
+    strictly convex cone is spanned by its rays and cut out by facets.
+    CapExceeded once there are more than `cap` of them."""
     closed = {mask}
     for m in facet_masks:
         closed |= {span & m for span in closed}
+        if len(closed) > cap:
+            raise CapExceeded(f"face enumeration exceeded cap {cap}")
     return closed
 
 
@@ -280,11 +286,12 @@ class ColoredFan:
         return len(self.cones)
 
     @cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.cones)
+    def _index(self) -> dict:
+        """Each fan cone's position in `cones`."""
+        return {fc: k for k, fc in enumerate(self.cones)}
 
     def __contains__(self, fc: FanCone) -> bool:
-        return fc in self._members
+        return fc in self._index
 
     def rays_of(self, mask: int) -> tuple:
         """The rays in a mask, in order: the extreme rays of its cone."""
@@ -306,15 +313,17 @@ def _fan(dim: int, rays: tuple, entries) -> ColoredFan:
     return ColoredFan(dim, rays, tuple(order), tuple(parents[fc] for fc in order))
 
 
-def faces(cc: ColoredCone) -> ColoredFan:
+def faces(cc: ColoredCone, cap: int = WEYL_CAP) -> ColoredFan:
     """All faces of a colored cone, each with the colors on it, as a fan
-    over the cone's rays with the cone as every face's parent."""
+    over the cone's rays with the cone as every face's parent.
+    CapExceeded when there are more than `cap` faces."""
+    check_cap(cap)
     base = cc.cone
     parent = _parent(base, {r: 1 << i for i, r in enumerate(base.rays)})
     full = (1 << len(base.rays)) - 1
     return _fan(base.ambient_dim, base.rays, [
         (span, _face_colors(parent, span, cc.colors), parent)
-        for span in _face_masks(full, parent[1])])
+        for span in _face_masks(full, parent[1], cap)])
 
 
 @dataclass(frozen=True)
@@ -337,25 +346,44 @@ def _relint_contains(cone, p) -> bool:
             and all(vec_dot(c, p) > 0 for c in cone.inequalities))
 
 
-def is_valid_fan(fan: ColoredFan, v_cone: RationalCone) -> FanVerdict:
+def _bits(x: int):
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def is_valid_fan(fan: ColoredFan, v_cone: RationalCone,
+                 cap: int = WEYL_CAP) -> FanVerdict:
     """Check the three colored fan axioms against a valuation cone.
 
     (i) each cone's relative interior meets the valuation cone; (ii) each
     face that meets the valuation cone (with its induced colors) belongs to
     the fan; (iii) no point of the valuation cone is interior to two cones.
-    Two distinct faces of one cone have disjoint relative interiors, so
-    (iii) is only tested for pairs that are not both faces of one fan cone.
-    The sum of a face's rays is interior to it and often certifies a meet
-    cheaply; exact feasibility decides else.
+
+    The work follows the cones that are not faces of others, as in the
+    double-description bookkeeping of Fukuda & Prodon (1996).  Cones are
+    taken by descending ray count; one that equals, mask and colors, a face
+    of a cone taken before is covered, and only the others have their
+    faces enumerated, at most `cap` each.  Relative interiors and induced
+    colors are the face's own, so a covered cone misses the faces that its
+    cover misses inside it.  Distinct faces of one cone have disjoint
+    relative interiors, so (iii) skips the pairs of distinct faces of one
+    enumerated cone.  A face meets the valuation cone when its rays, or
+    their sum, which is interior to it, lie there; exact feasibility
+    decides else.
     """
     if v_cone.ambient_dim != fan.ambient_dim:
         raise ValueError("fan and valuation cone dimensions differ")
+    check_cap(cap)
+    in_v = sum(1 << i for i, r in enumerate(fan.rays) if v_cone.contains(r))
 
     def point(mask):
         return tuple(map(sum, zip(*fan.rays_of(mask)))) or (0,) * fan.ambient_dim
 
     def meets(parent, span):
-        return (v_cone.contains(point(span))
+        return (span & in_v == span or v_cone.contains(point(span))
                 or meet_relative_interiors([_relint(parent, span)], [v_cone])
                 is not None)
 
@@ -365,40 +393,66 @@ def is_valid_fan(fan: ColoredFan, v_cone: RationalCone) -> FanVerdict:
         if not meets(parent, fc.mask):
             interior_ok = False
             problems.append(f"cone {k}: relative interior misses the valuation cone")
-    closure_ok = True
-    holders = {}  # mask -> bit set of the fan cones it is a face of
-    for k, (fc, parent) in enumerate(zip(fan.cones, fan.parents)):
-        missing = []
-        for span in _face_masks(fc.mask, parent[1]):
-            holders[span] = holders.get(span, 0) | 1 << k
-            face = FanCone(span, _face_colors(parent, span, fc.colors))
-            if face not in fan and meets(parent, span):
-                missing.append(fan.rays_of(span))
-        for rays in sorted(missing):
-            closure_ok = False
-            problems.append(f"cone {k}: face with rays {rays} missing from the fan")
-    separation_ok = True
-    for i, j in combinations(range(len(fan)), 2):
-        a, b = fan.cones[i].mask, fan.cones[j].mask
-        if a != b and holders[a] & holders[b]:
+    masks = [fc.mask for fc in fan.cones]
+    same = {}  # mask -> bit set of the fan cones with that mask
+    for k, mask in enumerate(masks):
+        same[mask] = same.get(mask, 0) | 1 << k
+    missing = [None] * len(fan)  # per cone: missing face masks, by rays
+    inside = []  # per enumerated cone: bit set of the fan cones among its faces
+    holders = [0] * len(fan)  # per cone: bit set of the enumerated cones holding it
+    for k in sorted(range(len(fan)), key=lambda k: -masks[k].bit_count()):
+        if missing[k] is not None:
             continue
-        ri, rj = (_relint(fan.parents[k], fan.cones[k].mask) for k in (i, j))
-        if (any(_relint_contains(other, point(one)) and v_cone.contains(point(one))
-                for one, other in ((a, rj), (b, ri)))
-                or meet_relative_interiors([ri, rj], [v_cone]) is not None):
-            separation_ok = False
-            problems.append(f"cones {i} and {j}: relative interiors overlap "
-                            "inside the valuation cone")
+        fc, parent = fan.cones[k], fan.parents[k]
+        found, covered, held = [], [], 0
+        for span in _face_masks(fc.mask, parent[1], cap):
+            held |= same.get(span, 0)
+            j = fan._index.get(FanCone(span, _face_colors(parent, span, fc.colors)))
+            if j is None:
+                if meets(parent, span):
+                    found.append(span)
+            elif j != k and missing[j] is None:
+                covered.append(j)
+        for i in _bits(held):
+            holders[i] |= 1 << len(inside)
+        inside.append(held)
+        missing[k] = sorted(found, key=fan.rays_of)
+        for j in covered:
+            missing[j] = [m for m in missing[k] if m & masks[j] == m]
+    closure_ok = True
+    for k, spans in enumerate(missing):
+        for span in spans:
+            closure_ok = False
+            problems.append(f"cone {k}: face with rays {fan.rays_of(span)} "
+                            "missing from the fan")
+    separation_ok = True
+    everything = (1 << len(fan)) - 1
+    for i, a in enumerate(masks):
+        near = 0
+        for u in _bits(holders[i]):
+            near |= inside[u]
+        # the cones j > i, less the distinct faces of a cone that holds cone i
+        for j in _bits((everything ^ (near & ~same[a])) >> i + 1 << i + 1):
+            b = masks[j]
+            ri, rj = (_relint(fan.parents[k], masks[k]) for k in (i, j))
+            if (any(_relint_contains(other, point(one))
+                    and v_cone.contains(point(one))
+                    for one, other in ((a, rj), (b, ri)))
+                    or meet_relative_interiors([ri, rj], [v_cone]) is not None):
+                separation_ok = False
+                problems.append(f"cones {i} and {j}: relative interiors "
+                                "overlap inside the valuation cone")
     return FanVerdict(interior_ok, closure_ok, separation_ok, tuple(problems))
 
 
-def wonderful_fan(v_cone: RationalCone) -> ColoredFan:
-    """The colorless fan of all faces of a strictly convex valuation cone."""
+def wonderful_fan(v_cone: RationalCone, cap: int = WEYL_CAP) -> ColoredFan:
+    """The colorless fan of all faces of a strictly convex valuation cone;
+    CapExceeded when there are more than `cap` faces."""
     if not v_cone.is_strictly_convex:
         raise NotStrictlyConvex(
             "the valuation cone has nontrivial lineality, so no fan has it "
             "as a maximal strictly convex cone")
-    return faces(ColoredCone(v_cone, frozenset()))
+    return faces(ColoredCone(v_cone, frozenset()), cap)
 
 
 def is_wonderful(fan: ColoredFan, v_cone: RationalCone) -> bool:
@@ -442,8 +496,14 @@ def is_gamma_stable(fan: ColoredFan, action, weight_lattice) -> StabilityVerdict
     condition is closed under composition and inverses, and so is
     stability of the weight lattice.  The first generator that moves the
     lattice is reported before any cone is tested; otherwise the first fan
-    cone moved off the fan is reported as it is stored.
+    cone moved off the fan is reported as it is stored.  A color that names
+    a simple root the action does not have is a ValueError.
     """
+    top = max((i for fc in fan.cones for r in fc.colors for i in r.sigma),
+              default=-1)
+    if any(top >= len(gen.s_perm) for gen in action.generators):
+        raise ValueError(f"a fan color names simple-root index {top}, past "
+                         "the simple roots that the action permutes")
     duals = [dual_matrix_on_V(gen, weight_lattice) for gen in action.generators]
     for name, dmat in zip(action.generator_names, duals):
         if dmat is None:

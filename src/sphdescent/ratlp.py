@@ -3,12 +3,13 @@
 `_hcone_extreme_rays` is the one polyhedral engine of the package: the
 incremental double-description method (Motzkin et al. 1953; Fukuda & Prodon
 1996) in integer arithmetic, turning {x : c.x >= 0 for all c} into its
-extreme rays; its lineality is the kernel of the rows, which `cones`
-computes where a cone keeps it.  `cones` builds canonical cones on it, and
-`feasible` decides a system of weak inequalities c . x >= r with it, by
-homogenizing the system to a cone.  Strict homogeneous inequalities are
-handled by callers through scaling: c . x > 0 is feasible together with a
-homogeneous system iff c . x >= 1 is.
+extreme rays and the rank of its rows; its lineality is the kernel of the
+rows, which `cones` computes where a cone keeps it and the rank is short of
+the dimension.  `cones` builds canonical cones on it, and `feasible`
+decides a system of weak inequalities c . x >= r with it, by homogenizing
+the system to a cone.  Strict homogeneous inequalities are handled by
+callers through scaling: c . x > 0 is feasible together with a homogeneous
+system iff c . x >= 1 is.
 """
 from __future__ import annotations
 
@@ -34,13 +35,16 @@ def _adjacent(z: int, masks) -> bool:
 
 
 def _hcone_extreme_rays(constraints, watch: int | None = None) -> tuple:
-    """Extreme rays, modulo lineality, of {x : c.x >= 0 for all c}.
+    """Extreme rays, modulo lineality, of {x : c.x >= 0 for all c}, and the
+    rank of the constraint rows.
 
-    Returns the sorted primitive integer ray representatives orthogonal to
-    the lineality space, which is the kernel of the constraint matrix.
-    With `watch` set, stops with () once no ray has a positive entry at
-    that index.  That is final when the first row is x[watch] >= 0, as in
-    `feasible`: the lineality left after it lies in x[watch] = 0.
+    Returns (rays, rank): the sorted primitive integer ray representatives
+    orthogonal to the lineality space, which is the kernel of the constraint
+    matrix, and the dimension of the row space, so that the lineality is
+    {0} exactly when the rank is the ambient dimension.  With `watch` set,
+    stops with no rays once no ray has a positive entry at that index.
+    That is final when the first row is x[watch] >= 0, as in `feasible`:
+    the lineality left after it lies in x[watch] = 0.
 
     Incremental double description inside the orthogonal complement of the
     lineality, which the constraint rows span.  The cone starts as that whole
@@ -55,7 +59,7 @@ def _hcone_extreme_rays(constraints, watch: int | None = None) -> tuple:
     rows = [c for c in map(vec_primitive, constraints) if c is not None]
     span = list(dict.fromkeys(rows))
     rays, masks = [], []
-    cuts = 0  # dimension of the cone modulo its lineality
+    cuts = 0  # dimension of the cone modulo its lineality: the rank so far
     for k, a in enumerate(rows):
         bit = 1 << k
         i = next((i for i, v in enumerate(span) if vec_dot(a, v)), None)
@@ -96,8 +100,8 @@ def _hcone_extreme_rays(constraints, watch: int | None = None) -> tuple:
                 new_masks.append(m | bit if t == 0 else m)
         rays, masks = new_rays, new_masks
         if watch is not None and all(r[watch] <= 0 for r in rays):
-            return ()
-    return tuple(sorted(rays))
+            return (), cuts
+    return tuple(sorted(rays)), cuts
 
 
 def feasible(rows, rhs) -> tuple[Fraction, ...] | None:
@@ -122,6 +126,6 @@ def feasible(rows, rhs) -> tuple[Fraction, ...] | None:
     if any(len(row) != n for row in rows):
         raise ValueError("ragged coefficient rows")
     cone = [(0,) * n + (1,)] + [(*row, -r) for row, r in zip(rows, rhs)]
-    rays = _hcone_extreme_rays(cone, watch=n)
+    rays, _ = _hcone_extreme_rays(cone, watch=n)
     ray = next((ray for ray in rays if ray[n] > 0), None)
     return None if ray is None else tuple(Fraction(x, ray[n]) for x in ray[:n])

@@ -299,6 +299,53 @@ def test_check_fan_decides_meets_the_ray_sums_miss(capsys):
         0, "fan_ray_sums_outside.json: valid: yes, wonderful: no\n", "")
 
 
+def test_check_fan_caps_face_enumeration(capsys, monkeypatch):
+    # the closure and the (empty) root table fit under 8; the 16 faces of
+    # the valuation cone do not
+    f = str(DATA / "face_fan_over_cap.json")
+    assert run(capsys, "check-fan", f, "--cap", "8") == (
+        64, "", "error: face_fan_over_cap.json: face enumeration exceeded "
+        "cap 8\n")
+    assert run(capsys, "check-fan", f, "--cap", "16")[:2] == (
+        0, "face_fan_over_cap.json: valid: yes, wonderful: yes, stable: yes\n")
+    monkeypatch.setenv("SPHDESCENT_CAP", "15")
+    assert run(capsys, "check-fan", f, "--json") == (
+        64, "", "error: face_fan_over_cap.json: face enumeration exceeded "
+        "cap 15\n")
+    monkeypatch.delenv("SPHDESCENT_CAP")
+    assert run(capsys, "check-fan", f)[0] == 0
+
+
+def spin8_pattern_on_a(n):
+    """A problem file on type A_n laid out as spin8_trialitary: the root
+    lattice on the simple-root basis, the negative orthant as valuation
+    cone, the Cartan rows as colors, and the diagram reversal."""
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+              for i in range(n)]
+    return {
+        "schema": 1,
+        "root_datum": {"type": "A", "rank": n, "isogeny": "simply_connected"},
+        "action": {"generators": [
+            {"name": "t", "s_permutation": list(range(n, 0, -1))}]},
+        "invariants": {
+            "weight_lattice": {"basis": cartan},
+            "valuation_cone": {"generators": [
+                [-int(i == j) for j in range(n)] for i in range(n)]},
+            "colors": {"omega1": [{"rho": row, "sigma": [i + 1]}
+                                  for i, row in enumerate(cartan)]}}}
+
+
+def test_check_fan_on_a_rank_10_face_fan(capsys, tmp_path):
+    # 1,024 faces: each is a face of the valuation cone, so only that one
+    # cone has its faces enumerated and no pair of cones is tested
+    f = tmp_path / "a10.json"
+    f.write_text(json.dumps(spin8_pattern_on_a(10)), encoding="utf-8")
+    assert run(capsys, "check-fan", str(f), "--json") == (0, json_text(
+        {"file": "a10.json", "valid": True, "problems": [], "wonderful": True,
+         "stable": True, "violating_generator": None,
+         "violating_cone_rays": None}), "")
+
+
 @pytest.mark.parametrize("block", ["generators", "inequalities", "rays"])
 def test_a_vector_of_the_wrong_length_is_refused_with_file_and_block(
         capsys, tmp_path, block):

@@ -18,6 +18,7 @@ import pytest
 
 import active_set_oracle as oracle
 from active_set_oracle import colored_cones
+from sphdescent import cones
 from sphdescent.cli import corpus_names, corpus_root
 from sphdescent.cones import (
     ColoredCone,
@@ -112,6 +113,47 @@ def test_dim_6_with_8_generators_matches_active_set_engine():
     [(dim, gens)] = _draw(6, 8, 1)
     assert cone_from_generators(dim, gens) == \
         oracle.cone_from_generators(dim, gens)
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Counts the Hermite kernels `cones` computes."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return kernel_lattice(m)
+
+    monkeypatch.setattr(cones, "kernel_lattice", counted)
+    return calls
+
+
+def test_full_rank_conversions_compute_no_kernel(kernel_calls):
+    # a pointed cone of full dimension: the generators and the facets both
+    # have full rank, so both kernels are {0}
+    full = [(dim, gens) for dim, gens in CRITERION_7
+            if not cone_from_generators(dim, gens).equations]
+    assert len(full) > 50
+    kernel_calls.clear()
+    for dim, gens in full:
+        cone_from_generators(dim, gens)
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("dim,gens", [
+    (2, [(1, 0), (-1, 0), (0, 1)]),  # a half-plane: lineality
+    (3, [(1, 1, 0), (1, 0, 0)]),  # a lower-dimensional span
+    (3, [(1, 2, 3), (-1, -2, -3), (0, 1, 1)]),  # both
+    (4, [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0)]),
+    *[(dim, gens[:dim - 1]) for dim, gens in CRITERION_7[:8]],
+    *[(dim, gens + [tuple(-x for x in gens[0])]) for dim, gens in CRITERION_7[:8]],
+])
+def test_rank_deficient_conversions_take_the_kernel(kernel_calls, dim, gens):
+    got = cone_from_generators(dim, gens)
+    assert got.lineality or got.equations
+    assert got == oracle.cone_from_generators(dim, gens)
+    # only the whole space, with no rows to take a kernel of, needs none
+    assert kernel_calls or not (got.inequalities or got.equations)
 
 
 @pytest.mark.parametrize("name,cone,problem", CORPUS)
@@ -255,6 +297,22 @@ def _fan_cases():
         fan = colored_cones(faces(ColoredCone(a, frozenset())))
         fan += colored_cones(faces(ColoredCone(b, frozenset())))
         cases.append((f"reaching past {len(cases)}", fan, v))
+    # the 2-faces through (-1,0,0) are covered by the orthant, and miss
+    # that ray with it: the problems name all three cones
+    orthant = cone_from_generators(3, [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+    cases.append(("covered cones share a missing face",
+                  [f for f in colored_cones(faces(ColoredCone(orthant, frozenset())))
+                   if f.cone.rays != ((-1, 0, 0),)], orthant))
+    three = [ColoredCone(cone_from_generators(2, gens), frozenset()) for gens in
+             ([(1, 0), (1, 2)], [(2, 1), (1, 3)], [(1, 1), (0, 1)])]
+    cases.append(("three overlapping maximal cones",
+                  [f for cc in three for f in colored_cones(faces(cc))],
+                  cone_from_generators(2, [(1, 0), (0, 1)])))
+    # one mask with two colorings: neither cone covers the other
+    red, blue = (ColoredCone(neg, frozenset([ColorRecord(rho, sigma)]))
+                 for rho, sigma in (((-1, 0), {0}), ((0, -1), {1})))
+    cases.append(("one mask, two colorings",
+                  colored_cones(faces(red)) + colored_cones(faces(blue)), neg))
     return cases
 
 

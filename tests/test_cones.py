@@ -32,7 +32,7 @@ from sphdescent.cones import (
 from sphdescent.intlinalg import IntMatrix, Lattice
 from sphdescent.invariants import SphericalInvariants, preserves_invariants
 from sphdescent.ratlp import feasible
-from sphdescent.rootdata import BRDAutomorphism, torus
+from sphdescent.rootdata import BRDAutomorphism, CapExceeded, torus
 from sphdescent.staraction import GaloisAction, build_action
 
 
@@ -461,6 +461,27 @@ def neg_orthant():
     return cone_from_generators(2, [(-1, 0), (0, -1)])
 
 
+def test_face_enumeration_is_capped():
+    # the negative orthant of dimension 4 has 16 faces
+    orthant = cone_from_generators(4, [tuple(-int(i == j) for j in range(4))
+                                       for i in range(4)])
+    assert len(wonderful_fan(orthant, cap=16)) == 16
+    with pytest.raises(CapExceeded, match="face enumeration exceeded cap 15"):
+        wonderful_fan(orthant, cap=15)
+    with pytest.raises(CapExceeded, match="face enumeration exceeded cap 15"):
+        faces(ColoredCone(orthant, frozenset()), cap=15)
+    # a stated fan of the orthant alone: the check enumerates its faces
+    stated = ColoredFan.build([ColoredCone(orthant, frozenset())])
+    assert not is_valid_fan(stated, orthant, cap=16).closure_ok
+    with pytest.raises(CapExceeded, match="face enumeration exceeded cap 8"):
+        is_valid_fan(stated, orthant, cap=8)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="cap must be a positive integer"):
+            wonderful_fan(orthant, cap=cap)
+        with pytest.raises(ValueError, match="cap must be a positive integer"):
+            is_valid_fan(stated, orthant, cap=cap)
+
+
 def test_fan_build_validation(neg_orthant):
     with pytest.raises(ValueError):
         ColoredFan.build([])
@@ -579,6 +600,20 @@ def test_stability_requires_stable_weight_lattice():
     # reported as a verdict that names the generator and no cone
     assert is_gamma_stable(fan, swap, Lattice.from_rows(2, [(1, 0)])) == \
         StabilityVerdict(False, "s", None)
+
+
+def test_stability_refuses_a_color_past_the_simple_roots():
+    # a torus has no simple roots, so the action permutes none; the fan
+    # never sees the root datum, so the check is where the two meet
+    swap = build_action(torus(2), [IntMatrix.from_rows([[0, 1], [1, 0]])],
+                        names=("s",))
+    quadrant = cone_from_generators(2, [(1, 0), (0, 1)])
+    fan = faces(ColoredCone(quadrant, frozenset([ColorRecord((1, 1), {5})])))
+    with pytest.raises(ValueError, match="simple-root index 5"):
+        is_gamma_stable(fan, swap, Lattice.full(2))
+    # without a generator no color moves, and nothing is out of range
+    assert is_gamma_stable(fan, build_action(torus(2), []),
+                           Lattice.full(2)).stable
 
 
 def test_color_image_moves_valuation_and_support():

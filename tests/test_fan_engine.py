@@ -10,9 +10,11 @@ equal `StabilityVerdict` (flag, generator, and violating cone, or None for
 a generator that moves the weight lattice).  Inputs: seeded face fans in
 dims 2-6 under signed permutations and finite-order unimodular maps,
 colored fans, the fans and valuation cones of the shipped corpus, and the
-fan files under `tests/data`.  A last test counts Hermite normal forms:
-once the valuation cone is built, the mask layer needs none, whether the
-fan is stable or not.
+fan files under `tests/data`.  The last tests count work: face fans and
+unions of face fans have the faces of their maximal cones enumerated once
+each and no relative interiors tested for a meet, and once the valuation
+cone is built, the mask layer needs no Hermite normal form, whether the fan
+is stable or not.
 """
 import random
 import sys
@@ -22,6 +24,7 @@ import pytest
 
 import active_set_oracle as oracle
 from active_set_oracle import colored_cones
+from sphdescent import cones as cone_module
 from sphdescent import intlinalg
 from sphdescent.cli import corpus_names, corpus_root
 from sphdescent.cones import (
@@ -245,6 +248,46 @@ def test_maximal_cones_only_file():
     assert not sv.stable and sv.violating_generator == "s"
     assert fan.rays_of(sv.violating_cone.mask) == ((0, 1), (1, 1))
     assert sv.violating_cone.colors == frozenset()
+
+
+# -- work in proportion to the maximal cones -----------------------------------
+
+def _counted(monkeypatch, name):
+    """Records the calls of a function of `cones`."""
+    calls = []
+
+    def counted(*args, _original=getattr(cone_module, name)):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(cone_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("label,cone,maps", _face_fan_cases())
+def test_face_fan_check_enumerates_the_valuation_cone_once(
+        monkeypatch, label, cone, maps):
+    scans = _counted(monkeypatch, "_face_masks")
+    meets = _counted(monkeypatch, "meet_relative_interiors")
+    fan = wonderful_fan(cone)
+    assert is_valid_fan(fan, cone).ok, label
+    # once for the fan, once for the check: every other fan cone is a face
+    # of the valuation cone, and all rays lie in it
+    assert len(scans) == 2 and meets == [], label
+
+
+def test_stated_fan_check_enumerates_each_maximal_cone_once(monkeypatch):
+    quadrant = cone_from_generators(2, [(1, 0), (0, 1)])
+    halves = [ColoredCone(cone_from_generators(2, gens), frozenset())
+              for gens in ([(1, 0), (1, 1)], [(1, 1), (0, 1)])]
+    fan = ColoredFan.build([f for cc in halves for f in colored_cones(faces(cc))])
+    scans = _counted(monkeypatch, "_face_masks")
+    meets = _counted(monkeypatch, "meet_relative_interiors")
+    assert len(fan) == 6 and is_valid_fan(fan, quadrant).ok
+    # the two halves are the maximal cones; the pairs of cones that are not
+    # faces of one of them are the two halves, and each half with the outer
+    # ray of the other: four pairs, each one exact meet that comes out empty
+    assert len(scans) == 2 and len(meets) == 4
 
 
 # -- no Hermite normal form on the mask layer -----------------------------------
