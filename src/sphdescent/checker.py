@@ -22,20 +22,13 @@ from .cohomology import (
     ObstructionVerdict,
     obstruction_verdict,
 )
-from .cones import (
-    ColoredFan,
-    NotStrictlyConvex,
-    is_gamma_stable,
-    is_valid_fan,
-    is_wonderful,
-    wonderful_fan,
-)
+from .cones import ColoredFan, FanCone, is_gamma_stable, is_valid_fan, is_wonderful
 from .invariants import (
     HorosphericalDatum,
     SphericalInvariants,
     preserves_invariants,
 )
-from .rootdata import WEYL_CAP, BasedRootDatum
+from .rootdata import WEYL_CAP, BasedRootDatum, check_cap
 from .staraction import GaloisAction
 
 FORM_EXISTS = "form_exists"
@@ -60,6 +53,8 @@ _NORMALIZER_DETAIL = {
 NORMALIZER_REASONS = tuple(_NORMALIZER_DETAIL)
 
 _LATTICE_MOVED = "moves the weight lattice"
+_NO_FACE_FAN = ("the valuation cone has nontrivial lineality, so no fan has it "
+                "as a maximal strictly convex cone")
 
 
 @dataclass(frozen=True)
@@ -226,9 +221,9 @@ class WonderfulReport:
 
     `wonderful` and `stable` are None when undecided: both when a valuation
     cone with lineality has no face fan, `stable` alone without an action.
-    `violating_rays` are the rays of the fan cone that the violating
-    generator moves off the fan; None when the fan is stable or the
-    generator moves the weight lattice.
+    `violating_rays` are the rays of the fan cone (for V's face fan, the one
+    ray of V) that the violating generator moves off the fan; None when the
+    fan is stable or the generator moves the weight lattice.
     """
 
     fan_valid: bool
@@ -244,19 +239,25 @@ def wonderful_stability_report(invariants: SphericalInvariants,
                                fan: ColoredFan | None = None,
                                cap: int = WEYL_CAP) -> WonderfulReport:
     """Validity, wonderfulness and, given an action, Galois stability of a
-    colored fan: the given one, or else the face fan of the valuation cone.
-
-    A valuation cone with lineality, which has no face fan, and an action
-    that moves the weight lattice are negative answers with a problem.
-    CapExceeded when a cone has more than `cap` faces to enumerate.
+    colored fan: the given one, or else the face fan of the valuation cone,
+    which for a strictly convex V is valid, wonderful, and stable exactly
+    when each generator permutes V's primitive rays (tested on V's one-ray
+    faces; no face is enumerated).  A V with lineality and an action that
+    moves the weight lattice are negative answers with a problem.
+    CapExceeded when a stated fan's cone has more than `cap` faces.
     """
+    check_cap(cap)
     vcone = invariants.valuation_cone
-    try:
-        fan = wonderful_fan(vcone, cap) if fan is None else fan
-    except NotStrictlyConvex as e:
-        return WonderfulReport(False, None, None, None, (str(e),), None)
-    validity = is_valid_fan(fan, vcone, cap)
-    problems = validity.problems
+    if fan is None and not vcone.is_strictly_convex:
+        return WonderfulReport(False, None, None, None, (_NO_FACE_FAN,), None)
+    if fan is None:  # stability reads no parents
+        valid, wonderful, problems = True, True, ()
+        fan = ColoredFan(vcone.ambient_dim, vcone.rays, tuple(
+            FanCone(1 << i, frozenset()) for i in range(len(vcone.rays))), ())
+    else:
+        validity = is_valid_fan(fan, vcone, cap)
+        valid, problems = validity.ok, validity.problems
+        wonderful = is_wonderful(fan, vcone)
     stable = generator = rays = None
     if action is not None:
         sv = is_gamma_stable(fan, action, invariants.weight_lattice)
@@ -265,5 +266,4 @@ def wonderful_stability_report(invariants: SphericalInvariants,
             rays = fan.rays_of(sv.violating_cone.mask)
         elif not stable:
             problems += (_LATTICE_MOVED,)
-    return WonderfulReport(validity.ok, is_wonderful(fan, vcone), stable,
-                           generator, problems, rays)
+    return WonderfulReport(valid, wonderful, stable, generator, problems, rays)

@@ -290,3 +290,11 @@ def test_non_strictly_convex_cone_is_reported():
     assert r.fan_valid is False and r.wonderful is None and r.stable is None
     assert r.problems == ("the valuation cone has nontrivial lineality, so no "
                           "fan has it as a maximal strictly convex cone",)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_report_refuses_a_cap_below_one(symmetric, triality, cap):
+    # the face fan enumerates no face, and still a bad cap is a wrong
+    # argument, as it is for a stated fan
+    with pytest.raises(ValueError, match=f"cap must be a positive integer, got {cap}"):
+        wonderful_stability_report(symmetric, triality, cap=cap)

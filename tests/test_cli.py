@@ -301,19 +301,25 @@ def test_check_fan_decides_meets_the_ray_sums_miss(capsys):
 
 def test_check_fan_caps_face_enumeration(capsys, monkeypatch):
     # the closure and the (empty) root table fit under 8; the 16 faces of
-    # the valuation cone do not
-    f = str(DATA / "face_fan_over_cap.json")
+    # the stated fan's one cone do not
+    f = str(DATA / "stated_fan_over_cap.json")
     assert run(capsys, "check-fan", f, "--cap", "8") == (
-        64, "", "error: face_fan_over_cap.json: face enumeration exceeded "
+        64, "", "error: stated_fan_over_cap.json: face enumeration exceeded "
         "cap 8\n")
     assert run(capsys, "check-fan", f, "--cap", "16")[:2] == (
-        0, "face_fan_over_cap.json: valid: yes, wonderful: yes, stable: yes\n")
+        0, "stated_fan_over_cap.json: valid: yes, wonderful: yes, stable: yes\n")
     monkeypatch.setenv("SPHDESCENT_CAP", "15")
     assert run(capsys, "check-fan", f, "--json") == (
-        64, "", "error: face_fan_over_cap.json: face enumeration exceeded "
+        64, "", "error: stated_fan_over_cap.json: face enumeration exceeded "
         "cap 15\n")
     monkeypatch.delenv("SPHDESCENT_CAP")
     assert run(capsys, "check-fan", f)[0] == 0
+    # without the fan block the face fan is decided from the cone's rays,
+    # and no face is enumerated
+    assert run(capsys, "check-fan", str(DATA / "face_fan_over_cap.json"),
+               "--cap", "8") == (
+        0, "face_fan_over_cap.json: valid: yes, wonderful: yes, stable: yes\n",
+        "")
 
 
 def spin8_pattern_on_a(n):
@@ -336,8 +342,8 @@ def spin8_pattern_on_a(n):
 
 
 def test_check_fan_on_a_rank_10_face_fan(capsys, tmp_path):
-    # 1,024 faces: each is a face of the valuation cone, so only that one
-    # cone has its faces enumerated and no pair of cones is tested
+    # the face fan has 1,024 cones, but it is decided from the valuation
+    # cone's 10 rays: no face is enumerated and no pair of cones is tested
     f = tmp_path / "a10.json"
     f.write_text(json.dumps(spin8_pattern_on_a(10)), encoding="utf-8")
     assert run(capsys, "check-fan", str(f), "--json") == (0, json_text(
