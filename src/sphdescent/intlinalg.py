@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 
 Vec = tuple[int, ...]
@@ -31,7 +32,7 @@ def vec_neg(a):
 
 
 def vec_dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_is_zero(a) -> bool:
@@ -132,15 +133,15 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = other.transpose().entries
+        ot = tuple(zip(*other.entries)) or ((),) * other.cols  # zip of no rows has no columns
         return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(vec_dot(r, c) for c in ot) for r in self.entries))
+                         tuple(tuple(sum(map(mul, r, c)) for c in ot) for r in self.entries))
 
     def apply(self, v) -> tuple:
         """Matrix times column vector; accepts int or Fraction entries."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in self.entries)
+        return tuple(sum(map(mul, r, v)) for r in self.entries)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix(self.rows, self.cols,

@@ -390,11 +390,11 @@ def lift_s_permutation(brd: BasedRootDatum, perm) -> BRDAutomorphism | None:
     if any(cartan[perm[i]][perm[j]] != cartan[i][j] for i in range(k) for j in range(k)):
         return None
     n = brd.rank
-    semis = [i for i in range(n) if i not in set(brd.torus_coords)]
+    semis = sorted(set(range(n)) - set(brd.torus_coords))
     if len(semis) != k and k > 0:
         return None  # lattice does not split off the torus block
     c = [[cov[j] for j in semis] for cov in brd.simple_coroots]
-    pc = [c[perm.index(i)] for i in range(k)]
+    pc = [c[j] for j in sorted(range(k), key=perm.__getitem__)]  # row i is c[perm^-1(i)]
     d, dm = solve_fraction_free(c, pc)
     if any(x % d for row in dm for x in row):
         return None

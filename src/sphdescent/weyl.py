@@ -1,14 +1,18 @@
 """Weyl group computations: orbits and conjugacy of root subsets.
 
 An orbit is enumerated from its dominant member, read on the simple system
-alone: each vector carries its pairings with the simple coroots, which a
-simple reflection updates by a column of the Cartan matrix.  The start
-vector descends to the dominant chamber, a fundamental domain (Humphreys,
-Reflection Groups and Coxeter Groups, 1.12), and the orbit is the tree in
-which s_i mu is a child of mu when <mu, alpha_i^vee> > 0 and i is the least
-index with a negative pairing at s_i mu; every element but the dominant one
-has exactly one parent, so no element is produced twice.  Vectors stay in
-integers when the start vector is integral and in exact rationals otherwise.
+alone: each vector mu carries its pairings p_j = <mu, alpha_j^vee>, and s_i
+changes only the entries of mu in the support of alpha_i and the p_j in the
+support of column i of the Cartan matrix A: at most four of each in the
+simply connected and adjoint bases.  The start vector descends to the
+dominant chamber, a fundamental domain (Humphreys, Reflection Groups and
+Coxeter Groups, 1.12), and the orbit is the tree in which s_i mu is a child
+of mu when p_i > 0 and i is the least index with a negative pairing at
+s_i mu.  As s_i raises each other p_j by -p_i A[j][i] >= 0, that test reads
+only the negative p_j of mu, and one at a j < i that is not a neighbour of
+i fails it.  Every element but the dominant one has exactly one parent, so
+no element is produced twice.  Vectors stay in integers when the start
+vector is integral and in exact rationals otherwise.
 Conjugacy of root subsets first compares two W-invariant integer statistics
 of the form B(x, y) = sum over coroots c of <x, c><y, c>, which answers "not
 conjugate" without a search whenever they differ.  Otherwise it walks the
@@ -59,37 +63,47 @@ def weyl_orbit(brd: BasedRootDatum, v, cap: int = ORBIT_CAP) -> frozenset:
     ValueError when cap is below 1.
     """
     check_cap(cap)
-    mu = tuple(Fraction(x) for x in v)
+    mu = [Fraction(x) for x in v]
     if len(mu) != brd.rank:
         raise ValueError("vector length mismatch")
     if all(x.denominator == 1 for x in mu):
-        mu = tuple(int(x) for x in mu)
-    simple = brd.simple_roots
+        mu = [int(x) for x in mu]
     cartan = brd.cartan_matrix.entries
-    cols = [tuple(row[i] for row in cartan) for i in range(len(simple))]  # <alpha_i, alpha_j^vee>
-    p = tuple(vec_dot(mu, cov) for cov in brd.simple_coroots)
+    # the nonzero entries of alpha_i and of column i of A, (<alpha_i, alpha_j^vee>)_j
+    alphas = [[(x, a) for x, a in enumerate(alpha) if a] for alpha in brd.simple_roots]
+    cols = [[(j, row[i]) for j, row in enumerate(cartan) if row[i]] for i in range(len(cartan))]
+    def reflect(mu, p, i, c):
+        """s_i in place on mu and its pairings p, where c = p[i]."""
+        for x, a in alphas[i]:
+            mu[x] -= c * a
+        for j, a in cols[i]:
+            p[j] -= c * a
+    p = [vec_dot(mu, cov) for cov in brd.simple_coroots]
     # descend: s_i with <mu, alpha_i^vee> < 0 moves mu up by a positive multiple of alpha_i
-    i = next((i for i, c in enumerate(p) if c < 0), None)
-    while i is not None:
-        c = p[i]
-        mu = tuple(x - c * a for x, a in zip(mu, simple[i]))
-        p = tuple(x - c * y for x, y in zip(p, cols[i]))
-        i = next((i for i, c in enumerate(p) if c < 0), None)
-    orbit = [mu]
-    stack = [(mu, p)]
+    while (i := next((j for j, c in enumerate(p) if c < 0), None)) is not None:
+        reflect(mu, p, i, p[i])
+    orbit = [tuple(mu)]
+    stack = [(orbit[0], p)]
     while stack:
         mu, p = stack.pop()
+        neg = [j for j, c in enumerate(p) if c < 0]
         for i, c in enumerate(p):
             if c <= 0:
                 continue
-            q = tuple(x - c * y for x, y in zip(p, cols[i]))
-            if any(x < 0 for x in q[:i]):
+            # s_i mu keeps p_j - c A[j][i] < 0 for some j < i: not a child
+            for j in neg:
+                if j > i or p[j] < c * cartan[j][i]:
+                    break
+            else:
+                j = i
+            if j < i:
                 continue  # its parent is s_j of it for a smaller j
-            nu = tuple(x - c * a for x, a in zip(mu, simple[i]))
-            orbit.append(nu)
+            nu, q = list(mu), p[:]
+            reflect(nu, q, i, c)
+            orbit.append(tuple(nu))
             if len(orbit) > cap:
                 raise CapExceeded(f"orbit exceeded cap {cap}")
-            stack.append((nu, q))
+            stack.append((orbit[-1], q))
     return frozenset(orbit)
 
 

@@ -16,6 +16,7 @@ from sphdescent.intlinalg import (
     hnf,
     kernel_lattice,
     snf,
+    vec_dot,
     vec_is_zero,
     vstack,
 )
@@ -126,6 +127,33 @@ def test_snf_properties(m):
             assert b % a == 0
         else:
             assert b == 0
+
+
+def test_dense_kernels_match_a_naive_loop():
+    rng = random.Random(18)
+    for rows, inner, cols in product(range(6), repeat=3):
+        a = [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
+        v = [rng.randint(-9, 9) for _ in range(inner)]
+        w = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(inner)]
+        m = IntMatrix(rows, inner, tuple(map(tuple, a)))
+        naive = [[0] * cols for _ in range(rows)]
+        for i in range(rows):
+            for j in range(cols):
+                for t in range(inner):
+                    naive[i][j] += a[i][t] * b[t][j]
+        assert m @ IntMatrix(inner, cols, tuple(map(tuple, b))) == IntMatrix(
+            rows, cols, tuple(map(tuple, naive)))
+        for x in (v, w):
+            want = [0] * rows
+            for i in range(rows):
+                for t in range(inner):
+                    want[i] += a[i][t] * x[t]
+            assert m.apply(x) == tuple(want)
+            assert [vec_dot(r, x) for r in a] == want
+        with pytest.raises(ValueError, match="^vector length mismatch$"):
+            m.apply(v + [0])
+    assert IntMatrix(2, 0, ((), ())) @ IntMatrix(0, 3, ()) == IntMatrix(2, 3, ((0,) * 3,) * 2)
 
 
 def test_lattice_canonical_and_membership():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import epsilon_rootdata_oracle as oracle
+from sphdescent.intlinalg import vec_dot
 from sphdescent.rootdata import CapExceeded, build_root_datum, lift_s_permutation
 from sphdescent.weyl import are_weyl_conjugate, root_subset, weyl_orbit
 
@@ -51,6 +52,16 @@ def test_orbit_cap_below_one_is_refused(cap):
     # once a cap hit: "orbit exceeded cap 0"
     with pytest.raises(ValueError, match=f"^cap must be a positive integer, got {cap}$"):
         weyl_orbit(build_root_datum("A", 2), (-1, 1), cap=cap)
+
+
+def test_regular_e6_orbit_has_one_element_per_weyl_element():
+    e6, rho = build_root_datum("E", 6), (1,) * 6
+    orbit = weyl_orbit(e6, rho)
+    assert len(orbit) == 51_840  # |W(E6)|: rho has trivial stabiliser
+    dominant = [u for u in orbit if all(vec_dot(u, c) >= 0 for c in e6.simple_coroots)]
+    assert dominant == [rho]
+    with pytest.raises(CapExceeded, match="^orbit exceeded cap 51839$"):
+        weyl_orbit(e6, rho, cap=51_839)
 
 
 def test_orbit_accepts_rational_vectors(d4):
