@@ -3,17 +3,17 @@
 Everything here is arbitrary-precision integer or rational arithmetic; no
 floating point is used anywhere.  Two eliminations do all of the linear
 algebra.  `hnf` is the row Hermite normal form, with no transform.  It gives
-lattice bases; unimodularity (the HNF is the identity); kernels, as the
-rows of HNF([M^T | I]) with zero left block are (0, u) for u in a Hermite
-basis of the kernel of M (Cohen, A Course in Computational Algebraic Number
-Theory, 2.4); and invariant factors, as `snf` alternates row and column
-HNFs.  `solve_fraction_free` solves a square system as an integer numerator
-over a determinant; it gives inverses, adjugates, rational solutions and
-singularity.  Lattices are subgroups of Z^n stored by a canonical row
-Hermite basis, so syntactic equality of the stored form decides
-mathematical equality.  Finitely generated abelian groups are cokernel
-presentations read through their invariant factors; no Smith coordinates
-or transforms are kept.
+lattice bases; kernels, as the rows of HNF([M^T | I]) with zero left block
+are (0, u) for u in a Hermite basis of the kernel of M (Cohen, A Course in
+Computational Algebraic Number Theory, 2.4); and invariant factors, as `snf`
+alternates row and column HNFs.  `solve_fraction_free` solves a square
+system as an integer numerator over a determinant; it gives inverses,
+adjugates, rational solutions, singularity and unimodularity (|det| = 1,
+with an empty right-hand block).  Lattices are subgroups of Z^n stored by a
+canonical row Hermite basis, so syntactic equality of the stored form
+decides mathematical equality.  Finitely generated abelian groups are
+cokernel presentations read through their invariant factors; no Smith
+coordinates or transforms are kept.
 """
 from __future__ import annotations
 
@@ -72,6 +72,9 @@ def solve_fraction_free(a, r) -> tuple[int, list[list[int]]]:
     Returns (d, d X) with d = +-det(a): one fraction-free Gauss-Jordan pass
     over [a | r] keeps every entry the latest pivot times the true one, and
     the last pivot is +-det(a), so the right block ends as d X in integers.
+    A row whose pivot-column entry is 0 is left as it is when the pivot
+    equals the previous one, as its update (p x - 0 y) / p is the identity;
+    identity, permutation and block systems then cost O(n^2).
     Returns (0, []) when a is singular.
     """
     n = len(a)
@@ -84,8 +87,8 @@ def solve_fraction_free(a, r) -> tuple[int, list[list[int]]]:
         aug[c], aug[piv] = aug[piv], aug[c]
         p, prow = aug[c][c], aug[c]
         for i in range(n):
-            if i != c:
-                f = aug[i][c]
+            f = aug[i][c]
+            if i != c and (f or p != det):
                 aug[i] = [(p * x - f * y) // det for x, y in zip(aug[i], prow)]
         det = p
     return det, [row[n:] for row in aug]
@@ -149,7 +152,9 @@ class IntMatrix:
                                for ra, rb in zip(self.entries, other.entries)))
 
     def is_unimodular(self) -> bool:
-        return self.rows == self.cols and hnf(self) == IntMatrix.identity(self.rows)
+        """|det| = 1, read off the last pivot of solve_fraction_free."""
+        return (self.rows == self.cols
+                and solve_fraction_free(self.entries, [()] * self.rows)[0] in (1, -1))
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse of a unimodular matrix (stays integral): the

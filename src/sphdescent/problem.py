@@ -199,6 +199,8 @@ def _qvec(row):
 
 
 def _num_out(x):
+    if type(x) is int:
+        return x
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 

@@ -17,7 +17,9 @@ every lattice and every direct sum.
 
 Automorphisms are decided on S alone: a unimodular m permuting the simple
 roots and, compatibly, the simple coroots normalises W, so it preserves R and
-the root-coroot bijection.  Diagram automorphisms lift by one elimination.
+the root-coroot bijection.  A diagram automorphism lifts as a permutation
+matrix when it preserves the block of the simple coroots, as it does in the
+simply connected and adjoint bases, and otherwise by one elimination.
 """
 from __future__ import annotations
 
@@ -131,7 +133,8 @@ class BasedRootDatum:
     and pairing(chi, y) is the dot product.  The simple roots and coroots
     determine the datum, so equality and hashing read only them; the root
     table (roots, coroots, positive_roots, root_set, coroot_of) is built from
-    them on first read.  Roots are listed in increasing order, and
+    them on first read, and so is the Cartan matrix, unless the builder
+    already holds it.  Roots are listed in increasing order, and
     positive_roots lists, in that order, the roots with nonnegative
     simple-root coordinates.
     """
@@ -249,8 +252,11 @@ def build_root_datum(letter: str, rank: int, isogeny: str = "simply_connected",
         simple, coroots = _custom_simple_system(lattice_basis, cartan)
     else:
         raise ValueError(f"unknown isogeny {isogeny!r}")
-    return BasedRootDatum(components=((letter, rank),), isogeny=isogeny, rank=rank,
-                          simple_roots=tuple(simple), simple_coroots=tuple(coroots))
+    brd = BasedRootDatum(components=((letter, rank),), isogeny=isogeny, rank=rank,
+                         simple_roots=tuple(simple), simple_coroots=tuple(coroots))
+    # in every lattice <alpha_j, alpha_i^vee> = A[i][j]: seed the cached property
+    brd.__dict__["cartan_matrix"] = IntMatrix(rank, rank, tuple(map(tuple, cartan)))
+    return brd
 
 
 def torus(rank: int) -> BasedRootDatum:
@@ -376,11 +382,14 @@ def lift_s_permutation(brd: BasedRootDatum, perm) -> BRDAutomorphism | None:
 
     On the semisimple coordinates the lift is M = C^-1 P C, where C holds the
     simple coroots as rows (it maps X to fundamental-weight coordinates) and
-    P sends row i of C to row perm[i]; then M alpha_i = alpha_perm[i].  One
-    fraction-free elimination of [C | P C] gives d M with d = +-det(C).  The
-    lift acts trivially on any central torus block.  Returns None when the
-    permutation does not preserve the Cartan matrix or M is not integral,
-    i.e. does not stabilize the chosen lattice X.
+    P sends row i of C to row perm[i]; then M alpha_i = alpha_perm[i].  When
+    C[perm[i]][perm[j]] == C[i][j], C commutes with P, so M = P, the
+    permutation matrix e_j -> e_perm[j]: C is I in the simply connected basis
+    and A in the adjoint one.  Otherwise one fraction-free elimination of
+    [C | P C] gives d M with d = +-det(C).  The lift acts trivially on any
+    central torus block.  Returns None when the permutation does not preserve
+    the Cartan matrix or M is not integral, i.e. does not stabilize the
+    chosen lattice X.  Either way the lift passes as_brd_automorphism.
     """
     k = len(brd.simple_roots)
     perm = tuple(perm)
@@ -394,13 +403,16 @@ def lift_s_permutation(brd: BasedRootDatum, perm) -> BRDAutomorphism | None:
     if len(semis) != k and k > 0:
         return None  # lattice does not split off the torus block
     c = [[cov[j] for j in semis] for cov in brd.simple_coroots]
-    pc = [c[j] for j in sorted(range(k), key=perm.__getitem__)]  # row i is c[perm^-1(i)]
-    d, dm = solve_fraction_free(c, pc)
-    if any(x % d for row in dm for x in row):
-        return None
+    if all(c[perm[i]][perm[j]] == x for i, row in enumerate(c) for j, x in enumerate(row)):
+        d, dm = 1, [[int(i == perm[j]) for j in range(k)] for i in range(k)]
+    else:
+        pc = [c[j] for j in sorted(range(k), key=perm.__getitem__)]  # row i is c[perm^-1(i)]
+        d, dm = solve_fraction_free(c, pc)
+        if any(x % d for row in dm for x in row):
+            return None
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for i, row in zip(semis, dm):
         for j, x in zip(semis, row):
             rows[i][j] = x // d
-    return as_brd_automorphism(brd, IntMatrix.from_rows(rows, n))
+    return as_brd_automorphism(brd, IntMatrix(n, n, tuple(map(tuple, rows))))
 

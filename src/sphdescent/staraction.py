@@ -3,9 +3,11 @@
 A Galois group acts on a based root datum through a homomorphism to its
 (finite, for semisimple data) automorphism group.  We represent the action by
 its image: a named generating set together with the full closure, whose
-capped construction is the check that the image is finite.  Matrix
-generators pass rootdata's test on the simple roots and coroots; simple-root
-permutations are lifted by one fraction-free elimination.  One element moves
+capped construction is the check that the image is finite.  Simple-root
+permutations are lifted by rootdata, as a permutation matrix in the simply
+connected and adjoint bases and by one fraction-free elimination otherwise;
+every generator, lifted or stated as a matrix, passes rootdata's test on the
+simple roots and coroots.  One element moves
 to a stable sublattice of X, or to the dual V of one, by
 restrict_to_sublattice and dual_matrix_on_V, which give None when it moves
 the lattice; it moves simple-root indices by its permutation `s_perm`.
@@ -84,23 +86,20 @@ def build_action(brd: BasedRootDatum, generators, names=None,
     ident = identity_automorphism(brd)
     elements = [ident]
     seen = {ident.matrix.entries}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in gens:
-                prod = el.compose(g)
-                if prod.matrix.entries in seen:
-                    continue
-                if len(elements) >= cap:
-                    raise ClosureCapExceeded(
-                        f"closure exceeds {cap} elements; the action must factor "
-                        "through a finite group (for a torus factor, pick "
-                        "generators of finite order)")
-                seen.add(prod.matrix.entries)
-                nxt.append(prod)
-                elements.append(prod)
-        frontier = nxt
+    # breadth first: the loop reads each element as it is appended, so the
+    # products come level by level, and those of the identity are the gens
+    for el in elements:
+        for g in gens:
+            prod = g if el is ident else el.compose(g)
+            if prod.matrix.entries in seen:
+                continue
+            if len(elements) >= cap:
+                raise ClosureCapExceeded(
+                    f"closure exceeds {cap} elements; the action must factor "
+                    "through a finite group (for a torus factor, pick "
+                    "generators of finite order)")
+            seen.add(prod.matrix.entries)
+            elements.append(prod)
     return GaloisAction(brd, names, gens, tuple(elements))
 
 

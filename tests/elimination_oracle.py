@@ -14,7 +14,10 @@ library against them, and for the other oracles that solve in `Fraction`:
 * `SmithCoordinates` and `fixed_elements_enumerated`: canonical coordinates
   of a finitely generated abelian group from its Smith transform, and the
   brute-force fixed elements of a finite one under automorphisms;
-* `solve_exact`: Gauss-Jordan elimination in `Fraction`.
+* `solve_exact`: Gauss-Jordan elimination in `Fraction`;
+* `lift_by_elimination`: the lift C^-1 P C of a permutation of the simple
+  roots, solved column by column in `Fraction`, which `rootdata` formed for
+  every permutation before it lifted Cartan-preserving blocks C as P.
 """
 from fractions import Fraction
 from itertools import product
@@ -279,3 +282,21 @@ def solve_exact(rows, rhs):
         x[c] = aug[i][n]
     return tuple(x)
 
+
+
+def lift_by_elimination(brd, perm):
+    """The matrix on X of the lift of a permutation of S, or None when it is
+    not integral.  On the semisimple coordinates it is C^-1 P C, where C
+    holds the simple coroots as rows and row i of P C is row perm^-1(i) of
+    C; it is the identity on the torus block."""
+    k, n = len(brd.simple_roots), brd.rank
+    semis = [i for i in range(n) if i not in set(brd.torus_coords)]
+    c = [[cov[j] for j in semis] for cov in brd.simple_coroots]
+    pc = [c[perm.index(i)] for i in range(k)]
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for b, col in zip(semis, (solve_exact(c, [row[j] for row in pc]) for j in range(k))):
+        for a, x in zip(semis, col):
+            m[a][b] = x
+    if any(x.denominator != 1 for row in m for x in row):
+        return None
+    return IntMatrix.from_rows(m, n)

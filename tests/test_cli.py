@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sphdescent.cli import corpus_names, corpus_root, main
-from sphdescent.problem import parse_dict
+from sphdescent.problem import parse_dict, parse_file
 
 ALL_CORPUS = [
     "d4_horo_bad_I.json",
@@ -662,3 +662,24 @@ def test_check_fan_finds_the_faces_of_stated_maximal_cones(capsys):
                         (1, ()), (1, ((1, 0),)), (1, ((1, 1),)))]
     assert doc["stable"] is False and doc["violating_generator"] == "s"
     assert doc["violating_cone_rays"] == [[0, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("name,code,status,moved", [
+    ("d4_adjoint_triality_stable.json", 0, "form_exists", None),
+    ("d4_adjoint_triality_moved.json", 1, "no_form", "t")])
+def test_adjoint_diagram_lifts_from_a_file(capsys, name, code, status, moved):
+    # on the root lattice of D4 the triality t and the swap s lift as
+    # permutation matrices; every corpus file is simply connected
+    f = str(DATA / name)
+    out = run(capsys, "verdict", f, "--json")
+    assert out[0] == code and out[2] == ""
+    doc = json.loads(out[1])
+    assert doc["status"] == status
+    failed = [e for e in doc["trace"] if not e["ok"]]
+    assert failed == ([] if moved is None else [
+        {"check": f"invariants preserved by generator '{moved}'", "ok": False,
+         "detail": "moves the simple-root subset"}])
+    out = run(capsys, "check-invariants", f, "--json")
+    assert out[0] == code and json.loads(out[1])["warnings"] == []
+    problem = parse_file(f)
+    assert problem.brd.isogeny == "adjoint" and problem.action.order == 6

@@ -3,9 +3,11 @@
 `kernel_lattice` (one HNF of [M^T | I]) and `Lattice.from_rows` (an HNF with
 no transform) are compared with the transform-tracking HNF and its
 two-HNF kernel, `snf` (alternating row and column HNFs) with the diagonal
-of the transform-tracking Smith form, and `IntMatrix.is_unimodular` (the HNF
-is the identity) with the Bareiss determinant, and `solve_fraction_free`
-with the `Fraction` solve; all of these oracles are kept in
+of the transform-tracking Smith form, `IntMatrix.is_unimodular` (the last
+pivot of `solve_fraction_free` is +-1) with the Bareiss determinant,
+`solve_fraction_free` with the `Fraction` solve, and `lift_s_permutation`
+(a permutation matrix where the block of the simple coroots allows it) with
+the lift C^-1 P C solved in `Fraction`; all of these oracles are kept in
 `elimination_oracle`.
 """
 import random
@@ -16,7 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elimination_oracle as oracle
-from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice, snf, solve_fraction_free
+from sphdescent import intlinalg, rootdata
+from sphdescent.intlinalg import (
+    IntMatrix,
+    Lattice,
+    hnf,
+    kernel_lattice,
+    snf,
+    solve_fraction_free,
+)
 from sphdescent.rootdata import build_root_datum, direct_sum, lift_s_permutation, torus
 
 entries = st.integers(min_value=-5, max_value=5)
@@ -165,12 +175,15 @@ def test_solve_fraction_free_matches_on_the_lift_systems(letter, rank, isogeny):
     assert_lift_systems_solve(build_root_datum(letter, rank, isogeny))
 
 
-@pytest.mark.parametrize("letter,rank,basis", [
+CUSTOM_LATTICES = [
     ("A", 1, [[2]]),
     ("A", 3, [[2, 0, 0], [0, 1, 0], [1, 0, 1]]),
     ("D", 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]]),
     ("B", 2, [[0, 1], [1, 0]]),
-])
+]
+
+
+@pytest.mark.parametrize("letter,rank,basis", CUSTOM_LATTICES)
 def test_solve_fraction_free_matches_on_custom_lattices(letter, rank, basis):
     # the custom builder solves B^T against the Cartan matrix for the simple
     # roots in the chosen basis
@@ -186,3 +199,149 @@ def test_solve_fraction_free_matches_on_direct_sums_with_tori():
                 direct_sum(torus(2), build_root_datum("B", 3, "adjoint")),
                 direct_sum(build_root_datum("C", 2), build_root_datum("G", 2))):
         assert_lift_systems_solve(brd)
+
+
+# -- the identity skip, unimodularity by the last pivot -------------------------
+
+def signed_permutation(rng, n, signs=(1, -1)):
+    order = rng.sample(range(n), n)
+    return [[rng.choice(signs) * (j == order[i]) for j in range(n)] for i in range(n)]
+
+
+def skip_systems(seed):
+    """Square matrices on which solve_fraction_free leaves rows as they are:
+    the identity, permutation and signed permutation matrices, and block
+    upper-triangular unimodular ones, whose diagonal blocks are signed
+    permutations and unimodular products of elementary matrices."""
+    rng = random.Random(seed)
+    for n in range(7):
+        yield IntMatrix.identity(n)
+        for _ in range(5):
+            yield IntMatrix.from_rows(signed_permutation(rng, n, (1,)), n)
+            yield IntMatrix.from_rows(signed_permutation(rng, n), n)
+            a = rng.randint(0, n)
+            top = signed_permutation(rng, a, rng.choice(((1,), (1, -1))))
+            low = [[int(i == j) for j in range(n - a)] for i in range(n - a)]
+            for _ in range(2 * (n - a)):
+                i, j, q = rng.randrange(n - a), rng.randrange(n - a), rng.choice((-2, -1, 1, 2))
+                if i != j:
+                    low[i] = [x + q * y for x, y in zip(low[i], low[j])]
+            yield IntMatrix.from_rows(
+                [row + [rng.randint(-3, 3) for _ in range(n - a)] for row in top]
+                + [[0] * a + row for row in low], n)
+
+
+def test_solve_fraction_free_matches_where_rows_are_left_as_they_are():
+    rng = random.Random(11)
+    kinds = set()
+    for m in skip_systems(seed=10):
+        det = oracle.bareiss_det(m)
+        assert det in (1, -1)
+        assert_solve_matches(m, [[rng.randint(-4, 4) for _ in range(3)] for _ in range(m.rows)])
+        assert_solve_matches(m, IntMatrix.identity(m.rows).entries)
+        assert solve_fraction_free(m.entries, [()] * m.rows) == (
+            solve_fraction_free(m.entries, IntMatrix.identity(m.rows).entries)[0],
+            [[] for _ in range(m.rows)])
+        assert m.is_unimodular()
+        kinds.add(det)
+    assert kinds == {1, -1}
+
+
+def test_is_unimodular_on_signed_permutations_and_other_shapes():
+    rng = random.Random(12)
+    for n in range(6):
+        for signs in ((1,), (1, -1), (-1,)):
+            m = IntMatrix.from_rows(signed_permutation(rng, n, signs), n)
+            assert m.is_unimodular() and m.inverse_unimodular() @ m == IntMatrix.identity(n)
+    doubled = IntMatrix.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, 1]])
+    assert not doubled.is_unimodular()
+    for m in (IntMatrix(0, 3, ()), IntMatrix(2, 0, ((), ())), IntMatrix.from_rows([[1, 0]]),
+              IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]),
+              IntMatrix.from_rows([[0, 1], [1, 0], [0, 0]])):
+        assert not m.is_unimodular()
+    assert IntMatrix(0, 0, ()).is_unimodular()
+    # the Hermite test it replaced agrees on every shape
+    for m in (doubled, IntMatrix(0, 3, ()), IntMatrix.from_rows([[0, 1], [1, 0], [0, 0]]),
+              *random_square_matrices(60, seed=13)):
+        assert m.is_unimodular() == (m.rows == m.cols and hnf(m) == IntMatrix.identity(m.rows))
+
+
+# -- diagram lifts: a permutation matrix where C allows it, else the solve -----
+
+def cartan_preserving_permutations(cartan):
+    """Every perm with cartan[perm[i]][perm[j]] == cartan[i][j], in
+    lexicographic order, by extending partial permutations that agree."""
+    k = len(cartan)
+    out = []
+
+    def extend(perm):
+        i = len(perm)
+        if i == k:
+            out.append(tuple(perm))
+            return
+        for v in range(k):
+            if v not in perm and cartan[v][v] == cartan[i][i] and all(
+                    cartan[v][p] == cartan[i][j] and cartan[p][v] == cartan[j][i]
+                    for j, p in enumerate(perm)):
+                extend(perm + [v])
+
+    extend([])
+    return out
+
+
+@pytest.fixture()
+def solve_widths(monkeypatch):
+    """The width of the right-hand block of every solve_fraction_free call,
+    through intlinalg or rootdata; the unimodularity test has width 0."""
+    widths = []
+    original = intlinalg.solve_fraction_free
+
+    def counted(a, r):
+        widths.append(len(r[0]) if r else 0)
+        return original(a, r)
+
+    for module in (intlinalg, rootdata):
+        monkeypatch.setattr(module, "solve_fraction_free", counted)
+    return widths
+
+
+@pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
+@pytest.mark.parametrize("letter,rank", [("A", n) for n in range(1, 10)]
+                         + [("D", n) for n in range(3, 10)] + [("E", 6)])
+def test_standard_lifts_are_permutation_matrices_with_no_solve(letter, rank, isogeny,
+                                                               solve_widths):
+    brd = build_root_datum(letter, rank, isogeny)
+    perms = cartan_preserving_permutations(brd.cartan_matrix.entries)
+    assert len(perms) == (6 if (letter, rank) == ("D", 4) else 1 if rank == 1 else 2)
+    for perm in perms:
+        lifted = lift_s_permutation(brd, perm)
+        assert lifted.s_perm == perm
+        assert lifted.matrix == oracle.lift_by_elimination(brd, perm)
+        assert lifted.matrix.entries == tuple(tuple(int(i == perm[j]) for j in range(rank))
+                                              for i in range(rank))
+    # one unimodularity test a lift, by its last pivot, and no solve
+    assert solve_widths == [0] * len(perms)
+
+
+def test_other_lifts_match_the_elimination(solve_widths):
+    data = [build_root_datum(letter, rank, "custom_lattice", basis)
+            for letter, rank, basis in CUSTOM_LATTICES]
+    data += [torus(0), torus(2),
+             direct_sum(build_root_datum("A", 2), torus(1)),
+             direct_sum(torus(2), build_root_datum("B", 3, "adjoint")),
+             direct_sum(build_root_datum("C", 2), build_root_datum("G", 2)),
+             direct_sum(torus(1), build_root_datum("D", 4, "adjoint")),
+             direct_sum(build_root_datum("A", 2), build_root_datum("A", 2, "adjoint"))]
+    solved, refused = set(), 0
+    for brd in data:
+        for perm in cartan_preserving_permutations(brd.cartan_matrix.entries):
+            solve_widths.clear()
+            lifted = lift_s_permutation(brd, perm)
+            want = oracle.lift_by_elimination(brd, perm)
+            assert (None if lifted is None else lifted.matrix) == want, (brd.components, perm)
+            assert lifted is None or lifted.s_perm == perm
+            refused += lifted is None
+            if any(solve_widths):
+                solved.add(brd.isogeny)
+    # the custom lattices' blocks that perm does not preserve are still solved
+    assert "custom_lattice" in solved and refused

@@ -325,7 +325,7 @@ def test_mask_layer_computes_no_hermite_form(hnf_calls):
     minus = IntMatrix.from_rows([[-int(i == j) for j in range(5)]
                                  for i in range(5)])
     moving = build_action(torus(5), [shift, minus], names=("s", "m"))
-    assert hnf_calls  # the counter sees the conversions and the closure
+    assert hnf_calls  # the counter sees the cone conversions
     hnf_calls.clear()
     fan = wonderful_fan(cone)
     assert len(fan) > 20

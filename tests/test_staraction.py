@@ -52,6 +52,26 @@ def test_full_s3_closure_order_six(d4):
     assert act.order == 6
 
 
+@pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
+def test_s3_closure_order_and_cap(isogeny):
+    # breadth first from the generators, the triality t and the swap s, then
+    # their products t.t, t.s and s.t, which complete the group
+    brd = build_root_datum("D", 4, isogeny)
+    gens = [(2, 1, 3, 0), (0, 1, 3, 2)]
+    act = build_action(brd, gens, cap=6)
+    assert act.order == 6
+    assert [el.s_perm for el in act.elements] == [
+        (0, 1, 2, 3), (2, 1, 3, 0), (0, 1, 3, 2), (3, 1, 0, 2), (2, 1, 0, 3), (3, 1, 2, 0)]
+    # in both bases the lifts are the permutation matrices e_j -> e_perm[j]
+    assert [el.matrix.entries for el in act.elements] == [
+        tuple(tuple(int(i == p[j]) for j in range(4)) for i in range(4))
+        for p in (el.s_perm for el in act.elements)]
+    with pytest.raises(ClosureCapExceeded, match=(
+            r"^closure exceeds 5 elements; the action must factor through a finite "
+            r"group \(for a torus factor, pick generators of finite order\)$")):
+        build_action(brd, gens, cap=5)
+
+
 def test_closure_is_a_group(d4):
     act = build_action(d4, [(2, 1, 3, 0), (0, 1, 3, 2)])
     mats = {el.matrix.entries for el in act.elements}
