@@ -161,6 +161,14 @@ def _simple_indices(indices) -> frozenset:
     return out
 
 
+def _exact(x):
+    """x as an int when integral, else as a Fraction; equal and hashed alike."""
+    if type(x) is int:
+        return x
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
+
+
 @dataclass(frozen=True)
 class ColorRecord:
     """Image data of one color: its valuation vector and its simple-root set."""
@@ -169,7 +177,7 @@ class ColorRecord:
     sigma: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", tuple(Fraction(x) for x in self.rho))
+        object.__setattr__(self, "rho", tuple(map(_exact, self.rho)))
         object.__setattr__(self, "sigma", _simple_indices(self.sigma))
 
     def key(self):

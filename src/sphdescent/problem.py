@@ -16,7 +16,13 @@ Coordinate conventions for user input:
   library's canonical coordinates (dual of the Hermite basis), so verdicts
   do not depend on which basis the author chose.
 * Rational entries are integers or strings like "3/2".  Floats are rejected
-  everywhere, integral ones such as 1.0 included.
+  everywhere, integral ones such as 1.0 included.  Integral entries are
+  kept as ints, and only the others become Fractions.
+
+The schema check is a tree of closures, one per SCHEMA node, compiled once
+at import.  Scalar array items are tested inline; only an item that fails
+goes through its node's message path.  The first violation at the
+shallowest path is raised, worded as jsonschema words it.
 """
 import json
 import re
@@ -187,7 +193,9 @@ SCHEMA = {
 
 
 def _scalar(x):
-    """Exact scalar from an int or a 'p/q' string."""
+    """Exact scalar from an int or a 'p/q' string: an int when integral."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ProblemError(f"expected an integer or 'p/q' string, got {x!r}")
     f = Fraction(x)
@@ -195,7 +203,7 @@ def _scalar(x):
 
 
 def _qvec(row):
-    return tuple(_scalar(x) for x in row)
+    return tuple(map(_scalar, row))
 
 
 def _num_out(x):
@@ -336,14 +344,16 @@ def _parse_horospherical(block, brd: BasedRootDatum) -> HorosphericalDatum:
         subset.add(i - 1)
     m = block["M"]
     denom = m.get("denominator", 1)
-    gens = []
-    for r in m["generators"]:
-        row = _qvec(r)
-        if len(row) != brd.rank:
-            raise ProblemError(f"M generators must have length {brd.rank}")
-        gens.append(tuple(Fraction(x, denom) for x in row))
-    return HorosphericalDatum(frozenset(subset),
-                              RationalLattice.from_generators(brd.rank, gens))
+    rows = [_qvec(r) for r in m["generators"]]
+    if any(len(row) != brd.rank for row in rows):
+        raise ProblemError(f"M generators must have length {brd.rank}")
+    if all(type(x) is int for row in rows for x in row):
+        # integral rows are denom * M already; __post_init__ reduces the pair
+        lattice = RationalLattice(denom, Lattice.from_rows(brd.rank, rows))
+    else:
+        lattice = RationalLattice.from_generators(
+            brd.rank, [tuple(Fraction(x, denom) for x in row) for row in rows])
+    return HorosphericalDatum(frozenset(subset), lattice)
 
 
 def _parse_module(block, label: str) -> MultiplicativeTypeModule:
@@ -409,6 +419,8 @@ def _parse_fan(block, inv: SphericalInvariants | None, t_inv, brd) -> ColoredFan
 
 
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "boolean": bool}
+_KEYWORDS = {"$schema", "type", "const", "enum", "minimum", "minLength", "minProperties",
+             "pattern", "required", "properties", "additionalProperties", "items", "anyOf"}
 
 
 def _is_type(x, name) -> bool:
@@ -417,53 +429,124 @@ def _is_type(x, name) -> bool:
             and isinstance(x, bool) == (name == "boolean"))
 
 
-def _violations(x, schema, path=()):
-    """(path, message) for each way x breaks a SCHEMA node, in key order and
-    worded as jsonschema words them.  Only SCHEMA's keywords are known."""
-    if "type" in schema and not _is_type(x, schema["type"]):
-        yield path, f"{x!r} is not of type {schema['type']!r}"
-        return
-    for key, arg in schema.items():
-        if key == "const" and not (type(x) is type(arg) and x == arg):
-            yield path, f"{arg!r} was expected"
-        elif key == "enum" and not any(type(x) is type(e) and x == e for e in arg):
-            yield path, f"{x!r} is not one of {arg!r}"
-        elif key == "minimum" and x < arg:
-            yield path, f"{x!r} is less than the minimum of {arg!r}"
-        elif key in ("minLength", "minProperties") and len(x) < arg:  # arg is 1
-            yield path, f"{x!r} should be non-empty"
-        elif key == "pattern" and not re.search(arg, x):
-            yield path, f"{x!r} does not match {arg!r}"
-        elif key == "required":
-            yield from ((path, f"{k!r} is a required property")
-                        for k in arg if k not in x)
-        elif key == "properties":
-            for k, sub in arg.items():
-                if k in x:
-                    yield from _violations(x[k], sub, path + (k,))
-        elif key == "additionalProperties":
-            extra = sorted(k for k in x if k not in schema.get("properties", {}))
-            if arg is False and extra:
-                yield path, ("Additional properties are not allowed ("
-                             f"{', '.join(map(repr, extra))} "
-                             f"{'was' if len(extra) == 1 else 'were'} unexpected)")
-            elif arg is not False:
-                for k in extra:
-                    yield from _violations(x[k], arg, path + (k,))
-        elif key == "items":
+def _children(triples, best=None):
+    """The first violation at the shallowest path among `best` and the
+    (key, value, check) children after it, the child's key put in front."""
+    for k, value, check in triples:
+        v = check(value)
+        if v is not None and (best is None or len(v[0]) < len(best[0]) - 1):
+            best = (k,) + v[0], v[1]
+    return best
+
+
+def _compile(node):
+    """One closure for a SCHEMA node, x -> None or (path, message): the
+    violation at the shallowest path below x, the first in key order among
+    those, worded as jsonschema words it.  ValueError for a keyword that
+    is not checked."""
+    if node.keys() - _KEYWORDS:
+        raise ValueError(f"unchecked schema keywords {sorted(node.keys() - _KEYWORDS)}")
+    typ = node.get("type")
+    checks = [_keyword(k, arg, node) for k, arg in node.items() if k not in ("$schema", "type")]
+
+    def check(x):
+        if typ is not None and not _is_type(x, typ):
+            return (), f"{x!r} is not of type {typ!r}"
+        best = None
+        for c in checks:
+            v = c(x)
+            if v is not None and (best is None or len(v[0]) < len(best[0])):
+                best = v
+        return best
+    return check
+
+
+def _keyword(key, arg, node):
+    """The check of one keyword of a node, a closure as _compile's are."""
+    if key == "const":
+        return lambda x: None if type(x) is type(arg) and x == arg else (
+            (), f"{arg!r} was expected")
+    if key == "enum":
+        typed = [(type(e), e) for e in arg]
+        return lambda x: None if (type(x), x) in typed else (
+            (), f"{x!r} is not one of {arg!r}")
+    if key == "minimum":
+        return lambda x: None if x >= arg else (
+            (), f"{x!r} is less than the minimum of {arg!r}")
+    if key in ("minLength", "minProperties"):  # arg is 1
+        return lambda x: None if len(x) >= arg else ((), f"{x!r} should be non-empty")
+    if key == "pattern":
+        search = re.compile(arg).search
+        return lambda x: None if search(x) else ((), f"{x!r} does not match {arg!r}")
+    if key == "required":
+        def required(x):
+            for k in arg:
+                if k not in x:
+                    return (), f"{k!r} is a required property"
+        return required
+    known = node.get("properties", {}).keys()
+    if key == "additionalProperties" and arg is False:
+        def closed(x):
+            extra = sorted(x.keys() - known)
+            return (), ("Additional properties are not allowed ("
+                        f"{', '.join(map(repr, extra))} "
+                        f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        return lambda x: None if x.keys() <= known else closed(x)
+    if key == "additionalProperties":
+        sub = _compile(arg)
+        return lambda x: _children((k, x[k], sub) for k in sorted(x.keys() - known))
+    if key == "properties":
+        subs = [(k, _compile(sub)) for k, sub in arg.items()]
+        after = {k: subs[i + 1:] for i, (k, _) in enumerate(subs)}
+
+        def properties(x):
+            for k, c in subs:
+                if k in x and (v := c(x[k])) is not None:
+                    return _children(((j, x[j], c) for j, c in after[k] if j in x),
+                                     ((k,) + v[0], v[1]))
+        return properties
+    if key == "items":
+        # an item of a scalar leaf, an integer or a _QNUM, is tested inline,
+        # and only an array with an item that fails that test goes to `sub`
+        sub = _compile(arg)
+        leaf = arg == _QNUM or arg.get("type") == "integer" and arg.keys() <= {"type", "minimum"}
+        low = arg.get("minimum", float("-inf"))
+        search = re.compile(_QNUM["anyOf"][1]["pattern"]).search if arg == _QNUM else None
+
+        def items(x):
+            if leaf:
+                for item in x:
+                    if not (type(item) is int and item >= low
+                            or search and type(item) is str and search(item)):
+                        break
+                else:
+                    return None
             for i, item in enumerate(x):
-                yield from _violations(item, arg, path + (i,))
-        elif key == "anyOf" and all(next(_violations(x, sub, path), None)
-                                    for sub in arg):
-            # jsonschema's best match: the branch of x's type, if there is one
-            typed = [sub for sub in arg if "type" in sub and _is_type(x, sub["type"])]
-            yield from (_violations(x, typed[0], path) if len(typed) == 1 else
-                        [(path, f"{x!r} is not valid under any of the given schemas")])
+                if (v := sub(item)) is not None:
+                    return _children(((j, x[j], sub) for j in range(i + 1, len(x))),
+                                     ((i,) + v[0], v[1]))
+        return items
+    # anyOf: jsonschema's best match is the branch of x's type, if there is one
+    subs = [(s.get("type"), _compile(s)) for s in arg]
+
+    def any_of(x):
+        typed = []
+        for t, c in subs:
+            if (v := c(x)) is None:
+                return None
+            if t is not None and _is_type(x, t):
+                typed.append(v)
+        return typed[0] if len(typed) == 1 else (
+            (), f"{x!r} is not valid under any of the given schemas")
+    return any_of
+
+
+_CHECK_SCHEMA = _compile(SCHEMA)
 
 
 def _check_schema(data):
     """Raise ProblemError for the first violation of SCHEMA at the shallowest path."""
-    found = min(_violations(data, SCHEMA), key=lambda v: len(v[0]), default=None)
+    found = _CHECK_SCHEMA(data)
     if found is not None:
         where = "/".join(str(p) for p in found[0]) or "(top level)"
         raise ProblemError(f"schema violation at {where}: {found[1]}")

@@ -41,7 +41,8 @@ def check_cap(cap):
 
 
 WEYL_CAP = 10 ** 7
-# Default bound on |R| * rank, the size of a datum's root table.
+# Default bound on max(|R|, rank) * rank: a datum's root table, or a
+# torus's matrix on X.
 ROOT_TABLE_CAP = 10 ** 6
 
 
@@ -232,16 +233,19 @@ def build_root_datum(letter: str, rank: int, isogeny: str = "simply_connected",
     isogeny selects X: "simply_connected" (weight lattice), "adjoint" (root
     lattice), or "custom_lattice" with `lattice_basis` rows expressed in
     fundamental-weight coordinates (the lattice must contain all roots).
-    Raises CapExceeded, before anything is built, when the root table
-    |R| * rank would exceed cap, and ValueError when cap is below 1.
+    Raises CapExceeded, before anything is built, when max(|R|, rank) * rank,
+    the root table or for a torus one matrix on X, would exceed cap, and
+    ValueError when cap is below 1.
     """
     check_cap(cap)
+    roots = 0 if letter == "torus" else _root_count(letter, rank)
+    size = max(roots, rank) * rank
+    if size > cap:
+        what = "root table" if roots else "matrix on X"
+        raise CapExceeded(f"root datum {letter}{rank}: {what} of {size} entries "
+                          f"exceeds cap {cap}")
     if letter == "torus":
         return torus(rank)
-    size = _root_count(letter, rank) * rank
-    if size > cap:
-        raise CapExceeded(f"root datum {letter}{rank}: root table of {size} entries "
-                          f"exceeds cap {cap}")
     cartan = _cartan_matrix(letter, rank)
     unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     if isogeny == "simply_connected":

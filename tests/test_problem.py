@@ -110,6 +110,38 @@ def test_fraction_strings_and_denominator_agree():
     assert parse_dict(via_denominator).horospherical.characters == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4),
+    st.integers(1, 12))))
+def test_integral_rows_and_fractions_give_one_lattice(case):
+    # integral rows of M build (denominator, lattice) directly, p/q rows go
+    # through from_generators: both reach the same canonical form
+    n, rows, denom = case
+    direct = RationalLattice(denom, Lattice.from_rows(n, [tuple(r) for r in rows]))
+    assert direct == RationalLattice.from_generators(
+        n, [tuple(Fraction(x, denom) for x in r) for r in rows])
+
+    def parsed(m):
+        return parse_dict(doc(root_datum={"type": "torus", "rank": n},
+                              horospherical={"I": [], "M": m})).horospherical.characters
+    strings = [[f"{x}/{denom}" for x in r] for r in rows]
+    assert parsed({"generators": rows, "denominator": denom}) == direct
+    assert parsed({"generators": strings}) == direct
+
+
+def test_integral_entries_stay_ints():
+    assert [type(x) for x in problem._qvec([3, "4/2", "1/2", "-0"])] == [
+        int, int, Fraction, int]
+    rec = ColorRecord((Fraction(2), Fraction(1, 2), -1), {0})
+    assert [type(x) for x in rec.rho] == [int, Fraction, int]
+    assert rec == ColorRecord((2, Fraction(1, 2), Fraction(-1)), {0})
+    assert hash(rec) == hash(ColorRecord((Fraction(2), Fraction(1, 2), -1), {0}))
+    p = parse_dict(load_corpus("spin8_trialitary"))
+    assert all(type(x) is int for rec in p.invariants.omega1 for x in rec.rho)
+
+
 # -- schema and cross-reference validation ------------------------------------------
 
 def test_floats_are_rejected():
@@ -360,6 +392,75 @@ def test_schema_uses_only_the_walked_keywords():
         assert set(node) - {"$schema"} <= _WALKED, node
         # the walk words minLength and minProperties for a minimum of 1
         assert node.get("minLength", 1) == node.get("minProperties", 1) == 1
+
+
+# messages from documents with several violations: the shallowest path
+# wins, and among paths of one depth the first in SCHEMA's key order, then
+# item order; the order of the document's own keys plays no part
+SEVERAL = [
+    (doc(root_datum={"type": "H", "rank": -1}),
+     "root_datum/type: 'H' is not one of ['A', 'B', 'C', 'D', 'E', 'F', 'G', 'torus']"),
+    (doc(root_datum={"rank": -1, "type": "H"}),
+     "root_datum/type: 'H' is not one of ['A', 'B', 'C', 'D', 'E', 'F', 'G', 'torus']"),
+    (doc(root_datum={"type": "A", "rank": "2"}, extra=1),
+     "(top level): Additional properties are not allowed ('extra' was unexpected)"),
+    ({"title": 3}, "(top level): 'schema' is a required property"),
+    ({"extra": 1, "other": 2}, "(top level): 'schema' is a required property"),
+    (doc(hypotheses={"char_zero": 1}, root_datum={"type": "A", "rank": "2"}),
+     "root_datum/rank: '2' is not of type 'integer'"),
+    (doc(horospherical={"I": [0, -1], "M": {"generators": [["x"]]}}),
+     "horospherical/I/0: 0 is less than the minimum of 1"),
+    (doc(fan={"cones": [{"rays": [[1.5, "a/b"]], "colors": [{"rho": ["1/0"]}]}]}),
+     "fan/cones/0/colors/0: 'sigma' is a required property"),
+    (doc(invariants={"weight_lattice": {"basis": [[1, True]]},
+                     "valuation_cone": {"generators": [[0.5]]},
+                     "colors": {"omega1": [{"rho": ["1/0"]}]}}),
+     "invariants/colors/omega1/0: 'sigma' is a required property"),
+    (doc(cohomology={"A_characters": {"presentation": [[1.5]],
+                                      "action": {"b": [[1.5]], "a": "x"}}}),
+     "cohomology/A_characters/action/a: 'x' is not of type 'array'"),
+    (doc(cohomology={"A_characters": {"presentation": [],
+                                      "action": {k: k for k in "fedcba"}}}),
+     "cohomology/A_characters/action/a: 'a' is not of type 'array'"),
+    (doc(action={"generators": [{"name": "", "s_permutation": [0]}, {"extra": 1}]}),
+     "action/generators/1: 'name' is a required property"),
+    (doc(fan={"cones": [{"rays": [["x"], [1.5]]}, {"rays": [[True]]}]}),
+     "fan/cones/0/rays/0/0: 'x' does not match '^-?[0-9]+(/[1-9][0-9]*)?$'"),
+    (doc(fan={"cones": [{"rays": [[1.5]]}, {"rays": [], "extra": 1}]}),
+     "fan/cones/1: Additional properties are not allowed ('extra' was unexpected)"),
+    (doc(root_datum={"type": "A", "rank": 2, "isogeny": "x", "more": 1}),
+     "root_datum: Additional properties are not allowed ('more' was unexpected)"),
+]
+
+
+@pytest.mark.parametrize("bad,message", SEVERAL)
+def test_schema_messages_for_several_violations(bad, message):
+    with pytest.raises(ProblemError) as got:
+        _check_schema(bad)
+    assert str(got.value) == f"schema violation at {message}"
+
+
+@pytest.mark.parametrize("node", [
+    {"type": "integer", "maximum": 3},
+    {"type": "array", "items": {"type": "string", "format": "date"}},
+    {"type": "object", "properties": {"a": {"oneOf": [{"type": "integer"}]}}},
+])
+def test_schema_compiler_refuses_keywords_it_does_not_check(node):
+    with pytest.raises(ValueError, match="unchecked schema keywords"):
+        problem._compile(node)
+
+
+def test_schema_is_compiled_once_at_import(monkeypatch):
+    calls = []
+
+    def counted(node):
+        calls.append(node)
+        return compile_(node)
+    compile_ = problem._compile
+    monkeypatch.setattr(problem, "_compile", counted)
+    for name in corpus_names():
+        parse_dict(load_corpus(name[:-len(".json")]))
+    assert calls == []
 
 
 # -- the walk against jsonschema -------------------------------------------------------------

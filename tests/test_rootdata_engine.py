@@ -9,6 +9,7 @@ the test on every root kept in the same module.  `weyl_orbit`, which
 descends to the dominant chamber, is compared with the breadth-first search
 kept in `bfs_orbit_oracle`.
 """
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -158,6 +159,30 @@ def test_cli_exits_64_on_an_oversized_root_datum(tmp_path, capsys):
     assert "error: spin8_trialitary.json: " in capsys.readouterr().err
     assert main(["weyl-orbit", "D", "300", "1" + ",0" * 299]) == 64
     assert "root datum D300" in capsys.readouterr().err
+
+
+def test_cli_exits_64_on_an_oversized_torus(tmp_path, capsys, monkeypatch):
+    # a torus has no roots, but each action closure builds a matrix on X of
+    # rank * rank entries: it is refused before the datum is made
+    n = 1001
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({
+        "schema": 1, "root_datum": {"type": "torus", "rank": n},
+        "action": {"generators": []},
+        "horospherical": {"I": [], "M": {"generators": [[1] + [0] * (n - 1)]}}}))
+
+    def torus(rank):
+        raise AssertionError("torus built")
+    with monkeypatch.context() as m:
+        m.setattr(rootdata, "torus", torus)
+        assert main(["verdict", str(path)]) == 64
+    assert capsys.readouterr().err == (
+        f"error: {path}: root datum torus1001: matrix on X of 1002001 entries "
+        "exceeds cap 1000000\n")
+    assert build_root_datum("torus", n - 1).rank == n - 1
+    assert build_root_datum("torus", 3, cap=9).rank == 3
+    with pytest.raises(CapExceeded, match="root datum torus3: matrix on X of 9 entries"):
+        build_root_datum("torus", 3, cap=8)
 
 
 # -- Weyl group and conjugacy -----------------------------------------------------------
