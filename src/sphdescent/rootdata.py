@@ -19,13 +19,16 @@ Automorphisms are decided on S alone: a unimodular m permuting the simple
 roots and, compatibly, the simple coroots normalises W, so it preserves R and
 the root-coroot bijection.  A diagram automorphism lifts as a permutation
 matrix when it preserves the block of the simple coroots, as it does in the
-simply connected and adjoint bases, and otherwise by one elimination.
+simply connected and adjoint bases, and otherwise by one elimination.  Data
+are immutable: build_root_datum interns up to 128 simply connected and adjoint
+ones, so each builds its Cartan matrix, root table and lifts once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .intlinalg import IntMatrix, Vec, solve_fraction_free, vec_dot, vec_neg
 
@@ -164,6 +167,10 @@ class BasedRootDatum:
         _validate_datum(self, table)
         return table
 
+    @cached_property
+    def _lifts(self) -> dict:  # lift_s_permutation's answers, verified once
+        return {}
+
     @property
     def roots(self) -> tuple[Vec, ...]:
         return self._table.roots
@@ -181,8 +188,8 @@ class BasedRootDatum:
         return self._table.root_set
 
     @property
-    def coroot_of(self) -> dict:
-        return self._table.coroot_of
+    def coroot_of(self) -> Mapping:
+        return MappingProxyType(self._table.coroot_of)  # read-only: data are shared
 
     @cached_property
     def cartan_matrix(self) -> IntMatrix:
@@ -235,7 +242,8 @@ def build_root_datum(letter: str, rank: int, isogeny: str = "simply_connected",
     fundamental-weight coordinates (the lattice must contain all roots).
     Raises CapExceeded, before anything is built, when max(|R|, rank) * rank,
     the root table or for a torus one matrix on X, would exceed cap, and
-    ValueError when cap is below 1.
+    ValueError when cap is below 1.  Equal simply connected or adjoint
+    requests return one shared datum.
     """
     check_cap(cap)
     roots = 0 if letter == "torus" else _root_count(letter, rank)
@@ -246,6 +254,12 @@ def build_root_datum(letter: str, rank: int, isogeny: str = "simply_connected",
                           f"exceeds cap {cap}")
     if letter == "torus":
         return torus(rank)
+    if isogeny in ("simply_connected", "adjoint"):
+        return _interned_datum(letter, rank, isogeny)
+    return _build(letter, rank, isogeny, lattice_basis)
+
+
+def _build(letter, rank, isogeny, lattice_basis=None) -> BasedRootDatum:
     cartan = _cartan_matrix(letter, rank)
     unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     if isogeny == "simply_connected":
@@ -261,6 +275,10 @@ def build_root_datum(letter: str, rank: int, isogeny: str = "simply_connected",
     # in every lattice <alpha_j, alpha_i^vee> = A[i][j]: seed the cached property
     brd.__dict__["cartan_matrix"] = IntMatrix(rank, rank, tuple(map(tuple, cartan)))
     return brd
+
+
+# 128 holds all 36 irreducible types in both bases; typed=True: rank 2.0 misses
+_interned_datum = lru_cache(maxsize=128, typed=True)(_build)
 
 
 def torus(rank: int) -> BasedRootDatum:
@@ -393,7 +411,8 @@ def lift_s_permutation(brd: BasedRootDatum, perm) -> BRDAutomorphism | None:
     [C | P C] gives d M with d = +-det(C).  The lift acts trivially on any
     central torus block.  Returns None when the permutation does not preserve
     the Cartan matrix or M is not integral, i.e. does not stabilize the
-    chosen lattice X.  Either way the lift passes as_brd_automorphism.
+    chosen lattice X.  Either way the lift passes as_brd_automorphism, once:
+    the answer for a Cartan-preserving permutation is kept on the datum.
     """
     k = len(brd.simple_roots)
     perm = tuple(perm)
@@ -402,7 +421,13 @@ def lift_s_permutation(brd: BasedRootDatum, perm) -> BRDAutomorphism | None:
     cartan = brd.cartan_matrix.entries
     if any(cartan[perm[i]][perm[j]] != cartan[i][j] for i in range(k) for j in range(k)):
         return None
-    n = brd.rank
+    if perm not in brd._lifts:
+        brd._lifts[perm] = _lift(brd, perm)
+    return brd._lifts[perm]
+
+
+def _lift(brd: BasedRootDatum, perm: tuple[int, ...]) -> BRDAutomorphism | None:
+    k, n = len(perm), brd.rank
     semis = sorted(set(range(n)) - set(brd.torus_coords))
     if len(semis) != k and k > 0:
         return None  # lattice does not split off the torus block

@@ -7,7 +7,7 @@ capped construction is the check that the image is finite.  Simple-root
 permutations are lifted by rootdata, as a permutation matrix in the simply
 connected and adjoint bases and by one fraction-free elimination otherwise;
 every generator, lifted or stated as a matrix, passes rootdata's test on the
-simple roots and coroots.  One element moves
+simple roots and coroots, a lift once: the datum keeps it.  One element moves
 to a stable sublattice of X, or to the dual V of one, by
 restrict_to_sublattice and dual_matrix_on_V, which give None when it moves
 the lattice; it moves simple-root indices by its permutation `s_perm`.
