@@ -6,8 +6,9 @@ facet inequalities (primitive, orthogonal to the equation space), and a
 Hermite basis of the equation lattice.  Structural equality of two cones is
 then the same as equality of the point sets they define.
 
-Conversion between descriptions, and the feasibility question of whether
-relative interiors meet, go to the one double-description engine in `ratlp`.
+Conversion between descriptions, one pass each, and the feasibility question
+of whether relative interiors meet go to the one double-description engine
+in `ratlp`.
 
 A colored fan holds one sorted list of primitive rays and each of its cones
 as a bit mask over that list plus its colors: fan cones are strictly convex,
@@ -27,6 +28,7 @@ from .intlinalg import (
     IntMatrix,
     _int_vec,
     kernel_lattice,
+    solve_fraction_free,
     vec_dot,
     vec_integral,
     vec_neg,
@@ -71,32 +73,48 @@ def _check_rows(dim: int, rows) -> None:
         raise ValueError("dimension mismatch")
 
 
-def _kernel(dim: int, rows, rank: int) -> tuple:
-    """Hermite basis of the integer vectors orthogonal to rational rows of
-    the given rank: () at full rank, with no Hermite form to compute."""
-    if rank == dim:
-        return ()
-    rows = [r for r in map(vec_primitive, rows) if r is not None]
+def _kernel(dim: int, rows) -> tuple:
+    """Hermite basis of the integer vectors orthogonal to integer rows."""
     if not rows:
         return IntMatrix.identity(dim).entries
     return kernel_lattice(IntMatrix.from_rows(rows, cols=dim)).basis.entries
 
 
 def cone_from_generators(dim: int, generators) -> RationalCone:
-    """Canonical cone spanned by rational generators (possibly redundant)."""
+    """Canonical cone spanned by rational generators (possibly redundant).
+
+    One double-description pass gives the facets, the rays of the polar,
+    and the generators on each.  A face is spanned by the generators it
+    holds, so the lineality L is nonzero exactly when a generator lies on
+    every facet, and the rays modulo L are the generators whose facet sets
+    are maximal among the proper ones, one for each.  With L = {0} they
+    are the rays; else a ray is a generator projected orthogonal to L, by
+    one fraction-free solve on the Gram matrix of L's Hermite basis.
+    """
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
     generators = list(generators)
     _check_rows(dim, generators)
-    # facets of the cone are the extreme rays of its polar dual, whose
-    # lineality is the orthogonal complement of the cone's span
-    ineqs, rank = _hcone_extreme_rays(generators)
-    perp = _kernel(dim, generators, rank)
-    constraints = list(ineqs)
-    for e in perp:
-        constraints += [e, vec_neg(e)]
-    rays, rank = _hcone_extreme_rays(constraints)
-    return RationalCone(dim, rays, _kernel(dim, constraints, rank), ineqs, perp)
+    gens = list(dict.fromkeys(g for g in map(vec_primitive, generators)
+                              if g is not None))
+    ineqs, masks, rank = _hcone_extreme_rays(gens)
+    # the polar's lineality is the orthogonal complement of the cone's span
+    perp = _kernel(dim, gens) if rank < dim else ()
+    # each generator's facet set, as a bit set over the facets
+    on = [sum((m >> k & 1) << i for i, m in enumerate(masks))
+          for k in range(len(gens))]
+    every = (1 << len(ineqs)) - 1
+    proper = {s: g for s, g in zip(on, gens) if s != every}
+    tops = sorted(g for s, g in proper.items() if not any(t & s == s != t for t in proper))
+    if every not in on:
+        return RationalCone(dim, tuple(tops), (), ineqs, perp)
+    lin = _kernel(dim, ineqs + perp)
+    gram = [[vec_dot(a, b) for b in lin] for a in lin]  # positive definite: det > 0
+    det, coeffs = solve_fraction_free(gram, [[vec_dot(a, g) for g in tops]
+                                             for a in lin])
+    rays = (vec_primitive([det * x - vec_dot(col, row) for x, *row in zip(g, *lin)])
+            for g, col in zip(tops, zip(*coeffs)))
+    return RationalCone(dim, tuple(sorted(rays)), lin, ineqs, perp)
 
 
 def cone_from_inequalities(dim: int, inequalities, equations=()) -> RationalCone:
@@ -385,7 +403,9 @@ def is_valid_fan(fan: ColoredFan, v_cone: RationalCone,
     if v_cone.ambient_dim != fan.ambient_dim:
         raise ValueError("fan and valuation cone dimensions differ")
     check_cap(cap)
-    in_v = sum(1 << i for i, r in enumerate(fan.rays) if v_cone.contains(r))
+    v_rays = set(v_cone.rays)  # V's rays lie in V: no facet to scan
+    in_v = sum(1 << i for i, r in enumerate(fan.rays)
+               if r in v_rays or v_cone.contains(r))
 
     def point(mask):
         return tuple(map(sum, zip(*fan.rays_of(mask)))) or (0,) * fan.ambient_dim
@@ -476,7 +496,8 @@ def is_wonderful(fan: ColoredFan, v_cone: RationalCone) -> bool:
         return False
     if sum(fan.rays_of(fc.mask) == v_cone.rays for fc in fan.cones) != 1:
         return False
-    return all(v_cone.contains(r) for r in fan.rays)
+    v_rays = set(v_cone.rays)
+    return all(r in v_rays or v_cone.contains(r) for r in fan.rays)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,8 @@
 `_hcone_extreme_rays` is the one polyhedral engine of the package: the
 incremental double-description method (Motzkin et al. 1953; Fukuda & Prodon
 1996) in integer arithmetic, turning {x : c.x >= 0 for all c} into its
-extreme rays and the rank of its rows; its lineality is the kernel of the
-rows, which `cones` computes where a cone keeps it and the rank is short of
-the dimension.  `cones` builds canonical cones on it, and `feasible`
+extreme rays, their incidence with the rows and the rank of the rows.
+`cones` builds canonical cones on it, one pass each, and `feasible`
 decides a system of weak inequalities c . x >= r with it, by homogenizing
 the system to a cone.  Strict homogeneous inequalities are handled by
 callers through scaling: c . x > 0 is feasible together with a homogeneous
@@ -14,13 +13,16 @@ system iff c . x >= 1 is.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .intlinalg import vec_dot, vec_neg, vec_primitive
 
 
 def _combine(p: int, u, q: int, v) -> tuple[int, ...] | None:
-    """Primitive direction of p*u + q*v, or None when that is zero."""
-    return vec_primitive(tuple(p * x + q * y for x, y in zip(u, v)))
+    """Primitive direction of p*u + q*v for integer u, v; None when zero."""
+    w = tuple(p * x + q * y for x, y in zip(u, v))
+    g = gcd(*w)
+    return (w if g == 1 else tuple(x // g for x in w)) if g else None
 
 
 def _adjacent(z: int, masks) -> bool:
@@ -35,14 +37,16 @@ def _adjacent(z: int, masks) -> bool:
 
 
 def _hcone_extreme_rays(constraints, watch: int | None = None) -> tuple:
-    """Extreme rays, modulo lineality, of {x : c.x >= 0 for all c}, and the
-    rank of the constraint rows.
+    """Extreme rays, modulo lineality, of {x : c.x >= 0 for all c}, their
+    incidence with the constraint rows, and the rank of the rows.
 
-    Returns (rays, rank): the sorted primitive integer ray representatives
-    orthogonal to the lineality space, which is the kernel of the constraint
-    matrix, and the dimension of the row space, so that the lineality is
-    {0} exactly when the rank is the ambient dimension.  With `watch` set,
-    stops with no rays once no ray has a positive entry at that index.
+    Returns (rays, masks, rank): the sorted primitive integer ray
+    representatives orthogonal to the lineality space, which is the kernel
+    of the constraint matrix; for each ray, the bit set of the rows tight on
+    it, bit k standing for the k-th nonzero row; and the dimension of the
+    row space, so that the lineality is {0} exactly when the rank is the
+    ambient dimension.  With `watch` set, stops with no rays once no ray has
+    a positive entry at that index.
     That is final when the first row is x[watch] >= 0, as in `feasible`:
     the lineality left after it lies in x[watch] = 0.
 
@@ -54,7 +58,8 @@ def _hcone_extreme_rays(constraints, watch: int | None = None) -> tuple:
     other constraint keeps the rays on its nonnegative side and adds, for
     each adjacent pair of rays it separates, the positive combination on its
     hyperplane.  Each ray carries the bit set of the constraints so far that
-    are tight on it, which gives the adjacency test.
+    are tight on it, which gives the adjacency test and, at the end, the
+    incidence.
     """
     rows = [c for c in map(vec_primitive, constraints) if c is not None]
     span = list(dict.fromkeys(rows))
@@ -100,8 +105,9 @@ def _hcone_extreme_rays(constraints, watch: int | None = None) -> tuple:
                 new_masks.append(m | bit if t == 0 else m)
         rays, masks = new_rays, new_masks
         if watch is not None and all(r[watch] <= 0 for r in rays):
-            return (), cuts
-    return tuple(sorted(rays)), cuts
+            return (), (), cuts
+    pairs = sorted(zip(rays, masks))
+    return tuple(r for r, _ in pairs), tuple(m for _, m in pairs), cuts
 
 
 def feasible(rows, rhs) -> tuple[Fraction, ...] | None:
@@ -126,6 +132,6 @@ def feasible(rows, rhs) -> tuple[Fraction, ...] | None:
     if any(len(row) != n for row in rows):
         raise ValueError("ragged coefficient rows")
     cone = [(0,) * n + (1,)] + [(*row, -r) for row, r in zip(rows, rhs)]
-    rays, _ = _hcone_extreme_rays(cone, watch=n)
+    rays, _, _ = _hcone_extreme_rays(cone, watch=n)
     ray = next((ray for ray in rays if ray[n] > 0), None)
     return None if ray is None else tuple(Fraction(x, ray[n]) for x in ray[:n])

@@ -140,6 +140,24 @@ def test_full_rank_conversions_compute_no_kernel(kernel_calls):
     assert kernel_calls == []
 
 
+def test_lineality_conversions_compute_one_lineality_kernel(kernel_calls):
+    # a cone of full dimension with a lineality and a facet: the generators
+    # have full rank, so the one kernel is the lineality's, taken of the
+    # facets (the whole space, with no facet, needs none)
+    drawn = [(dim, gens + [tuple(-x for x in gens[0])])
+             for dim, gens in CRITERION_7]
+    lineal = [(dim, gens) for dim, gens in drawn
+              for cone in [cone_from_generators(dim, gens)]
+              if cone.lineality and cone.inequalities and not cone.equations]
+    assert len(lineal) > 50
+    for dim, gens in lineal:
+        kernel_calls.clear()
+        got = cone_from_generators(dim, gens)
+        assert len(kernel_calls) == 1
+        assert kernel_calls[0].entries == got.inequalities
+        assert got == oracle.cone_from_generators(dim, gens)
+
+
 @pytest.mark.parametrize("dim,gens", [
     (2, [(1, 0), (-1, 0), (0, 1)]),  # a half-plane: lineality
     (3, [(1, 1, 0), (1, 0, 0)]),  # a lower-dimensional span

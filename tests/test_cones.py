@@ -159,6 +159,33 @@ def test_feasible_matches_the_simplex_on_seeded_systems():
     assert 400 < sum(x is None for x in answers) < 1100
 
 
+def test_feasible_with_fraction_rows_and_rhs_combines_integers(monkeypatch):
+    """Fraction rows and right-hand sides, against the simplex: the rows are
+    made primitive integer vectors on the way in, so every combination the
+    conversion forms is of integer vectors."""
+    combine, combined = ratlp._combine, []
+
+    def integral(p, u, q, v):
+        assert all(type(x) is int for x in (p, q, *u, *v))
+        combined.append(u)
+        return combine(p, u, q, v)
+
+    monkeypatch.setattr(ratlp, "_combine", integral)
+    rng = random.Random(7070)
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    answers = []
+    for _ in range(600):
+        n, m = rng.randint(1, 5), rng.randint(1, 8)
+        rows = [tuple(rational() for _ in range(n)) for _ in range(m)]
+        rhs = [rational() for _ in rows]
+        answers.append(assert_feasible_agrees_with_the_simplex(rows, rhs))
+    assert 100 < sum(x is None for x in answers) < 500
+    assert len(combined) > 1000
+
+
 def test_feasible_stops_early_on_seeded_infeasible_systems(monkeypatch):
     """Systems with a contradiction c.x >= 1, -c.x >= 0 after at most n - 2
     rows: None, as the simplex says, and the conversion stops before the
