@@ -426,8 +426,7 @@ def is_valid_fan(fan: ColoredFan, v_cone: RationalCone,
     for k, mask in enumerate(masks):
         same[mask] = same.get(mask, 0) | 1 << k
     missing = [None] * len(fan)  # per cone: missing face masks, by rays
-    inside = []  # per enumerated cone: bit set of the fan cones among its faces
-    holders = [0] * len(fan)  # per cone: bit set of the enumerated cones holding it
+    near = [0] * len(fan)  # per cone: fan faces of the enumerated cones holding it
     for k in sorted(range(len(fan)), key=lambda k: -masks[k].bit_count()):
         if missing[k] is not None:
             continue
@@ -442,8 +441,7 @@ def is_valid_fan(fan: ColoredFan, v_cone: RationalCone,
             elif j != k and missing[j] is None:
                 covered.append(j)
         for i in _bits(held):
-            holders[i] |= 1 << len(inside)
-        inside.append(held)
+            near[i] |= held
         missing[k] = sorted(found, key=fan.rays_of)
         for j in covered:
             missing[j] = [m for m in missing[k] if m & masks[j] == m]
@@ -456,11 +454,8 @@ def is_valid_fan(fan: ColoredFan, v_cone: RationalCone,
     separation_ok = True
     everything = (1 << len(fan)) - 1
     for i, a in enumerate(masks):
-        near = 0
-        for u in _bits(holders[i]):
-            near |= inside[u]
         # the cones j > i, less the distinct faces of a cone that holds cone i
-        for j in _bits((everything ^ (near & ~same[a])) >> i + 1 << i + 1):
+        for j in _bits((everything ^ (near[i] & ~same[a])) >> i + 1 << i + 1):
             b = masks[j]
             ri, rj = (_relint(fan.parents[k], masks[k]) for k in (i, j))
             if (any(_relint_contains(other, point(one))

@@ -367,14 +367,6 @@ class BRDAutomorphism:
     matrix: IntMatrix
     s_perm: tuple[int, ...]
 
-    def compose(self, other: "BRDAutomorphism") -> "BRDAutomorphism":
-        return BRDAutomorphism(self.matrix @ other.matrix,
-                               tuple(self.s_perm[j] for j in other.s_perm))
-
-
-def identity_automorphism(brd: BasedRootDatum) -> BRDAutomorphism:
-    return BRDAutomorphism(IntMatrix.identity(brd.rank), tuple(range(len(brd.simple_roots))))
-
 
 def as_brd_automorphism(brd: BasedRootDatum, m: IntMatrix) -> BRDAutomorphism | None:
     """Interpret m as an automorphism of the based root datum, or None.

@@ -2,8 +2,9 @@
 
 A Galois group acts on a based root datum through a homomorphism to its
 (finite, for semisimple data) automorphism group.  We represent the action by
-its image: a named generating set together with the full closure, whose
-capped construction is the check that the image is finite.  Simple-root
+its image: a named generating set and the image's order, found by closing the
+generators' permutations of the orbit of X's standard basis under a cap; that
+capped closure is the check that the image is finite.  Simple-root
 permutations are lifted by rootdata, as a permutation matrix in the simply
 connected and adjoint bases and by one fraction-free elimination otherwise;
 every generator, lifted or stated as a matrix, passes rootdata's test on the
@@ -23,7 +24,6 @@ from .rootdata import (
     CapExceeded,
     as_brd_automorphism,
     check_cap,
-    identity_automorphism,
     lift_s_permutation,
 )
 
@@ -36,17 +36,12 @@ class ClosureCapExceeded(CapExceeded):
 
 @dataclass(frozen=True)
 class GaloisAction:
-    """A finite subgroup of Aut(BRD) with named generators; elements[0] is
-    the identity."""
+    """A finite subgroup of Aut(BRD): its named generators and its order."""
 
     brd: BasedRootDatum
     generator_names: tuple[str, ...]
     generators: tuple[BRDAutomorphism, ...]
-    elements: tuple[BRDAutomorphism, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    order: int
 
 
 def _coerce_generator(brd: BasedRootDatum, gen) -> BRDAutomorphism:
@@ -66,7 +61,8 @@ def _coerce_generator(brd: BasedRootDatum, gen) -> BRDAutomorphism:
 
 def build_action(brd: BasedRootDatum, generators, names=None,
                  cap: int = CLOSURE_CAP) -> GaloisAction:
-    """Validate generators and close them into a finite group.
+    """Validate generators and find the order of the finite group they
+    generate, or raise ClosureCapExceeded when it exceeds the cap.
 
     Each generator may be a BRDAutomorphism, an IntMatrix, or a permutation
     of simple root indices (lifted as a diagram automorphism).  An empty
@@ -83,24 +79,40 @@ def build_action(brd: BasedRootDatum, generators, names=None,
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
 
-    ident = identity_automorphism(brd)
-    elements = [ident]
-    seen = {ident.matrix.entries}
-    # breadth first: the loop reads each element as it is appended, so the
-    # products come level by level, and those of the identity are the gens
-    for el in elements:
-        for g in gens:
-            prod = g if el is ident else el.compose(g)
-            if prod.matrix.entries in seen:
-                continue
-            if len(elements) >= cap:
-                raise ClosureCapExceeded(
-                    f"closure exceeds {cap} elements; the action must factor "
-                    "through a finite group (for a torus factor, pick "
-                    "generators of finite order)")
-            seen.add(prod.matrix.entries)
-            elements.append(prod)
-    return GaloisAction(brd, names, gens, tuple(elements))
+    too_big = ClosureCapExceeded(
+        f"closure exceeds {cap} elements; the action must factor through a "
+        "finite group (for a torus factor, pick generators of finite order)")
+    # O, the orbit of the standard basis, spans X: the group acts on it
+    # faithfully, |O| <= rank * order, and each generator becomes a permutation
+    # of O, the indices of its images (a basis vector's image is a column)
+    n = brd.rank
+    orbit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+    index = {v: i for i, v in enumerate(orbit)}
+    columns = [tuple(zip(*g.matrix.entries)) for g in gens]
+    perms = [[] for _ in gens]
+    for k, v in enumerate(orbit):
+        for g, cols, perm in zip(gens, columns, perms):
+            w = cols[k] if k < n else g.matrix.apply(v)
+            if w not in index:
+                if len(orbit) >= n * cap:
+                    raise too_big
+                index[w] = len(orbit)
+                orbit.append(w)
+            perm.append(index[w])
+    frontier = [tuple(range(len(orbit)))]
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in perms:
+                prod = tuple(map(p.__getitem__, g))
+                if prod not in seen:
+                    if len(seen) >= cap:
+                        raise too_big
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return GaloisAction(brd, names, gens, len(seen))
 
 
 def restrict_to_sublattice(element: BRDAutomorphism, lattice: Lattice) -> IntMatrix | None:

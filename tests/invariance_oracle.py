@@ -9,6 +9,7 @@ element instead of the generators.  Cone images come from the active-set
 engine in `active_set_oracle`.
 """
 from active_set_oracle import image
+from closure_oracle import elements
 from sphdescent.cones import ColorRecord
 from sphdescent.intlinalg import IntMatrix
 
@@ -43,14 +44,14 @@ def preserves_spherical(element, inv) -> bool:
 
 def closure_preserves(action, inv) -> bool:
     """True iff every closure element preserves the spherical invariants."""
-    return all(preserves_spherical(el, inv) for el in action.elements)
+    return all(preserves_spherical(el, inv) for el in elements(action))
 
 
 def preserves_horospherical(action, datum) -> bool:
     """True iff every closure element fixes I as a set and M as a group."""
     if not datum.simple_subset <= set(range(len(action.brd.simple_roots))):
         raise ValueError("subset members must index the simple roots")
-    for el in action.elements:
+    for el in elements(action):
         if frozenset(el.s_perm[i] for i in datum.simple_subset) != datum.simple_subset:
             return False
         if datum.characters.apply(el.matrix) != datum.characters:

@@ -18,6 +18,7 @@ import pytest
 
 import active_set_oracle as oracle
 from active_set_oracle import colored_cones
+from closure_oracle import elements
 from sphdescent import cones
 from sphdescent.cli import corpus_names, corpus_root
 from sphdescent.cones import (
@@ -260,7 +261,7 @@ def test_corpus_images_match_active_set_engine(name, cone, problem):
     maps = [_random_unimodular(rng, cone.ambient_dim)]
     if problem is not None and problem.action is not None:
         maps += [dual_matrix_on_V(g, problem.invariants.weight_lattice)
-                 for g in problem.action.elements]
+                 for g in elements(problem.action)]
     for m in maps:
         _assert_images_match(cone, m)
 

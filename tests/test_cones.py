@@ -331,7 +331,7 @@ def test_image_needs_a_unimodular_matrix(rows):
     with pytest.raises(ValueError):
         preserves_invariants(build_action(torus(3), []), element, inv)
     # an action whose generator never passed build_action's checks
-    action = GaloisAction(torus(3), ("g",), (element,), (element,))
+    action = GaloisAction(torus(3), ("g",), (element,), 2)
     with pytest.raises(ValueError):
         is_gamma_stable(wonderful_fan(c), action, Lattice.full(3))
 

@@ -14,6 +14,7 @@ import random
 import pytest
 
 import invariance_oracle as oracle
+from closure_oracle import elements
 from sphdescent.checker import invariance_entries
 from sphdescent.cli import corpus_names, corpus_root
 from sphdescent.intlinalg import IntMatrix, Lattice
@@ -55,7 +56,7 @@ def _check_transport(action, lattice):
     """Same result as the oracle on every closure element; True if one of
     them moves the lattice."""
     moved = False
-    for el in action.elements:
+    for el in elements(action):
         dual = dual_matrix_on_V(el, lattice)
         assert dual == oracle.dual_matrix_on_V(el, lattice)
         moved = moved or dual is None

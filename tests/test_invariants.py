@@ -5,6 +5,7 @@ import pytest
 
 import active_set_oracle
 import invariance_oracle as oracle
+from closure_oracle import elements
 from sphdescent.checker import invariance_entries
 from sphdescent.cones import ColorRecord, cone_from_generators, cone_from_inequalities
 from sphdescent.intlinalg import IntMatrix, Lattice, vec_dot, vec_neg
@@ -157,7 +158,7 @@ def test_trivial_action_preserves_anything(d4):
     triv = build_action(d4, [])
     inv = symmetric_invariants(d4)
     assert invariant(triv, inv)
-    for el in triv.elements:
+    for el in elements(triv):
         assert preserves_invariants(triv, el, inv) == PRESERVED
 
 
@@ -165,7 +166,7 @@ def test_moved_weight_lattice_blocks_other_flags(d4, triality):
     inv = SphericalInvariants(d4, Lattice.from_rows(4, [alphas(d4)[0]]),
                               cone_from_inequalities(1, [(-1,)]),
                               frozenset(), frozenset())
-    verdict = preserves_invariants(triality, triality.elements[1], inv)
+    verdict = preserves_invariants(triality, elements(triality)[1], inv)
     assert verdict == PreservationVerdict(False, None, None, None)
     ok, entries = invariance_entries(triality, inv)
     assert not ok and [e.check for e in entries if not e.ok] == [
@@ -180,7 +181,7 @@ def test_moved_cone_detected(d4, triality):
     sub = cone_from_generators(4, inv.valuation_cone.rays[:2])
     lopsided = SphericalInvariants(d4, inv.weight_lattice, sub,
                                    frozenset(), frozenset())
-    verdict = preserves_invariants(triality, triality.elements[1], lopsided)
+    verdict = preserves_invariants(triality, elements(triality)[1], lopsided)
     assert verdict.x_ok and not verdict.v_ok
     assert not invariant(triality, lopsided)
 
@@ -190,7 +191,7 @@ def test_moved_colors_detected(d4, triality):
     keep = frozenset(r for r in inv.omega1 if r.sigma != {0})
     partial = SphericalInvariants(d4, inv.weight_lattice, inv.valuation_cone,
                                   keep, frozenset())
-    verdict = preserves_invariants(triality, triality.elements[1], partial)
+    verdict = preserves_invariants(triality, elements(triality)[1], partial)
     assert verdict.x_ok and verdict.v_ok and not verdict.omega1_ok
     assert not invariant(triality, partial)
 
@@ -200,7 +201,7 @@ def test_preservation_extends_to_closure(d4):
     s3 = build_action(d4, [(2, 1, 3, 0), (0, 1, 3, 2)])
     inv = symmetric_invariants(d4)
     assert invariance_entries(s3, inv)[0]
-    for el in s3.elements:
+    for el in elements(s3):
         assert preserves_invariants(s3, el, inv) == PRESERVED
 
 
@@ -214,16 +215,16 @@ def test_apply_to_invariants_agrees_with_equality(d4, triality):
         d4, inv.weight_lattice, inv.valuation_cone,
         frozenset(r for r in inv.omega1 if r.sigma != {0}), frozenset())
     for data, expected in ((inv, True), (lopsided, False), (partial, False)):
-        for el in triality.elements:
+        for el in elements(triality):
             same = transported(el, data) == data
             assert same == (preserves_invariants(triality, el, data) == PRESERVED)
         assert all(preserves_invariants(triality, el, data) == PRESERVED
-                   for el in triality.elements) == expected
+                   for el in elements(triality)) == expected
     bad = SphericalInvariants(d4, Lattice.from_rows(4, [alphas(d4)[0]]),
                               cone_from_inequalities(1, [(-1,)]),
                               frozenset(), frozenset())
-    assert dual_matrix_on_V(triality.elements[1], bad.weight_lattice) is None
-    assert not preserves_invariants(triality, triality.elements[1], bad).x_ok
+    assert dual_matrix_on_V(elements(triality)[1], bad.weight_lattice) is None
+    assert not preserves_invariants(triality, elements(triality)[1], bad).x_ok
 
 
 def test_verdict_independent_of_weight_basis_presentation(d4, triality):

@@ -12,7 +12,6 @@ from sphdescent.rootdata import (
     as_brd_automorphism,
     build_root_datum,
     direct_sum,
-    identity_automorphism,
     lift_s_permutation,
     torus,
     weyl_elements,
@@ -159,10 +158,11 @@ def test_dynkin_automorphism_counts(d4):
 
 def test_triality_is_an_order_three_automorphism(d4):
     tri = lift_s_permutation(d4, (2, 1, 3, 0))
-    sq = tri.compose(tri)
-    cube = sq.compose(tri)
-    assert cube.matrix == IntMatrix.identity(4)
-    assert sq.matrix != IntMatrix.identity(4)
+    sq = tri.matrix @ tri.matrix
+    assert sq @ tri.matrix == IntMatrix.identity(4)
+    assert sq != IntMatrix.identity(4)
+    sq_perm = tuple(tri.s_perm[j] for j in tri.s_perm)
+    assert tuple(sq_perm[j] for j in tri.s_perm) == (0, 1, 2, 3) != sq_perm
 
 
 def test_dynkin_automorphisms_pass_the_full_check(d4):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from closure_oracle import elements
 from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice, vec_dot, vstack
 from sphdescent.rootdata import build_root_datum, torus
 from sphdescent.staraction import (
@@ -26,7 +27,7 @@ def triality(d4):
 
 def on_closure(per_element, action, lattice):
     """per_element(g, lattice) for every element g of the closure, in order."""
-    return [per_element(g, lattice) for g in action.elements]
+    return [per_element(g, lattice) for g in elements(action)]
 
 
 def alpha_coords(brd):
@@ -37,14 +38,16 @@ def alpha_coords(brd):
 def test_trivial_action(d4):
     act = build_action(d4, [])
     assert act.order == 1
-    assert act.elements[0].matrix == IntMatrix.identity(4)
+    assert elements(act)[0].matrix == IntMatrix.identity(4)
 
 
 def test_triality_closure_order_three(triality):
     assert triality.order == 3
     t = triality.generators[0]
-    assert triality.elements == (triality.elements[0], t, t.compose(t))
-    assert triality.elements[0].matrix == IntMatrix.identity(4)
+    ident, first, second = elements(triality)
+    assert ident.matrix == IntMatrix.identity(4) and first == t
+    assert second.matrix == t.matrix @ t.matrix
+    assert second.s_perm == tuple(t.s_perm[j] for j in t.s_perm)
 
 
 def test_full_s3_closure_order_six(d4):
@@ -60,12 +63,13 @@ def test_s3_closure_order_and_cap(isogeny):
     gens = [(2, 1, 3, 0), (0, 1, 3, 2)]
     act = build_action(brd, gens, cap=6)
     assert act.order == 6
-    assert [el.s_perm for el in act.elements] == [
+    els = elements(act)
+    assert [el.s_perm for el in els] == [
         (0, 1, 2, 3), (2, 1, 3, 0), (0, 1, 3, 2), (3, 1, 0, 2), (2, 1, 0, 3), (3, 1, 2, 0)]
     # in both bases the lifts are the permutation matrices e_j -> e_perm[j]
-    assert [el.matrix.entries for el in act.elements] == [
+    assert [el.matrix.entries for el in els] == [
         tuple(tuple(int(i == p[j]) for j in range(4)) for i in range(4))
-        for p in (el.s_perm for el in act.elements)]
+        for p in (el.s_perm for el in els)]
     with pytest.raises(ClosureCapExceeded, match=(
             r"^closure exceeds 5 elements; the action must factor through a finite "
             r"group \(for a torus factor, pick generators of finite order\)$")):
@@ -74,11 +78,13 @@ def test_s3_closure_order_and_cap(isogeny):
 
 def test_closure_is_a_group(d4):
     act = build_action(d4, [(2, 1, 3, 0), (0, 1, 3, 2)])
-    mats = {el.matrix.entries for el in act.elements}
+    els = elements(act)
+    mats = {el.matrix.entries for el in els}
+    assert len(mats) == act.order
     assert IntMatrix.identity(4).entries in mats
-    for a in act.elements:
+    for a in els:
         assert a.matrix.inverse_unimodular().entries in mats
-        for b in act.elements:
+        for b in els:
             assert (a.matrix @ b.matrix).entries in mats
 
 
@@ -143,7 +149,7 @@ def test_restriction_absent_names_violator(d4, triality):
     mats = on_closure(restrict_to_sublattice, triality, lat)
     # the first element that moves the lattice is the generator t
     first = next(k for k, m in enumerate(mats) if m is None)
-    assert triality.elements[first] == triality.generators[0]
+    assert elements(triality)[first] == triality.generators[0]
     assert mats[0] == IntMatrix.identity(1) and mats[1:] == [None, None]
 
 
@@ -222,7 +228,7 @@ def moved_subset(subset, element):
 
 
 def test_action_on_simple_subsets(triality):
-    t = triality.elements[1]
+    t = elements(triality)[1]
     assert moved_subset({1}, t) == {1}
     assert moved_subset({0, 2, 3}, t) == {0, 2, 3}
     assert moved_subset(set(), t) == frozenset()
@@ -231,7 +237,7 @@ def test_action_on_simple_subsets(triality):
 
 def stabilizes(action, subset):
     return all(moved_subset(subset, g) == frozenset(subset)
-               for g in action.elements)
+               for g in elements(action))
 
 
 def test_stabilizes_simple_subset(triality):
