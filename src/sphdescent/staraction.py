@@ -82,9 +82,9 @@ def build_action(brd: BasedRootDatum, generators, names=None,
     too_big = ClosureCapExceeded(
         f"closure exceeds {cap} elements; the action must factor through a "
         "finite group (for a torus factor, pick generators of finite order)")
-    # O, the orbit of the standard basis, spans X: the group acts on it
-    # faithfully, |O| <= rank * order, and each generator becomes a permutation
-    # of O, the indices of its images (a basis vector's image is a column)
+    # O, the orbit of the standard basis, has |O| <= rank * order; generators
+    # become permutations of O (a basis vector's image is a column) and act on
+    # the left on elements, each keyed by the O-indices of its basis images
     n = brd.rank
     orbit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
     index = {v: i for i, v in enumerate(orbit)}
@@ -99,13 +99,13 @@ def build_action(brd: BasedRootDatum, generators, names=None,
                 index[w] = len(orbit)
                 orbit.append(w)
             perm.append(index[w])
-    frontier = [tuple(range(len(orbit)))]
+    frontier = [tuple(range(n))]
     seen = set(frontier)
     while frontier:
         nxt = []
         for p in frontier:
             for g in perms:
-                prod = tuple(map(p.__getitem__, g))
+                prod = tuple(map(g.__getitem__, p))
                 if prod not in seen:
                     if len(seen) >= cap:
                         raise too_big

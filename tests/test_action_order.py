@@ -6,8 +6,9 @@ Inputs: the action of every corpus file, of its seeded re-presentations
 (acceptance criterion 8) and of every file under tests/data; every subgroup of
 the Dynkin diagram's automorphisms for the types A-G of rank at most 8, in
 the simply connected and adjoint bases; seeded groups of signed
-permutations of Z^n, n <= 6.  For each, cap = order passes and
-cap = order - 1 raises the pinned message.  Infinite groups, among them one
+permutations of Z^n, n <= 6, in the standard basis and conjugated into one
+where the basis orbit O has about rank·|G| vectors.  For each, cap = order
+passes and cap = order - 1 raises the pinned message.  Infinite groups, among them one
 generated by two involutions, end in that message too.
 """
 import json
@@ -126,6 +127,56 @@ def test_signed_permutation_orders_match_closure(rank):
     # in rank 6 three draws close below the cap, the single generators; the
     # others raise its message
     assert sum(o is not None for o in orders) >= 3
+
+
+def _mixing(rng, n):
+    """A unimodular L·U with entries 1-3 off the diagonal of L and U: in a
+    basis of its columns the standard basis vectors have almost free orbits
+    under signed permutations, so |O| reaches rank·|G|."""
+    lower = [[rng.randint(1, 3) if j < i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    upper = [[rng.randint(1, 3) if j > i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    return IntMatrix.from_rows(lower) @ IntMatrix.from_rows(upper)
+
+
+def basis_orbit_size(brd, gens, cap):
+    """|O| read off the oracle's closure: the columns of all its elements."""
+    return len({c for el in closure(brd, gens, cap) for c in zip(*el.matrix.entries)})
+
+
+@pytest.mark.parametrize("rank", range(2, 7))
+def test_conjugated_signed_permutation_orders_match_closure(rank):
+    # the signed permutations above in another basis of X, where the basis
+    # orbit O is far larger than the rank
+    rng = random.Random(300 + rank)
+    t = torus(rank)
+    free = 0
+    for draw in range(9):
+        v = _mixing(rng, rank)
+        u = v.inverse_unimodular()
+        gens = [as_brd_automorphism(t, u @ _signed_permutation(rng, rank) @ v)
+                for _ in range(1 + draw % 3)]
+        order = assert_order_is_closure_size(t, gens, cap=2000)
+        if order is not None and order >= 24:
+            free += basis_orbit_size(t, gens, order) == rank * order
+    assert free >= (rank > 2)
+
+
+def test_conjugated_hyperoctahedral_group_of_rank_5():
+    # all 3,840 signed permutations of Z^5, generated by a 5-cycle, a
+    # transposition and a sign, in a basis where |O| is 10,560 (5·3,840 at
+    # most)
+    t = torus(5)
+    rows = [[[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)],
+            [[int(j == (1, 0, 2, 3, 4)[i]) for j in range(5)] for i in range(5)],
+            [[(-1 if i == 0 else 1) * int(i == j) for j in range(5)] for i in range(5)]]
+    v = _mixing(random.Random(5), 5)
+    u = v.inverse_unimodular()
+    gens = [as_brd_automorphism(t, u @ IntMatrix.from_rows(r) @ v) for r in rows]
+    assert assert_order_is_closure_size(t, gens, cap=3840) == 3840
+    assert basis_orbit_size(t, gens, 3840) > 2 * 3840
+    assert_order_is_closure_size(t, gens, cap=100)
 
 
 # two involutions whose product is the shear [[1, -1], [0, 1]]: the group is
