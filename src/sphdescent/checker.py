@@ -29,7 +29,7 @@ from .invariants import (
     preserves_invariants,
 )
 from .rootdata import WEYL_CAP, BasedRootDatum, check_cap
-from .staraction import GaloisAction
+from .staraction import GaloisAction, restrict_to_sublattice
 
 FORM_EXISTS = "form_exists"
 NO_FORM = "no_form"
@@ -119,10 +119,11 @@ def _spherical_problems(action: GaloisAction, inv: SphericalInvariants, gen):
 
 
 def _horospherical_problems(action: GaloisAction, datum: HorosphericalDatum, gen):
+    # M = L/d in canonical form: g(M) = M exactly when g keeps L
     moved = frozenset(gen.s_perm[i] for i in datum.simple_subset)
     return [p for ok, p in (
         (moved == datum.simple_subset, "moves the simple-root subset"),
-        (datum.characters.apply(gen.matrix) == datum.characters,
+        (restrict_to_sublattice(gen, datum.characters.lattice) is not None,
          "moves the character group")) if not ok]
 
 

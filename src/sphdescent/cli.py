@@ -12,7 +12,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from functools import cache
 from importlib import resources
 
@@ -26,6 +25,7 @@ from .checker import (
     wonderful_stability_report,
 )
 from .cohomology import h2_local_vanishes, obstruction_verdict
+from .intlinalg import _exact
 from .invariants import validate_horospherical
 from .problem import Problem, ProblemError, _num_out, parse_file
 from .rootdata import CapExceeded, build_root_datum
@@ -43,11 +43,10 @@ def _fmt_vec(v) -> str:
 
 def _parse_vector(text: str):
     try:
-        parts = [Fraction(tok.strip()) for tok in text.split(",")]
+        return tuple(map(_exact, text.split(",")))
     except (ValueError, ZeroDivisionError):
         raise ProblemError(f"cannot read {text!r} as a comma-separated "
                            "vector of exact rationals") from None
-    return tuple(int(f) if f.denominator == 1 else f for f in parts)
 
 
 def _parse_vector_set(text: str):

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from .intlinalg import (
     IntMatrix,
+    _exact,
     _int_vec,
     kernel_lattice,
     solve_fraction_free,
@@ -177,14 +178,6 @@ def _simple_indices(indices) -> frozenset:
     if any(i < 0 for i in out):
         raise ValueError("simple-root indices must be nonnegative")
     return out
-
-
-def _exact(x):
-    """x as an int when integral, else as a Fraction; equal and hashed alike."""
-    if type(x) is int:
-        return x
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else f
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,22 @@
 """Exact integer linear algebra: matrices, normal forms, lattices, abelian groups.
 
 Everything here is arbitrary-precision integer or rational arithmetic; no
-floating point is used anywhere.  Two eliminations do all of the linear
-algebra.  `hnf` is the row Hermite normal form, with no transform.  It gives
-lattice bases; kernels, as the rows of HNF([M^T | I]) with zero left block
-are (0, u) for u in a Hermite basis of the kernel of M (Cohen, A Course in
-Computational Algebraic Number Theory, 2.4); and invariant factors, as `snf`
-alternates row and column HNFs.  `solve_fraction_free` solves a square
-system as an integer numerator over a determinant; it gives inverses,
-adjugates, rational solutions, singularity and unimodularity (|det| = 1,
-with an empty right-hand block).  Lattices are subgroups of Z^n stored by a
-canonical row Hermite basis, so syntactic equality of the stored form
-decides mathematical equality.  Finitely generated abelian groups are
-cokernel presentations read through their invariant factors; no Smith
-coordinates or transforms are kept.
+floating point is used anywhere.  One rule, `_exact`, reads an exact number
+as an int when it is integral and as a Fraction otherwise; the parser, the
+CLI, colors, root subsets and Weyl orbits read numbers through it.  Two
+eliminations do all of the linear algebra.  `hnf` is the row Hermite
+normal form, with no transform.  It gives lattice bases; kernels, as the
+rows of HNF([M^T | I]) with zero left block are (0, u) for u in a Hermite
+basis of the kernel of M (Cohen, A Course in Computational Algebraic Number
+Theory, 2.4); and invariant factors, as `snf` alternates row and column
+HNFs.  `solve_fraction_free` solves a square system as an integer
+numerator over a determinant; it gives inverses, adjugates, rational
+solutions, singularity and unimodularity (|det| = 1, with an empty
+right-hand block).  Lattices are subgroups of Z^n stored by a canonical
+row Hermite basis, so syntactic equality of the stored form decides
+mathematical equality.  Finitely generated abelian groups are cokernel
+presentations read through their invariant factors; no Smith coordinates
+or transforms are kept.
 """
 from __future__ import annotations
 
@@ -46,6 +49,14 @@ def _int_vec(v) -> Vec:
     if out != v:
         raise ValueError(f"entry {next(x for x in v if x != int(x))} is not an integer")
     return out
+
+
+def _exact(x):
+    """x as an int when integral, else as a Fraction; equal and hashed alike."""
+    if type(x) is int:
+        return x
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 def vec_integral(v) -> tuple[int, ...]:
@@ -165,16 +176,6 @@ class IntMatrix:
         if det not in (1, -1):
             raise ValueError("matrix is not unimodular")
         return IntMatrix(n, n, tuple(tuple(det * x for x in row) for row in inv))
-
-
-def vstack(mats: list[IntMatrix]) -> IntMatrix:
-    cols = mats[0].cols
-    rows: list[Vec] = []
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column mismatch in vstack")
-        rows.extend(m.entries)
-    return IntMatrix(len(rows), cols, tuple(rows))
 
 
 def hnf(m: IntMatrix) -> IntMatrix:
@@ -297,10 +298,12 @@ class Lattice:
 
 def kernel_lattice(m: IntMatrix) -> Lattice:
     """Saturated lattice {x in Z^cols : m @ x == 0}, from one HNF of [m^T | I]."""
-    k = m.rows
-    h = hnf(vstack([m, IntMatrix.identity(m.cols)]).transpose())
+    k, n = m.rows, m.cols
+    cols = zip(*m.entries) if k else ((),) * n
+    h = hnf(IntMatrix(n, k + n, tuple(c + (0,) * j + (1,) + (0,) * (n - 1 - j)
+                                      for j, c in enumerate(cols))))
     rows = tuple(r[k:] for r in h.entries if vec_is_zero(r[:k]))
-    return Lattice(m.cols, IntMatrix(len(rows), m.cols, rows))
+    return Lattice(n, IntMatrix(len(rows), n, rows))
 
 
 # -- finitely generated abelian groups ---------------------------------------

@@ -19,12 +19,11 @@ basis of the weight lattice, so the pairing of a weight-lattice member
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 from .cones import RationalCone, _simple_indices
-from .intlinalg import IntMatrix, Lattice, vec_dot
+from .intlinalg import Lattice, _exact, vec_dot
 from .rootdata import BRDAutomorphism, BasedRootDatum
 from .staraction import GaloisAction, restrict_to_sublattice
 
@@ -52,14 +51,15 @@ class RationalLattice:
                 [tuple(x // g for x in row) for row in self.lattice.basis.entries]))
 
     @classmethod
-    def from_generators(cls, ambient_rank: int, vectors) -> "RationalLattice":
-        rows = [tuple(Fraction(x) for x in v) for v in vectors]
-        d = 1
-        for row in rows:
-            for x in row:
-                d = d * x.denominator // gcd(d, x.denominator)
-        scaled = [tuple(int(x * d) for x in row) for row in rows]
-        return cls(d, Lattice.from_rows(ambient_rank, scaled))
+    def from_generators(cls, ambient_rank: int, vectors,
+                        denominator: int = 1) -> "RationalLattice":
+        """1/denominator times the group the vectors generate: entries read by
+        `_exact`, rows scaled by the lcm of the non-int ones' denominators."""
+        rows = [tuple(map(_exact, v)) for v in vectors]
+        d = lcm(*(x.denominator for row in rows for x in row if type(x) is not int))
+        if d > 1:
+            rows = [tuple(x.numerator * (d // x.denominator) for x in row) for row in rows]
+        return cls(d * denominator, Lattice.from_rows(ambient_rank, rows))
 
     @property
     def ambient_rank(self) -> int:
@@ -72,17 +72,6 @@ class RationalLattice:
     @property
     def is_integral(self) -> bool:
         return self.denominator == 1
-
-    def generators(self) -> tuple:
-        d = Fraction(1, self.denominator)
-        return tuple(tuple(x * d for x in row) for row in self.lattice.basis.entries)
-
-    def contains(self, v) -> bool:
-        scaled = tuple(Fraction(x) * self.denominator for x in v)
-        return scaled in self.lattice
-
-    def apply(self, m: IntMatrix) -> "RationalLattice":
-        return RationalLattice(self.denominator, self.lattice.apply(m))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ Coordinate conventions for user input:
   library's canonical coordinates (dual of the Hermite basis), so verdicts
   do not depend on which basis the author chose.
 * Rational entries are integers or strings like "3/2".  Floats are rejected
-  everywhere, integral ones such as 1.0 included.  Integral entries are
-  kept as ints, and only the others become Fractions.
+  everywhere, integral ones such as 1.0 included.  Entries are read by
+  `intlinalg._exact`: ints when integral, else Fractions.  The horospherical
+  M, in p/q strings or with a `denominator`, is scaled to integers once, by
+  `RationalLattice.from_generators`.
 
 The schema check is a tree of closures, one per SCHEMA node, compiled once
 at import.  Scalar array items are tested inline; only an item that fails
@@ -27,7 +29,6 @@ shallowest path is raised, worded as jsonschema words it.
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .checker import BASE_FIELDS, NORMALIZER_REASONS, CohomologyInputs, HypothesisSet
@@ -39,7 +40,7 @@ from .cones import (
     cone_from_generators,
     cone_from_inequalities,
 )
-from .intlinalg import FgAbelianGroup, IntMatrix, Lattice
+from .intlinalg import FgAbelianGroup, IntMatrix, Lattice, _exact
 from .invariants import HorosphericalDatum, RationalLattice, SphericalInvariants
 from .rootdata import BasedRootDatum, CapExceeded, build_root_datum
 from .staraction import GaloisAction, build_action
@@ -198,8 +199,7 @@ def _scalar(x):
         return x
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ProblemError(f"expected an integer or 'p/q' string, got {x!r}")
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
+    return _exact(x)
 
 
 def _qvec(row):
@@ -207,10 +207,8 @@ def _qvec(row):
 
 
 def _num_out(x):
-    if type(x) is int:
-        return x
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    x = _exact(x)
+    return x if type(x) is int else f"{x.numerator}/{x.denominator}"
 
 
 @dataclass(frozen=True)
@@ -343,17 +341,11 @@ def _parse_horospherical(block, brd: BasedRootDatum) -> HorosphericalDatum:
                 f"I names simple root {i}, but there are only {nsimple}")
         subset.add(i - 1)
     m = block["M"]
-    denom = m.get("denominator", 1)
-    rows = [_qvec(r) for r in m["generators"]]
+    rows = m["generators"]
     if any(len(row) != brd.rank for row in rows):
         raise ProblemError(f"M generators must have length {brd.rank}")
-    if all(type(x) is int for row in rows for x in row):
-        # integral rows are denom * M already; __post_init__ reduces the pair
-        lattice = RationalLattice(denom, Lattice.from_rows(brd.rank, rows))
-    else:
-        lattice = RationalLattice.from_generators(
-            brd.rank, [tuple(Fraction(x, denom) for x in row) for row in rows])
-    return HorosphericalDatum(frozenset(subset), lattice)
+    return HorosphericalDatum(frozenset(subset), RationalLattice.from_generators(
+        brd.rank, rows, m.get("denominator", 1)))
 
 
 def _parse_module(block, label: str) -> MultiplicativeTypeModule:

@@ -134,10 +134,11 @@ class BasedRootDatum:
     """Root datum with a based root system and a fixed basis of X.
 
     Roots live in X-coordinates (integers), coroots in the dual coordinates,
-    and pairing(chi, y) is the dot product.  The simple roots and coroots
-    determine the datum, so equality and hashing read only them; the root
-    table (roots, coroots, positive_roots, root_set, coroot_of) is built from
-    them on first read, and so is the Cartan matrix, unless the builder
+    and pairing(chi, y) is the dot product.  Equality and hashing compare
+    all six fields, so a custom_lattice datum with the simple system of a
+    simply connected one is still unequal to it; the root table (roots,
+    coroots, positive_roots, root_set, coroot_of) is built from the simple
+    system on first read, and so is the Cartan matrix, unless the builder
     already holds it.  Roots are listed in increasing order, and
     positive_roots lists, in that order, the roots with nonnegative
     simple-root coordinates.

@@ -11,7 +11,8 @@ every generator, lifted or stated as a matrix, passes rootdata's test on the
 simple roots and coroots, a lift once: the datum keeps it.  One element moves
 to a stable sublattice of X, or to the dual V of one, by
 restrict_to_sublattice and dual_matrix_on_V, which give None when it moves
-the lattice; it moves simple-root indices by its permutation `s_perm`.
+the lattice: the weight lattice, or L for a horospherical M = L/d, which g
+keeps exactly when it keeps L.  It moves simple-root indices by `s_perm`.
 """
 from __future__ import annotations
 
@@ -127,15 +128,8 @@ def restrict_to_sublattice(element: BRDAutomorphism, lattice: Lattice) -> IntMat
     """
     if lattice.ambient_rank != element.matrix.rows:
         raise ValueError("lattice does not live in the character lattice")
-    cols = []
-    for b in lattice.basis.entries:
-        coords = lattice.coordinates(element.matrix.apply(b))
-        if coords is None:
-            return None
-        cols.append(coords)
-    n = lattice.rank
-    return IntMatrix.from_rows([[cols[i][j] for i in range(n)] for j in range(n)],
-                               cols=n)
+    cols = [lattice.coordinates(element.matrix.apply(b)) for b in lattice.basis.entries]
+    return None if None in cols else IntMatrix(lattice.rank, lattice.rank, tuple(zip(*cols)))
 
 
 def dual_matrix_on_V(element: BRDAutomorphism, lattice: Lattice) -> IntMatrix | None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .intlinalg import vec_dot
+from .intlinalg import _exact, vec_dot
 from .rootdata import WEYL_CAP, BasedRootDatum, CapExceeded, WeylElement, check_cap, weyl_elements
 
 ORBIT_CAP = 10 ** 6
@@ -49,10 +49,10 @@ def root_subset(brd: BasedRootDatum, vectors) -> RootSubset:
     """The roots given by integral vectors; a non-integral one is refused."""
     roots = []
     for v in vectors:
-        v = tuple(Fraction(x) for x in v)
-        if any(x.denominator != 1 for x in v):
+        v = tuple(map(_exact, v))
+        if any(type(x) is not int for x in v):
             raise ValueError(f"not an integral vector: ({', '.join(map(str, v))})")
-        roots.append(tuple(int(x) for x in v))
+        roots.append(v)
     return RootSubset(brd, frozenset(roots))
 
 
@@ -63,11 +63,11 @@ def weyl_orbit(brd: BasedRootDatum, v, cap: int = ORBIT_CAP) -> frozenset:
     ValueError when cap is below 1.
     """
     check_cap(cap)
-    mu = [Fraction(x) for x in v]
+    mu = list(map(_exact, v))
     if len(mu) != brd.rank:
         raise ValueError("vector length mismatch")
-    if all(x.denominator == 1 for x in mu):
-        mu = [int(x) for x in mu]
+    if any(type(x) is not int for x in mu):
+        mu = list(map(Fraction, mu))
     cartan = brd.cartan_matrix.entries
     # the nonzero entries of alpha_i and of column i of A, (<alpha_i, alpha_j^vee>)_j
     alphas = [[(x, a) for x, a in enumerate(alpha) if a] for alpha in brd.simple_roots]

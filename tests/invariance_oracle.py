@@ -54,6 +54,6 @@ def preserves_horospherical(action, datum) -> bool:
     for el in elements(action):
         if frozenset(el.s_perm[i] for i in datum.simple_subset) != datum.simple_subset:
             return False
-        if datum.characters.apply(el.matrix) != datum.characters:
+        if datum.characters.lattice.apply(el.matrix) != datum.characters.lattice:
             return False
     return True

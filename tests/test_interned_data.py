@@ -8,6 +8,7 @@ Caps, errors and CLI output must not depend on what the process built
 before.
 """
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -87,6 +88,14 @@ def test_warm_data_and_lifts_equal_cold_ones(letter, rank, isogeny):
     rootdata._interned_datum.cache_clear()
     cold = build_root_datum(letter, rank, isogeny)
     assert cold is not warm and cold == warm and hash(cold) == hash(warm)
+    if isogeny == "simply_connected":
+        # equality compares all six fields, not only the simple system: the
+        # identity basis gives a custom lattice this one's, under another label
+        identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        custom = build_root_datum(letter, rank, "custom_lattice", identity)
+        assert (custom.simple_roots, custom.simple_coroots) == (
+            warm.simple_roots, warm.simple_coroots)
+        assert custom != warm and replace(custom, isogeny=isogeny) == warm
     assert (cold.roots, cold.coroots, cold.positive_roots) == (
         roots, warm.coroots, warm.positive_roots)
     assert cold.cartan_matrix == warm.cartan_matrix

@@ -18,7 +18,6 @@ from sphdescent.intlinalg import (
     snf,
     vec_dot,
     vec_is_zero,
-    vstack,
 )
 
 small_entries = st.integers(min_value=-9, max_value=9)
@@ -215,10 +214,49 @@ def test_kernel_lattice_examples():
     assert kernel_lattice(IntMatrix.from_rows([[1, 0], [0, 1]])).rank == 0
 
 
+def _rank_over_q(rows) -> int:
+    """Rank by Gaussian elimination in Fractions, apart from the HNF."""
+    rows, rank = [list(map(Fraction, r)) for r in rows], 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_kernel_lattice_on_seeded_shapes():
+    # every shape from 0x0 to 5x6, entries -3..3; every other draw with two
+    # or more rows makes one row a multiple of another, so the rank drops
+    rng = random.Random(24)
+    deficient = 0
+    for rows, cols in product(range(6), range(7)):
+        for k in range(6):
+            m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            if rows > 1 and k % 2:
+                (i, j), c = rng.sample(range(rows), 2), rng.randint(-2, 2)
+                m[i] = [c * x for x in m[j]]
+            rank = _rank_over_q(m)
+            deficient += rank < min(rows, cols)
+            ker = kernel_lattice(IntMatrix(rows, cols, tuple(map(tuple, m))))
+            basis = ker.basis
+            assert ker.ambient_rank == cols and basis.cols == cols
+            assert all(vec_dot(r, b) == 0 for r in m for b in basis.entries)
+            assert hnf(basis) == basis
+            assert ker.rank == cols - rank
+            # saturated: Z^cols / ker is free, so B's invariant factors are 1
+            assert all(d == 1 for d in snf(basis))
+    assert deficient >= 30
+
+
 def fixed_sublattice(n, generators):
     """The common fixed lattice of generators: the kernel of the stacked g - I."""
-    return kernel_lattice(vstack([g - IntMatrix.identity(n) for g in generators]
-                                 or [IntMatrix(0, n, ())]))
+    return kernel_lattice(IntMatrix.from_rows(
+        [r for g in generators for r in (g - IntMatrix.identity(n)).entries], n))
 
 
 def test_fixed_sublattice_cyclic_rotation():
@@ -346,7 +384,7 @@ def test_fixed_point_order_divides_group_order(seed):
 def test_vstack_and_shapes():
     a = IntMatrix.from_rows([[1, 2]])
     b = IntMatrix.from_rows([[3, 4], [5, 6]])
-    assert vstack([a, b]).entries == ((1, 2), (3, 4), (5, 6))
+    assert IntMatrix.from_rows(a.entries + b.entries).entries == ((1, 2), (3, 4), (5, 6))
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
 

@@ -5,11 +5,14 @@ loops they replaced (`invariance_oracle.py`).
 Inputs: every corpus file and the seeded re-presentations of acceptance
 criterion 8, with every closure element of each action on the file's weight
 lattice and on the lattice of its horospherical characters; sublattices that
-an action moves; and seeded sublattices, saturated or not, under the D4
-diagram automorphisms and signed permutations of Z^3.
+an action moves; seeded sublattices, saturated or not, under the D4
+diagram automorphisms and signed permutations of Z^3; and seeded
+horospherical data (I, M = L/d) on types A-G up to rank 6 in both
+isogenies, under actions generated by lifted diagram automorphisms.
 """
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,11 +21,12 @@ from closure_oracle import elements
 from sphdescent.checker import invariance_entries
 from sphdescent.cli import corpus_names, corpus_root
 from sphdescent.intlinalg import IntMatrix, Lattice
-from sphdescent.invariants import HorosphericalDatum
+from sphdescent.invariants import HorosphericalDatum, RationalLattice
 from sphdescent.problem import parse_dict, parse_text
 from sphdescent.rootdata import build_root_datum, torus
 from sphdescent.staraction import build_action, dual_matrix_on_V
 from test_acceptance import _restate, _signed_permutation
+from test_interned_data import cartan_preserving
 
 
 def _problems():
@@ -123,3 +127,55 @@ def test_transport_on_seeded_sublattices():
         moved += [_check_transport(action, lattice)
                   for lattice in _random_lattices(rng, 3, 15)]
     assert moved.count(False) >= 30 and moved.count(True) >= 30
+
+
+HORO_TYPES = ([("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 7)]
+              + [("C", n) for n in range(2, 7)] + [("D", n) for n in range(3, 7)]
+              + [("E", 6), ("F", 4), ("G", 2)])
+HORO_DATA = [(t, n, iso) for t, n in HORO_TYPES for iso in ("simply_connected", "adjoint")]
+
+
+def _horospherical_draws(letter, rank, isogeny, count=10):
+    """Seeded (action, datum, d) triples on one root datum.  The action is
+    generated by lifted diagram automorphisms; I is random or a union of
+    orbits of the diagram action; M = L/d with d in 1..4, and L is spanned
+    by random rows or by their sums over the action's image, which it keeps."""
+    rng = random.Random(f"{letter}{rank}{isogeny}")
+    brd = build_root_datum(letter, rank, isogeny)
+    autos = [p for p in cartan_preserving(brd.cartan_matrix.entries) if p != tuple(range(rank))]
+    out = []
+    for k in range(count):
+        action = build_action(brd, rng.sample(autos, rng.randint(min(1, len(autos)), len(autos))))
+        group = elements(action)
+        subset = set(rng.sample(range(rank), rng.randint(0, rank)))
+        if k % 2:
+            subset = {g.s_perm[i] for i in subset for g in group}
+        rows = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(1, rank))]
+        if k % 4 < 2:
+            rows = [tuple(map(sum, zip(*(g.matrix.apply(v) for g in group)))) for v in rows]
+        d = rng.randint(1, 4)
+        characters = RationalLattice.from_generators(
+            rank, [tuple(Fraction(x, d) for x in r) for r in rows])
+        out.append((action, HorosphericalDatum(frozenset(subset), characters), d))
+    return out
+
+
+@pytest.mark.parametrize("letter,rank,isogeny", HORO_DATA)
+def test_horospherical_decision_matches_closure_oracle(letter, rank, isogeny):
+    for action, datum, _ in _horospherical_draws(letter, rank, isogeny):
+        assert (invariance_entries(action, datum)[0]
+                == oracle.preserves_horospherical(action, datum)), datum
+
+
+def test_horospherical_draws_reach_both_answers_with_denominators():
+    # under nontrivial actions and with M = L/d, d > 1 in canonical form:
+    # both answers, and M moved with I kept, I moved with M kept, and both
+    seen = set()
+    for data in HORO_DATA:
+        for action, datum, _ in _horospherical_draws(*data):
+            ok, entries = invariance_entries(action, datum)
+            failed = " ".join(e.detail for e in entries if not e.ok)
+            if action.order > 1 and datum.characters.denominator > 1:
+                seen.add((ok, "simple-root subset" in failed, "character group" in failed))
+    assert seen == {(True, False, False), (False, False, True), (False, True, False),
+                    (False, True, True)}

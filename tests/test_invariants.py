@@ -8,7 +8,7 @@ import invariance_oracle as oracle
 from closure_oracle import elements
 from sphdescent.checker import invariance_entries
 from sphdescent.cones import ColorRecord, cone_from_generators, cone_from_inequalities
-from sphdescent.intlinalg import IntMatrix, Lattice, vec_dot, vec_neg
+from sphdescent.intlinalg import Lattice, vec_dot, vec_neg
 from sphdescent.invariants import (
     HorosphericalDatum,
     PreservationVerdict,
@@ -84,23 +84,6 @@ def test_rational_lattice_canonical_denominator():
     # a redundant common factor in (denominator, lattice) is reduced away
     assert RationalLattice(2, Lattice.from_rows(2, [(2, 4)])) \
         == RationalLattice(1, Lattice.from_rows(2, [(1, 2)]))
-
-
-def test_rational_lattice_membership_and_apply():
-    m = RationalLattice.from_generators(2, [(Fraction(1, 2), Fraction(1, 2))])
-    assert m.contains((Fraction(1, 2), Fraction(1, 2)))
-    assert m.contains((1, 1)) and m.contains((0, 0))
-    assert not m.contains((Fraction(1, 2), 0))
-    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
-    assert m.apply(swap) == m
-    shear = IntMatrix.from_rows([[1, 1], [0, 1]])
-    assert m.apply(shear) != m
-
-
-def test_rational_lattice_generators_roundtrip():
-    m = RationalLattice.from_generators(3, [(Fraction(1, 3), 0, Fraction(2, 3)),
-                                            (0, 1, 0)])
-    assert RationalLattice.from_generators(3, m.generators()) == m
 
 
 # -- invariants equality and preservation --------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from closure_oracle import elements
-from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice, vec_dot, vstack
+from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice, vec_dot
 from sphdescent.rootdata import build_root_datum, torus
 from sphdescent.staraction import (
     ClosureCapExceeded,
@@ -161,8 +161,8 @@ def test_trivial_action_restricts_to_identity(d4):
 
 def test_fixed_lattice_restriction_is_trivial(triality):
     # the fixed lattice is the kernel of the stacked g - I over the generators
-    lat = kernel_lattice(vstack([g.matrix - IntMatrix.identity(4)
-                                 for g in triality.generators]))
+    lat = kernel_lattice(IntMatrix.from_rows(
+        [r for g in triality.generators for r in (g.matrix - IntMatrix.identity(4)).entries]))
     assert lat.rank == 2
     mats = on_closure(restrict_to_sublattice, triality, lat)
     assert all(m == IntMatrix.identity(2) for m in mats)
