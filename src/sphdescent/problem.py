@@ -21,6 +21,11 @@ Coordinate conventions for user input:
   M, in p/q strings or with a `denominator`, is scaled to integers once, by
   `RationalLattice.from_generators`.
 
+A file enters through one boundary.  The schema check comes first and types
+every entry, so the parser tests only what the schema cannot state: lengths
+against the rank, and the blocks a block needs.  `_block` alone puts a block's
+name before a library ValueError; `parse_file` puts the file's before any error.
+
 The schema check is a tree of closures, one per SCHEMA node, compiled once
 at import.  Scalar array items are tested inline; only an item that fails
 goes through its node's message path.  The first violation at the
@@ -43,11 +48,27 @@ from .cones import (
 from .intlinalg import FgAbelianGroup, IntMatrix, Lattice, _exact
 from .invariants import HorosphericalDatum, RationalLattice, SphericalInvariants
 from .rootdata import BasedRootDatum, CapExceeded, build_root_datum
-from .staraction import GaloisAction, build_action
+from .staraction import CLOSURE_CAP, GaloisAction, build_action
 
 
 class ProblemError(ValueError):
     """Parse or schema failure, with enough context to locate the culprit."""
+
+
+class _block:
+    """`with _block(name):` raises a library ValueError from inside as
+    ProblemError(f"{name}: {e}"), and the parser's own ProblemErrors as they
+    are: the one place where a block's name goes in front of a message."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, typ, e, tb):
+        if isinstance(e, ValueError) and not isinstance(e, ProblemError):
+            raise ProblemError(f"{self.name}: {e}") from None
 
 
 _QNUM = {"anyOf": [{"type": "integer"},
@@ -193,19 +214,6 @@ SCHEMA = {
 }
 
 
-def _scalar(x):
-    """Exact scalar from an int or a 'p/q' string: an int when integral."""
-    if type(x) is int:
-        return x
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ProblemError(f"expected an integer or 'p/q' string, got {x!r}")
-    return _exact(x)
-
-
-def _qvec(row):
-    return tuple(map(_scalar, row))
-
-
 def _num_out(x):
     x = _exact(x)
     return x if type(x) is int else f"{x.numerator}/{x.denominator}"
@@ -234,24 +242,20 @@ class Problem:
 
 def _parse_root_datum(block) -> BasedRootDatum:
     isogeny = block.get("isogeny", "simply_connected")
-    try:
+    with _block("root_datum"):
         return build_root_datum(block["type"], block["rank"], isogeny)
-    except ValueError as e:
-        raise ProblemError(f"root_datum: {e}") from None
 
 
-def _parse_action(block, brd: BasedRootDatum, cap=None) -> GaloisAction:
+def _parse_action(block, brd: BasedRootDatum, cap=CLOSURE_CAP) -> GaloisAction:
     gens, names = [], []
     nsimple = len(brd.simple_roots)
     for g in block["generators"]:
         names.append(g["name"])
-        has_perm = "s_permutation" in g
-        has_mat = "matrix_on_X" in g
-        if has_perm == has_mat:
+        if ("s_permutation" in g) == ("matrix_on_X" in g):
             raise ProblemError(
                 f"action generator {g['name']!r} needs exactly one of "
                 "s_permutation or matrix_on_X")
-        if has_perm:
+        if "s_permutation" in g:
             perm = g["s_permutation"]
             if sorted(perm) != list(range(1, nsimple + 1)):
                 raise ProblemError(
@@ -264,20 +268,15 @@ def _parse_action(block, brd: BasedRootDatum, cap=None) -> GaloisAction:
                 raise ProblemError(
                     f"matrix_on_X of {g['name']!r} must be {brd.rank}x{brd.rank}")
             gens.append(IntMatrix.from_rows(rows, brd.rank))
-    kwargs = {"cap": cap} if cap is not None else {}
-    try:
-        return build_action(brd, gens, names=tuple(names), **kwargs)
-    except ValueError as e:
-        raise ProblemError(f"action: {e}") from None
+    with _block("action"):
+        return build_action(brd, gens, names=tuple(names), cap=cap)
 
 
 def _basis_transition(brd: BasedRootDatum, rows):
     """Stated-basis data: the lattice and the transition matrix T with
     row i = Hermite coordinates of stated row i (so stated = T @ hermite)."""
-    for r in rows:
-        if len(r) != brd.rank:
-            raise ProblemError(
-                f"weight lattice rows must have length {brd.rank}")
+    if any(len(r) != brd.rank for r in rows):
+        raise ProblemError(f"weight lattice rows must have length {brd.rank}")
     lat = Lattice.from_rows(brd.rank, [tuple(r) for r in rows])
     if lat.rank != len(rows):
         raise ProblemError("weight lattice basis rows must be independent")
@@ -287,21 +286,24 @@ def _basis_transition(brd: BasedRootDatum, rows):
 
 def _transported(rows, m: IntMatrix, what: str) -> list:
     """Stated-basis rows, checked for length, in canonical coordinates."""
-    vecs = [_qvec(r) for r in rows]
+    vecs = [tuple(map(_exact, r)) for r in rows]
     if any(len(v) != m.cols for v in vecs):
         raise ProblemError(f"{what} must have length {m.cols}")
     return [m.apply(v) for v in vecs]
 
 
+def _simple_roots(numbers, nsimple: int, what: str) -> frozenset:
+    """0-based indices of simple roots numbered from 1; the schema has no 0."""
+    for i in numbers:
+        if i > nsimple:
+            raise ProblemError(f"{what} names simple root {i}, but there are "
+                               f"only {nsimple}")
+    return frozenset(i - 1 for i in numbers)
+
+
 def _parse_color(c, t_inv: IntMatrix, nsimple: int) -> ColorRecord:
     [rho] = _transported([c["rho"]], t_inv, f"color functional {c['rho']}")
-    sigma = set()
-    for i in c["sigma"]:
-        if not 1 <= i <= nsimple:
-            raise ProblemError(f"color names simple root {i}, but there are "
-                               f"only {nsimple}")
-        sigma.add(i - 1)
-    return ColorRecord(rho, frozenset(sigma))
+    return ColorRecord(rho, _simple_roots(c["sigma"], nsimple, "color"))
 
 
 def _parse_invariants(block, brd: BasedRootDatum):
@@ -309,43 +311,32 @@ def _parse_invariants(block, brd: BasedRootDatum):
     rank = lat.rank
     t_inv = t.inverse_unimodular()
     vc = block["valuation_cone"]
-    cone_g = cone_i = None
+    cones = []  # one or two: the schema asks for at least one description
     if "generators" in vc:
-        cone_g = cone_from_generators(rank, _transported(
-            vc["generators"], t_inv, "valuation cone generators"))
+        cones.append(cone_from_generators(rank, _transported(
+            vc["generators"], t_inv, "valuation cone generators")))
     if "inequalities" in vc:
-        cone_i = cone_from_inequalities(rank, _transported(
-            vc["inequalities"], t.transpose(), "valuation cone inequalities"))
-    if cone_g is not None and cone_i is not None and cone_g != cone_i:
+        cones.append(cone_from_inequalities(rank, _transported(
+            vc["inequalities"], t.transpose(), "valuation cone inequalities")))
+    if cones[0] != cones[-1]:
         raise ProblemError("valuation cone generators and inequalities "
                            "describe different cones")
-    cone = cone_g if cone_g is not None else cone_i
     colors = block.get("colors", {})
     nsimple = len(brd.simple_roots)
-    omega1 = frozenset(_parse_color(c, t_inv, nsimple)
-                       for c in colors.get("omega1", []))
-    omega2 = frozenset(_parse_color(c, t_inv, nsimple)
-                       for c in colors.get("omega2", []))
-    try:
-        return SphericalInvariants(brd, lat, cone, omega1, omega2), t_inv
-    except ValueError as e:
-        raise ProblemError(f"invariants: {e}") from None
+    omega1, omega2 = (frozenset(_parse_color(c, t_inv, nsimple)
+                                for c in colors.get(key, []))
+                      for key in ("omega1", "omega2"))
+    with _block("invariants"):
+        return SphericalInvariants(brd, lat, cones[0], omega1, omega2), t_inv
 
 
 def _parse_horospherical(block, brd: BasedRootDatum) -> HorosphericalDatum:
-    nsimple = len(brd.simple_roots)
-    subset = set()
-    for i in block["I"]:
-        if not 1 <= i <= nsimple:
-            raise ProblemError(
-                f"I names simple root {i}, but there are only {nsimple}")
-        subset.add(i - 1)
+    subset = _simple_roots(block["I"], len(brd.simple_roots), "I")
     m = block["M"]
-    rows = m["generators"]
-    if any(len(row) != brd.rank for row in rows):
+    if any(len(row) != brd.rank for row in m["generators"]):
         raise ProblemError(f"M generators must have length {brd.rank}")
-    return HorosphericalDatum(frozenset(subset), RationalLattice.from_generators(
-        brd.rank, rows, m.get("denominator", 1)))
+    return HorosphericalDatum(subset, RationalLattice.from_generators(
+        brd.rank, m["generators"], m.get("denominator", 1)))
 
 
 def _parse_module(block, label: str) -> MultiplicativeTypeModule:
@@ -354,17 +345,14 @@ def _parse_module(block, label: str) -> MultiplicativeTypeModule:
     if any(len(r) != ngens for r in pres_rows):
         raise ProblemError(f"{label}: presentation rows must share one length")
     group = FgAbelianGroup(IntMatrix.from_rows(pres_rows, ngens))
-    names, mats = [], []
+    mats = []
     for name, rows in block["action"].items():
-        names.append(name)
         if len(rows) != ngens or any(len(r) != ngens for r in rows):
             raise ProblemError(
                 f"{label}: action matrix for {name!r} must be {ngens}x{ngens}")
         mats.append(IntMatrix.from_rows(rows, ngens))
-    try:
-        return MultiplicativeTypeModule(group, tuple(mats), tuple(names))
-    except ValueError as e:
-        raise ProblemError(f"{label}: {e}") from None
+    with _block(label):
+        return MultiplicativeTypeModule(group, tuple(mats), tuple(block["action"]))
 
 
 def _parse_cohomology(block):
@@ -379,35 +367,23 @@ def _parse_cohomology(block):
         if len(rows) != z_module.characters.ngens:
             raise ProblemError("kappa_matrix must have one row per "
                                "Z_characters generator")
-        try:
+        with _block("kappa_matrix"):
             kappa = CharacterMap(a_module, z_module,
-                                 IntMatrix.from_rows(rows,
-                                                     a_module.characters.ngens))
-        except ValueError as e:
-            raise ProblemError(f"kappa_matrix: {e}") from None
+                                 IntMatrix.from_rows(rows, a_module.characters.ngens))
     return CohomologyInputs(kappa=kappa, a_module=a_module)
 
 
-def _parse_fan(block, inv: SphericalInvariants | None, t_inv, brd) -> ColoredFan:
-    if inv is None:
-        raise ProblemError("a fan block needs an invariants block, whose "
-                           "stated weight-lattice basis fixes the coordinates")
-    rank = inv.weight_lattice.rank
-    nsimple = len(brd.simple_roots)
+def _parse_fan(block, t_inv: IntMatrix, nsimple: int) -> ColoredFan:
     cones = []
     for c in block["cones"]:
         # fan vectors use the same stated basis as the invariants block
         rays = _transported(c["rays"], t_inv, "fan rays")
         colors = frozenset(_parse_color(rec, t_inv, nsimple)
                            for rec in c.get("colors", []))
-        try:
-            cones.append(ColoredCone(cone_from_generators(rank, rays), colors))
-        except ValueError as e:
-            raise ProblemError(f"fan: {e}") from None
-    try:
+        with _block("fan"):
+            cones.append(ColoredCone(cone_from_generators(t_inv.cols, rays), colors))
+    with _block("fan"):
         return ColoredFan.build(cones)
-    except ValueError as e:
-        raise ProblemError(f"fan: {e}") from None
 
 
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "boolean": bool}
@@ -544,7 +520,7 @@ def _check_schema(data):
         raise ProblemError(f"schema violation at {where}: {found[1]}")
 
 
-def parse_dict(data, cap=None) -> Problem:
+def parse_dict(data, cap=CLOSURE_CAP) -> Problem:
     """Validate a decoded JSON object and build the library objects."""
     _check_schema(data)
     if "invariants" in data and "horospherical" in data:
@@ -555,6 +531,9 @@ def parse_dict(data, cap=None) -> Problem:
     for key in ("action", "invariants", "horospherical", "fan"):
         if key in data and brd is None:
             raise ProblemError(f"a {key} block needs a root_datum block")
+    if "fan" in data and "invariants" not in data:
+        raise ProblemError("a fan block needs an invariants block, whose "
+                           "stated weight-lattice basis fixes the coordinates")
     if "action" in data:
         action = _parse_action(data["action"], brd, cap=cap)
     if "invariants" in data:
@@ -575,14 +554,14 @@ def parse_dict(data, cap=None) -> Problem:
     if "cohomology" in data:
         coh = _parse_cohomology(data["cohomology"])
     if "fan" in data:
-        fan = _parse_fan(data["fan"], inv, t_inv, brd)
+        fan = _parse_fan(data["fan"], t_inv, len(brd.simple_roots))
     return Problem(
         title=data.get("title", ""), brd=brd, action=action, invariants=inv,
         horospherical=horo, hypotheses=hyps, cohomology=coh,
         base_field=base_field, fan=fan, notes=data.get("notes", ""))
 
 
-def parse_text(text: str, cap=None) -> Problem:
+def parse_text(text: str, cap=CLOSURE_CAP) -> Problem:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -593,7 +572,7 @@ def parse_text(text: str, cap=None) -> Problem:
     return parse_dict(data, cap=cap)
 
 
-def parse_file(path, cap=None) -> Problem:
+def parse_file(path, cap=CLOSURE_CAP) -> Problem:
     """Parse a file given by a path or by an object with read_text, such as
     a packaged corpus entry; errors name the path, or the object's name."""
     resource = hasattr(path, "read_text")

@@ -371,6 +371,48 @@ def test_a_vector_of_the_wrong_length_is_refused_with_file_and_block(
         assert run(capsys, command, f) == (64, "", f"error: {f}: {message}\n")
 
 
+def _corpus_with(name, *edits):
+    """A corpus document with the value of each (path, value) edit set."""
+    data = json.loads((corpus_root() / f"{name}.json").read_text("utf-8"))
+    for path, value in edits:
+        block = data
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+    return data
+
+
+# one library error per block: its message after the block's name, after the file's
+@pytest.mark.parametrize("data,message", [
+    ({"schema": 1, "root_datum": {"type": "B", "rank": 1}},
+     "root_datum: type B needs rank >= 2"),
+    (_corpus_with("spin8_trialitary", (("action", "generators", 0), {
+        "name": "t", "matrix_on_X": [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]})),
+     "action: matrix generator is not a based root datum automorphism"),
+    (_corpus_with("spin8_trialitary", (("invariants", "colors", "omega2"),
+                                       [{"rho": [2, -1, 0, 0], "sigma": [1]}])),
+     "invariants: a color pair cannot have both one and two preimages"),
+    (_corpus_with("spin8_trialitary",
+                  (("cohomology", "A_characters", "action", "t"), [[2, 0], [0, 2]])),
+     "A_characters: generator 't' does not act by an automorphism of the presented group"),
+    (_corpus_with("fan_stability_demo", (("fan", "cones", 0), {"rays": [[1, 0], [-1, 0]]})),
+     "fan: colored cones must be strictly convex"),
+    (_corpus_with("sl2_torus", (("cohomology", "Z_characters", "action", "s"), [[2]])),
+     "Z_characters: generator 's' does not act by an automorphism of the presented group"),
+    (_corpus_with("sl2_torus", (("cohomology", "Z_characters", "presentation"), [[4]]),
+                  (("cohomology", "kappa_matrix"), [[1]])),
+     "kappa_matrix: matrix does not descend through the presentations"),
+], ids=["root_datum", "action", "invariants", "A_characters", "fan", "Z_characters",
+        "kappa_matrix"])
+def test_a_library_error_is_named_by_file_and_block(capsys, tmp_path, data, message):
+    f = tmp_path / "block.json"
+    f.write_text(json.dumps(data), encoding="utf-8")
+    for command in ("verdict", "check-invariants", "check-fan", "cohomology"):
+        for extra in ((), ("--json",)):
+            assert run(capsys, command, str(f), *extra) == (
+                64, "", f"error: {f}: {message}\n")
+
+
 def test_file_commands_read_a_weight_lattice_of_rank_zero(capsys):
     # H = G: V is the zero space, so every basis and matrix on it is empty
     f = str(DATA / "weight_lattice_rank_zero.json")
@@ -538,15 +580,6 @@ def test_cap_below_one_is_a_usage_error(capsys, monkeypatch, argv, cap):
 
 # -- integral floats ------------------------------------------------------------------
 
-def _spin8_with(path, value):
-    data = json.loads((corpus_root() / "spin8_trialitary.json").read_text("utf-8"))
-    block = data
-    for key in path[:-1]:
-        block = block[key]
-    block[path[-1]] = value
-    return data
-
-
 # jsonschema counts 1.0 as an integer: "rank": 4.0 once crashed verdict with a
 # TypeError traceback, and 1.0 in a basis or a permutation reached exact code
 @pytest.mark.parametrize("path,value,where", [
@@ -560,7 +593,7 @@ def _spin8_with(path, value):
 def test_integral_floats_are_schema_violations(capsys, tmp_path, path, value,
                                                where, command):
     f = tmp_path / "floats.json"
-    f.write_text(json.dumps(_spin8_with(path, value)))
+    f.write_text(json.dumps(_corpus_with("spin8_trialitary", (path, value))))
     assert run(capsys, command, str(f)) == (
         64, "", f"error: {f}: schema violation at {where}: "
                 f"{value!r} is not of type 'integer'\n")

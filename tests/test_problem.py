@@ -132,8 +132,16 @@ def test_integral_rows_and_fractions_give_one_lattice(case):
 
 
 def test_integral_entries_stay_ints():
-    assert [type(x) for x in problem._qvec([3, "4/2", "1/2", "-0"])] == [
-        int, int, Fraction, int]
+    # a color functional in an identity basis reaches the parsed invariants
+    # as stated: integral entries as ints, however they are written
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    [color] = parse_dict(doc(root_datum={"type": "torus", "rank": 4}, invariants={
+        "weight_lattice": {"basis": identity},
+        "valuation_cone": {"generators": identity},
+        "colors": {"omega1": [{"rho": [3, "4/2", "1/2", "-0"], "sigma": []}]},
+    })).invariants.omega1
+    assert color.rho == (3, 2, Fraction(1, 2), 0)
+    assert [type(x) for x in color.rho] == [int, int, Fraction, int]
     rec = ColorRecord((Fraction(2), Fraction(1, 2), -1), {0})
     assert [type(x) for x in rec.rho] == [int, Fraction, int]
     assert rec == ColorRecord((2, Fraction(1, 2), Fraction(-1)), {0})
