@@ -27,7 +27,7 @@ from .checker import (
 from .cohomology import h2_local_vanishes, obstruction_verdict
 from .intlinalg import _exact
 from .invariants import validate_horospherical
-from .problem import Problem, ProblemError, _num_out, parse_file
+from .problem import Problem, ProblemError, _num_out, file_errors, parse_file
 from .rootdata import CapExceeded, build_root_datum
 from .weyl import are_weyl_conjugate, root_subset, weyl_orbit
 
@@ -137,8 +137,8 @@ def _run_batch(args) -> int:
     """Run one file command over each of its input files.
 
     `args.report(label, problem, **caps)` returns (exit code, JSON document,
-    text lines); a skipped file counts as exit 0, and a cap hit names the
-    file, as it does when the file is parsed.  Text mode prints each file's
+    text lines); a skipped file counts as exit 0, and an error names the
+    file as it does when the file is parsed.  Text mode prints each file's
     lines as it goes; --json prints one document, wrapped as {"results":
     [...]} when there are several files.  The exit code is the worst one.
     """
@@ -146,11 +146,9 @@ def _run_batch(args) -> int:
     worst = EX_OK
     docs = []
     for path in _resolve_paths(args):
-        label, problem = _label(path), parse_file(path, **caps)
-        try:
-            code, doc, lines = args.report(label, problem, **caps)
-        except CapExceeded as e:
-            raise CapExceeded(f"{label}: {e}") from None
+        problem = parse_file(path, **caps)
+        with file_errors(path):
+            code, doc, lines = args.report(_label(path), problem, **caps)
         docs.append(doc)
         worst = max(worst, code)
         if not args.json:

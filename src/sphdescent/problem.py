@@ -24,7 +24,8 @@ Coordinate conventions for user input:
 A file enters through one boundary.  The schema check comes first and types
 every entry, so the parser tests only what the schema cannot state: lengths
 against the rank, and the blocks a block needs.  `_block` alone puts a block's
-name before a library ValueError; `parse_file` puts the file's before any error.
+name before a library ValueError; `file_errors` alone puts the file's label
+before any error, at parse time and in a command's report alike.
 
 The schema check is a tree of closures, one per SCHEMA node, compiled once
 at import.  Scalar array items are tested inline; only an item that fails
@@ -339,30 +340,38 @@ def _parse_horospherical(block, brd: BasedRootDatum) -> HorosphericalDatum:
         brd.rank, m["generators"], m.get("denominator", 1)))
 
 
-def _parse_module(block, label: str) -> MultiplicativeTypeModule:
+def _parse_module(block, label: str, order: tuple) -> MultiplicativeTypeModule:
     pres_rows = block["presentation"]
     ngens = max((len(r) for r in pres_rows), default=0)
     if any(len(r) != ngens for r in pres_rows):
         raise ProblemError(f"{label}: presentation rows must share one length")
     group = FgAbelianGroup(IntMatrix.from_rows(pres_rows, ngens))
+    names = tuple(block["action"])
+    if sorted(names) == sorted(order):
+        names = order
     mats = []
-    for name, rows in block["action"].items():
+    for name in names:
+        rows = block["action"][name]
         if len(rows) != ngens or any(len(r) != ngens for r in rows):
             raise ProblemError(
                 f"{label}: action matrix for {name!r} must be {ngens}x{ngens}")
         mats.append(IntMatrix.from_rows(rows, ngens))
     with _block(label):
-        return MultiplicativeTypeModule(group, tuple(mats), tuple(block["action"]))
+        return MultiplicativeTypeModule(group, tuple(mats), names)
 
 
-def _parse_cohomology(block):
-    a_module = _parse_module(block["A_characters"], "A_characters")
+def _parse_cohomology(block, action: GaloisAction | None):
+    """A module that names the same generators takes its matrices in one
+    order, the action's if there is one and else A_characters' own: JSON
+    objects are unordered."""
+    order = action.generator_names if action else tuple(block["A_characters"]["action"])
+    a_module = _parse_module(block["A_characters"], "A_characters", order)
     kappa = None
     if "kappa_matrix" in block:
         if "Z_characters" not in block:
             raise ProblemError(
                 "kappa_matrix needs Z_characters as the map's target")
-        z_module = _parse_module(block["Z_characters"], "Z_characters")
+        z_module = _parse_module(block["Z_characters"], "Z_characters", order)
         rows = block["kappa_matrix"]
         if len(rows) != z_module.characters.ngens:
             raise ProblemError("kappa_matrix must have one row per "
@@ -528,9 +537,10 @@ def parse_dict(data, cap=CLOSURE_CAP) -> Problem:
 
     brd = _parse_root_datum(data["root_datum"]) if "root_datum" in data else None
     action = inv = horo = hyps = coh = fan = t_inv = None
-    for key in ("action", "invariants", "horospherical", "fan"):
+    for key, what in (("action", "an action"), ("invariants", "an invariants"),
+                      ("horospherical", "a horospherical"), ("fan", "a fan")):
         if key in data and brd is None:
-            raise ProblemError(f"a {key} block needs a root_datum block")
+            raise ProblemError(f"{what} block needs a root_datum block")
     if "fan" in data and "invariants" not in data:
         raise ProblemError("a fan block needs an invariants block, whose "
                            "stated weight-lattice basis fixes the coordinates")
@@ -552,7 +562,7 @@ def parse_dict(data, cap=CLOSURE_CAP) -> Problem:
         # the schema admits only HypothesisSet's fields, and only valid values
         hyps = HypothesisSet(**{**data["hypotheses"], "base_field": base_field})
     if "cohomology" in data:
-        coh = _parse_cohomology(data["cohomology"])
+        coh = _parse_cohomology(data["cohomology"], action)
     if "fan" in data:
         fan = _parse_fan(data["fan"], t_inv, len(brd.simple_roots))
     return Problem(
@@ -572,19 +582,30 @@ def parse_text(text: str, cap=CLOSURE_CAP) -> Problem:
     return parse_dict(data, cap=cap)
 
 
+class file_errors:
+    """`with file_errors(path):` names the file, by the path as given or the
+    object's name, in an error from inside: a file it cannot read, a cap hit,
+    which keeps its type, and any other ValueError, as a ProblemError."""
+
+    def __init__(self, path):
+        self.label = path.name if hasattr(path, "read_text") else path
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, typ, e, tb):
+        if isinstance(e, OSError):
+            raise ProblemError(f"cannot read {self.label}: {e.strerror}") from None
+        if isinstance(e, CapExceeded):
+            raise type(e)(f"{self.label}: {e}") from None
+        if isinstance(e, ValueError):
+            raise ProblemError(f"{self.label}: {e}") from None
+
+
 def parse_file(path, cap=CLOSURE_CAP) -> Problem:
     """Parse a file given by a path or by an object with read_text, such as
     a packaged corpus entry; errors name the path, or the object's name."""
-    resource = hasattr(path, "read_text")
-    label = path.name if resource else path
-    try:
-        text = (path if resource else Path(path)).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ProblemError(f"cannot read {label}: {e.strerror}") from None
-    try:
+    with file_errors(path):
+        text = (path if hasattr(path, "read_text") else Path(path)).read_text(encoding="utf-8")
         return parse_text(text, cap=cap)
-    except CapExceeded as e:
-        raise type(e)(f"{label}: {e}") from None
-    except ValueError as e:
-        raise ProblemError(f"{label}: {e}") from None
 

@@ -8,12 +8,9 @@ product: in the simply connected datum (basis the fundamental weights)
 alpha_i is column i of A and alpha_i^vee the unit vector e_i; in the adjoint
 datum (basis the simple roots) alpha_i is e_i and alpha_i^vee row i of A.
 
-That based datum is all a datum stores.  The root table R is built on first
-read: one ascent over simple reflections from the simple roots finds each
-positive root beta = sum m_i alpha_i with its coroot sum n_i alpha_i^vee,
-the negative roots are their negatives, and both are written in
-X-coordinates from the simple roots and coroots.  The same formula serves
-every lattice and every direct sum.
+That based datum is all a datum stores.  The roots are the Weyl orbits of
+the simple roots, in every lattice and every direct sum alike, and
+`weyl.roots_and_coroots` walks them.
 
 Automorphisms are decided on S alone: a unimodular m permuting the simple
 roots and, compatibly, the simple coroots normalises W, so it preserves R and
@@ -21,16 +18,14 @@ the root-coroot bijection.  A diagram automorphism lifts as a permutation
 matrix when it preserves the block of the simple coroots, as it does in the
 simply connected and adjoint bases, and otherwise by one elimination.  Data
 are immutable: build_root_datum interns up to 128 simply connected and adjoint
-ones, so each builds its Cartan matrix, root table and lifts once.
+ones, so each builds its Cartan matrix and lifts once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
 
-from .intlinalg import IntMatrix, Vec, solve_fraction_free, vec_dot, vec_neg
+from .intlinalg import IntMatrix, Vec, solve_fraction_free, vec_dot
 
 
 class CapExceeded(RuntimeError):
@@ -44,7 +39,7 @@ def check_cap(cap):
 
 
 WEYL_CAP = 10 ** 7
-# Default bound on max(|R|, rank) * rank: a datum's root table, or a
+# Default bound on max(|R|, rank) * rank: a datum's root set, or a
 # torus's matrix on X.
 ROOT_TABLE_CAP = 10 ** 6
 
@@ -62,42 +57,6 @@ def _root_count(letter: str, rank: int) -> int:
     if not ok:
         raise ValueError(f"type {letter} needs rank {need}")
     return count
-
-
-def _root_search(cartan) -> dict:
-    """Every positive root with its coroot, by ascent from the simple roots.
-
-    Maps m (simple-root coordinates of beta) to (p, n, q) with p = A m, so
-    p_i = <beta, alpha_i^vee>; n the simple-coroot coordinates of beta^vee;
-    and q = A^T n, so q_i = <alpha_i, beta^vee>.  The reflection s_i sends
-    (beta, beta^vee) to (beta - p_i alpha_i, beta^vee - q_i alpha_i^vee); it
-    is applied only when p_i < 0, which raises m_i and keeps beta positive.
-    Every positive root is reached: a non-simple one has some p_i > 0, and
-    s_i of it is a lower positive root from which s_i ascends back.
-    """
-    k = len(cartan)
-    cols = [tuple(row[i] for row in cartan) for i in range(k)]  # A e_i
-    rows = [tuple(row) for row in cartan]                         # A^T e_i
-    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    found = {unit[i]: (cols[i], unit[i], rows[i]) for i in range(k)}
-    frontier = list(unit)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            p, n, q = found[m]
-            for i in range(k):
-                c = p[i]
-                if c >= 0:
-                    continue
-                img = m[:i] + (m[i] - c,) + m[i + 1:]
-                if img not in found:
-                    d = q[i]
-                    found[img] = (tuple(x - c * y for x, y in zip(p, cols[i])),
-                                  n[:i] + (n[i] - d,) + n[i + 1:],
-                                  tuple(x - d * y for x, y in zip(q, rows[i])))
-                    nxt.append(img)
-        frontier = nxt
-    return found
 
 
 def _cartan_matrix(letter: str, n: int) -> list[list[int]]:
@@ -121,27 +80,16 @@ def _cartan_matrix(letter: str, n: int) -> list[list[int]]:
     return a
 
 
-class _RootTable(NamedTuple):
-    roots: tuple[Vec, ...]
-    coroots: tuple[Vec, ...]          # aligned with roots
-    positive_roots: tuple[Vec, ...]
-    root_set: frozenset
-    coroot_of: dict
-
-
 @dataclass(frozen=True)
 class BasedRootDatum:
     """Root datum with a based root system and a fixed basis of X.
 
-    Roots live in X-coordinates (integers), coroots in the dual coordinates,
-    and pairing(chi, y) is the dot product.  Equality and hashing compare
-    all six fields, so a custom_lattice datum with the simple system of a
-    simply connected one is still unequal to it; the root table (roots,
-    coroots, positive_roots, root_set, coroot_of) is built from the simple
-    system on first read, and so is the Cartan matrix, unless the builder
-    already holds it.  Roots are listed in increasing order, and
-    positive_roots lists, in that order, the roots with nonnegative
-    simple-root coordinates.
+    Simple roots live in X-coordinates (integers), simple coroots in the
+    dual coordinates, and the pairing is the dot product.  Equality and
+    hashing compare all six fields, so a custom_lattice datum with the
+    simple system of a simply connected one is still unequal to it.  The
+    Cartan matrix is built on first read, unless the builder already holds
+    it.
     """
 
     components: tuple[tuple[str, int], ...]
@@ -152,45 +100,8 @@ class BasedRootDatum:
     torus_coords: tuple[int, ...] = ()
 
     @cached_property
-    def _table(self) -> _RootTable:
-        """R from the ascent on the Cartan matrix: the positive root
-        sum m_i alpha_i has coroot sum n_i alpha_i^vee, and R^- = -R^+."""
-        found = _root_search(self.cartan_matrix.entries)
-        s_rows = list(zip(*self.simple_roots))
-        c_rows = list(zip(*self.simple_coroots))
-        positive = {tuple(vec_dot(m, r) for r in s_rows): tuple(vec_dot(n, r) for r in c_rows)
-                    for m, (_, n, _) in found.items()}
-        coroot_of = {**positive, **{vec_neg(r): vec_neg(c) for r, c in positive.items()}}
-        roots = tuple(sorted(coroot_of))
-        table = _RootTable(roots, tuple(coroot_of[r] for r in roots),
-                           tuple(r for r in roots if r in positive),
-                           frozenset(roots), coroot_of)
-        _validate_datum(self, table)
-        return table
-
-    @cached_property
     def _lifts(self) -> dict:  # lift_s_permutation's answers, verified once
         return {}
-
-    @property
-    def roots(self) -> tuple[Vec, ...]:
-        return self._table.roots
-
-    @property
-    def coroots(self) -> tuple[Vec, ...]:
-        return self._table.coroots
-
-    @property
-    def positive_roots(self) -> tuple[Vec, ...]:
-        return self._table.positive_roots
-
-    @property
-    def root_set(self) -> frozenset:
-        return self._table.root_set
-
-    @property
-    def coroot_of(self) -> Mapping:
-        return MappingProxyType(self._table.coroot_of)  # read-only: data are shared
 
     @cached_property
     def cartan_matrix(self) -> IntMatrix:
@@ -198,20 +109,6 @@ class BasedRootDatum:
         return IntMatrix.from_rows(
             [[vec_dot(self.simple_roots[j], self.simple_coroots[i]) for j in range(k)]
              for i in range(k)], k)
-
-    def pairing(self, chi, y):
-        """Canonical pairing between X and its dual in the fixed bases."""
-        if len(chi) != self.rank or len(y) != self.rank:
-            raise ValueError("vector length mismatch")
-        return vec_dot(chi, y)
-
-    def reflection(self, root: Vec) -> IntMatrix:
-        if root not in self.coroot_of:
-            raise ValueError("not a root")
-        cor = self.coroot_of[root]
-        n = self.rank
-        return IntMatrix.from_rows(
-            [[(1 if i == j else 0) - root[i] * cor[j] for j in range(n)] for i in range(n)], n)
 
 
 def _custom_simple_system(lattice_basis, cartan):
@@ -242,7 +139,7 @@ def build_root_datum(letter: str, rank: int, isogeny: str = "simply_connected",
     lattice), or "custom_lattice" with `lattice_basis` rows expressed in
     fundamental-weight coordinates (the lattice must contain all roots).
     Raises CapExceeded, before anything is built, when max(|R|, rank) * rank,
-    the root table or for a torus one matrix on X, would exceed cap, and
+    the root set or for a torus one matrix on X, would exceed cap, and
     ValueError when cap is below 1.  Equal simply connected or adjoint
     requests return one shared datum.
     """
@@ -306,14 +203,6 @@ def direct_sum(a: BasedRootDatum, b: BasedRootDatum) -> BasedRootDatum:
         simple_coroots=tuple(map(padl, a.simple_coroots)) + tuple(map(padr, b.simple_coroots)),
         torus_coords=a.torus_coords + tuple(n + i for i in b.torus_coords),
     )
-
-
-def _validate_datum(brd: BasedRootDatum, table: _RootTable):
-    for beta, cov in zip(table.roots, table.coroots):
-        if brd.pairing(beta, cov) != 2:
-            raise AssertionError("pairing of a root with its coroot is not 2")
-        if vec_neg(beta) not in table.root_set:
-            raise AssertionError("root system is not symmetric")
 
 
 @dataclass(frozen=True)

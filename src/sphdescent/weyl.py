@@ -13,6 +13,8 @@ only the negative p_j of mu, and one at a j < i that is not a neighbour of
 i fails it.  Every element but the dominant one has exactly one parent, so
 no element is produced twice.  Vectors stay in integers when the start
 vector is integral and in exact rationals otherwise.
+Every root is W-conjugate to a simple root (Humphreys, Introduction to Lie
+Algebras and Representation Theory, 10.3), so R is the union of their orbits.
 Conjugacy of root subsets first compares two W-invariant integer statistics
 of the form B(x, y) = sum over coroots c of <x, c><y, c>, which answers "not
 conjugate" without a search whenever they differ.  Otherwise it walks the
@@ -22,12 +24,14 @@ minimal word length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .intlinalg import _exact, vec_dot
-from .rootdata import WEYL_CAP, BasedRootDatum, CapExceeded, WeylElement, check_cap, weyl_elements
+from .rootdata import (WEYL_CAP, BasedRootDatum, CapExceeded, WeylElement, _root_count,
+                       check_cap, weyl_elements)
 
 ORBIT_CAP = 10 ** 6
 
@@ -40,7 +44,8 @@ class RootSubset:
     roots: frozenset
 
     def __post_init__(self):
-        bad = [r for r in self.roots if r not in self.brd.root_set]
+        roots = roots_and_coroots(self.brd)[0]
+        bad = [r for r in self.roots if r not in roots]
         if bad:
             raise ValueError(f"not roots of the datum: {sorted(bad)}")
 
@@ -107,13 +112,35 @@ def weyl_orbit(brd: BasedRootDatum, v, cap: int = ORBIT_CAP) -> frozenset:
     return frozenset(orbit)
 
 
+@lru_cache(maxsize=128)
+def roots_and_coroots(brd: BasedRootDatum) -> tuple[frozenset, frozenset]:
+    """The roots R and the coroots of a datum, kept for the 128 data last asked.
+
+    One walk per W-orbit: a simple root already found starts none.  The
+    coroots are walked in the dual datum, with simple roots and coroots
+    swapped.  An orbit has at most |R| elements, and the walks are capped at
+    |R| in closed form, which the build has already checked.
+    """
+    size = sum(_root_count(*c) for c in brd.components if c[0] != "torus")
+    sets = []
+    for data in (brd, replace(brd, simple_roots=brd.simple_coroots,
+                              simple_coroots=brd.simple_roots)):
+        found = set()
+        for alpha in data.simple_roots:
+            if alpha not in found:
+                found |= weyl_orbit(data, alpha, size)
+        sets.append(frozenset(found))
+    return tuple(sets)
+
+
 def _form_statistics(brd: BasedRootDatum, roots):
     """Sorted B(x, x) and sorted B(x, y) over distinct pairs of the subset.
 
     B(x, y) is the sum over all coroots c of <x, c><y, c>.  W permutes the
     coroots, so B is W-invariant and conjugate subsets have equal statistics.
     """
-    pairings = [tuple(vec_dot(x, c) for c in brd.coroots) for x in roots]
+    coroots = roots_and_coroots(brd)[1]
+    pairings = [tuple(vec_dot(x, c) for c in coroots) for x in roots]
     return (sorted(vec_dot(p, p) for p in pairings),
             sorted(vec_dot(p, q) for p, q in combinations(pairings, 2)))
 

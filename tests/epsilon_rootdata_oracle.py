@@ -12,7 +12,8 @@ of a simple-root permutation by one `Fraction` solve per row, the
 automorphism test that maps every root and coroot, and the scan over all k!
 permutations of S for the Cartan-preserving ones.  The D4 quadruples of
 pairwise orthogonal roots are counted here too, orthogonality read in the
-epsilon realization.
+epsilon realization.  Every root, coroot and reflection these read comes
+from the oracle's own tables, never from the library's datum.
 """
 from __future__ import annotations
 
@@ -122,11 +123,12 @@ class EpsilonDatum:
                      for row in self.realization)
 
 
-def orthogonal_quadruples(brd, eps: EpsilonDatum) -> list[frozenset]:
-    """Sets {±b1, ..., ±b4} of pairwise orthogonal roots of brd, found by a
-    scan of the 4-subsets of R+ with orthogonality read through eps."""
+def orthogonal_quadruples(eps: EpsilonDatum) -> list[frozenset]:
+    """Sets {±b1, ..., ±b4} of pairwise orthogonal roots, in X-coordinates,
+    found by a scan of the 4-subsets of R+ with orthogonality read in the
+    epsilon realization."""
     found = set()
-    for combo in combinations(brd.positive_roots, 4):
+    for combo in combinations(eps.positive_roots, 4):
         vecs = [eps.to_epsilon(r) for r in combo]
         if all(_dot(a, b) == 0 for a, b in combinations(vecs, 2)):
             found.add(frozenset(combo) | frozenset(tuple(-x for x in r) for r in combo))
@@ -210,11 +212,19 @@ def direct_sum(a: EpsilonDatum, b: EpsilonDatum) -> EpsilonDatum:
         torus_coords=a.torus_coords + tuple(n + i for i in b.torus_coords))
 
 
-def weyl_group_by_products(brd):
+def reflection(eps: EpsilonDatum, root) -> IntMatrix:
+    """s_beta on X: x -> x - <x, beta^vee> beta, beta^vee read off the table."""
+    cor = dict(zip(eps.roots, eps.coroots))[root]
+    n = eps.rank
+    return IntMatrix.from_rows(
+        [[int(i == j) - root[i] * cor[j] for j in range(n)] for i in range(n)], n)
+
+
+def weyl_group_by_products(eps: EpsilonDatum):
     """W as (matrix, word) pairs, breadth-first by full products with the
     simple reflection matrices, in the canonical order of the library."""
-    gens = [brd.reflection(alpha) for alpha in brd.simple_roots]
-    ident = IntMatrix.identity(brd.rank)
+    gens = [reflection(eps, alpha) for alpha in eps.simple_roots]
+    ident = IntMatrix.identity(eps.rank)
     seen = {ident}
     out = [(ident, ())]
     frontier = [(ident, ())]
@@ -241,20 +251,20 @@ def conjugate_by_full_scan(group, a, b):
 
 # -- diagram automorphisms, checked on every root ------------------------------------
 
-def as_brd_automorphism_on_all_roots(brd, m):
+def as_brd_automorphism_on_all_roots(eps: EpsilonDatum, m):
     """(m, s_perm) when the unimodular m maps R onto R, each coroot (through
     m^-T) to the coroot of the image root, and S onto S; otherwise None."""
-    if m.rows != brd.rank or m.cols != brd.rank or bareiss_det(m) not in (1, -1):
+    if m.rows != eps.rank or m.cols != eps.rank or bareiss_det(m) not in (1, -1):
         return None
     inv_t = m.inverse_unimodular().transpose()
-    index = {r: i for i, r in enumerate(brd.roots)}
-    for beta, cov in zip(brd.roots, brd.coroots):
+    index = {r: i for i, r in enumerate(eps.roots)}
+    for beta, cov in zip(eps.roots, eps.coroots):
         img = m.apply(beta)
-        if img not in index or inv_t.apply(cov) != brd.coroots[index[img]]:
+        if img not in index or inv_t.apply(cov) != eps.coroots[index[img]]:
             return None
-    s_index = {r: i for i, r in enumerate(brd.simple_roots)}
+    s_index = {r: i for i, r in enumerate(eps.simple_roots)}
     s_perm = []
-    for alpha in brd.simple_roots:
+    for alpha in eps.simple_roots:
         img = m.apply(alpha)
         if img not in s_index:
             return None
@@ -262,25 +272,25 @@ def as_brd_automorphism_on_all_roots(brd, m):
     return m, tuple(s_perm)
 
 
-def lift_s_permutation_by_rows(brd, perm):
+def lift_s_permutation_by_rows(eps: EpsilonDatum, perm):
     """(matrix, s_perm) of the lift of a Cartan-preserving permutation of S,
     or None: M restricted to the semisimple coordinates solves M S = S_perm
     one row at a time over Q, the identity on the torus block."""
-    k = len(brd.simple_roots)
+    k = len(eps.simple_roots)
     perm = tuple(perm)
     if sorted(perm) != list(range(k)):
         raise ValueError("not a permutation of the simple roots")
-    cartan = [[_dot(a, c) for a in brd.simple_roots] for c in brd.simple_coroots]
+    cartan = [[_dot(a, c) for a in eps.simple_roots] for c in eps.simple_coroots]
     if any(cartan[perm[i]][perm[j]] != cartan[i][j] for i in range(k) for j in range(k)):
         return None
-    semis = [i for i in range(brd.rank) if i not in set(brd.torus_coords)]
+    semis = [i for i in range(eps.rank) if i not in set(eps.torus_coords)]
     if len(semis) != k and k > 0:
         return None
-    n = brd.rank
+    n = eps.rank
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     if k:
-        sub = [[Fraction(brd.simple_roots[j][i]) for j in range(k)] for i in semis]
-        img = [[Fraction(brd.simple_roots[perm[j]][i]) for j in range(k)] for i in semis]
+        sub = [[Fraction(eps.simple_roots[j][i]) for j in range(k)] for i in semis]
+        img = [[Fraction(eps.simple_roots[perm[j]][i]) for j in range(k)] for i in semis]
         for ri, i in enumerate(semis):
             coeffs = solve_exact([list(col) for col in zip(*sub)], img[ri])
             if coeffs is None:
@@ -289,7 +299,7 @@ def lift_s_permutation_by_rows(brd, perm):
                 rows[i][j] = coeffs[rj]
     if any(x.denominator != 1 for row in rows for x in row):
         return None
-    return as_brd_automorphism_on_all_roots(brd, IntMatrix.from_rows(rows, n))
+    return as_brd_automorphism_on_all_roots(eps, IntMatrix.from_rows(rows, n))
 
 
 def dynkin_automorphisms_by_scan(brd, lift):

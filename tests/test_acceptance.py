@@ -71,7 +71,7 @@ from sphdescent.invariants import (
 from sphdescent.problem import parse_dict, parse_text
 from sphdescent.rootdata import build_root_datum, lift_s_permutation, torus, weyl_group
 from sphdescent.staraction import build_action
-from sphdescent.weyl import are_weyl_conjugate, root_subset, weyl_orbit
+from sphdescent.weyl import are_weyl_conjugate, root_subset, roots_and_coroots, weyl_orbit
 
 
 def report(n, text):
@@ -93,13 +93,13 @@ def load_corpus(name):
 
 
 def test_criterion_1_d4_structure_constants(d4):
-    assert len(d4.roots) == 24
+    whole = roots_and_coroots(d4)[0]
+    assert whole == frozenset(oracle.build("D", 4).roots) and len(whole) == 24
     assert len(d4.simple_roots) == 4
     assert len(weyl_group(d4)) == 192
     autos, skipped = oracle.dynkin_automorphisms_by_scan(d4, lift_s_permutation)
     assert len(autos) == 6 and skipped == ()
-    whole = set(d4.roots)
-    for beta in d4.roots:
+    for beta in whole:
         assert weyl_orbit(d4, beta) == whole
     report(1, "|R| = 24, |S| = 4, |W| = 192, 6 diagram automorphisms, "
               "every root orbit is all of R")
@@ -109,7 +109,7 @@ def test_criterion_2_orthogonal_quadruples_single_class(d4):
     # exhaustive search over 4-subsets of positive roots, orthogonality
     # read in the epsilon realization
     quads = [root_subset(d4, q)
-             for q in oracle.orthogonal_quadruples(d4, oracle.build("D", 4))]
+             for q in oracle.orthogonal_quadruples(oracle.build("D", 4))]
     assert len(quads) == 3
     witnesses = 0
     for a, b in combinations(quads, 2):

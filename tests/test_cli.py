@@ -112,6 +112,12 @@ def test_unreadable_file_is_a_usage_error(capsys, tmp_path):
     assert code == 64 and "line 1" in err
     code, _, err = run(capsys, "verdict", str(tmp_path / "absent.json"))
     assert code == 64 and "cannot read" in err
+    # a file that is not UTF-8 is named like any other unreadable one
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b"\xff{}")
+    assert run(capsys, "verdict", str(latin)) == (64, "", (
+        f"error: {latin}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"))
 
 
 def test_unknown_corpus_name(capsys):
@@ -300,18 +306,16 @@ def test_check_fan_decides_meets_the_ray_sums_miss(capsys):
 
 
 def test_check_fan_caps_face_enumeration(capsys, monkeypatch):
-    # the closure and the (empty) root table fit under 8; the 16 faces of
-    # the stated fan's one cone do not
+    # the closure fits under 8; the 16 faces of the stated fan's one cone do
+    # not, and the error names the file as a parse error does: as given
     f = str(DATA / "stated_fan_over_cap.json")
     assert run(capsys, "check-fan", f, "--cap", "8") == (
-        64, "", "error: stated_fan_over_cap.json: face enumeration exceeded "
-        "cap 8\n")
+        64, "", f"error: {f}: face enumeration exceeded cap 8\n")
     assert run(capsys, "check-fan", f, "--cap", "16")[:2] == (
         0, "stated_fan_over_cap.json: valid: yes, wonderful: yes, stable: yes\n")
     monkeypatch.setenv("SPHDESCENT_CAP", "15")
     assert run(capsys, "check-fan", f, "--json") == (
-        64, "", "error: stated_fan_over_cap.json: face enumeration exceeded "
-        "cap 15\n")
+        64, "", f"error: {f}: face enumeration exceeded cap 15\n")
     monkeypatch.delenv("SPHDESCENT_CAP")
     assert run(capsys, "check-fan", f)[0] == 0
     # without the fan block the face fan is decided from the cone's rays,
@@ -411,6 +415,73 @@ def test_a_library_error_is_named_by_file_and_block(capsys, tmp_path, data, mess
         for extra in ((), ("--json",)):
             assert run(capsys, command, str(f), *extra) == (
                 64, "", f"error: {f}: {message}\n")
+
+
+def _corpus_without(name, *keys):
+    data = _corpus_with(name)
+    for key in keys:
+        del data[key]
+    return data
+
+
+@pytest.mark.parametrize("data,message", [
+    (_corpus_without("spin8_trialitary", "root_datum"),
+     "an action block needs a root_datum block"),
+    (_corpus_without("spin8_trialitary", "root_datum", "action"),
+     "an invariants block needs a root_datum block"),
+    (_corpus_without("d4_horospherical_M1", "root_datum", "action"),
+     "a horospherical block needs a root_datum block"),
+    (_corpus_without("fan_stability_demo", "root_datum", "action", "invariants"),
+     "a fan block needs a root_datum block"),
+], ids=["action", "invariants", "horospherical", "fan"])
+def test_a_block_without_a_root_datum_is_refused(capsys, tmp_path, data, message):
+    f = tmp_path / "no_root_datum.json"
+    f.write_text(json.dumps(data), encoding="utf-8")
+    for command in ("verdict", "check-invariants", "check-fan", "cohomology"):
+        for extra in ((), ("--json",)):
+            assert run(capsys, command, str(f), *extra) == (
+                64, "", f"error: {f}: {message}\n")
+
+
+# errors the verdict raises on parsed data, named like parse errors: by the
+# file's path as given
+@pytest.mark.parametrize("edits,message", [
+    ([(("hypotheses", "normalizer_self_normalizing"), "ByHorospherical")],
+     "the ByHorospherical normalizer assertion requires a horospherical datum"),
+    ([(("cohomology", "A_characters", "action"), {"s": [[0, 1], [1, 1]]})],
+     "cohomology data names generators ('s',), but the action has ('t',)"),
+], ids=["normalizer", "cohomology names"])
+def test_a_report_error_names_the_file(capsys, tmp_path, edits, message):
+    f = tmp_path / "report.json"
+    f.write_text(json.dumps(_corpus_with("spin8_trialitary", *edits)), encoding="utf-8")
+    for extra in ((), ("--json",)):
+        assert run(capsys, "verdict", str(f), *extra) == (64, "", f"error: {f}: {message}\n")
+
+
+def _spin8_with_a_second_generator(order):
+    """spin8_trialitary, not quasi-split, with an identity generator u after
+    t, and A_characters' action keys in the given order."""
+    data = _corpus_with("spin8_trialitary", (("hypotheses", "form_is_quasi_split"), False))
+    data["action"]["generators"].append({"name": "u", "s_permutation": [1, 2, 3, 4]})
+    matrices = {"t": [[0, 1], [1, 1]], "u": [[1, 0], [0, 1]]}
+    data["cohomology"]["A_characters"]["action"] = {name: matrices[name] for name in order}
+    return data
+
+
+def test_cohomology_actions_are_matched_by_generator_name(capsys, tmp_path):
+    # JSON objects are unordered: either key order reads as the action's
+    runs = []
+    for order in (("t", "u"), ("u", "t")):
+        f = tmp_path / "".join(order) / "two_generators.json"
+        f.parent.mkdir()
+        f.write_text(json.dumps(_spin8_with_a_second_generator(order)), encoding="utf-8")
+        runs.append([run(capsys, command, str(f), *extra)
+                     for command in ("verdict", "cohomology") for extra in ((), ("--json",))])
+    assert runs[0] == runs[1]
+    code, out, err = runs[1][0]
+    assert (code, err) == (0, "") and out.startswith(
+        "two_generators.json: form_exists (obstruction-vanishing-descent); "
+        "obstruction: vanishes (h2_target_trivial)\n")
 
 
 def test_file_commands_read_a_weight_lattice_of_rank_zero(capsys):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from sphdescent.cli import corpus_names, corpus_root, main
 from sphdescent.rootdata import build_root_datum
+from sphdescent.weyl import roots_and_coroots
 
 DOCS = [json.loads(p.read_text("utf-8")) for p in
         [corpus_root() / name for name in corpus_names()]
@@ -118,7 +119,7 @@ ENTRIES = st.one_of(st.integers(-3, 3).map(str),
 
 def _roots(typ, rank):
     try:
-        return build_root_datum(typ, rank).roots
+        return tuple(sorted(roots_and_coroots(build_root_datum(typ, rank))[0]))
     except ValueError:
         return ()
 

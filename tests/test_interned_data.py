@@ -16,6 +16,7 @@ from sphdescent import rootdata
 from sphdescent.cli import main
 from sphdescent.rootdata import CapExceeded, build_root_datum, lift_s_permutation
 from sphdescent.staraction import build_action
+from sphdescent.weyl import roots_and_coroots
 
 TYPES = ([("A", n) for n in range(1, 10)] + [("B", n) for n in range(2, 10)]
          + [("C", n) for n in range(2, 10)] + [("D", n) for n in range(3, 10)]
@@ -83,9 +84,10 @@ def test_warm_data_and_lifts_equal_cold_ones(letter, rank, isogeny):
     bad = non_lifting(warm, autos)
     errors = [lift_error(warm, bad), lift_error(warm, bad)] if bad else []
     assert len(set(errors)) == (1 if bad else 0)
-    roots = warm.roots
+    sets = roots_and_coroots(warm)
 
     rootdata._interned_datum.cache_clear()
+    roots_and_coroots.cache_clear()
     cold = build_root_datum(letter, rank, isogeny)
     assert cold is not warm and cold == warm and hash(cold) == hash(warm)
     if isogeny == "simply_connected":
@@ -96,8 +98,7 @@ def test_warm_data_and_lifts_equal_cold_ones(letter, rank, isogeny):
         assert (custom.simple_roots, custom.simple_coroots) == (
             warm.simple_roots, warm.simple_coroots)
         assert custom != warm and replace(custom, isogeny=isogeny) == warm
-    assert (cold.roots, cold.coroots, cold.positive_roots) == (
-        roots, warm.coroots, warm.positive_roots)
+    assert roots_and_coroots(cold) == sets
     assert cold.cartan_matrix == warm.cartan_matrix
     if bad:
         assert lift_error(cold, bad) == errors[0]
@@ -130,7 +131,7 @@ def test_a_float_rank_misses_the_cache():
 
 
 def test_a_small_cap_is_refused_on_an_interned_datum():
-    assert len(build_root_datum("E", 8).roots) == 240
+    assert len(roots_and_coroots(build_root_datum("E", 8))[0]) == 240
     with pytest.raises(CapExceeded, match="^root datum E8: root table of 1920 entries "
                                           "exceeds cap 1919$"):
         build_root_datum("E", 8, cap=1919)
@@ -138,16 +139,11 @@ def test_a_small_cap_is_refused_on_an_interned_datum():
         build_root_datum("E", 8, cap=0)
 
 
-def test_the_interned_root_table_is_read_only():
-    with pytest.raises(TypeError):
-        build_root_datum("A", 2).coroot_of[(0, 0)] = (0, 0)
-
-
-def test_a_datum_with_its_table_and_lifts_still_pickles():
+def test_a_datum_with_its_lifts_still_pickles():
     brd = build_root_datum("D", 4)
     lift = lift_s_permutation(brd, (2, 1, 0, 3))
     copy = pickle.loads(pickle.dumps(brd))
-    assert copy == brd and copy.roots == brd.roots and copy.coroot_of == brd.coroot_of
+    assert copy == brd and copy.cartan_matrix == brd.cartan_matrix
     assert lift_s_permutation(copy, (2, 1, 0, 3)) == lift
 
 

@@ -195,6 +195,26 @@ def test_fan_requires_invariants():
                        fan={"cones": [{"rays": [[1, 0]]}]}))
 
 
+def test_cohomology_modules_take_the_action_order():
+    # A_characters and Z_characters list their keys in opposite orders; both
+    # are read in the action's, so kappa's source and target agree
+    data = load_corpus("sl2_torus")
+    data["action"]["generators"].append({"name": "r", "matrix_on_X": [[1]]})
+    coh = data["cohomology"]
+    coh["A_characters"] = {"presentation": [[2, 0], [0, 2]],
+                           "action": {"r": [[0, 1], [1, 0]], "s": [[1, 0], [0, 1]]}}
+    coh["kappa_matrix"] = [[0, 0]]
+    for z_keys in (("r", "s"), ("s", "r")):
+        coh["Z_characters"]["action"] = {k: [[1]] for k in z_keys}
+        p = parse_dict(data)
+        a_module = p.cohomology.a_module
+        assert a_module.generator_names == p.cohomology.kappa.target.generator_names == ("s", "r")
+        assert [m.entries for m in a_module.action] == [((1, 0), (0, 1)), ((0, 1), (1, 0))]
+    # with no action block, A_characters' own order
+    del data["action"], data["hypotheses"], data["invariants"]
+    assert parse_dict(data).cohomology.kappa.target.generator_names == ("r", "s")
+
+
 def test_kappa_requires_z_characters():
     data = load_corpus("sl2_torus")
     del data["cohomology"]["Z_characters"]

@@ -1,7 +1,8 @@
 """Differential tests of the integer root-data engine and the lazy Weyl search.
 
-The integer builder (Cartan-matrix search) is compared table by table with
-the classical epsilon/Fraction builder kept in `epsilon_rootdata_oracle`,
+The integer builder (simple system from the Cartan matrix, roots and
+coroots as Weyl orbits) is compared with the classical epsilon/Fraction
+builder kept in `epsilon_rootdata_oracle`,
 and `are_weyl_conjugate` with a scan over the whole Weyl group.  The
 diagram-automorphism layer (lifts by one fraction-free elimination, the
 automorphism test on S) is compared with the per-row `Fraction` lift and
@@ -32,7 +33,7 @@ from sphdescent.rootdata import (
     weyl_group,
 )
 from sphdescent.staraction import build_action
-from sphdescent.weyl import are_weyl_conjugate, root_subset, weyl_orbit
+from sphdescent.weyl import are_weyl_conjugate, root_subset, roots_and_coroots, weyl_orbit
 
 TYPES = ([("A", n) for n in range(1, 13)] + [("B", n) for n in range(2, 10)]
          + [("C", n) for n in range(2, 10)] + [("D", n) for n in range(3, 10)]
@@ -44,12 +45,10 @@ SMALL_W = ([("A", n) for n in range(1, 6)] + [("B", n) for n in range(2, 5)]
 
 def assert_same_tables(new, old):
     assert new.components == old.components and new.rank == old.rank
-    assert new.roots == old.roots
-    assert new.coroots == old.coroots
+    assert roots_and_coroots(new) == (frozenset(old.roots), frozenset(old.coroots))
     assert new.simple_roots == old.simple_roots
     assert new.simple_coroots == old.simple_coroots
     assert new.cartan_matrix.entries == old.cartan_matrix
-    assert new.positive_roots == old.positive_roots
     assert new.torus_coords == old.torus_coords
 
 
@@ -81,11 +80,16 @@ def test_custom_lattice_without_the_roots_is_refused_by_both():
             build("A", 1, "custom_lattice", [[3]])
 
 
-def _both(spec):
-    """(new, oracle) datum for a torus rank or an adjoint (letter, rank)."""
+def _both(spec, isogeny="adjoint"):
+    """(new, oracle) datum for a torus rank or a (letter, rank) of the isogeny."""
     if isinstance(spec, int):
         return torus(spec), oracle.torus(spec)
-    return build_root_datum(*spec, "adjoint"), oracle.build(*spec, "adjoint")
+    return build_root_datum(*spec, isogeny), oracle.build(*spec, isogeny)
+
+
+def _sum(left, right):
+    """(new, oracle) direct sum of two (new, oracle) pairs."""
+    return direct_sum(left[0], right[0]), oracle.direct_sum(left[1], right[1])
 
 
 def test_torus_and_direct_sums_match_the_epsilon_builder():
@@ -93,8 +97,7 @@ def test_torus_and_direct_sums_match_the_epsilon_builder():
     assert_same_tables(torus(0), oracle.torus(0))
     for left, right in [(("A", 2), 1), (("B", 2), ("G", 2)), (0, ("A", 1)),
                         (("C", 3), ("D", 4))]:
-        (na, oa), (nb, ob) = _both(left), _both(right)
-        assert_same_tables(direct_sum(na, nb), oracle.direct_sum(oa, ob))
+        assert_same_tables(*_sum(_both(left), _both(right)))
 
 
 def test_no_fraction_arithmetic_in_the_standard_builds(monkeypatch):
@@ -123,18 +126,23 @@ def test_no_fraction_arithmetic_in_the_standard_builds(monkeypatch):
         build_root_datum("A", 1, "custom_lattice", [[3]])
 
 
-def test_root_datum_equality_ignores_the_root_table():
-    a, b = build_root_datum("D", 4), build_root_datum("D", 4)
-    a.roots  # builds a's root table only
+def test_root_datum_equality_ignores_what_a_datum_caches():
+    # custom lattices are not interned: a keeps a lift and its root sets, b
+    # holds neither
+    basis = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]]
+    a, b = (build_root_datum("D", 4, "custom_lattice", basis) for _ in range(2))
+    lift_s_permutation(a, (0, 1, 3, 2))
+    roots_and_coroots(a)
+    assert a is not b and a._lifts and not b._lifts
     assert a == b and hash(a) == hash(b)
 
 
 # -- the root-table cap ---------------------------------------------------------------
 
 def test_root_table_cap_is_checked_before_any_search(monkeypatch):
-    def search(cartan):
+    def search(brd):
         raise AssertionError("search started")
-    monkeypatch.setattr(rootdata, "_root_search", search)
+    monkeypatch.setattr(weyl, "roots_and_coroots", search)
     with pytest.raises(CapExceeded, match="root datum E8: root table of 1920 entries "
                                           "exceeds cap 1919"):
         build_root_datum("E", 8, cap=1919)
@@ -145,7 +153,7 @@ def test_root_table_cap_is_checked_before_any_search(monkeypatch):
 
 
 def test_root_table_cap_boundary():
-    assert len(build_root_datum("E", 8, cap=1920).roots) == 240
+    assert len(roots_and_coroots(build_root_datum("E", 8, cap=1920))[0]) == 240
 
 
 def test_cli_exits_64_on_an_oversized_root_datum(tmp_path, capsys):
@@ -189,9 +197,8 @@ def test_cli_exits_64_on_an_oversized_torus(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("D", 4), ("G", 2), ("F", 4)])
 def test_weyl_group_matches_full_products(letter, rank):
-    brd = build_root_datum(letter, rank)
-    assert ([(w.matrix, w.word) for w in weyl_group(brd)]
-            == oracle.weyl_group_by_products(brd))
+    assert ([(w.matrix, w.word) for w in weyl_group(build_root_datum(letter, rank))]
+            == oracle.weyl_group_by_products(oracle.build(letter, rank)))
 
 
 def neg(v):
@@ -199,16 +206,16 @@ def neg(v):
 
 
 def _conjugacy_inputs(brd, rng):
-    group = oracle.weyl_group_by_products(brd)
+    eps = oracle.build(*brd.components[0], brd.isogeny)
+    group = oracle.weyl_group_by_products(eps)
     pairs = []
     for size in (1, 2, 3):
-        a = rng.sample(brd.roots, min(size, len(brd.roots)))
+        a = rng.sample(eps.roots, min(size, len(eps.roots)))
         m, _ = rng.choice(group)
         pairs.append((a, [m.apply(r) for r in a]))             # conjugate
-        pairs.append((a, rng.sample(brd.roots, len(a))))       # usually not
-    eps = oracle.build(*brd.components[0], brd.isogeny)
+        pairs.append((a, rng.sample(eps.roots, len(a))))       # usually not
     lengths = {}
-    for beta in brd.roots:
+    for beta in eps.roots:
         lengths.setdefault(vec_dot(eps.to_epsilon(beta), eps.to_epsilon(beta)), beta)
     if len(lengths) == 2:                                       # long / short
         long_root, short_root = (lengths[k] for k in sorted(lengths, reverse=True))
@@ -230,9 +237,9 @@ def test_conjugacy_matches_a_full_scan(letter, rank, isogeny):
 
 
 def test_d4_quadruple_conjugacy_matches_a_full_scan():
-    d4 = build_root_datum("D", 4)
-    group = oracle.weyl_group_by_products(d4)
-    quads = [root_subset(d4, q) for q in oracle.orthogonal_quadruples(d4, oracle.build("D", 4))]
+    d4, eps = build_root_datum("D", 4), oracle.build("D", 4)
+    group = oracle.weyl_group_by_products(eps)
+    quads = [root_subset(d4, q) for q in oracle.orthogonal_quadruples(eps)]
     for a in quads:
         for b in quads:
             got = are_weyl_conjugate(d4, a, b)
@@ -329,31 +336,32 @@ def _same(got, want):
 
 
 def _lift_inputs():
-    """Every datum of the lift comparison, with a label."""
+    """Every datum of the lift comparison, with a label and its oracle datum."""
     for letter, rank in TYPES:
         if rank <= 6:
             for isogeny in ("simply_connected", "adjoint"):
-                yield f"{letter}{rank} {isogeny}", build_root_datum(letter, rank, isogeny)
+                yield f"{letter}{rank} {isogeny}", *_both((letter, rank), isogeny)
     for letter, rank, basis in CUSTOM:
-        yield f"{letter}{rank} {basis}", build_root_datum(letter, rank, "custom_lattice", basis)
-    yield "T0", torus(0)
-    yield "T2", torus(2)
-    a1, a2 = build_root_datum("A", 1), build_root_datum("A", 2)
+        yield (f"{letter}{rank} {basis}", build_root_datum(letter, rank, "custom_lattice", basis),
+               oracle.build(letter, rank, "custom_lattice", basis))
+    yield "T0", *_both(0)
+    yield "T2", *_both(2)
+    a1, a2 = _both(("A", 1), "simply_connected"), _both(("A", 2), "simply_connected")
     for name, left, right in [
-            ("A2+T1", a2, torus(1)), ("T1+A2", torus(1), a2), ("A1+A1", a1, a1),
-            ("A1+A1 adjoint", a1, build_root_datum("A", 1, "adjoint")),
-            ("A2+A2", a2, build_root_datum("A", 2, "adjoint")),
-            ("B2+G2", build_root_datum("B", 2), build_root_datum("G", 2)),
-            ("D4+T1", build_root_datum("D", 4, "adjoint"), torus(1)),
-            ("A1+T1+A1", direct_sum(a1, torus(1)), a1)]:
-        yield name, direct_sum(left, right)
+            ("A2+T1", a2, _both(1)), ("T1+A2", _both(1), a2), ("A1+A1", a1, a1),
+            ("A1+A1 adjoint", a1, _both(("A", 1))),
+            ("A2+A2", a2, _both(("A", 2))),
+            ("B2+G2", _both(("B", 2), "simply_connected"), _both(("G", 2), "simply_connected")),
+            ("D4+T1", _both(("D", 4)), _both(1)),
+            ("A1+T1+A1", _sum(a1, _both(1)), a1)]:
+        yield name, *_sum(left, right)
 
 
 def test_lifts_match_the_row_by_row_fraction_solve():
     lifted = 0
-    for name, brd in _lift_inputs():
+    for name, brd, eps in _lift_inputs():
         for perm in permutations(range(len(brd.simple_roots))):
-            want = oracle.lift_s_permutation_by_rows(brd, perm)
+            want = oracle.lift_s_permutation_by_rows(eps, perm)
             assert _same(lift_s_permutation(brd, perm), want), (name, perm)
             lifted += want is not None
     assert lifted > 100
@@ -391,21 +399,22 @@ def _seeded_inputs(brd, rng, count=150):
 
 
 AUT_DATA = [
-    *(pytest.param(build_root_datum(letter, rank, isogeny), id=f"{letter}{rank}-{isogeny}")
+    *(pytest.param(*_both((letter, rank), isogeny), id=f"{letter}{rank}-{isogeny}")
       for letter, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
                            ("B", 4), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
       for isogeny in ("simply_connected", "adjoint")),
     # a central torus: shears that fix every root but move a coroot
-    *(pytest.param(direct_sum(build_root_datum(letter, rank), torus(t)), id=f"{letter}{rank}+T{t}")
+    *(pytest.param(*_sum(_both((letter, rank), "simply_connected"), _both(t)),
+                   id=f"{letter}{rank}+T{t}")
       for letter, rank, t in [("A", 1, 1), ("A", 2, 1), ("B", 2, 2)])]
 
 
-@pytest.mark.parametrize("brd", AUT_DATA)
-def test_automorphism_test_matches_the_check_on_every_root(brd):
+@pytest.mark.parametrize("brd,eps", AUT_DATA)
+def test_automorphism_test_matches_the_check_on_every_root(brd, eps):
     rng = random.Random(f"aut {brd.components} {brd.isogeny}")
     found = 0
     for m in [*_w_and_diagram_inputs(brd), *_seeded_inputs(brd, rng)]:
-        want = oracle.as_brd_automorphism_on_all_roots(brd, m)
+        want = oracle.as_brd_automorphism_on_all_roots(eps, m)
         assert _same(as_brd_automorphism(brd, m), want), m
         found += want is not None
     assert found >= len(_diagram_automorphisms(brd))
@@ -417,4 +426,5 @@ def test_diagram_lifts_at_rank_twelve():
     assert lift_s_permutation(a12, ident[::-1]).s_perm == ident[::-1]
     d12 = build_root_datum("D", 12, "adjoint")
     swap = lift_s_permutation(d12, ident[:10] + (11, 10))
-    assert oracle.as_brd_automorphism_on_all_roots(d12, swap.matrix) == (swap.matrix, swap.s_perm)
+    assert oracle.as_brd_automorphism_on_all_roots(
+        oracle.build("D", 12, "adjoint"), swap.matrix) == (swap.matrix, swap.s_perm)

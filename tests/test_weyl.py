@@ -7,7 +7,7 @@ import pytest
 import epsilon_rootdata_oracle as oracle
 from sphdescent.intlinalg import vec_dot
 from sphdescent.rootdata import CapExceeded, build_root_datum, lift_s_permutation
-from sphdescent.weyl import are_weyl_conjugate, root_subset, weyl_orbit
+from sphdescent.weyl import are_weyl_conjugate, root_subset, roots_and_coroots, weyl_orbit
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +21,7 @@ def d4_eps():
 
 
 def quadruples_by_recount(brd, eps):
-    return [root_subset(brd, q) for q in oracle.orthogonal_quadruples(brd, eps)]
+    return [root_subset(brd, q) for q in oracle.orthogonal_quadruples(eps)]
 
 
 def test_orbit_of_first_fundamental_weight(d4, d4_eps):
@@ -32,10 +32,10 @@ def test_orbit_of_first_fundamental_weight(d4, d4_eps):
     assert eps == {unit(i, s) for i in range(4) for s in (1, -1)}
 
 
-def test_orbit_of_second_fundamental_weight_is_the_root_set(d4):
+def test_orbit_of_second_fundamental_weight_is_the_root_set(d4, d4_eps):
     orbit = weyl_orbit(d4, (0, 1, 0, 0))
     assert len(orbit) == 24
-    assert orbit == frozenset(tuple(Fraction(x) for x in r) for r in d4.roots)
+    assert orbit == frozenset(d4_eps.roots) == roots_and_coroots(d4)[0]
 
 
 def test_orbit_of_zero(d4):
