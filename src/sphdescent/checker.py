@@ -22,14 +22,16 @@ from .cohomology import (
     ObstructionVerdict,
     obstruction_verdict,
 )
-from .cones import ColoredFan, FanCone, is_gamma_stable, is_valid_fan, is_wonderful
+from .cones import (NO_FACE_FAN, ColoredFan, FanCone, is_gamma_stable, is_valid_fan,
+                    is_wonderful)
 from .invariants import (
+    LATTICE_MOVED,
     HorosphericalDatum,
     SphericalInvariants,
     preserves_invariants,
 )
 from .rootdata import WEYL_CAP, BasedRootDatum, check_cap
-from .staraction import GaloisAction, restrict_to_sublattice
+from .staraction import GaloisAction
 
 FORM_EXISTS = "form_exists"
 NO_FORM = "no_form"
@@ -51,10 +53,6 @@ _NORMALIZER_DETAIL = {
     "Unknown": "unresolved",
 }
 NORMALIZER_REASONS = tuple(_NORMALIZER_DETAIL)
-
-_LATTICE_MOVED = "moves the weight lattice"
-_NO_FACE_FAN = ("the valuation cone has nontrivial lineality, so no fan has it "
-                "as a maximal strictly convex cone")
 
 
 @dataclass(frozen=True)
@@ -108,25 +106,6 @@ class Verdict:
             raise ValueError("form_exists verdict with a failed trace entry")
 
 
-def _spherical_problems(action: GaloisAction, inv: SphericalInvariants, gen):
-    v = preserves_invariants(action, gen, inv)
-    if not v.x_ok:
-        return [_LATTICE_MOVED]
-    return [p for ok, p in ((v.v_ok, "moves the valuation cone"),
-                            (v.omega1_ok, "moves the single-preimage colors"),
-                            (v.omega2_ok, "moves the double-preimage colors"))
-            if not ok]
-
-
-def _horospherical_problems(action: GaloisAction, datum: HorosphericalDatum, gen):
-    # M = L/d in canonical form: g(M) = M exactly when g keeps L
-    moved = frozenset(gen.s_perm[i] for i in datum.simple_subset)
-    return [p for ok, p in (
-        (moved == datum.simple_subset, "moves the simple-root subset"),
-        (restrict_to_sublattice(gen, datum.characters.lattice) is not None,
-         "moves the character group")) if not ok]
-
-
 def invariance_entries(action: GaloisAction, invariants):
     """Per-generator preservation trace for either invariants flavor.
 
@@ -136,15 +115,15 @@ def invariance_entries(action: GaloisAction, invariants):
     if isinstance(invariants, HorosphericalDatum):
         if max(invariants.simple_subset, default=-1) >= len(action.brd.simple_roots):
             raise ValueError("subset members must index the simple roots")
-        problems_of, fixed = _horospherical_problems, "subset and characters fixed"
+        fixed = "subset and characters fixed"
     elif isinstance(invariants, SphericalInvariants):
-        problems_of, fixed = _spherical_problems, "lattice, cone, and colors fixed"
+        fixed = "lattice, cone, and colors fixed"
     else:
         raise TypeError("invariants must be spherical invariants or a "
                         "horospherical datum")
     entries = []
     for name, gen in zip(action.generator_names, action.generators):
-        problems = problems_of(action, invariants, gen)
+        problems = preserves_invariants(action, gen, invariants).problems
         entries.append(TraceEntry(f"invariants preserved by generator '{name}'",
                                   not problems, "; ".join(problems) or fixed))
     return all(e.ok for e in entries), entries
@@ -250,7 +229,7 @@ def wonderful_stability_report(invariants: SphericalInvariants,
     check_cap(cap)
     vcone = invariants.valuation_cone
     if fan is None and not vcone.is_strictly_convex:
-        return WonderfulReport(False, None, None, None, (_NO_FACE_FAN,), None)
+        return WonderfulReport(False, None, None, None, (NO_FACE_FAN,), None)
     if fan is None:  # stability reads no parents
         valid, wonderful, problems = True, True, ()
         fan = ColoredFan(vcone.ambient_dim, vcone.rays, tuple(
@@ -266,5 +245,5 @@ def wonderful_stability_report(invariants: SphericalInvariants,
         if sv.violating_cone is not None:
             rays = fan.rays_of(sv.violating_cone.mask)
         elif not stable:
-            problems += (_LATTICE_MOVED,)
+            problems += (LATTICE_MOVED,)
     return WonderfulReport(valid, wonderful, stable, generator, problems, rays)

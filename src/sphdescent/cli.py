@@ -14,6 +14,7 @@ import re
 import sys
 from functools import cache
 from importlib import resources
+from pathlib import Path
 
 from .checker import (
     EXISTS_IFF,
@@ -27,7 +28,7 @@ from .checker import (
 from .cohomology import h2_local_vanishes, obstruction_verdict
 from .intlinalg import _exact
 from .invariants import validate_horospherical
-from .problem import Problem, ProblemError, _num_out, file_errors, parse_file
+from .problem import Problem, ProblemError, _num_out, file_errors, parse_text
 from .rootdata import CapExceeded, build_root_datum
 from .weyl import are_weyl_conjugate, root_subset, weyl_orbit
 
@@ -75,7 +76,9 @@ def corpus_names() -> list:
 
 
 def _resolve_paths(args) -> list:
-    """Input files for a file-taking command, honoring --corpus."""
+    """(name in errors, file) for each input file of a file-taking command,
+    honoring --corpus: a corpus entry is named by its file name, any other
+    file by its path as given."""
     if args.corpus:
         if args.file:
             name = args.file if args.file.endswith(".json") else args.file + ".json"
@@ -84,17 +87,12 @@ def _resolve_paths(args) -> list:
                 raise ProblemError(
                     f"no corpus file named {name!r}; available: "
                     + ", ".join(corpus_names()))
-            return [entry]
-        return [corpus_root() / name for name in corpus_names()]
+            return [(name, entry)]
+        return [(name, corpus_root() / name) for name in corpus_names()]
     if not args.file:
         raise ProblemError("give a problem file, or --corpus to use the "
                            "shipped examples")
-    return [args.file]
-
-
-def _label(path) -> str:
-    return path.name if hasattr(path, "name") and not isinstance(path, str) \
-        else os.path.basename(str(path))
+    return [(args.file, Path(args.file))]
 
 
 def _caps(args) -> dict:
@@ -136,19 +134,20 @@ def _emit(*lines, end=False) -> None:
 def _run_batch(args) -> int:
     """Run one file command over each of its input files.
 
-    `args.report(label, problem, **caps)` returns (exit code, JSON document,
-    text lines); a skipped file counts as exit 0, and an error names the
-    file as it does when the file is parsed.  Text mode prints each file's
+    `args.report(label, problem, **caps)`, the label the file's base name,
+    returns (exit code, JSON document, text lines); a skipped file counts as
+    exit 0, and an error, in the parse or the report, names the file as
+    `_resolve_paths` does.  Text mode prints each file's
     lines as it goes; --json prints one document, wrapped as {"results":
     [...]} when there are several files.  The exit code is the worst one.
     """
     caps = _caps(args)
     worst = EX_OK
     docs = []
-    for path in _resolve_paths(args):
-        problem = parse_file(path, **caps)
-        with file_errors(path):
-            code, doc, lines = args.report(_label(path), problem, **caps)
+    for named, path in _resolve_paths(args):
+        with file_errors(named):
+            problem = parse_text(path.read_text(encoding="utf-8"), **caps)
+            code, doc, lines = args.report(path.name, problem, **caps)
         docs.append(doc)
         worst = max(worst, code)
         if not args.json:

@@ -44,6 +44,10 @@ class NotStrictlyConvex(ValueError):
     """A construction needed a strictly convex cone but got lineality."""
 
 
+NO_FACE_FAN = ("the valuation cone has nontrivial lineality, so no fan has it "
+               "as a maximal strictly convex cone")
+
+
 @dataclass(frozen=True)
 class RationalCone:
     """Convex rational polyhedral cone in canonical double description."""
@@ -465,9 +469,7 @@ def wonderful_fan(v_cone: RationalCone, cap: int = WEYL_CAP) -> ColoredFan:
     """The colorless fan of all faces of a strictly convex valuation cone;
     CapExceeded when there are more than `cap` faces."""
     if not v_cone.is_strictly_convex:
-        raise NotStrictlyConvex(
-            "the valuation cone has nontrivial lineality, so no fan has it "
-            "as a maximal strictly convex cone")
+        raise NotStrictlyConvex(NO_FACE_FAN)
     return faces(ColoredCone(v_cone, frozenset()), cap)
 
 

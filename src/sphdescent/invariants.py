@@ -103,39 +103,6 @@ class SphericalInvariants:
 
 
 @dataclass(frozen=True)
-class PreservationVerdict:
-    """Per-invariant outcome for one automorphism.
-
-    When the weight lattice moves (x_ok false) the action on V is undefined,
-    so the remaining flags are None rather than booleans.
-    """
-
-    x_ok: bool
-    v_ok: bool | None
-    omega1_ok: bool | None
-    omega2_ok: bool | None
-
-
-def preserves_invariants(action: GaloisAction, element: BRDAutomorphism,
-                         inv: SphericalInvariants) -> PreservationVerdict:
-    """Does one automorphism fix the weight lattice, cone, and color sets?"""
-    if action.brd != inv.brd:
-        raise ValueError("action and invariants belong to different root data")
-    restriction = restrict_to_sublattice(element, inv.weight_lattice)
-    if restriction is None:
-        return PreservationVerdict(False, None, None, None)
-    # g acts on V by the inverse transpose of its restriction N, so g^-1 by N^T
-    dual = restriction.inverse_unimodular().transpose()
-    cone, inverse = inv.valuation_cone, restriction.transpose()
-    # g.V = V exactly when g.V and g^-1.V both lie in V
-    v_ok = all(cone.contains(dual.apply(x)) and cone.contains(inverse.apply(x))
-               for x in cone.generators())
-    o1 = frozenset(r.image(dual, element.s_perm) for r in inv.omega1)
-    o2 = frozenset(r.image(dual, element.s_perm) for r in inv.omega2)
-    return PreservationVerdict(True, v_ok, o1 == inv.omega1, o2 == inv.omega2)
-
-
-@dataclass(frozen=True)
 class HorosphericalDatum:
     """A set of simple-root indices I and a character group M orthogonal to it."""
 
@@ -166,3 +133,54 @@ def validate_horospherical(brd: BasedRootDatum, datum: HorosphericalDatum) -> li
             f"characters have denominator {datum.characters.denominator}, "
             "so some generators lie outside the character lattice")
     return warnings
+
+
+LATTICE_MOVED = "moves the weight lattice"
+
+
+@dataclass(frozen=True)
+class PreservationVerdict:
+    """What one automorphism moves, in the trace's words and order.
+
+    For spherical invariants a moved weight lattice is the one problem, as
+    the action on V is then undefined; otherwise the valuation cone, the
+    single- and the double-preimage colors.  For a horospherical datum the
+    simple-root subset, then the character group.
+    """
+
+    problems: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
+
+def preserves_invariants(action: GaloisAction, element: BRDAutomorphism,
+                         inv: SphericalInvariants | HorosphericalDatum
+                         ) -> PreservationVerdict:
+    """Does one automorphism keep the spherical invariants (weight lattice,
+    cone and color sets) or the horospherical datum (I and M)?"""
+    if isinstance(inv, HorosphericalDatum):
+        # M = L/d in canonical form: g(M) = M exactly when g keeps L
+        moved = frozenset(element.s_perm[i] for i in inv.simple_subset)
+        return PreservationVerdict(tuple(p for ok, p in (
+            (moved == inv.simple_subset, "moves the simple-root subset"),
+            (restrict_to_sublattice(element, inv.characters.lattice) is not None,
+             "moves the character group")) if not ok))
+    if action.brd != inv.brd:
+        raise ValueError("action and invariants belong to different root data")
+    restriction = restrict_to_sublattice(element, inv.weight_lattice)
+    if restriction is None:
+        return PreservationVerdict((LATTICE_MOVED,))
+    # g acts on V by the inverse transpose of its restriction N, so g^-1 by N^T
+    dual = restriction.inverse_unimodular().transpose()
+    cone, inverse = inv.valuation_cone, restriction.transpose()
+    # g.V = V exactly when g.V and g^-1.V both lie in V
+    v_ok = all(cone.contains(dual.apply(x)) and cone.contains(inverse.apply(x))
+               for x in cone.generators())
+    o1 = frozenset(r.image(dual, element.s_perm) for r in inv.omega1)
+    o2 = frozenset(r.image(dual, element.s_perm) for r in inv.omega2)
+    return PreservationVerdict(tuple(p for ok, p in (
+        (v_ok, "moves the valuation cone"),
+        (o1 == inv.omega1, "moves the single-preimage colors"),
+        (o2 == inv.omega2, "moves the double-preimage colors")) if not ok))

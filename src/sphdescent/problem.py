@@ -33,6 +33,7 @@ goes through its node's message path.  The first violation at the
 shallowest path is raised, worded as jsonschema words it.
 """
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -224,7 +225,6 @@ def _num_out(x):
 class Problem:
     """A fully parsed problem file."""
 
-    title: str
     brd: BasedRootDatum | None
     action: GaloisAction | None
     invariants: SphericalInvariants | None
@@ -233,7 +233,6 @@ class Problem:
     cohomology: CohomologyInputs | None
     base_field: str
     fan: ColoredFan | None
-    notes: str = ""
 
     @property
     def invariance_input(self):
@@ -565,10 +564,8 @@ def parse_dict(data, cap=CLOSURE_CAP) -> Problem:
         coh = _parse_cohomology(data["cohomology"], action)
     if "fan" in data:
         fan = _parse_fan(data["fan"], t_inv, len(brd.simple_roots))
-    return Problem(
-        title=data.get("title", ""), brd=brd, action=action, invariants=inv,
-        horospherical=horo, hypotheses=hyps, cohomology=coh,
-        base_field=base_field, fan=fan, notes=data.get("notes", ""))
+    return Problem(brd=brd, action=action, invariants=inv, horospherical=horo,
+                   hypotheses=hyps, cohomology=coh, base_field=base_field, fan=fan)
 
 
 def parse_text(text: str, cap=CLOSURE_CAP) -> Problem:
@@ -583,12 +580,12 @@ def parse_text(text: str, cap=CLOSURE_CAP) -> Problem:
 
 
 class file_errors:
-    """`with file_errors(path):` names the file, by the path as given or the
-    object's name, in an error from inside: a file it cannot read, a cap hit,
+    """`with file_errors(path):` names the file, a str or an os.PathLike, by
+    os.fspath in an error from inside: a file it cannot read, a cap hit,
     which keeps its type, and any other ValueError, as a ProblemError."""
 
     def __init__(self, path):
-        self.label = path.name if hasattr(path, "read_text") else path
+        self.label = os.fspath(path)
 
     def __enter__(self):
         pass
@@ -603,9 +600,8 @@ class file_errors:
 
 
 def parse_file(path, cap=CLOSURE_CAP) -> Problem:
-    """Parse a file given by a path or by an object with read_text, such as
-    a packaged corpus entry; errors name the path, or the object's name."""
+    """Parse the file at a path, a str or an os.PathLike; errors name it as
+    `file_errors` does."""
     with file_errors(path):
-        text = (path if hasattr(path, "read_text") else Path(path)).read_text(encoding="utf-8")
-        return parse_text(text, cap=cap)
+        return parse_text(Path(path).read_text(encoding="utf-8"), cap=cap)
 

@@ -620,6 +620,15 @@ def test_cap_flag_limits_closure(capsys):
                "--cap", "3")[0] == 0
 
 
+def test_a_corpus_entry_is_named_by_its_file_name(capsys):
+    # any other file is named by its path as given, as the tests above show;
+    # a corpus run stops at its first file whose action has order above 2
+    for argv, name in ((["--corpus", "spin8_trialitary"], "spin8_trialitary.json"),
+                       (["--corpus"], "d4_horo_bad_I.json")):
+        code, _, err = run(capsys, "verdict", *argv, "--cap", "2")
+        assert code == 64 and err.startswith(f"error: {name}: closure exceeds 2 elements;")
+
+
 def test_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv("SPHDESCENT_CAP", "2")
     assert run(capsys, "verdict", "--corpus", "spin8_trialitary")[0] == 64

@@ -8,7 +8,8 @@ lattice and on the lattice of its horospherical characters; sublattices that
 an action moves; seeded sublattices, saturated or not, under the D4
 diagram automorphisms and signed permutations of Z^3; and seeded
 horospherical data (I, M = L/d) on types A-G up to rank 6 in both
-isogenies, under actions generated by lifted diagram automorphisms.
+isogenies, under actions generated by lifted diagram automorphisms, and
+on the sum of two copies of each under one generator that swaps them.
 """
 import json
 import random
@@ -21,9 +22,9 @@ from closure_oracle import elements
 from sphdescent.checker import invariance_entries
 from sphdescent.cli import corpus_names, corpus_root
 from sphdescent.intlinalg import IntMatrix, Lattice
-from sphdescent.invariants import HorosphericalDatum, RationalLattice
+from sphdescent.invariants import HorosphericalDatum, RationalLattice, preserves_invariants
 from sphdescent.problem import parse_dict, parse_text
-from sphdescent.rootdata import build_root_datum, torus
+from sphdescent.rootdata import build_root_datum, direct_sum, torus
 from sphdescent.staraction import build_action, dual_matrix_on_V
 from test_acceptance import _restate, _signed_permutation
 from test_interned_data import cartan_preserving
@@ -179,3 +180,67 @@ def test_horospherical_draws_reach_both_answers_with_denominators():
                 seen.add((ok, "simple-root subset" in failed, "character group" in failed))
     assert seen == {(True, False, False), (False, False, True), (False, True, False),
                     (False, True, True)}
+
+
+SUBSET_MOVED, CHARACTERS_MOVED = "moves the simple-root subset", "moves the character group"
+
+
+def _swap_cases(letter, rank, isogeny):
+    """An action on the sum of two copies of one root datum, by the generator
+    that swaps the copies after a diagram automorphism of each, and seeded
+    (case, datum) pairs: I and M kept, I moved, M moved, and M = L/d with
+    d > 1.  A union of orbits and sums over the image are kept; a nonempty
+    I or a nonzero vector inside the first copy is moved to the second."""
+    rng = random.Random(f"swap {letter}{rank}{isogeny}")
+    brd = build_root_datum(letter, rank, isogeny)
+    eps = rng.choice(cartan_preserving(brd.cartan_matrix.entries))
+    action = build_action(direct_sum(brd, brd), [
+        tuple(rank + e for e in eps) + eps], names=("s",))
+    group = elements(action)
+
+    def orbit_union(subset):
+        return frozenset(g.s_perm[i] for i in subset for g in group)
+
+    def rows(count, summed):
+        out = [tuple(rng.randint(-3, 3) for _ in range(rank)) + (0,) * rank
+               for _ in range(count)]
+        if summed:
+            out = [tuple(map(sum, zip(*(g.matrix.apply(v) for g in group)))) for v in out]
+        return out
+
+    def datum(subset, gens, d=1):
+        return HorosphericalDatum(subset, RationalLattice.from_generators(
+            2 * rank, [tuple(Fraction(x, d) for x in r) for r in gens]))
+
+    kept_subset = orbit_union(rng.sample(range(rank), rng.randint(0, rank)))
+    kept_rows = rows(rng.randint(1, rank), True)
+    moved_row = rows(1, False)
+    while not any(moved_row[0]):
+        moved_row = rows(1, False)
+    return action, [
+        ("kept", datum(kept_subset, kept_rows)),
+        ("I moved", datum(frozenset(rng.sample(range(rank), rng.randint(1, rank))),
+                          kept_rows)),
+        ("M moved", datum(kept_subset, moved_row)),
+        ("M = L/d", datum(frozenset(rng.sample(range(2 * rank), rng.randint(0, rank))),
+                          rows(rng.randint(1, rank), rng.random() < 0.5),
+                          rng.randint(2, 4))),
+    ]
+
+
+@pytest.mark.parametrize("letter,rank,isogeny", HORO_DATA)
+def test_horospherical_preservation_matches_closure_oracle(letter, rank, isogeny):
+    # one generator, so the closure-wide oracle decides it alone; each
+    # problem is the oracle's answer on I, or on M, with the other part empty
+    action, cases = _swap_cases(letter, rank, isogeny)
+    zero = RationalLattice.from_generators(2 * rank, [])
+    expected = {"kept": (), "I moved": (SUBSET_MOVED,), "M moved": (CHARACTERS_MOVED,)}
+    for case, datum in cases:
+        verdict = preserves_invariants(action, action.generators[0], datum)
+        assert verdict.ok == oracle.preserves_horospherical(action, datum), case
+        assert verdict.problems == tuple(p for p, part in (
+            (SUBSET_MOVED, HorosphericalDatum(datum.simple_subset, zero)),
+            (CHARACTERS_MOVED, HorosphericalDatum(frozenset(), datum.characters)))
+            if not oracle.preserves_horospherical(action, part)), case
+        assert verdict.problems == expected.get(case, verdict.problems), case
+    assert cases[-1][1].characters.denominator > 1

@@ -20,7 +20,7 @@ from sphdescent.invariants import (
 from sphdescent.rootdata import build_root_datum
 from sphdescent.staraction import build_action, dual_matrix_on_V
 
-PRESERVED = PreservationVerdict(True, True, True, True)
+PRESERVED = PreservationVerdict(())
 
 
 @pytest.fixture(scope="module")
@@ -145,12 +145,13 @@ def test_trivial_action_preserves_anything(d4):
         assert preserves_invariants(triv, el, inv) == PRESERVED
 
 
-def test_moved_weight_lattice_blocks_other_flags(d4, triality):
+def test_moved_weight_lattice_is_the_only_problem(d4, triality):
     inv = SphericalInvariants(d4, Lattice.from_rows(4, [alphas(d4)[0]]),
                               cone_from_inequalities(1, [(-1,)]),
                               frozenset(), frozenset())
     verdict = preserves_invariants(triality, elements(triality)[1], inv)
-    assert verdict == PreservationVerdict(False, None, None, None)
+    assert verdict == PreservationVerdict(("moves the weight lattice",))
+    assert not verdict.ok
     ok, entries = invariance_entries(triality, inv)
     assert not ok and [e.check for e in entries if not e.ok] == [
         "invariants preserved by generator 't'"]
@@ -165,7 +166,7 @@ def test_moved_cone_detected(d4, triality):
     lopsided = SphericalInvariants(d4, inv.weight_lattice, sub,
                                    frozenset(), frozenset())
     verdict = preserves_invariants(triality, elements(triality)[1], lopsided)
-    assert verdict.x_ok and not verdict.v_ok
+    assert verdict.problems == ("moves the valuation cone",)
     assert not invariant(triality, lopsided)
 
 
@@ -175,12 +176,12 @@ def test_moved_colors_detected(d4, triality):
     partial = SphericalInvariants(d4, inv.weight_lattice, inv.valuation_cone,
                                   keep, frozenset())
     verdict = preserves_invariants(triality, elements(triality)[1], partial)
-    assert verdict.x_ok and verdict.v_ok and not verdict.omega1_ok
+    assert verdict.problems == ("moves the single-preimage colors",)
     assert not invariant(triality, partial)
 
 
 def test_preservation_extends_to_closure(d4):
-    # flags true on generators imply flags true on every closure element
+    # no problem on the generators implies none on any closure element
     s3 = build_action(d4, [(2, 1, 3, 0), (0, 1, 3, 2)])
     inv = symmetric_invariants(d4)
     assert invariance_entries(s3, inv)[0]
@@ -207,7 +208,8 @@ def test_apply_to_invariants_agrees_with_equality(d4, triality):
                               cone_from_inequalities(1, [(-1,)]),
                               frozenset(), frozenset())
     assert dual_matrix_on_V(elements(triality)[1], bad.weight_lattice) is None
-    assert not preserves_invariants(triality, elements(triality)[1], bad).x_ok
+    assert preserves_invariants(triality, elements(triality)[1], bad).problems == (
+        "moves the weight lattice",)
 
 
 def test_verdict_independent_of_weight_basis_presentation(d4, triality):
