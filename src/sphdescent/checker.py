@@ -113,8 +113,6 @@ def invariance_entries(action: GaloisAction, invariants):
     whole closure, so this decides invariance under the full finite image.
     """
     if isinstance(invariants, HorosphericalDatum):
-        if max(invariants.simple_subset, default=-1) >= len(action.brd.simple_roots):
-            raise ValueError("subset members must index the simple roots")
         fixed = "subset and characters fixed"
     elif isinstance(invariants, SphericalInvariants):
         fixed = "lattice, cone, and colors fixed"

@@ -161,6 +161,8 @@ def preserves_invariants(action: GaloisAction, element: BRDAutomorphism,
     """Does one automorphism keep the spherical invariants (weight lattice,
     cone and color sets) or the horospherical datum (I and M)?"""
     if isinstance(inv, HorosphericalDatum):
+        if max(inv.simple_subset, default=-1) >= len(action.brd.simple_roots):
+            raise ValueError("subset members must index the simple roots")
         # M = L/d in canonical form: g(M) = M exactly when g keeps L
         moved = frozenset(element.s_perm[i] for i in inv.simple_subset)
         return PreservationVerdict(tuple(p for ok, p in (

@@ -214,14 +214,20 @@ class WeylElement:
     word: tuple[int, ...]
 
 
+def _times_reflection(brd: BasedRootDatum, m: IntMatrix, i: int) -> tuple:
+    """Rows of m s_i = m - (m alpha_i) (alpha_i^vee)^T."""
+    return tuple(tuple(x - c * y for x, y in zip(row, brd.simple_coroots[i]))
+                 for row, c in zip(m.entries, m.apply(brd.simple_roots[i])))
+
+
 def weyl_elements(brd: BasedRootDatum, cap: int = WEYL_CAP):
     """Lazily enumerate the Weyl group by breadth-first search over simple
-    reflections.  Words are reduced and the order is deterministic, so a
-    search that stops at its first hit returns the first element of that
-    order.  Raises CapExceeded instead of yielding element number cap + 1,
-    and ValueError, before the identity, when cap is below 1."""
+    reflections, w s_i after w.  By induction on length, elements of one
+    length come in the lexicographic order of their lexicographically first
+    reduced words, which are the words recorded.  Raises CapExceeded instead
+    of yielding element number cap + 1, and ValueError, before the identity,
+    when cap is below 1."""
     check_cap(cap)
-    gens = list(zip(brd.simple_roots, brd.simple_coroots))
     ident = WeylElement(IntMatrix.identity(brd.rank), ())
     seen = {ident.matrix.entries}
     yield ident
@@ -229,10 +235,8 @@ def weyl_elements(brd: BasedRootDatum, cap: int = WEYL_CAP):
     while frontier:
         nxt = []
         for w in frontier:
-            for i, (alpha, cor) in enumerate(gens):
-                # w s_i = w - (w alpha_i) (alpha_i^vee)^T
-                rows = tuple(tuple(x - c * y for x, y in zip(row, cor))
-                             for row, c in zip(w.matrix.entries, w.matrix.apply(alpha)))
+            for i in range(len(brd.simple_roots)):
+                rows = _times_reflection(brd, w.matrix, i)
                 if rows in seen:
                     continue
                 seen.add(rows)

@@ -282,6 +282,16 @@ def test_moved_characters_fail(d4, triality):
     assert not invariant(triality, HorosphericalDatum(set(), m))
 
 
+def test_subset_naming_no_simple_root_is_refused_by_the_predicate(d4, triality):
+    # index 7 names no simple root of D4: a ValueError, not an IndexError
+    # from the generator's permutation of the simple roots
+    datum = HorosphericalDatum({7}, RationalLattice.from_generators(4, [(0, 1, 0, 0)]))
+    for check in (lambda: preserves_invariants(triality, triality.generators[0], datum),
+                  lambda: invariance_entries(triality, datum)):
+        with pytest.raises(ValueError, match="^subset members must index the simple roots$"):
+            check()
+
+
 def test_orthogonality_warning(d4, triality):
     a2 = RationalLattice.from_generators(4, [alphas(d4)[1]])
     warnings = validate_horospherical(d4, HorosphericalDatum({1}, a2))

@@ -205,8 +205,7 @@ def neg(v):
     return tuple(-x for x in v)
 
 
-def _conjugacy_inputs(brd, rng):
-    eps = oracle.build(*brd.components[0], brd.isogeny)
+def _conjugacy_inputs(eps, rng):
     group = oracle.weyl_group_by_products(eps)
     pairs = []
     for size in (1, 2, 3):
@@ -229,11 +228,39 @@ def _conjugacy_inputs(brd, rng):
 def test_conjugacy_matches_a_full_scan(letter, rank, isogeny):
     brd = build_root_datum(letter, rank, isogeny)
     rng = random.Random(f"{letter}{rank}{isogeny}")
-    group, pairs = _conjugacy_inputs(brd, rng)
+    _assert_conjugacy_matches_a_full_scan(
+        brd, *_conjugacy_inputs(oracle.build(letter, rank, isogeny), rng))
+
+
+def _assert_conjugacy_matches_a_full_scan(brd, group, pairs):
     for a, b in pairs:
         want = oracle.conjugate_by_full_scan(group, a, b)
         got = are_weyl_conjugate(brd, root_subset(brd, a), root_subset(brd, b))
         assert (None if got is None else (got.matrix, got.word)) == want, (a, b)
+
+
+def _custom_and_sum_data():
+    """The custom lattices and some direct sums, each with its oracle datum;
+    every one has |W| <= 192."""
+    for letter, rank, basis in CUSTOM:
+        yield (f"{letter}{rank} {basis}", build_root_datum(letter, rank, "custom_lattice", basis),
+               oracle.build(letter, rank, "custom_lattice", basis))
+    a1 = _both(("A", 1), "simply_connected")
+    for name, left, right in [
+            ("A2+T1", _both(("A", 2)), _both(1)), ("A1+A1", a1, _both(("A", 1))),
+            ("B2+G2", _both(("B", 2), "simply_connected"), _both(("G", 2))),
+            ("D4+T1", _both(("D", 4)), _both(1)), ("A1+T1+A1", _sum(a1, _both(1)), a1)]:
+        yield name, *_sum(left, right)
+
+
+def test_conjugacy_matches_a_full_scan_on_custom_lattices_and_sums():
+    # the first and the last simple root: conjugate in A3 and D4, never
+    # across the summands of a sum
+    for name, brd, eps in _custom_and_sum_data():
+        group, pairs = _conjugacy_inputs(eps, random.Random(f"conjugacy {name}"))
+        last = len(brd.simple_roots) - 1
+        pairs.append(([brd.simple_roots[0]], [brd.simple_roots[last]]))
+        _assert_conjugacy_matches_a_full_scan(brd, group, pairs)
 
 
 def test_d4_quadruple_conjugacy_matches_a_full_scan():
@@ -249,8 +276,9 @@ def test_d4_quadruple_conjugacy_matches_a_full_scan():
 
 def test_invariant_form_prefilter_answers_without_a_walk(monkeypatch):
     def walk(*args, **kwargs):
-        raise AssertionError("walked the Weyl group")
-    monkeypatch.setattr(weyl, "weyl_elements", walk)
+        raise AssertionError("searched an orbit")
+    monkeypatch.setattr(weyl, "_orbit_search", walk)
+    monkeypatch.setattr(weyl, "_simple_reflections", walk)
     b2 = build_root_datum("B", 2)
     long_root, short_root = b2.simple_roots
     assert are_weyl_conjugate(b2, root_subset(b2, [long_root]),
@@ -260,6 +288,38 @@ def test_invariant_form_prefilter_answers_without_a_walk(monkeypatch):
     a1, a2, a3 = e8.simple_roots[:3]
     assert are_weyl_conjugate(e8, root_subset(e8, [a1, a3]),
                               root_subset(e8, [a1, a2])) is None
+
+
+@pytest.mark.parametrize("rank,word", [
+    (6, (4, 3, 2, 0, 5, 4, 3, 2)),
+    (7, (5, 4, 3, 2, 0, 6, 5, 4, 3, 2)),
+    (8, (6, 5, 4, 3, 2, 0, 7, 6, 5, 4, 3, 2))])
+def test_end_roots_of_e6_to_e8_are_conjugate_within_a_small_cap(rank, word):
+    # the words are the first hits of `weyl_elements`, the breadth-first walk
+    # of W, recorded from it; |W| runs from 51,840 to 696,729,600
+    brd, eps = build_root_datum("E", rank), oracle.build("E", rank)
+    first, last = brd.simple_roots[0], brd.simple_roots[-1]
+    w = are_weyl_conjugate(brd, root_subset(brd, [first]), root_subset(brd, [last]), cap=5000)
+    assert w is not None and w.word == word
+    product = IntMatrix.identity(rank)
+    for i in w.word:
+        product = product @ oracle.reflection(eps, eps.simple_roots[i])
+    assert product == w.matrix and w.matrix.apply(first) == last
+
+
+def test_d5_pair_with_equal_statistics_is_decided_below_the_order_of_w():
+    d5, eps = build_root_datum("D", 5), oracle.build("D", 5)
+    a, b = ([d5.simple_roots[i] for i in pair] for pair in ((0, 2), (3, 4)))
+    assert weyl._form_statistics(d5, a) == weyl._form_statistics(d5, b)
+    a, b = root_subset(d5, a), root_subset(d5, b)
+    assert are_weyl_conjugate(d5, a, b, cap=1919) is None  # |W(D5)| = 1920
+    # the cap bounds the sets held: the orbit of b, by the oracle's W
+    size = len({frozenset(m.apply(r) for r in b.roots)
+                for m, _ in oracle.weyl_group_by_products(eps)})
+    assert size < 1919
+    assert are_weyl_conjugate(d5, a, b, cap=size) is None
+    with pytest.raises(CapExceeded, match=f"^conjugacy walk exceeded cap {size - 1}$"):
+        are_weyl_conjugate(d5, a, b, cap=size - 1)
 
 
 def test_conjugacy_search_stops_at_the_first_hit():
@@ -319,14 +379,35 @@ def test_orbits_match_the_breadth_first_search():
     assert compared > 250
 
 
-@pytest.mark.parametrize("letter,rank,v", [("D", 4, (0, 1, 0, 0)), ("B", 3, (1, -2, 1)),
-                                           ("A", 3, (Fraction(1, 2), 0, -1))])
-def test_orbit_cap_boundary(letter, rank, v):
-    brd = build_root_datum(letter, rank)
+def _walks_the_pairings(brd):
+    """Whether `weyl_orbit` walks the pairings alone: the simple coroots are
+    the unit vectors of X.  Otherwise it carries the vector too."""
+    n = brd.rank
+    return brd.simple_coroots == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def test_orbit_data_reach_both_paths():
+    paths = {name: _walks_the_pairings(brd) for name, brd in _orbit_data()}
+    assert paths["D4 simply_connected"] and paths["A1 [[1]]"]
+    assert not any(paths[name] for name in (
+        "B3 adjoint", "A3 [[2, 0, 0], [0, 1, 0], [1, 0, 1]]", "A2+T1", "T2+B2"))
+
+
+@pytest.mark.parametrize("name,v", [
+    ("D4 simply_connected", (0, 1, 0, 0)), ("B3 simply_connected", (1, -2, 1)),
+    ("A3 simply_connected", (Fraction(1, 2), 0, -1)),
+    ("B3 adjoint", (1, -2, 1)), ("B3 adjoint", (0, Fraction(-2, 3), 1)),
+    ("A3 [[2, 0, 0], [0, 1, 0], [1, 0, 1]]", (1, 0, -1)),
+    ("A2+T1", (1, 0, 3)), ("A2+T1", (Fraction(1, 2), 0, Fraction(5, 3)))])
+def test_orbit_cap_boundary(name, v):
+    brd = dict(_orbit_data())[name]
     size = len(bfs_orbit_oracle.weyl_orbit(brd, v))
-    with pytest.raises(CapExceeded, match=f"orbit exceeded cap {size - 1}"):
+    with pytest.raises(CapExceeded, match=f"^orbit exceeded cap {size - 1}$"):
         weyl_orbit(brd, v, cap=size - 1)
-    assert len(weyl_orbit(brd, v, cap=size)) == size
+    orbit = weyl_orbit(brd, v, cap=size)
+    assert len(orbit) == size > 1
+    kind = int if all(type(x) is int for x in v) else Fraction
+    assert all(type(x) is kind for u in orbit for x in u)
 
 
 # -- diagram automorphisms --------------------------------------------------------------
