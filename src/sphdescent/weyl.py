@@ -13,11 +13,19 @@ coroots are the unit vectors of X, as in every simply connected semisimple
 datum, the coordinates of mu are its pairings, and the orbit is the set of
 pairing tuples; in any other basis the walk carries mu too, changing only
 its entries in the support of alpha_i.  Vectors stay in integers when the
-start vector is integral and in exact rationals otherwise.
+start vector is integral and in exact rationals otherwise.  The walk is
+compiled once per datum: one `if` per simple root, with the parent test, the
+child's pairings and, where mu is carried, its entries written out with the
+Cartan entries and the entries of the simple roots as int literals, so the
+loop reads no table and builds each child as one tuple display.  Only int
+literals and fixed names reach `exec`; any other entry, which a hand-built
+datum may hold, is refused before compiling, since a Fraction written out
+as text would compute in floats (p0 * 1/2).
 Every root is W-conjugate to a simple root (Humphreys, Introduction to Lie
 Algebras and Representation Theory, 10.3), so R is the union of their orbits.
 Conjugacy of root subsets first compares two W-invariant integer statistics
-of the form B(x, y) = sum over coroots c of <x, c><y, c>, which answers "not
+of the form B(x, y) = sum over coroots c of <x, c><y, c> = x^T G y, with the
+Gram matrix G built once per datum, which answers "not
 conjugate" without a search whenever they differ.  Otherwise it searches the
 orbit of one subset breadth-first, keeping the first word that reaches each
 image, and stops at the other: the word it returns is the lexicographically
@@ -70,57 +78,84 @@ def weyl_orbit(brd: BasedRootDatum, v, cap: int = ORBIT_CAP) -> frozenset:
     ValueError when cap is below 1.
     """
     check_cap(cap)
-    mu = list(map(_exact, v))
+    mu = tuple(map(_exact, v))
     if len(mu) != brd.rank:
         raise ValueError("vector length mismatch")
     if any(type(x) is not int for x in mu):
-        mu = list(map(Fraction, mu))
+        mu = tuple(map(Fraction, mu))
+    walk = _walker(brd)
     cartan = brd.cartan_matrix.entries
-    k = len(cartan)
-    # the nonzero entries of alpha_i and of column i of A, (<alpha_i, alpha_j^vee>)_j
-    alphas = [[(x, a) for x, a in enumerate(alpha) if a] for alpha in brd.simple_roots]
-    cols = [[(j, row[i]) for j, row in enumerate(cartan) if row[i]] for i in range(k)]
-    # (j, A[j][i]) for j < i: the pairing of s_i mu with alpha_j^vee is p_j - p_i A[j][i]
-    lower = [[(j, cartan[j][i]) for j in range(i)] for i in range(k)]
     p = [vec_dot(mu, cov) for cov in brd.simple_coroots]
     # descend: s_i with <mu, alpha_i^vee> < 0 moves mu up by a positive multiple of alpha_i
     while (i := next((j for j, c in enumerate(p) if c < 0), None)) is not None:
         c = p[i]
-        for x, a in alphas[i]:
-            mu[x] -= c * a
-        for j, a in cols[i]:
-            p[j] -= c * a
-    # with alpha_i^vee = e_i the coordinates are the pairings: carry p alone
+        mu = tuple(x - c * a for x, a in zip(mu, brd.simple_roots[i]))
+        p = [x - c * row[i] for x, row in zip(p, cartan)]
+    return frozenset(walk(mu, tuple(p), cap))
+
+
+def _minus(x: str, a: int, y: str) -> str:
+    """Source for x - a y, a an int."""
+    if a == 0:
+        return x
+    sign, a = ("+", -a) if a < 0 else ("-", a)
+    return f"{x} {sign} {y}" if a == 1 else f"{x} {sign} {a!r} * {y}"
+
+
+def _display(items) -> str:
+    """Source for the tuple of the given entries, a one-tuple included."""
+    items = list(items)
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+@lru_cache(maxsize=128)
+def _walker(brd: BasedRootDatum):
+    """The orbit walk of a datum, compiled once: walk(mu, p, cap) lists the
+    orbit of the dominant mu with pairings p, kept for the 128 data last asked.
+
+    The source is written from the Cartan matrix and, where the walk carries
+    mu, the simple roots; each entry goes in as the repr of an int, and any
+    other entry is refused, so only int literals and fixed names are compiled.
+    """
+    cartan = brd.cartan_matrix.entries
+    k, n = len(cartan), brd.rank
     carried = brd.simple_coroots != tuple(
-        tuple(int(i == j) for j in range(brd.rank)) for i in range(brd.rank))
-    top = (tuple(mu), tuple(p)) if carried else (tuple(p),) * 2
-    orbit = [top[0]]
-    stack = [top]
-    while stack:
-        mu, p = stack.pop()
-        for i, c in enumerate(p):
-            if c <= 0:
-                continue
-            for j, a in lower[i]:
-                if p[j] < c * a:
-                    break  # p_j < 0 at s_i mu: its parent is s_j of it for a j < i
-            else:
-                q = list(p)
-                for j, a in cols[i]:
-                    q[j] -= c * a
-                q = tuple(q)
-                if carried:
-                    nu = list(mu)
-                    for x, a in alphas[i]:
-                        nu[x] -= c * a
-                    nu = tuple(nu)
-                else:
-                    nu = q
-                orbit.append(nu)
-                if len(orbit) > cap:
-                    raise CapExceeded(f"orbit exceeded cap {cap}")
-                stack.append((nu, q))
-    return frozenset(orbit)
+        tuple(int(i == j) for j in range(n)) for i in range(n))
+    constants = [a for row in cartan for a in row]
+    if carried:
+        constants += [a for alpha in brd.simple_roots for a in alpha]
+    bad = next((a for a in constants if type(a) is not int), None)
+    if bad is not None:
+        raise ValueError(
+            f"the orbit walk needs integral simple roots and Cartan entries, got {bad}")
+    p = [f"p{j}" for j in range(k)]
+    m = [f"m{x}" for x in range(n)]
+    lines = ["def walk(mu, p, cap):",
+             "    orbit = [mu]" if carried else "    orbit = [p]",
+             "    stack = [(mu, p)]" if carried else "    stack = [p]",
+             "    pop, push, add = stack.pop, stack.append, orbit.append",
+             "    while stack:",
+             f"        {_display(m)}, {_display(p)} = pop()" if carried
+             else f"        {_display(p)} = pop()"]
+    for i in range(k):
+        # s_i mu is a child when p_i > 0 and p_j - p_i A[j][i] >= 0 for every j < i
+        tests = [f"{p[i]} > 0"] + [f"{_minus(p[j], cartan[j][i], p[i])} >= 0"
+                                   for j in range(i)]
+        q = _display(f"-{p[i]}" if j == i and cartan[i][i] == 2
+                     else _minus(p[j], cartan[j][i], p[i]) for j in range(k))
+        lines.append(f"        if {' and '.join(tests)}:")
+        if carried:
+            nu = _display(_minus(m[x], a, p[i]) for x, a in enumerate(brd.simple_roots[i]))
+            lines += [f"            nu = {nu}", "            add(nu)",
+                      f"            push((nu, {q}))"]
+        else:
+            lines += [f"            q = {q}", "            add(q)", "            push(q)"]
+    lines += ["        if len(orbit) > cap:",
+              "            raise CapExceeded(f'orbit exceeded cap {cap}')",
+              "    return orbit"]
+    namespace = {"CapExceeded": CapExceeded}
+    exec(compile("\n".join(lines), "<weyl walk>", "exec"), namespace)
+    return namespace["walk"]
 
 
 @lru_cache(maxsize=128)
@@ -150,10 +185,18 @@ def _form_statistics(brd: BasedRootDatum, roots):
     B(x, y) is the sum over all coroots c of <x, c><y, c>.  W permutes the
     coroots, so B is W-invariant and conjugate subsets have equal statistics.
     """
+    gram = _gram_matrix(brd)
+    images = [(x, tuple(vec_dot(x, row) for row in gram)) for x in roots]  # (x, G x)
+    return (sorted(vec_dot(x, gx) for x, gx in images),
+            sorted(vec_dot(x, gy) for (x, _), (_, gy) in combinations(images, 2)))
+
+
+@lru_cache(maxsize=128)
+def _gram_matrix(brd: BasedRootDatum) -> tuple[tuple[int, ...], ...]:
+    """G = sum over the coroots c of c c^T, so that B(x, y) = x^T G y."""
     coroots = roots_and_coroots(brd)[1]
-    pairings = [tuple(vec_dot(x, c) for c in coroots) for x in roots]
-    return (sorted(vec_dot(p, p) for p in pairings),
-            sorted(vec_dot(p, q) for p, q in combinations(pairings, 2)))
+    return tuple(tuple(sum(c[i] * c[j] for c in coroots) for j in range(brd.rank))
+                 for i in range(brd.rank))
 
 
 @lru_cache(maxsize=128)
@@ -188,13 +231,13 @@ def are_weyl_conjugate(brd: BasedRootDatum, a: RootSubset, b: RootSubset,
     Raises CapExceeded when the search would hold more than cap states; it
     holds at most |W b| <= |W|.
     """
+    check_cap(cap)
     if a.brd != brd or b.brd != brd:
         raise ValueError("subsets belong to a different root datum")
     source, target = a.roots, b.roots
     if (len(source) != len(target)
             or _form_statistics(brd, source) != _form_statistics(brd, target)):
         return None
-    check_cap(cap)
     word = () if source == target else _orbit_search(brd, source, target, cap)
     if word is None:
         return None

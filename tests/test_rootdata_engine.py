@@ -350,6 +350,9 @@ def _orbit_data():
             ("A2+T1", a2, torus(1)), ("T2+B2", torus(2), build_root_datum("B", 2)),
             ("A1+T1+A1", direct_sum(a1, torus(1)), a1), ("T2", torus(2), torus(0))]:
         yield name, direct_sum(left, right)
+    # the compiled walk's empty unpack; A1 in both isogenies, from SMALL_W,
+    # gives its one-tuple displays on both paths
+    yield "T0", torus(0)
 
 
 def _orbit_starts(brd, rng):
@@ -389,6 +392,7 @@ def _walks_the_pairings(brd):
 def test_orbit_data_reach_both_paths():
     paths = {name: _walks_the_pairings(brd) for name, brd in _orbit_data()}
     assert paths["D4 simply_connected"] and paths["A1 [[1]]"]
+    assert paths["T0"] and paths["A1 simply_connected"] and not paths["A1 adjoint"]
     assert not any(paths[name] for name in (
         "B3 adjoint", "A3 [[2, 0, 0], [0, 1, 0], [1, 0, 1]]", "A2+T1", "T2+B2"))
 

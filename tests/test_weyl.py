@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 import epsilon_rootdata_oracle as oracle
+from sphdescent import weyl
 from sphdescent.intlinalg import vec_dot
-from sphdescent.rootdata import CapExceeded, build_root_datum, lift_s_permutation
+from sphdescent.rootdata import (BasedRootDatum, CapExceeded, build_root_datum,
+                                 lift_s_permutation)
 from sphdescent.weyl import are_weyl_conjugate, root_subset, roots_and_coroots, weyl_orbit
 
 
@@ -52,6 +54,19 @@ def test_orbit_cap_below_one_is_refused(cap):
     # once a cap hit: "orbit exceeded cap 0"
     with pytest.raises(ValueError, match=f"^cap must be a positive integer, got {cap}$"):
         weyl_orbit(build_root_datum("A", 2), (-1, 1), cap=cap)
+
+
+def test_orbit_walk_refuses_non_integral_simple_roots_before_compiling(monkeypatch):
+    # a hand-built datum that carries mu (its coroot is not e_1): alpha = 1/2
+    # written into the walk's source as text would make p0 * 1/2 a float
+    def compile(*args, **kwargs):
+        raise AssertionError("compiled a walk")
+    monkeypatch.setattr(weyl, "compile", compile, raising=False)
+    brd = BasedRootDatum((("A", 1),), "custom_lattice", 1, ((Fraction(1, 2),),), ((4,),))
+    with pytest.raises(ValueError, match="^the orbit walk needs integral simple roots"):
+        weyl_orbit(brd, (3,))
+    with pytest.raises(ValueError, match="1/2$"):
+        weyl._walker(brd)
 
 
 def test_regular_e6_orbit_has_one_element_per_weyl_element():
@@ -130,6 +145,16 @@ def test_non_conjugate_subsets_return_none():
     a = root_subset(b2, [long_root, tuple(-x for x in long_root)])
     b = root_subset(b2, [short_root, tuple(-x for x in short_root)])
     assert are_weyl_conjugate(b2, a, b) is None
+
+
+@pytest.mark.parametrize("other", [(1, 0), (-2, 2)])
+def test_conjugacy_cap_below_one_is_refused_before_the_prefilter(other):
+    # (1, 0) is a short root, told apart from the long (2, -2) by the form
+    # statistics alone; the cap is refused all the same
+    b2 = build_root_datum("B", 2)
+    a, b = root_subset(b2, [(2, -2)]), root_subset(b2, [other])
+    with pytest.raises(ValueError, match="^cap must be a positive integer, got 0$"):
+        are_weyl_conjugate(b2, a, b, cap=0)
 
 
 def test_conjugacy_size_mismatch_short_circuits(d4):
