@@ -329,8 +329,8 @@ def _fan(dim: int, rays: tuple, entries) -> ColoredFan:
         parents.setdefault(FanCone(mask, frozenset(colors)), parent)
 
     def key(fc):
-        rays_in = tuple(r for i, r in enumerate(rays) if fc.mask >> i & 1)
-        return rays_in, sorted(r.key() for r in fc.colors)
+        # rays are sorted, so index tuples sort as the ray tuples would
+        return tuple(_bits(fc.mask)), sorted(r.key() for r in fc.colors)
 
     order = sorted(parents, key=key)
     return ColoredFan(dim, rays, tuple(order), tuple(parents[fc] for fc in order))
@@ -484,9 +484,10 @@ def is_wonderful(fan: ColoredFan, v_cone: RationalCone) -> bool:
     """
     if any(fc.colors for fc in fan.cones) or not v_cone.is_strictly_convex:
         return False
-    if sum(fan.rays_of(fc.mask) == v_cone.rays for fc in fan.cones) != 1:
-        return False
     v_rays = set(v_cone.rays)
+    v_mask = sum(1 << i for i, r in enumerate(fan.rays) if r in v_rays)
+    if v_mask.bit_count() != len(v_rays) or sum(fc.mask == v_mask for fc in fan.cones) != 1:
+        return False
     return all(r in v_rays or v_cone.contains(r) for r in fan.rays)
 
 

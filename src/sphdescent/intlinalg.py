@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
@@ -133,6 +133,7 @@ class IntMatrix:
         return cls(len(rows), cols, rows)
 
     @classmethod
+    @lru_cache(maxsize=128)  # immutable, so one shared matrix per size
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from .cones import RationalCone, _simple_indices
 from .intlinalg import Lattice, _exact, vec_dot
 from .rootdata import BRDAutomorphism, BasedRootDatum
-from .staraction import GaloisAction, restrict_to_sublattice
+from .staraction import GaloisAction, dual_matrix_on_V, restrict_to_sublattice
 
 
 @dataclass(frozen=True)
@@ -171,12 +171,12 @@ def preserves_invariants(action: GaloisAction, element: BRDAutomorphism,
              "moves the character group")) if not ok))
     if action.brd != inv.brd:
         raise ValueError("action and invariants belong to different root data")
-    restriction = restrict_to_sublattice(element, inv.weight_lattice)
-    if restriction is None:
+    dual = dual_matrix_on_V(element, inv.weight_lattice)
+    if dual is None:
         return PreservationVerdict((LATTICE_MOVED,))
     # g acts on V by the inverse transpose of its restriction N, so g^-1 by N^T
-    dual = restriction.inverse_unimodular().transpose()
-    cone, inverse = inv.valuation_cone, restriction.transpose()
+    cone = inv.valuation_cone
+    inverse = restrict_to_sublattice(element, inv.weight_lattice).transpose()
     # g.V = V exactly when g.V and g^-1.V both lie in V
     v_ok = all(cone.contains(dual.apply(x)) and cone.contains(inverse.apply(x))
                for x in cone.generators())

@@ -87,9 +87,10 @@ class BasedRootDatum:
     Simple roots live in X-coordinates (integers), simple coroots in the
     dual coordinates, and the pairing is the dot product.  Equality and
     hashing compare all six fields, so a custom_lattice datum with the
-    simple system of a simply connected one is still unequal to it.  The
-    Cartan matrix is built on first read, unless the builder already holds
-    it.
+    simple system of a simply connected one is still unequal to it; the
+    hash, which caches keyed by a datum read on every lookup, is computed
+    once.  The Cartan matrix is built on first read, unless the builder
+    already holds it.
     """
 
     components: tuple[tuple[str, int], ...]
@@ -102,6 +103,18 @@ class BasedRootDatum:
     @cached_property
     def _lifts(self) -> dict:  # lift_s_permutation's answers, verified once
         return {}
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.components, self.isogeny, self.rank, self.simple_roots,
+                     self.simple_coroots, self.torus_coords))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes: a pickle carries no hash
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @cached_property
     def cartan_matrix(self) -> IntMatrix:
@@ -256,10 +269,16 @@ def weyl_group(brd: BasedRootDatum, cap: int = WEYL_CAP) -> tuple[WeylElement, .
 @dataclass(frozen=True)
 class BRDAutomorphism:
     """Automorphism of a based root datum: a unimodular matrix on X together
-    with the permutation it induces on the simple roots."""
+    with the permutation it induces on the simple roots.  `build_action`
+    gives each generator the matrix of its inverse; any other automorphism
+    solves for it on first read, a ValueError if m is not unimodular."""
 
     matrix: IntMatrix
     s_perm: tuple[int, ...]
+
+    @cached_property
+    def inverse_matrix(self) -> IntMatrix:
+        return self.matrix.inverse_unimodular()
 
 
 def as_brd_automorphism(brd: BasedRootDatum, m: IntMatrix) -> BRDAutomorphism | None:

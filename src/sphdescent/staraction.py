@@ -8,11 +8,13 @@ capped closure is the check that the image is finite.  Simple-root
 permutations are lifted by rootdata, as a permutation matrix in the simply
 connected and adjoint bases and by one fraction-free elimination otherwise;
 every generator, lifted or stated as a matrix, passes rootdata's test on the
-simple roots and coroots, a lift once: the datum keeps it.  One element moves
-to a stable sublattice of X, or to the dual V of one, by
-restrict_to_sublattice and dual_matrix_on_V, which give None when it moves
-the lattice: the weight lattice, or L for a horospherical M = L/d, which g
-keeps exactly when it keeps L.  It moves simple-root indices by `s_perm`.
+simple roots and coroots, a lift once: the datum keeps it.  The closure
+reads each generator's inverse off its permutation of O, with no
+elimination, and keeps it on the generator.  One element moves to a stable
+sublattice of X, or to the dual V of one, by restrict_to_sublattice and
+dual_matrix_on_V, which give None when it moves the lattice: the weight
+lattice, or L for a horospherical M = L/d, which g keeps exactly when it
+keeps L.  It moves simple-root indices by `s_perm`.
 """
 from __future__ import annotations
 
@@ -100,6 +102,12 @@ def build_action(brd: BasedRootDatum, generators, names=None,
                 index[w] = len(orbit)
                 orbit.append(w)
             perm.append(index[w])
+    for g, perm in zip(gens, perms):
+        if "inverse_matrix" not in g.__dict__:
+            # g permutes O, so column j of g^-1 is the o in O with g(o) = e_j
+            pre = {j: k for k, j in enumerate(perm) if j < n}
+            g.__dict__["inverse_matrix"] = IntMatrix(
+                n, n, tuple(zip(*(orbit[pre[j]] for j in range(n)))))
     frontier = [tuple(range(n))]
     seen = set(frontier)
     while frontier:
@@ -126,9 +134,15 @@ def restrict_to_sublattice(element: BRDAutomorphism, lattice: Lattice) -> IntMat
     and acts on S unimodularly; then [S : g(L)] = [S : L], and g(L) ⊆ L
     forces equality.  The restriction is therefore unimodular.
     """
-    if lattice.ambient_rank != element.matrix.rows:
+    return _restrict(element.matrix, lattice)
+
+
+def _restrict(m: IntMatrix, lattice: Lattice) -> IntMatrix | None:
+    if lattice.ambient_rank != m.rows:
         raise ValueError("lattice does not live in the character lattice")
-    cols = [lattice.coordinates(element.matrix.apply(b)) for b in lattice.basis.entries]
+    if lattice.is_full():  # its Hermite basis is the identity
+        return m
+    cols = [lattice.coordinates(m.apply(b)) for b in lattice.basis.entries]
     return None if None in cols else IntMatrix(lattice.rank, lattice.rank, tuple(zip(*cols)))
 
 
@@ -138,6 +152,8 @@ def dual_matrix_on_V(element: BRDAutomorphism, lattice: Lattice) -> IntMatrix | 
 
     If it acts on the lattice by N, it acts on linear functionals by the
     inverse transpose of N, so that the evaluation pairing is preserved.
+    That is the transpose of g^-1 restricted to the lattice, as g keeps the
+    lattice exactly when g^-1 does: no elimination is needed.
     """
-    restriction = restrict_to_sublattice(element, lattice)
-    return None if restriction is None else restriction.inverse_unimodular().transpose()
+    restriction = _restrict(element.inverse_matrix, lattice)
+    return None if restriction is None else restriction.transpose()

@@ -1,7 +1,7 @@
 """Fixtures shared by the whole suite."""
 import pytest
 
-from sphdescent import rootdata, weyl
+from sphdescent import intlinalg, rootdata, weyl
 
 
 @pytest.fixture(autouse=True)
@@ -15,3 +15,19 @@ def cold_root_data():
     weyl._simple_reflections.cache_clear()
     weyl._gram_matrix.cache_clear()
     weyl._walker.cache_clear()
+
+
+@pytest.fixture()
+def solve_widths(monkeypatch):
+    """The width of the right-hand block of every solve_fraction_free call,
+    through intlinalg or rootdata; the unimodularity test has width 0."""
+    widths = []
+    original = intlinalg.solve_fraction_free
+
+    def counted(a, r):
+        widths.append(len(r[0]) if r else 0)
+        return original(a, r)
+
+    for module in (intlinalg, rootdata):
+        monkeypatch.setattr(module, "solve_fraction_free", counted)
+    return widths

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elimination_oracle as oracle
-from sphdescent import intlinalg, rootdata
 from sphdescent.intlinalg import (
     IntMatrix,
     Lattice,
@@ -287,22 +286,6 @@ def cartan_preserving_permutations(cartan):
 
     extend([])
     return out
-
-
-@pytest.fixture()
-def solve_widths(monkeypatch):
-    """The width of the right-hand block of every solve_fraction_free call,
-    through intlinalg or rootdata; the unimodularity test has width 0."""
-    widths = []
-    original = intlinalg.solve_fraction_free
-
-    def counted(a, r):
-        widths.append(len(r[0]) if r else 0)
-        return original(a, r)
-
-    for module in (intlinalg, rootdata):
-        monkeypatch.setattr(module, "solve_fraction_free", counted)
-    return widths
 
 
 @pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])

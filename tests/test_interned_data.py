@@ -14,7 +14,8 @@ import pytest
 
 from sphdescent import rootdata
 from sphdescent.cli import main
-from sphdescent.rootdata import CapExceeded, build_root_datum, lift_s_permutation
+from sphdescent.rootdata import (CapExceeded, build_root_datum, direct_sum,
+                                 lift_s_permutation, torus)
 from sphdescent.staraction import build_action
 from sphdescent.weyl import roots_and_coroots
 
@@ -145,6 +146,38 @@ def test_a_datum_with_its_lifts_still_pickles():
     copy = pickle.loads(pickle.dumps(brd))
     assert copy == brd and copy.cartan_matrix == brd.cartan_matrix
     assert lift_s_permutation(copy, (2, 1, 0, 3)) == lift
+
+
+def test_equal_data_built_apart_hash_alike():
+    # the hash is computed once a datum; equal data built apart, interned or
+    # not, still hash alike and find each other's cache entries
+    basis = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]]
+    warm = build_root_datum("E", 8)
+    hash(warm)  # cached before its equal twin is built
+    rootdata._interned_datum.cache_clear()
+    pairs = [(warm, build_root_datum("E", 8)),
+             (build_root_datum("D", 4, "custom_lattice", basis),
+              build_root_datum("D", 4, "custom_lattice", basis)),
+             (direct_sum(build_root_datum("A", 2), torus(1)),
+              direct_sum(build_root_datum("A", 2), torus(1))),
+             (torus(3), torus(3))]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+        hits = roots_and_coroots.cache_info().hits
+        assert roots_and_coroots(a) is roots_and_coroots(b)
+        assert roots_and_coroots.cache_info().hits == hits + 1
+    # interning is unchanged: the second build is the shared datum
+    assert build_root_datum("E", 8) is pairs[0][1]
+    assert rootdata._interned_datum.cache_info().currsize == 2
+
+
+def test_a_pickle_carries_no_hash():
+    # string hashes differ between processes, so a pickled datum hashes anew
+    brd = torus(2)
+    cold = pickle.dumps(brd)
+    hash(brd)
+    assert pickle.dumps(brd) == cold
+    assert hash(pickle.loads(cold)) == hash(brd)
 
 
 def test_closure_caps_after_an_uncapped_parse(capsys):

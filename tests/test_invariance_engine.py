@@ -6,7 +6,9 @@ Inputs: every corpus file and the seeded re-presentations of acceptance
 criterion 8, with every closure element of each action on the file's weight
 lattice and on the lattice of its horospherical characters; sublattices that
 an action moves; seeded sublattices, saturated or not, under the D4
-diagram automorphisms and signed permutations of Z^3; and seeded
+diagram automorphisms and signed permutations of Z^3; the generators of
+seeded actions, with the inverses build_action read off their closure, on
+full, kept and moved lattices; and seeded
 horospherical data (I, M = L/d) on types A-G up to rank 6 in both
 isogenies, under actions generated by lifted diagram automorphisms, and
 on the sum of two copies of each under one generator that swaps them.
@@ -128,6 +130,28 @@ def test_transport_on_seeded_sublattices():
         moved += [_check_transport(action, lattice)
                   for lattice in _random_lattices(rng, 3, 15)]
     assert moved.count(False) >= 30 and moved.count(True) >= 30
+
+
+def test_generator_transport_matches_the_oracle():
+    # build_action's generators carry the inverse read off the closure, and
+    # the transport restricts it with no elimination: compared on Z^n, on
+    # proper sublattices that a generator keeps, and on ones it moves
+    rng = random.Random(30)
+    actions = [build_action(torus(dim), [_signed_permutation(rng, dim)])
+               for dim in range(1, 7) for _ in range(5)]
+    for letter, rank in (("A", 3), ("D", 4), ("E", 6)):
+        for isogeny in ("simply_connected", "adjoint"):
+            brd = build_root_datum(letter, rank, isogeny)
+            actions.append(build_action(brd, cartan_preserving(brd.cartan_matrix.entries)))
+    seen = set()
+    for action in actions:
+        for lattice in _random_lattices(rng, action.brd.rank, 12):
+            for g in action.generators:
+                dual = dual_matrix_on_V(g, lattice)
+                assert dual == oracle.dual_matrix_on_V(g, lattice)
+                seen.add("moved" if dual is None else "full" if lattice.is_full()
+                         else "kept")
+    assert seen == {"full", "kept", "moved"}
 
 
 HORO_TYPES = ([("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 7)]

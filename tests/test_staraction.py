@@ -1,17 +1,23 @@
 """Tests for finite automorphism actions and their induced actions."""
+import random
 from fractions import Fraction
 
 import pytest
 
 from closure_oracle import elements
+from sphdescent.cones import cone_from_generators, is_gamma_stable, wonderful_fan
 from sphdescent.intlinalg import IntMatrix, Lattice, kernel_lattice, vec_dot
-from sphdescent.rootdata import build_root_datum, torus
+from sphdescent.invariants import SphericalInvariants, preserves_invariants
+from sphdescent.rootdata import BRDAutomorphism, build_root_datum, torus
 from sphdescent.staraction import (
     ClosureCapExceeded,
     build_action,
     dual_matrix_on_V,
     restrict_to_sublattice,
 )
+from test_acceptance import _signed_permutation
+from test_interned_data import TYPES, cartan_preserving
+from test_invariance_engine import PROBLEMS
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +260,74 @@ def test_generator_stability_propagates_to_closure(d4):
                      for g in act.generators)
         all_ok = stabilizes(act, subset)
         assert gen_ok == all_ok
+
+
+def assert_inverses_read_off_the_closure(action, solve_widths):
+    """Each generator's inverse is there with no solve, inverts its matrix,
+    and is the inverse that the fraction-free solve finds."""
+    solve_widths.clear()
+    inverses = [g.inverse_matrix for g in action.generators]
+    assert solve_widths == []
+    ident = IntMatrix.identity(action.brd.rank)
+    for g, inv in zip(action.generators, inverses):
+        assert g.matrix @ inv == ident == inv @ g.matrix
+        assert inv == g.matrix.inverse_unimodular()
+
+
+def test_corpus_generators_carry_their_inverses(solve_widths):
+    # the corpus files and their criterion-8 re-presentations in new bases
+    actions = [p.action for _, p in PROBLEMS]
+    assert sum(len(a.generators) for a in actions) >= 36
+    for action in actions:
+        assert_inverses_read_off_the_closure(action, solve_widths)
+
+
+@pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
+def test_diagram_lifts_carry_their_inverses(isogeny, solve_widths):
+    for letter, rank in TYPES:
+        if rank > 8:
+            continue
+        brd = build_root_datum(letter, rank, isogeny)
+        autos = cartan_preserving(brd.cartan_matrix.entries)
+        action = build_action(brd, autos)
+        assert [g.s_perm for g in action.generators] == autos
+        assert_inverses_read_off_the_closure(action, solve_widths)
+
+
+def test_signed_permutations_carry_their_inverses(solve_widths):
+    rng = random.Random(30)
+    for dim in range(1, 7):
+        for count in (1, 1, 1, 2, 2):
+            gens = [_signed_permutation(rng, dim) for _ in range(count)]
+            action = build_action(torus(dim), gens, cap=10 ** 5)
+            assert_inverses_read_off_the_closure(action, solve_widths)
+
+
+def test_a_hand_built_inverse_is_solved_for_and_refused_when_not_unimodular():
+    swap = BRDAutomorphism(IntMatrix.from_rows([[0, 1], [1, 0]]), ())
+    assert swap.inverse_matrix == swap.matrix
+    double = BRDAutomorphism(IntMatrix.from_rows([[2, 0], [0, 1]]), ())
+    with pytest.raises(ValueError, match="not unimodular"):
+        double.inverse_matrix
+
+
+def test_torus_transport_to_V_runs_no_elimination(solve_widths):
+    # a signed permutation of Z^n: its closure, stability of the face fan of
+    # a cone, and invariance on Z^n and on 2Z^n, all without a solve against
+    # a right-hand block; the width-0 unimodularity test stays
+    rng = random.Random(31)
+    for dim in range(1, 7):
+        for _ in range(3):
+            # nonnegative generators span a pointed cone
+            cone = cone_from_generators(dim, [tuple(rng.randint(0, 2) for _ in range(dim))
+                                              for _ in range(dim + 1)] + [(1,) * dim])
+            fan = wonderful_fan(cone)
+            lattices = [Lattice.full(dim), Lattice.from_rows(dim, [
+                tuple(2 * int(i == j) for j in range(dim)) for i in range(dim)])]
+            solve_widths.clear()
+            action = build_action(torus(dim), [_signed_permutation(rng, dim)], names=("g",))
+            for lattice in lattices:
+                inv = SphericalInvariants(torus(dim), lattice, cone, frozenset(), frozenset())
+                preserves_invariants(action, action.generators[0], inv)
+                is_gamma_stable(fan, action, lattice)
+            assert solve_widths == [0]
