@@ -128,13 +128,9 @@ def invariance_entries(action: GaloisAction, invariants):
 
 
 def _check_cohomology_names(action: GaloisAction, coh: CohomologyInputs):
-    modules = []
-    if coh.a_module is not None:
-        modules.append(coh.a_module)
-    if coh.kappa is not None:
-        modules.extend([coh.kappa.source, coh.kappa.target])
-    for m in modules:
-        if m.generator_names != action.generator_names:
+    # a CharacterMap's target names the generators its source names
+    for m in (coh.a_module, coh.kappa and coh.kappa.source):
+        if m is not None and set(m.generator_names) != set(action.generator_names):
             raise ValueError(
                 f"cohomology data names generators {m.generator_names}, "
                 f"but the action has {action.generator_names}")

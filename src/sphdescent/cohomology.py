@@ -2,9 +2,10 @@
 
 A group of multiplicative type over the base field is recorded through its
 character group: a finitely presented abelian group together with one
-automorphism per Galois generator.  For a *finite* such group over a p-adic
-base field, its degree-2 Galois cohomology is dual to the subgroup of fixed
-characters, so vanishing can be decided exactly from the presentation.
+automorphism per Galois generator, keyed by the generator's name.  For a
+*finite* such group over a p-adic base field, its degree-2 Galois cohomology
+is dual to the subgroup of fixed characters, so vanishing can be decided
+exactly from the presentation.
 
 The obstruction to equivariant descent lives in the degree-2 cohomology of a
 quotient A of the ambient group's simply connected center.  The obstruction
@@ -24,29 +25,31 @@ class PositiveDimensional(ValueError):
 
 @dataclass(frozen=True)
 class MultiplicativeTypeModule:
-    """Character group with a Galois action, one automorphism per generator.
+    """Character group with a Galois action: generator name -> automorphism.
 
-    Automorphism matrices act on presentation-generator coefficient vectors
-    (column convention, x -> m @ x) and must preserve the relation subgroup.
+    The action is kept sorted by name, so modules with the same data are
+    equal in any input order.  Automorphism matrices act on
+    presentation-generator coefficient vectors (column convention,
+    x -> m @ x) and must preserve the relation subgroup.
     """
 
     characters: FgAbelianGroup
-    action: tuple
-    generator_names: tuple = ()
+    action: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "action", tuple(self.action))
-        names = tuple(self.generator_names)
-        if not names:
-            names = tuple(f"g{i}" for i in range(len(self.action)))
-        if len(names) != len(self.action):
-            raise ValueError("need exactly one name per acting generator")
-        object.__setattr__(self, "generator_names", names)
-        for name, m in zip(names, self.action):
+        object.__setattr__(self, "action", dict(sorted(self.action.items())))
+        for name, m in self.action.items():
             if not self.characters.is_automorphism(m):
                 raise ValueError(
                     f"generator {name!r} does not act by an automorphism "
                     "of the presented group")
+
+    def __hash__(self):  # the action is a dict, so hash its items
+        return hash((self.characters, tuple(self.action.items())))
+
+    @property
+    def generator_names(self) -> tuple:
+        return tuple(self.action)
 
     @property
     def is_finite(self) -> bool:
@@ -55,7 +58,7 @@ class MultiplicativeTypeModule:
     @cached_property
     def fixed_characters(self) -> FgAbelianGroup:
         """The characters fixed by every generator, computed once per module."""
-        return fixed_points_fg(self.characters, list(self.action))
+        return fixed_points_fg(self.characters, list(self.action.values()))
 
 
 def h2_local_vanishes(module: MultiplicativeTypeModule) -> bool:
@@ -95,9 +98,8 @@ class CharacterMap:
         for r in self.source.characters.presentation.entries:
             if m.apply(r) not in trel:
                 raise ValueError("matrix does not descend through the presentations")
-        for name, a, b in zip(self.source.generator_names,
-                              self.source.action, self.target.action):
-            diff = (m @ a) - (b @ m)
+        for name, a in self.source.action.items():
+            diff = (m @ a) - (self.target.action[name] @ m)
             for j in range(m.cols):
                 if diff.column(j) not in trel:
                     raise ValueError(

@@ -372,13 +372,12 @@ class FgAbelianGroup:
 def fixed_points_fg(group: FgAbelianGroup, autos: list[IntMatrix]) -> FgAbelianGroup:
     """Subgroup of elements fixed by every automorphism, as a presented group.
 
-    Works by solving (A - id) x ∈ relations over Z (a kernel computation on a
-    block matrix), then presenting the preimage lattice modulo the relations.
+    Each matrix must be an automorphism of the group (`is_automorphism`);
+    this is not checked again here.  Works by solving (A - id) x ∈ relations
+    over Z (a kernel computation on a block matrix), then presenting the
+    preimage lattice modulo the relations.
     """
     n = group.ngens
-    for a in autos:
-        if not group.is_automorphism(a):
-            raise ValueError("matrix does not define an automorphism of the group")
     rel_rows = group.relation_lattice.basis.entries
     r = len(rel_rows)
     if not autos:

@@ -339,38 +339,31 @@ def _parse_horospherical(block, brd: BasedRootDatum) -> HorosphericalDatum:
         brd.rank, m["generators"], m.get("denominator", 1)))
 
 
-def _parse_module(block, label: str, order: tuple) -> MultiplicativeTypeModule:
+def _parse_module(block, label: str) -> MultiplicativeTypeModule:
+    """Matrices are checked in name order: JSON objects are unordered."""
     pres_rows = block["presentation"]
     ngens = max((len(r) for r in pres_rows), default=0)
     if any(len(r) != ngens for r in pres_rows):
         raise ProblemError(f"{label}: presentation rows must share one length")
     group = FgAbelianGroup(IntMatrix.from_rows(pres_rows, ngens))
-    names = tuple(block["action"])
-    if sorted(names) == sorted(order):
-        names = order
-    mats = []
-    for name in names:
-        rows = block["action"][name]
+    action = {}
+    for name, rows in sorted(block["action"].items()):
         if len(rows) != ngens or any(len(r) != ngens for r in rows):
             raise ProblemError(
                 f"{label}: action matrix for {name!r} must be {ngens}x{ngens}")
-        mats.append(IntMatrix.from_rows(rows, ngens))
+        action[name] = IntMatrix.from_rows(rows, ngens)
     with _block(label):
-        return MultiplicativeTypeModule(group, tuple(mats), names)
+        return MultiplicativeTypeModule(group, action)
 
 
-def _parse_cohomology(block, action: GaloisAction | None):
-    """A module that names the same generators takes its matrices in one
-    order, the action's if there is one and else A_characters' own: JSON
-    objects are unordered."""
-    order = action.generator_names if action else tuple(block["A_characters"]["action"])
-    a_module = _parse_module(block["A_characters"], "A_characters", order)
+def _parse_cohomology(block):
+    a_module = _parse_module(block["A_characters"], "A_characters")
     kappa = None
     if "kappa_matrix" in block:
         if "Z_characters" not in block:
             raise ProblemError(
                 "kappa_matrix needs Z_characters as the map's target")
-        z_module = _parse_module(block["Z_characters"], "Z_characters", order)
+        z_module = _parse_module(block["Z_characters"], "Z_characters")
         rows = block["kappa_matrix"]
         if len(rows) != z_module.characters.ngens:
             raise ProblemError("kappa_matrix must have one row per "
@@ -561,7 +554,7 @@ def parse_dict(data, cap=CLOSURE_CAP) -> Problem:
         # the schema admits only HypothesisSet's fields, and only valid values
         hyps = HypothesisSet(**{**data["hypotheses"], "base_field": base_field})
     if "cohomology" in data:
-        coh = _parse_cohomology(data["cohomology"], action)
+        coh = _parse_cohomology(data["cohomology"])
     if "fan" in data:
         fan = _parse_fan(data["fan"], t_inv, len(brd.simple_roots))
     return Problem(brd=brd, action=action, invariants=inv, horospherical=horo,

@@ -39,8 +39,8 @@ def check_cap(cap):
 
 
 WEYL_CAP = 10 ** 7
-# Default bound on max(|R|, rank) * rank: a datum's root set, or a
-# torus's matrix on X.
+# Bound on max(|R|, rank) * rank: a datum's root set, or a torus's matrix
+# on X.  No argument or option changes it.
 ROOT_TABLE_CAP = 10 ** 6
 
 
@@ -145,24 +145,23 @@ def _custom_simple_system(lattice_basis, cartan):
 
 
 def build_root_datum(letter: str, rank: int, isogeny: str = "simply_connected",
-                     lattice_basis=None, cap: int = ROOT_TABLE_CAP) -> BasedRootDatum:
+                     lattice_basis=None) -> BasedRootDatum:
     """Construct a based root datum of the given irreducible type.
 
     isogeny selects X: "simply_connected" (weight lattice), "adjoint" (root
     lattice), or "custom_lattice" with `lattice_basis` rows expressed in
     fundamental-weight coordinates (the lattice must contain all roots).
     Raises CapExceeded, before anything is built, when max(|R|, rank) * rank,
-    the root set or for a torus one matrix on X, would exceed cap, and
-    ValueError when cap is below 1.  Equal simply connected or adjoint
+    the root set or for a torus one matrix on X, would exceed
+    ROOT_TABLE_CAP, read at each call.  Equal simply connected or adjoint
     requests return one shared datum.
     """
-    check_cap(cap)
     roots = 0 if letter == "torus" else _root_count(letter, rank)
     size = max(roots, rank) * rank
-    if size > cap:
+    if size > ROOT_TABLE_CAP:
         what = "root table" if roots else "matrix on X"
         raise CapExceeded(f"root datum {letter}{rank}: {what} of {size} entries "
-                          f"exceeds cap {cap}")
+                          f"exceeds cap {ROOT_TABLE_CAP}")
     if letter == "torus":
         return torus(rank)
     if isogeny in ("simply_connected", "adjoint"):

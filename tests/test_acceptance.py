@@ -125,13 +125,13 @@ def test_criterion_2_orthogonal_quadruples_single_class(d4):
 def test_criterion_3_degree_two_vanishing():
     klein = FgAbelianGroup(IntMatrix.from_rows([[2, 0], [0, 2]]))
     rot = IntMatrix.from_rows([[0, 1], [1, 1]])
-    transitive = MultiplicativeTypeModule(klein, (rot,), ("g",))
+    transitive = MultiplicativeTypeModule(klein, {"g": rot})
     # the 3-cycle is transitive on the nonzero characters, nothing is fixed
     assert len(fixed_elements_enumerated(klein, [rot])) == 1
     assert transitive.fixed_characters.is_trivial()
     assert h2_local_vanishes(transitive) is True
     constant = MultiplicativeTypeModule(
-        FgAbelianGroup(IntMatrix.from_rows([[2]])), (IntMatrix.identity(1),), ("g",))
+        FgAbelianGroup(IntMatrix.from_rows([[2]])), {"g": IntMatrix.identity(1)})
     assert h2_local_vanishes(constant) is False
     report(3, "transitive Klein action vanishes, trivially-acted Z/2 does not")
 
@@ -356,7 +356,7 @@ def test_criterion_9_soundness_fuzz(d4, triality):
 
     center = MultiplicativeTypeModule(
         FgAbelianGroup(IntMatrix.from_rows([[2, 0], [0, 2]])),
-        (IntMatrix.from_rows([[0, 1], [1, 1]]),), ("t",))
+        {"t": IntMatrix.from_rows([[0, 1], [1, 1]])})
     coh_options = (None, CohomologyInputs(a_module=center))
 
     rng = random.Random(99)

@@ -54,8 +54,7 @@ def symmetric(d4):
 
 def center_module():
     z22 = FgAbelianGroup(IntMatrix.from_rows([[2, 0], [0, 2]]))
-    return MultiplicativeTypeModule(
-        z22, (IntMatrix.from_rows([[0, 1], [1, 1]]),), ("t",))
+    return MultiplicativeTypeModule(z22, {"t": IntMatrix.from_rows([[0, 1], [1, 1]])})
 
 
 # -- the five worked verdict scenarios ------------------------------------------
@@ -125,9 +124,9 @@ def test_unknown_normalizer_is_inconclusive(d4, triality, symmetric):
 def test_zero_character_map_route(d4, triality, symmetric):
     # free rank-1 source mapping to an order-2 target by an even multiple
     src = MultiplicativeTypeModule(FgAbelianGroup(IntMatrix(0, 1, ())),
-                                   (IntMatrix.identity(1),), ("t",))
+                                   {"t": IntMatrix.identity(1)})
     tgt = MultiplicativeTypeModule(FgAbelianGroup(IntMatrix.from_rows([[2]])),
-                                   (IntMatrix.identity(1),), ("t",))
+                                   {"t": IntMatrix.identity(1)})
     kappa = CharacterMap(src, tgt, IntMatrix.from_rows([[2]]))
     hyps = HypothesisSet(True, True, False, "BySymmetric", "large_other")
     v = verdict(d4, triality, symmetric, hyps, CohomologyInputs(kappa=kappa))
@@ -153,7 +152,7 @@ def test_by_horospherical_needs_a_datum(d4, triality, symmetric):
 
 def test_cohomology_generator_names_must_match(d4, triality, symmetric):
     z2 = FgAbelianGroup(IntMatrix.from_rows([[2]]))
-    mod = MultiplicativeTypeModule(z2, (IntMatrix.identity(1),), ("sigma",))
+    mod = MultiplicativeTypeModule(z2, {"sigma": IntMatrix.identity(1)})
     hyps = HypothesisSet(True, True, False, "BySymmetric", "p_adic")
     with pytest.raises(ValueError, match="sigma"):
         verdict(d4, triality, symmetric, hyps, CohomologyInputs(a_module=mod))

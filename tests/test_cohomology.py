@@ -30,7 +30,7 @@ SWAP2 = IntMatrix.from_rows([[1, 1], [0, 1]])      # transposition, fixes (1,1)
 
 @pytest.fixture(scope="module")
 def center_triality():
-    return MultiplicativeTypeModule(z_mod(2, 2), (TRIALITY2,), ("t",))
+    return MultiplicativeTypeModule(z_mod(2, 2), {"t": TRIALITY2})
 
 
 # -- fixed characters and the vanishing test -----------------------------------
@@ -48,30 +48,30 @@ def test_same_center_presented_on_the_weight_lattice():
     perm = (2, 1, 3, 0)
     tri4 = IntMatrix.from_rows(
         [[1 if perm[j] == i else 0 for j in range(4)] for i in range(4)])
-    m = MultiplicativeTypeModule(pq, (tri4,), ("t",))
+    m = MultiplicativeTypeModule(pq, {"t": tri4})
     assert m.fixed_characters.is_trivial()
     assert h2_local_vanishes(m)
 
 
 def test_order_two_group_with_trivial_action_does_not_vanish():
-    m = MultiplicativeTypeModule(z_mod(2), (IntMatrix.identity(1),), ("s",))
+    m = MultiplicativeTypeModule(z_mod(2), {"s": IntMatrix.identity(1)})
     assert not h2_local_vanishes(m)
     assert m.fixed_characters.order() == 2
 
 
 def test_trivial_group_vanishes():
-    assert h2_local_vanishes(MultiplicativeTypeModule(z_mod(1), ()))
+    assert h2_local_vanishes(MultiplicativeTypeModule(z_mod(1), {}))
 
 
 def test_swap_action_keeps_the_diagonal_fixed():
-    m = MultiplicativeTypeModule(z_mod(2, 2), (SWAP2,), ("s",))
+    m = MultiplicativeTypeModule(z_mod(2, 2), {"s": SWAP2})
     assert m.fixed_characters.invariant_factors == (1, 2)
     assert not h2_local_vanishes(m)
 
 
 def test_positive_dimensional_refused():
     free = FgAbelianGroup(IntMatrix(0, 1, ()))
-    m = MultiplicativeTypeModule(free, (IntMatrix.identity(1),), ("s",))
+    m = MultiplicativeTypeModule(free, {"s": IntMatrix.identity(1)})
     with pytest.raises(PositiveDimensional):
         h2_local_vanishes(m)
 
@@ -79,40 +79,52 @@ def test_positive_dimensional_refused():
 def test_action_must_be_an_automorphism():
     with pytest.raises(ValueError, match="'t'"):
         MultiplicativeTypeModule(z_mod(2, 2),
-                                 (IntMatrix.from_rows([[2, 0], [0, 1]]),),
-                                 ("t",))
-    with pytest.raises(ValueError, match="one name"):
-        MultiplicativeTypeModule(z_mod(2), (IntMatrix.identity(1),), ("a", "b"))
+                                 {"t": IntMatrix.from_rows([[2, 0], [0, 1]])})
+    # two bad generators: the first in name order is named
+    bad = IntMatrix.from_rows([[2, 0], [0, 1]])
+    for names in ("ab", "ba"):
+        with pytest.raises(ValueError, match="'a'"):
+            MultiplicativeTypeModule(z_mod(2, 2), {n: bad for n in names})
+
+
+def test_the_action_is_keyed_and_sorted_by_name():
+    one, swap = IntMatrix.identity(2), SWAP2
+    m = MultiplicativeTypeModule(z_mod(2, 2), {"s": swap, "r": one})
+    assert m.generator_names == ("r", "s") and list(m.action.values()) == [one, swap]
+    same = MultiplicativeTypeModule(z_mod(2, 2), {"r": one, "s": swap})
+    assert m == same and hash(m) == hash(same)
+    assert m != MultiplicativeTypeModule(z_mod(2, 2), {"r": swap, "s": one})
+    assert MultiplicativeTypeModule(z_mod(1), {}).generator_names == ()
 
 
 def test_vanishing_agrees_with_enumerated_fixed_points(center_triality):
     # independent route: enumerate all elements and test them one by one
     rng = random.Random(11)
     cases = [center_triality,
-             MultiplicativeTypeModule(z_mod(2, 2), (SWAP2,), ("s",)),
-             MultiplicativeTypeModule(z_mod(2), (IntMatrix.identity(1),), ("s",))]
+             MultiplicativeTypeModule(z_mod(2, 2), {"s": SWAP2}),
+             MultiplicativeTypeModule(z_mod(2), {"s": IntMatrix.identity(1)})]
     for _ in range(25):
         factors = [rng.choice([1, 2, 2, 3, 4, 6]) for _ in range(rng.randint(1, 3))]
         group = z_mod(*factors)
         n = group.ngens
-        autos = []
+        autos = {}
         for _ in range(40):
             cand = IntMatrix.from_rows(
                 [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)], n)
             if group.is_automorphism(cand):
-                autos.append(cand)
+                autos["g"] = cand
                 break
-        cases.append(MultiplicativeTypeModule(group, tuple(autos)))
+        cases.append(MultiplicativeTypeModule(group, autos))
     for m in cases:
-        enumerated = fixed_elements_enumerated(m.characters, list(m.action))
+        enumerated = fixed_elements_enumerated(m.characters, list(m.action.values()))
         assert h2_local_vanishes(m) == (len(enumerated) == 1)
 
 
 # -- character maps -------------------------------------------------------------
 
 def make_modules():
-    src = MultiplicativeTypeModule(z_mod(2, 2), (TRIALITY2,), ("t",))
-    tgt = MultiplicativeTypeModule(z_mod(2, 2), (TRIALITY2,), ("t",))
+    src = MultiplicativeTypeModule(z_mod(2, 2), {"t": TRIALITY2})
+    tgt = MultiplicativeTypeModule(z_mod(2, 2), {"t": TRIALITY2})
     return src, tgt
 
 
@@ -135,8 +147,8 @@ def test_non_equivariant_map_rejected():
 
 
 def test_map_must_descend_and_match_shapes():
-    src = MultiplicativeTypeModule(z_mod(4), (IntMatrix.identity(1),), ("s",))
-    tgt = MultiplicativeTypeModule(z_mod(2), (IntMatrix.identity(1),), ("s",))
+    src = MultiplicativeTypeModule(z_mod(4), {"s": IntMatrix.identity(1)})
+    tgt = MultiplicativeTypeModule(z_mod(2), {"s": IntMatrix.identity(1)})
     CharacterMap(src, tgt, IntMatrix.from_rows([[1]]))  # Z/4 -> Z/2 is fine
     with pytest.raises(ValueError, match="descend"):
         CharacterMap(tgt, src, IntMatrix.from_rows([[1]]))  # Z/2 -> Z/4 is not
@@ -145,10 +157,17 @@ def test_map_must_descend_and_match_shapes():
 
 
 def test_map_requires_shared_generator_names():
-    src = MultiplicativeTypeModule(z_mod(2), (IntMatrix.identity(1),), ("s",))
-    tgt = MultiplicativeTypeModule(z_mod(2), (IntMatrix.identity(1),), ("u",))
+    src = MultiplicativeTypeModule(z_mod(2), {"s": IntMatrix.identity(1)})
+    tgt = MultiplicativeTypeModule(z_mod(2), {"u": IntMatrix.identity(1)})
     with pytest.raises(ValueError, match="share"):
         CharacterMap(src, tgt, IntMatrix.identity(1))
+
+
+def test_map_pairs_the_matrices_by_name():
+    # the same two generators, given in opposite orders: equivariant
+    src = MultiplicativeTypeModule(z_mod(2, 2), {"s": SWAP2, "t": TRIALITY2})
+    tgt = MultiplicativeTypeModule(z_mod(2, 2), {"t": TRIALITY2, "s": SWAP2})
+    assert not CharacterMap(src, tgt, IntMatrix.identity(2)).is_zero_map()
 
 
 # -- obstruction verdicts --------------------------------------------------------
@@ -156,8 +175,8 @@ def test_map_requires_shared_generator_names():
 def torus_to_center_zero_map():
     # rank-1 free characters mapping onto Z/2 by an even multiple
     src = MultiplicativeTypeModule(FgAbelianGroup(IntMatrix(0, 1, ())),
-                                   (IntMatrix.identity(1),), ("s",))
-    tgt = MultiplicativeTypeModule(z_mod(2), (IntMatrix.identity(1),), ("s",))
+                                   {"s": IntMatrix.identity(1)})
+    tgt = MultiplicativeTypeModule(z_mod(2), {"s": IntMatrix.identity(1)})
     return CharacterMap(src, tgt, IntMatrix.from_rows([[2]]))
 
 
@@ -178,7 +197,7 @@ def test_finite_target_with_trivial_fixed_characters(center_triality):
 
 
 def test_nontrivial_fixed_characters_stay_unknown():
-    m = MultiplicativeTypeModule(z_mod(2), (IntMatrix.identity(1),), ("s",))
+    m = MultiplicativeTypeModule(z_mod(2), {"s": IntMatrix.identity(1)})
     v = obstruction_verdict(False, a_module=m, base_field="p_adic")
     assert v == ObstructionVerdict(UNKNOWN, "nontrivial_fixed_characters")
 
@@ -201,7 +220,7 @@ def test_quasi_split_flag_is_monotone(center_triality):
         {"kappa": torus_to_center_zero_map()},
         {"a_module": center_triality, "base_field": "p_adic"},
         {"a_module": MultiplicativeTypeModule(
-            z_mod(2), (IntMatrix.identity(1),), ("s",)), "base_field": "p_adic"},
+            z_mod(2), {"s": IntMatrix.identity(1)}), "base_field": "p_adic"},
     ]
     for kw in configs:
         before = obstruction_verdict(False, **kw)

@@ -131,13 +131,12 @@ def test_a_float_rank_misses_the_cache():
     assert rootdata._interned_datum.cache_info().currsize == 1
 
 
-def test_a_small_cap_is_refused_on_an_interned_datum():
+def test_a_small_cap_is_refused_on_an_interned_datum(monkeypatch):
     assert len(roots_and_coroots(build_root_datum("E", 8))[0]) == 240
+    monkeypatch.setattr(rootdata, "ROOT_TABLE_CAP", 1919)
     with pytest.raises(CapExceeded, match="^root datum E8: root table of 1920 entries "
                                           "exceeds cap 1919$"):
-        build_root_datum("E", 8, cap=1919)
-    with pytest.raises(ValueError, match="cap must be a positive integer"):
-        build_root_datum("E", 8, cap=0)
+        build_root_datum("E", 8)
 
 
 def test_a_datum_with_its_lifts_still_pickles():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphdescent.checker import HypothesisSet
+from sphdescent.checker import HypothesisSet, verdict
 from sphdescent.cli import corpus_names, corpus_root
 from sphdescent.cones import ColorRecord, cone_from_inequalities
 from sphdescent.intlinalg import Lattice, vec_dot, vec_neg
@@ -195,22 +195,29 @@ def test_fan_requires_invariants():
                        fan={"cones": [{"rays": [[1, 0]]}]}))
 
 
-def test_cohomology_modules_take_the_action_order():
-    # A_characters and Z_characters list their keys in opposite orders; both
-    # are read in the action's, so kappa's source and target agree
+def test_cohomology_modules_are_keyed_by_name():
+    # A_characters and Z_characters list their keys in opposite orders, and
+    # the action lists its generators in either order; each module is read
+    # in name order, so kappa's source and target agree, and the verdict
+    # pairs the modules with the action by name
     data = load_corpus("sl2_torus")
     data["action"]["generators"].append({"name": "r", "matrix_on_X": [[1]]})
     coh = data["cohomology"]
     coh["A_characters"] = {"presentation": [[2, 0], [0, 2]],
-                           "action": {"r": [[0, 1], [1, 0]], "s": [[1, 0], [0, 1]]}}
+                           "action": {"s": [[1, 0], [0, 1]], "r": [[0, 1], [1, 0]]}}
     coh["kappa_matrix"] = [[0, 0]]
     for z_keys in (("r", "s"), ("s", "r")):
         coh["Z_characters"]["action"] = {k: [[1]] for k in z_keys}
-        p = parse_dict(data)
-        a_module = p.cohomology.a_module
-        assert a_module.generator_names == p.cohomology.kappa.target.generator_names == ("s", "r")
-        assert [m.entries for m in a_module.action] == [((1, 0), (0, 1)), ((0, 1), (1, 0))]
-    # with no action block, A_characters' own order
+        for _ in range(2):
+            data["action"]["generators"].reverse()
+            p = parse_dict(data)
+            a_module = p.cohomology.a_module
+            assert a_module.generator_names == p.cohomology.kappa.target.generator_names == ("r", "s")
+            assert {k: m.entries for k, m in a_module.action.items()} == {
+                "r": ((0, 1), (1, 0)), "s": ((1, 0), (0, 1))}
+            assert verdict(p.brd, p.action, p.invariance_input, p.hypotheses,
+                           p.cohomology).status == "form_exists"
+    # with no action block, the same name order
     del data["action"], data["hypotheses"], data["invariants"]
     assert parse_dict(data).cohomology.kappa.target.generator_names == ("r", "s")
 

@@ -92,13 +92,6 @@ def test_weyl_cap_below_one_is_refused(d4, cap):
         next(walk)  # before the identity is yielded
 
 
-@pytest.mark.parametrize("cap", [0, -3])
-def test_root_table_cap_below_one_is_refused(cap):
-    # refused before the root count: a rank no table could hold
-    with pytest.raises(ValueError, match=f"^cap must be a positive integer, got {cap}$"):
-        build_root_datum("A", 10 ** 9, cap=cap)
-
-
 def test_weyl_words_are_reduced_and_act_correctly(d4, d4_eps):
     w = weyl_group(d4)
     lengths = {}

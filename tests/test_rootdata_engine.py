@@ -143,17 +143,20 @@ def test_root_table_cap_is_checked_before_any_search(monkeypatch):
     def search(brd):
         raise AssertionError("search started")
     monkeypatch.setattr(weyl, "roots_and_coroots", search)
-    with pytest.raises(CapExceeded, match="root datum E8: root table of 1920 entries "
-                                          "exceeds cap 1919"):
-        build_root_datum("E", 8, cap=1919)
     with pytest.raises(CapExceeded, match="cap 1000000"):
         build_root_datum("A", 10 ** 6)
+    with monkeypatch.context() as m:
+        m.setattr(rootdata, "ROOT_TABLE_CAP", 1919)
+        with pytest.raises(CapExceeded, match="root datum E8: root table of 1920 entries "
+                                              "exceeds cap 1919"):
+            build_root_datum("E", 8)
     with pytest.raises(CapExceeded, match="root datum B100"):
         parse_dict({"schema": 1, "root_datum": {"type": "B", "rank": 100}})
 
 
-def test_root_table_cap_boundary():
-    assert len(roots_and_coroots(build_root_datum("E", 8, cap=1920))[0]) == 240
+def test_root_table_cap_boundary(monkeypatch):
+    monkeypatch.setattr(rootdata, "ROOT_TABLE_CAP", 1920)
+    assert len(roots_and_coroots(build_root_datum("E", 8))[0]) == 240
 
 
 def test_cli_exits_64_on_an_oversized_root_datum(tmp_path, capsys):
@@ -188,9 +191,11 @@ def test_cli_exits_64_on_an_oversized_torus(tmp_path, capsys, monkeypatch):
         f"error: {path}: root datum torus1001: matrix on X of 1002001 entries "
         "exceeds cap 1000000\n")
     assert build_root_datum("torus", n - 1).rank == n - 1
-    assert build_root_datum("torus", 3, cap=9).rank == 3
+    monkeypatch.setattr(rootdata, "ROOT_TABLE_CAP", 9)
+    assert build_root_datum("torus", 3).rank == 3
+    monkeypatch.setattr(rootdata, "ROOT_TABLE_CAP", 8)
     with pytest.raises(CapExceeded, match="root datum torus3: matrix on X of 9 entries"):
-        build_root_datum("torus", 3, cap=8)
+        build_root_datum("torus", 3)
 
 
 # -- Weyl group and conjugacy -----------------------------------------------------------
