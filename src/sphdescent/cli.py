@@ -66,6 +66,7 @@ def _trace_json(entries) -> list:
 
 # -- corpus ----------------------------------------------------------------------
 
+@cache  # the package's location does not move within a process
 def corpus_root():
     return resources.files("sphdescent") / "corpus"
 

@@ -253,7 +253,7 @@ class Lattice:
             raise ValueError("generator length does not match ambient rank")
         if not rows:
             return cls(ambient_rank, IntMatrix(0, ambient_rank, ()))
-        h = hnf(IntMatrix.from_rows(rows, ambient_rank))
+        h = hnf(IntMatrix(len(rows), ambient_rank, tuple(rows)))
         kept = tuple(r for r in h.entries if not vec_is_zero(r))
         return cls(ambient_rank, IntMatrix(len(kept), ambient_rank, kept))
 

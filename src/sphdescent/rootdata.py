@@ -18,7 +18,13 @@ the root-coroot bijection.  A diagram automorphism lifts as a permutation
 matrix when it preserves the block of the simple coroots, as it does in the
 simply connected and adjoint bases, and otherwise by one elimination.  Data
 are immutable: build_root_datum interns up to 128 simply connected and adjoint
-ones, so each builds its Cartan matrix and lifts once.
+ones, so each builds its Cartan matrix once.  A datum with no torus block
+keeps what its automorphisms decide: the lift of each Cartan-preserving
+permutation (or None), each matrix that passed as_brd_automorphism, and the
+order of each generator set staraction closed.  Its simple roots span X over
+Q, so an automorphism is fixed by its simple-root permutation and all it
+keeps is bounded by the diagram's automorphism group.  Tori and data with a
+torus block, built on each call, keep nothing.
 """
 from __future__ import annotations
 
@@ -103,6 +109,20 @@ class BasedRootDatum:
     @cached_property
     def _lifts(self) -> dict:  # lift_s_permutation's answers, verified once
         return {}
+
+    @cached_property
+    def _automorphisms(self) -> dict:  # matrices that passed as_brd_automorphism
+        return {}
+
+    @cached_property
+    def _orders(self) -> dict:  # build_action's orders, by set of s_perms
+        return {}
+
+    @property
+    def _keeps(self) -> bool:
+        """Whether the datum keeps its lifts, automorphisms and orders: it
+        does when its simple roots span X over Q, i.e. no torus block."""
+        return len(self.simple_roots) == self.rank
 
     @cached_property
     def _hash(self) -> int:
@@ -290,17 +310,24 @@ def as_brd_automorphism(brd: BasedRootDatum, m: IntMatrix) -> BRDAutomorphism | 
     coroot of each root to the coroot of its image (Humphreys, Reflection
     Groups and Coxeter Groups, 1.5 and 1.14).
     """
+    keeps = brd._keeps
+    if keeps and m in brd._automorphisms:
+        return brd._automorphisms[m]
     if m.rows != brd.rank or m.cols != brd.rank or not m.is_unimodular():
         return None
     s_index = {r: i for i, r in enumerate(brd.simple_roots)}
     s_perm = tuple(s_index.get(m.apply(alpha)) for alpha in brd.simple_roots)
     if None in s_perm:
         return None
-    m_t = m.transpose()
-    if any(m_t.apply(brd.simple_coroots[j]) != cov
+    # m^T alpha_j^vee, entry r, is column r of m dotted with alpha_j^vee
+    columns = tuple(zip(*m.entries))
+    if any(tuple(vec_dot(col, brd.simple_coroots[j]) for col in columns) != cov
            for j, cov in zip(s_perm, brd.simple_coroots)):
         return None
-    return BRDAutomorphism(m, s_perm)
+    out = BRDAutomorphism(m, s_perm)
+    if keeps:
+        brd._automorphisms[m] = out
+    return out
 
 
 def lift_s_permutation(brd: BasedRootDatum, perm) -> BRDAutomorphism | None:
@@ -316,18 +343,23 @@ def lift_s_permutation(brd: BasedRootDatum, perm) -> BRDAutomorphism | None:
     central torus block.  Returns None when the permutation does not preserve
     the Cartan matrix or M is not integral, i.e. does not stabilize the
     chosen lattice X.  Either way the lift passes as_brd_automorphism, once:
-    the answer for a Cartan-preserving permutation is kept on the datum.
+    a datum with no torus block keeps the answer for a Cartan-preserving
+    permutation and reads it before any test.
     """
-    k = len(brd.simple_roots)
     perm = tuple(perm)
+    keeps = brd._keeps
+    if keeps and perm in brd._lifts:
+        return brd._lifts[perm]
+    k = len(brd.simple_roots)
     if sorted(perm) != list(range(k)):
         raise ValueError("not a permutation of the simple roots")
     cartan = brd.cartan_matrix.entries
     if any(cartan[perm[i]][perm[j]] != cartan[i][j] for i in range(k) for j in range(k)):
         return None
-    if perm not in brd._lifts:
-        brd._lifts[perm] = _lift(brd, perm)
-    return brd._lifts[perm]
+    lift = _lift(brd, perm)
+    if keeps:
+        brd._lifts[perm] = lift
+    return lift
 
 
 def _lift(brd: BasedRootDatum, perm: tuple[int, ...]) -> BRDAutomorphism | None:

@@ -8,13 +8,18 @@ capped closure is the check that the image is finite.  Simple-root
 permutations are lifted by rootdata, as a permutation matrix in the simply
 connected and adjoint bases and by one fraction-free elimination otherwise;
 every generator, lifted or stated as a matrix, passes rootdata's test on the
-simple roots and coroots, a lift once: the datum keeps it.  The closure
-reads each generator's inverse off its permutation of O, with no
-elimination, and keeps it on the generator.  One element moves to a stable
-sublattice of X, or to the dual V of one, by restrict_to_sublattice and
-dual_matrix_on_V, which give None when it moves the lattice: the weight
-lattice, or L for a horospherical M = L/d, which g keeps exactly when it
-keeps L.  It moves simple-root indices by `s_perm`.
+simple roots and coroots.  The closure reads each generator's inverse off
+its permutation of O, with no elimination, and keeps it on the generator.
+A datum with no torus block keeps its checked generators and the order of
+each generator set closed over it: a set seen before is not closed again,
+and its stored order is compared with the cap, which the closure exceeds
+exactly when the order does.  Tori and data with a torus block keep
+nothing, so their actions are closed on each call.
+
+One element moves to a stable sublattice of X, or to the dual V of one, by
+restrict_to_sublattice and dual_matrix_on_V, which give None when it moves
+the lattice: the weight lattice, or L for a horospherical M = L/d, which g
+keeps exactly when it keeps L.  It moves simple-root indices by `s_perm`.
 """
 from __future__ import annotations
 
@@ -82,9 +87,28 @@ def build_action(brd: BasedRootDatum, generators, names=None,
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
 
-    too_big = ClosureCapExceeded(
+    # a datum with no torus block keeps each generator set's order: there an
+    # automorphism is fixed by its s_perm, and as |O| <= rank * order, _close
+    # raises exactly when the order exceeds the cap
+    orders = brd._orders if brd._keeps else {}
+    key = frozenset(g.s_perm for g in gens)
+    order = orders.get(key)
+    if order is None:
+        order = orders[key] = _close(brd, gens, cap)
+    elif order > cap:
+        raise _too_big(cap)
+    return GaloisAction(brd, names, gens, order)
+
+
+def _too_big(cap: int) -> ClosureCapExceeded:
+    return ClosureCapExceeded(
         f"closure exceeds {cap} elements; the action must factor through a "
         "finite group (for a torus factor, pick generators of finite order)")
+
+
+def _close(brd: BasedRootDatum, gens, cap: int) -> int:
+    """The order of the group gens generate, capped, and each generator's
+    inverse, read off its permutation of O."""
     # O, the orbit of the standard basis, has |O| <= rank * order; generators
     # become permutations of O (a basis vector's image is a column) and act on
     # the left on elements, each keyed by the O-indices of its basis images
@@ -98,7 +122,7 @@ def build_action(brd: BasedRootDatum, generators, names=None,
             w = cols[k] if k < n else g.matrix.apply(v)
             if w not in index:
                 if len(orbit) >= n * cap:
-                    raise too_big
+                    raise _too_big(cap)
                 index[w] = len(orbit)
                 orbit.append(w)
             perm.append(index[w])
@@ -117,11 +141,11 @@ def build_action(brd: BasedRootDatum, generators, names=None,
                 prod = tuple(map(g.__getitem__, p))
                 if prod not in seen:
                     if len(seen) >= cap:
-                        raise too_big
+                        raise _too_big(cap)
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    return GaloisAction(brd, names, gens, len(seen))
+    return len(seen)
 
 
 def restrict_to_sublattice(element: BRDAutomorphism, lattice: Lattice) -> IntMatrix | None:

@@ -1,22 +1,27 @@
-"""Interned root data and stored diagram lifts, warm against cold.
+"""Interned root data and what they keep, warm against cold.
 
 `build_root_datum` returns one shared datum per simply connected or adjoint
-type, and a datum keeps the lift of each Cartan-preserving permutation it
-was asked for.  Every datum here is compared with one built after
-`cache_clear()`, and every stored lift with one lifted on that fresh datum.
+type.  A datum with no torus block keeps the lift of each Cartan-preserving
+permutation it was asked for, each matrix generator it checked, and the
+order of each generator set `build_action` closed; tori and data with a
+torus block keep nothing.  Every datum here is compared with one built after
+`cache_clear()`, every stored lift with one lifted on that fresh datum, and
+every action read off stored orders with one closed on a fresh datum.
 Caps, errors and CLI output must not depend on what the process built
 before.
 """
 import pickle
+import re
 from dataclasses import replace
 
 import pytest
 
 from sphdescent import rootdata
 from sphdescent.cli import main
+from sphdescent.intlinalg import IntMatrix
 from sphdescent.rootdata import (CapExceeded, build_root_datum, direct_sum,
                                  lift_s_permutation, torus)
-from sphdescent.staraction import build_action
+from sphdescent.staraction import ClosureCapExceeded, build_action
 from sphdescent.weyl import roots_and_coroots
 
 TYPES = ([("A", n) for n in range(1, 10)] + [("B", n) for n in range(2, 10)]
@@ -62,6 +67,22 @@ def lift_error(brd, perm):
     with pytest.raises(ValueError) as info:
         build_action(brd, [perm])
     return str(info.value)
+
+
+def pinned(cap):
+    return "^" + re.escape(
+        f"closure exceeds {cap} elements; the action must factor through a "
+        "finite group (for a torus factor, pick generators of finite order)") + "$"
+
+
+def permutation_matrix(perm):
+    """e_j -> e_perm[j]: a diagram automorphism in the simply connected basis."""
+    n = len(perm)
+    return IntMatrix(n, n, tuple(tuple(int(i == perm[j]) for j in range(n))
+                                 for i in range(n)))
+
+
+KEPT = ("_lifts", "_automorphisms", "_orders")
 
 
 def test_each_test_starts_from_an_empty_cache():
@@ -191,7 +212,94 @@ def test_closure_caps_after_an_uncapped_parse(capsys):
     assert capsys.readouterr() == (uncapped, "")
 
 
-@pytest.mark.parametrize("command", ["verdict", "check-fan"])
+@pytest.mark.parametrize("isogeny", ["simply_connected", "adjoint"])
+@pytest.mark.parametrize("letter,rank", [t for t in TYPES if t[1] <= 8])
+def test_warm_actions_equal_cold_ones(letter, rank, isogeny):
+    # the full diagram group and each single Cartan-preserving permutation
+    warm = build_root_datum(letter, rank, isogeny)
+    autos = cartan_preserving(warm.cartan_matrix.entries)
+    sets = [autos] + [[p] for p in autos]
+    closed = [build_action(warm, gens) for gens in sets]
+    assert set(warm._orders) == {frozenset(gens) for gens in sets}
+    for gens, first in zip(sets, closed):
+        action = build_action(warm, gens)  # read off the stored order
+        assert action == first
+        order = action.order
+        # the cap boundary holds with the order already stored
+        assert build_action(warm, gens, cap=order).order == order
+        if order > 1:
+            with pytest.raises(ClosureCapExceeded, match=pinned(order - 1)):
+                build_action(warm, gens, cap=order - 1)
+
+        # each set closed on a datum that has kept nothing yet
+        rootdata._interned_datum.cache_clear()
+        cold_datum = build_root_datum(letter, rank, isogeny)
+        assert not set(KEPT) & set(vars(cold_datum))
+        cold = build_action(cold_datum, gens)
+        assert cold.order == order
+        assert ([g.matrix for g in cold.generators]
+                == [g.matrix for g in action.generators])
+        assert ([g.inverse_matrix for g in cold.generators]
+                == [g.inverse_matrix for g in action.generators])
+
+
+def test_a_matrix_generator_is_checked_once_on_an_interned_datum(solve_widths):
+    swap = permutation_matrix((2, 1, 0, 3))
+    actions = [build_action(build_root_datum("D", 4), [swap]) for _ in range(3)]
+    assert solve_widths == [0]  # one unimodularity test, by its last pivot
+    assert all(a.generators[0] is actions[0].generators[0] for a in actions)
+    # a lift with the same matrix is the automorphism already checked
+    assert lift_s_permutation(build_root_datum("D", 4), (2, 1, 0, 3)) is actions[0].generators[0]
+    assert solve_widths == [0]
+    # a torus is built on each call and keeps nothing: one test a call
+    solve_widths.clear()
+    for _ in range(3):
+        build_action(torus(2), [permutation_matrix((1, 0))])
+    assert solve_widths == [0, 0, 0]
+
+
+def test_a_refused_matrix_is_not_kept():
+    brd = build_root_datum("A", 2)
+    # not unimodular, and unimodular but moving alpha_1 off S
+    for m in (IntMatrix(2, 2, ((2, 0), (0, 1))), IntMatrix(2, 2, ((1, 1), (0, 1)))):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^matrix generator is not a based "
+                                                 "root datum automorphism$"):
+                build_action(brd, [m])
+    assert brd._automorphisms == {}
+
+
+def test_data_with_a_torus_block_keep_nothing():
+    three = torus(3)
+    cycle = build_action(three, [permutation_matrix((1, 2, 0))])
+    mixed = direct_sum(build_root_datum("A", 2), torus(1))
+    flip = build_action(mixed, [(1, 0)])
+    assert (cycle.order, flip.order) == (3, 2)
+    for brd in (three, mixed):
+        assert not set(KEPT) & set(vars(brd)), brd.components
+    # a datum with no torus block keeps all three
+    a2 = build_root_datum("A", 2)
+    build_action(a2, [(1, 0)])
+    build_action(a2, [permutation_matrix((1, 0))])
+    assert set(KEPT) <= set(vars(a2))
+
+
+def test_a_datum_with_stored_orders_still_pickles():
+    brd = build_root_datum("D", 4)
+    gens = [(2, 1, 0, 3), (3, 1, 2, 0)]
+    action = build_action(brd, gens)
+    assert action.order == 6 and brd._orders == {frozenset(gens): 6}
+    copy = pickle.loads(pickle.dumps(brd))
+    assert copy == brd and hash(copy) == hash(brd) and copy._orders == brd._orders
+    again = build_action(copy, gens)
+    assert again.order == 6
+    assert [g.inverse_matrix for g in again.generators] == [
+        g.inverse_matrix for g in action.generators]
+    with pytest.raises(ClosureCapExceeded, match=pinned(5)):
+        build_action(copy, gens, cap=5)
+
+
+@pytest.mark.parametrize("command", ["verdict", "check-fan", "check-invariants"])
 def test_a_warm_corpus_run_prints_what_a_cold_one_prints(capsys, command):
     runs = []
     for _ in range(2):
