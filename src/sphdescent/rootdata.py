@@ -18,20 +18,19 @@ the root-coroot bijection.  A diagram automorphism lifts as a permutation
 matrix when it preserves the block of the simple coroots, as it does in the
 simply connected and adjoint bases, and otherwise by one elimination.  Data
 are immutable: build_root_datum interns up to 128 simply connected and adjoint
-ones, so each builds its Cartan matrix once.  A datum with no torus block
-keeps what its automorphisms decide: the lift of each Cartan-preserving
-permutation (or None), each matrix that passed as_brd_automorphism, and the
-order of each generator set staraction closed.  Its simple roots span X over
-Q, so an automorphism is fixed by its simple-root permutation and all it
-keeps is bounded by the diagram's automorphism group.  Tori and data with a
-torus block, built on each call, keep nothing.
+ones, so each builds its Cartan matrix and lifts once.  A datum keeps the
+lift of each Cartan-preserving permutation (or None) and reads it before any
+test; a datum with no torus block also keeps the order of each generator set
+staraction closed.  Its simple roots span X over Q, so there an automorphism
+is fixed by its simple-root permutation, and both are bounded by the
+diagram's automorphism group.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .intlinalg import IntMatrix, Vec, solve_fraction_free, vec_dot
+from .intlinalg import IntMatrix, Vec, _int_vec, solve_fraction_free, vec_dot
 
 
 class CapExceeded(RuntimeError):
@@ -111,18 +110,8 @@ class BasedRootDatum:
         return {}
 
     @cached_property
-    def _automorphisms(self) -> dict:  # matrices that passed as_brd_automorphism
-        return {}
-
-    @cached_property
     def _orders(self) -> dict:  # build_action's orders, by set of s_perms
         return {}
-
-    @property
-    def _keeps(self) -> bool:
-        """Whether the datum keeps its lifts, automorphisms and orders: it
-        does when its simple roots span X over Q, i.e. no torus block."""
-        return len(self.simple_roots) == self.rank
 
     @cached_property
     def _hash(self) -> int:
@@ -310,9 +299,6 @@ def as_brd_automorphism(brd: BasedRootDatum, m: IntMatrix) -> BRDAutomorphism | 
     coroot of each root to the coroot of its image (Humphreys, Reflection
     Groups and Coxeter Groups, 1.5 and 1.14).
     """
-    keeps = brd._keeps
-    if keeps and m in brd._automorphisms:
-        return brd._automorphisms[m]
     if m.rows != brd.rank or m.cols != brd.rank or not m.is_unimodular():
         return None
     s_index = {r: i for i, r in enumerate(brd.simple_roots)}
@@ -324,10 +310,7 @@ def as_brd_automorphism(brd: BasedRootDatum, m: IntMatrix) -> BRDAutomorphism | 
     if any(tuple(vec_dot(col, brd.simple_coroots[j]) for col in columns) != cov
            for j, cov in zip(s_perm, brd.simple_coroots)):
         return None
-    out = BRDAutomorphism(m, s_perm)
-    if keeps:
-        brd._automorphisms[m] = out
-    return out
+    return BRDAutomorphism(m, s_perm)
 
 
 def lift_s_permutation(brd: BasedRootDatum, perm) -> BRDAutomorphism | None:
@@ -343,12 +326,12 @@ def lift_s_permutation(brd: BasedRootDatum, perm) -> BRDAutomorphism | None:
     central torus block.  Returns None when the permutation does not preserve
     the Cartan matrix or M is not integral, i.e. does not stabilize the
     chosen lattice X.  Either way the lift passes as_brd_automorphism, once:
-    a datum with no torus block keeps the answer for a Cartan-preserving
-    permutation and reads it before any test.
+    the answer for a Cartan-preserving permutation is kept on the datum and
+    read before any test.  Entries are coerced to int first, so a stored
+    answer and a fresh one accept and refuse the same inputs.
     """
-    perm = tuple(perm)
-    keeps = brd._keeps
-    if keeps and perm in brd._lifts:
+    perm = _int_vec(perm)
+    if perm in brd._lifts:
         return brd._lifts[perm]
     k = len(brd.simple_roots)
     if sorted(perm) != list(range(k)):
@@ -356,10 +339,8 @@ def lift_s_permutation(brd: BasedRootDatum, perm) -> BRDAutomorphism | None:
     cartan = brd.cartan_matrix.entries
     if any(cartan[perm[i]][perm[j]] != cartan[i][j] for i in range(k) for j in range(k)):
         return None
-    lift = _lift(brd, perm)
-    if keeps:
-        brd._lifts[perm] = lift
-    return lift
+    brd._lifts[perm] = _lift(brd, perm)
+    return brd._lifts[perm]
 
 
 def _lift(brd: BasedRootDatum, perm: tuple[int, ...]) -> BRDAutomorphism | None:

@@ -8,13 +8,14 @@ capped closure is the check that the image is finite.  Simple-root
 permutations are lifted by rootdata, as a permutation matrix in the simply
 connected and adjoint bases and by one fraction-free elimination otherwise;
 every generator, lifted or stated as a matrix, passes rootdata's test on the
-simple roots and coroots.  The closure reads each generator's inverse off
-its permutation of O, with no elimination, and keeps it on the generator.
-A datum with no torus block keeps its checked generators and the order of
-each generator set closed over it: a set seen before is not closed again,
-and its stored order is compared with the cap, which the closure exceeds
-exactly when the order does.  Tori and data with a torus block keep
-nothing, so their actions are closed on each call.
+simple roots and coroots, a lift once: the datum keeps it.  The closure
+reads each generator's inverse off its permutation of O, with no
+elimination, and keeps it on the generator.  A datum with no torus block
+keeps the order of each generator set closed over it: a set seen before is
+not closed again, and its stored order is compared with the cap, which the
+closure exceeds exactly when the order does.  On a datum with a torus block
+an automorphism is not fixed by its s_perm, so its actions are closed on
+each call.
 
 One element moves to a stable sublattice of X, or to the dual V of one, by
 restrict_to_sublattice and dual_matrix_on_V, which give None when it moves
@@ -60,10 +61,10 @@ def _coerce_generator(brd: BasedRootDatum, gen) -> BRDAutomorphism:
         if out is None:
             raise ValueError("matrix generator is not a based root datum automorphism")
         return out
-    perm = _int_vec(gen)
+    perm = tuple(gen)
     out = lift_s_permutation(brd, perm)
     if out is None:
-        raise ValueError(f"simple root permutation {perm} does not lift to the datum")
+        raise ValueError(f"simple root permutation {_int_vec(perm)} does not lift to the datum")
     return out
 
 
@@ -90,7 +91,7 @@ def build_action(brd: BasedRootDatum, generators, names=None,
     # a datum with no torus block keeps each generator set's order: there an
     # automorphism is fixed by its s_perm, and as |O| <= rank * order, _close
     # raises exactly when the order exceeds the cap
-    orders = brd._orders if brd._keeps else {}
+    orders = brd._orders if len(brd.simple_roots) == brd.rank else {}
     key = frozenset(g.s_perm for g in gens)
     order = orders.get(key)
     if order is None:

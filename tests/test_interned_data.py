@@ -1,10 +1,9 @@
 """Interned root data and what they keep, warm against cold.
 
 `build_root_datum` returns one shared datum per simply connected or adjoint
-type.  A datum with no torus block keeps the lift of each Cartan-preserving
-permutation it was asked for, each matrix generator it checked, and the
-order of each generator set `build_action` closed; tori and data with a
-torus block keep nothing.  Every datum here is compared with one built after
+type.  A datum keeps the lift of each Cartan-preserving permutation it was
+asked for, and one with no torus block the order of each generator set
+`build_action` closed.  Every datum here is compared with one built after
 `cache_clear()`, every stored lift with one lifted on that fresh datum, and
 every action read off stored orders with one closed on a fresh datum.
 Caps, errors and CLI output must not depend on what the process built
@@ -82,7 +81,7 @@ def permutation_matrix(perm):
                                  for i in range(n)))
 
 
-KEPT = ("_lifts", "_automorphisms", "_orders")
+KEPT = ("_lifts", "_orders")
 
 
 def test_each_test_starts_from_an_empty_cache():
@@ -243,45 +242,41 @@ def test_warm_actions_equal_cold_ones(letter, rank, isogeny):
                 == [g.inverse_matrix for g in action.generators])
 
 
-def test_a_matrix_generator_is_checked_once_on_an_interned_datum(solve_widths):
-    swap = permutation_matrix((2, 1, 0, 3))
-    actions = [build_action(build_root_datum("D", 4), [swap]) for _ in range(3)]
-    assert solve_widths == [0]  # one unimodularity test, by its last pivot
-    assert all(a.generators[0] is actions[0].generators[0] for a in actions)
-    # a lift with the same matrix is the automorphism already checked
-    assert lift_s_permutation(build_root_datum("D", 4), (2, 1, 0, 3)) is actions[0].generators[0]
-    assert solve_widths == [0]
-    # a torus is built on each call and keeps nothing: one test a call
-    solve_widths.clear()
-    for _ in range(3):
-        build_action(torus(2), [permutation_matrix((1, 0))])
-    assert solve_widths == [0, 0, 0]
-
-
-def test_a_refused_matrix_is_not_kept():
-    brd = build_root_datum("A", 2)
-    # not unimodular, and unimodular but moving alpha_1 off S
-    for m in (IntMatrix(2, 2, ((2, 0), (0, 1))), IntMatrix(2, 2, ((1, 1), (0, 1)))):
-        for _ in range(2):
-            with pytest.raises(ValueError, match="^matrix generator is not a based "
-                                                 "root datum automorphism$"):
-                build_action(brd, [m])
-    assert brd._automorphisms == {}
-
-
-def test_data_with_a_torus_block_keep_nothing():
+def test_data_with_a_torus_block_keep_no_orders():
     three = torus(3)
     cycle = build_action(three, [permutation_matrix((1, 2, 0))])
     mixed = direct_sum(build_root_datum("A", 2), torus(1))
     flip = build_action(mixed, [(1, 0)])
     assert (cycle.order, flip.order) == (3, 2)
     for brd in (three, mixed):
-        assert not set(KEPT) & set(vars(brd)), brd.components
-    # a datum with no torus block keeps all three
+        assert "_orders" not in vars(brd), brd.components
+    # there every automorphism has the s_perm (), whatever its order
+    assert build_action(three, [permutation_matrix((1, 0, 2))]).order == 2
+    # a datum with no torus block keeps them
     a2 = build_root_datum("A", 2)
     build_action(a2, [(1, 0)])
-    build_action(a2, [permutation_matrix((1, 0))])
-    assert set(KEPT) <= set(vars(a2))
+    assert a2._orders == {frozenset({(1, 0)}): 2}
+
+
+@pytest.mark.parametrize("perm,error", [
+    ((1.0, 0.0), None),  # integral entries are read as ints
+    ((0.5, 1), "^entry 0.5 is not an integer$"),
+    ((1.5, 0.5), "^entry 1.5 is not an integer$"),
+])
+def test_a_stored_lift_accepts_and_refuses_what_a_fresh_one_does(perm, error):
+    warm = build_root_datum("A", 2)
+    stored = lift_s_permutation(warm, (1, 0))
+    rootdata._interned_datum.cache_clear()
+    cold = build_root_datum("A", 2)
+    assert cold is not warm and not cold._lifts
+    for brd in (warm, cold):
+        if error is None:
+            assert lift_s_permutation(brd, perm) == stored
+            assert brd._lifts == {(1, 0): stored}
+        else:
+            with pytest.raises(ValueError, match=error):
+                lift_s_permutation(brd, perm)
+    assert lift_s_permutation(warm, (1, 0)) is stored
 
 
 def test_a_datum_with_stored_orders_still_pickles():
