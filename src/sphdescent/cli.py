@@ -44,7 +44,7 @@ def _fmt_vec(v) -> str:
 
 def _parse_vector(text: str):
     try:
-        return tuple(map(_exact, text.split(",")))
+        return tuple(map(_exact, text.split(","))) if text.strip() else ()
     except (ValueError, ZeroDivisionError):
         raise ProblemError(f"cannot read {text!r} as a comma-separated "
                            "vector of exact rationals") from None

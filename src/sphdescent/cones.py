@@ -80,8 +80,6 @@ def _check_rows(dim: int, rows) -> None:
 
 def _kernel(dim: int, rows) -> tuple:
     """Hermite basis of the integer vectors orthogonal to integer rows."""
-    if not rows:
-        return IntMatrix.identity(dim).entries
     return kernel_lattice(IntMatrix.from_rows(rows, cols=dim)).basis.entries
 
 
@@ -135,12 +133,8 @@ def cone_from_inequalities(dim: int, inequalities, equations=()) -> RationalCone
     return RationalCone(dim, p.inequalities, p.equations, p.rays, p.lineality)
 
 
-@lru_cache(maxsize=65536)
-def _cone_from_ray_tuple(dim: int, rays: tuple) -> RationalCone:
-    # Memo of cones by ray tuple, from when every face was converted.
-    # Nothing calls it now that fan cones are ray masks; it stays because
-    # the benchmark's traced run reads its cache statistics.
-    return cone_from_generators(dim, rays)
+# uncalled memo of cones by ray tuple; the benchmark reads its cache statistics
+_cone_from_ray_tuple = lru_cache(maxsize=65536)(cone_from_generators)
 
 
 def meet_relative_interiors(strict, weak=()):

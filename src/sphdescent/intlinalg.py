@@ -251,8 +251,6 @@ class Lattice:
         rows = [_int_vec(r) for r in rows]
         if any(len(r) != ambient_rank for r in rows):
             raise ValueError("generator length does not match ambient rank")
-        if not rows:
-            return cls(ambient_rank, IntMatrix(0, ambient_rank, ()))
         h = hnf(IntMatrix(len(rows), ambient_rank, tuple(rows)))
         kept = tuple(r for r in h.entries if not vec_is_zero(r))
         return cls(ambient_rank, IntMatrix(len(kept), ambient_rank, kept))
@@ -380,22 +378,19 @@ def fixed_points_fg(group: FgAbelianGroup, autos: list[IntMatrix]) -> FgAbelianG
     n = group.ngens
     rel_rows = group.relation_lattice.basis.entries
     r = len(rel_rows)
-    if not autos:
-        fixed = Lattice.full(n)
-    else:
-        k = len(autos)
-        width = n + k * r
-        block_rows: list[Vec] = []
-        ident = IntMatrix.identity(n)
-        for bi, a in enumerate(autos):
-            diff = a - ident
-            for i in range(n):
-                row = list(diff.entries[i]) + [0] * (k * r)
-                for j in range(r):
-                    row[n + bi * r + j] = -rel_rows[j][i]
-                block_rows.append(tuple(row))
-        ker = kernel_lattice(IntMatrix.from_rows(block_rows, width))
-        fixed = Lattice.from_rows(n, [row[:n] for row in ker.basis.entries])
+    k = len(autos)
+    width = n + k * r
+    block_rows: list[Vec] = []
+    ident = IntMatrix.identity(n)
+    for bi, a in enumerate(autos):
+        diff = a - ident
+        for i in range(n):
+            row = list(diff.entries[i]) + [0] * (k * r)
+            for j in range(r):
+                row[n + bi * r + j] = -rel_rows[j][i]
+            block_rows.append(tuple(row))
+    ker = kernel_lattice(IntMatrix.from_rows(block_rows, width))
+    fixed = Lattice.from_rows(n, [row[:n] for row in ker.basis.entries])
     gens = fixed.basis.entries
     new_rel = []
     for rho in rel_rows:

@@ -66,10 +66,6 @@ class RationalLattice:
         return self.lattice.ambient_rank
 
     @property
-    def rank(self) -> int:
-        return self.lattice.rank
-
-    @property
     def is_integral(self) -> bool:
         return self.denominator == 1
 

@@ -569,6 +569,15 @@ def test_weyl_orbit_json_with_fractions(capsys):
 def test_weyl_orbit_bad_vector(capsys):
     assert run(capsys, "weyl-orbit", "D", "4", "1,2")[0] == 64
     assert run(capsys, "weyl-orbit", "D", "4", "a,b,c,d")[0] == 64
+    assert run(capsys, "weyl-orbit", "A", "2", "") == (
+        64, "", "error: vector must have length 2\n")
+
+
+def test_weyl_orbit_of_rank_zero(capsys):
+    # blank text is the empty vector, as an empty set is for conjugate
+    assert run(capsys, "weyl-orbit", "torus", "0", "") == (0, "orbit size: 1\n  \n", "")
+    code, out, _ = run(capsys, "weyl-orbit", "torus", "0", "", "--json")
+    assert code == 0 and json.loads(out) == {"orbit_size": 1, "orbit": [[]]}
 
 
 def test_conjugate_witness_word(capsys):

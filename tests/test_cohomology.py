@@ -15,7 +15,7 @@ from sphdescent.cohomology import (
     h2_local_vanishes,
     obstruction_verdict,
 )
-from sphdescent.intlinalg import FgAbelianGroup, IntMatrix
+from sphdescent.intlinalg import FgAbelianGroup, IntMatrix, fixed_points_fg
 
 
 def z_mod(*factors):
@@ -61,6 +61,19 @@ def test_order_two_group_with_trivial_action_does_not_vanish():
 
 def test_trivial_group_vanishes():
     assert h2_local_vanishes(MultiplicativeTypeModule(z_mod(1), {}))
+
+
+@pytest.mark.parametrize("group", [
+    z_mod(1), z_mod(2), z_mod(2, 2), z_mod(1, 2, 3, 4, 6),
+    FgAbelianGroup(IntMatrix.from_rows(
+        [(1, 0, 1, 1), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)])),
+    FgAbelianGroup(IntMatrix(0, 1, ())),
+], ids=["trivial", "z2", "klein", "mixed", "d4_weights", "free"])
+def test_no_automorphisms_fix_the_whole_group(group):
+    fixed = fixed_points_fg(group, [])
+    assert fixed.invariant_factors == group.invariant_factors
+    assert fixed.free_rank == group.free_rank
+    assert MultiplicativeTypeModule(group, {}).fixed_characters == fixed
 
 
 def test_swap_action_keeps_the_diagonal_fixed():

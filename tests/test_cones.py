@@ -18,6 +18,7 @@ from sphdescent.cones import (
     ColoredFan,
     NotStrictlyConvex,
     StabilityVerdict,
+    _cone_from_ray_tuple,
     _relint,
     _relint_contains,
     cone_from_generators,
@@ -244,12 +245,22 @@ def test_origin_cone():
     c = cone_from_generators(2, [])
     assert c.rays == c.lineality == () and c.equations == ((1, 0), (0, 1))
     assert c.contains((0, 0)) and not c.contains((1, 0))
+    for n in range(4):
+        c = cone_from_generators(n, [])
+        assert c.rays == c.lineality == c.inequalities == ()
+        assert c.equations == IntMatrix.identity(n).entries
 
 
 def test_full_plane():
     c = cone_from_generators(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
     assert c.lineality == ((1, 0), (0, 1))
     assert c.inequalities == () and c.equations == ()
+    for n in range(4):
+        c = cone_from_inequalities(n, [])
+        assert c.rays == c.inequalities == c.equations == ()
+        assert c.lineality == IntMatrix.identity(n).entries
+        assert c == cone_from_generators(n, [(1,) * n] + [
+            tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)])
 
 
 def test_single_ray_canonicalizes_and_gets_equations():
@@ -275,6 +286,14 @@ def test_h_and_v_descriptions_agree():
     assert a == b
     line = cone_from_inequalities(3, [], [(0, 0, 1), (0, 1, 0)])
     assert line.lineality == ((1, 0, 0),) and line.rays == ()
+
+
+def test_ray_cache_is_a_memo_of_cone_from_generators():
+    rays = ((0, 1), (1, 0))
+    assert _cone_from_ray_tuple(2, rays) == cone_from_generators(2, rays)
+    hits = _cone_from_ray_tuple.cache_info().hits
+    assert _cone_from_ray_tuple(2, rays) == cone_from_generators(2, rays)
+    assert _cone_from_ray_tuple.cache_info().hits == hits + 1
 
 
 def test_rational_generators():

@@ -164,6 +164,13 @@ def test_lattice_canonical_and_membership():
     assert l1.coordinates((1, -1, 0)) is not None
 
 
+def test_lattice_of_no_rows_is_zero():
+    for n in range(4):
+        zero = Lattice.from_rows(n, [])
+        assert zero == Lattice(n, IntMatrix(0, n, ())) == Lattice.from_rows(n, [(0,) * n])
+        assert zero.rank == 0 and (0,) * n in zero
+
+
 def test_integer_constructors_refuse_non_integral_entries():
     # int() would truncate these to 0 and 1
     with pytest.raises(ValueError, match="^entry 1/2 is not an integer$"):
